@@ -13,10 +13,9 @@ ones) canonicalizes the diagonal part.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .phases import ONE, Amp, Phase, root_of_unity
+from .phases import Amp, Phase, root_of_unity
 
 
 class ButsonError(ValueError):
@@ -198,28 +197,35 @@ def _exp_to_matrix(rows, d) -> ButsonMatrix:
                         d, check=False)
 
 
-def all_dephased(d: int) -> List[ButsonMatrix]:
-    """Every dephased BH(d,d) matrix (complete backtracking enumeration)."""
-    if d < 2:
-        raise ButsonError("need d >= 2")
-    cands = _zero_sum_rows(d)
+def _sorted_dephased(d: int) -> List[List[Tuple[int, ...]]]:
+    """Exponent rows of every dephased BH(d,d) matrix whose rows are in
+    lexicographic order (complete backtracking over pairwise orthogonal
+    zero-sum rows)."""
+    cands = sorted(_zero_sum_rows(d))
     ortho = {}
     for i, r in enumerate(cands):
         ortho[i] = {j for j, s in enumerate(cands)
-                    if j != i and _exp_rows_orthogonal(r, s, d)}
-    found = []
+                    if j > i and _exp_rows_orthogonal(r, s, d)}
+    sorted_sets = []
 
-    def rec(chosen: List[int]):
+    def rec(chosen: List[int], pool: set):
         if len(chosen) == d - 1:
-            found.append([(0,) * d] + [cands[i] for i in chosen])
+            sorted_sets.append([(0,) * d] + [cands[i] for i in chosen])
             return
-        pool = set(range(len(cands)))
-        for c in chosen:
-            pool &= ortho[c]
         for i in sorted(pool):
-            rec(chosen + [i])
+            rec(chosen + [i], pool & ortho[i])
 
-    rec([])
+    rec([], set(range(len(cands))))
+    return sorted_sets
+
+
+def all_dephased(d: int) -> List[ButsonMatrix]:
+    """Every dephased BH(d,d) matrix: each ordering of rows 1..d-1 of each
+    sorted dephased matrix, in lexicographic order."""
+    if d < 2:
+        raise ButsonError("need d >= 2")
+    found = sorted([rows[0]] + list(perm) for rows in _sorted_dephased(d)
+                   for perm in itertools.permutations(rows[1:]))
     return [_exp_to_matrix(rows, d) for rows in found]
 
 
@@ -248,25 +254,9 @@ def enumerate_bh(d: int) -> List[ButsonMatrix]:
     """
     if not 2 <= d <= _BH_CAP:
         raise ButsonError("enumeration supported for 2 <= d <= %d only" % _BH_CAP)
-    cands = sorted(_zero_sum_rows(d))
-    ortho = {}
-    for i, r in enumerate(cands):
-        ortho[i] = {j for j, s in enumerate(cands)
-                    if j > i and _exp_rows_orthogonal(r, s, d)}
-    sorted_sets = []
-
-    def rec(chosen: List[int], pool: set):
-        if len(chosen) == d - 1:
-            sorted_sets.append([(0,) * d] + [cands[i] for i in chosen])
-            return
-        for i in sorted(pool):
-            rec(chosen + [i], pool & ortho[i])
-
-    rec([], set(range(len(cands))))
-
     buckets = {}
     reps: List[ButsonMatrix] = []
-    for rows in sorted_sets:
+    for rows in _sorted_dephased(d):
         m = _exp_to_matrix(rows, d)
         key = _haagerup_key(m)
         bucket = buckets.setdefault(key, [])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -40,8 +39,6 @@ class RunConfig:
     tolerance: float = 1e-10
     max_nodes: int = eq.DEFAULT_MAX_NODES
     seed: int = 0
-    output: str = "text"
-    threads: int = 1
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -53,20 +50,11 @@ class RunConfig:
 
 
 def _config_from_args(args) -> RunConfig:
-    threads = 1
-    env = os.environ.get("AME_SLOCC_THREADS")
-    if env is not None:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            raise CliError("AME_SLOCC_THREADS must be an integer")
     cfg = RunConfig(
         mode=getattr(args, "mode", "exact"),
         tolerance=getattr(args, "tolerance", None) or 1e-10,
         max_nodes=getattr(args, "max_nodes", None) or eq.DEFAULT_MAX_NODES,
-        seed=getattr(args, "seed", None) or 0,
-        output="json" if getattr(args, "json", None) else "text",
-        threads=threads)
+        seed=getattr(args, "seed", None) or 0)
     set_tolerance(cfg.tolerance)
     return cfg
 

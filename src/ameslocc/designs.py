@@ -11,10 +11,10 @@ bijective; for N = 2k the two notions coincide.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .phases import ONE
-from .states import MinimalSupportState, StateError
+from .states import MinimalSupportState
 
 
 class DesignError(ValueError):

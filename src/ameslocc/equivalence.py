@@ -15,17 +15,14 @@ certificates) for k > 2.
 from __future__ import annotations
 
 import itertools
-import os
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .butson import ButsonMatrix, enumerate_bh
+from .butson import _BH_CAP, enumerate_bh
 from .designs import small_regime
 from .modsolve import solve_turn_system
 from .operators import LocalOperator, SiteOperator
-from .phases import ONE, Phase, phase_product
-from .states import (MinimalSupportState, StateError, states_equal_up_to_global_phase,
-                     support_count)
+from .phases import Phase, phase_product
+from .states import MinimalSupportState, states_equal_up_to_global_phase
 
 DEFAULT_MAX_NODES = 2_000_000
 
@@ -328,15 +325,47 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
         exact=exact, stats=stats)
 
 
+def _lm_automorphisms(s: MinimalSupportState, max_nodes: int) -> List[LocalOperator]:
+    """One monomial self-witness per per-site permutation tuple admitting a
+    diagonal completion (free diagonal parameters zeroed), sorted by tuple."""
+    exact = s.is_exact
+    found = {}
+    for sigma in _iter_support_sigmas(s, s, max_nodes):
+        w = _solve_diagonals(s, s, sigma, exact)
+        if w is not None:
+            found[sigma] = w
+    return [found[sigma] for sigma in sorted(found)]
+
+
 def lm_automorphism_sigmas(s: MinimalSupportState,
                            max_nodes: int = DEFAULT_MAX_NODES):
     """All per-site permutation tuples admitting a diagonal completion."""
-    out = []
-    exact = s.is_exact
-    for sigma in _iter_support_sigmas(s, s, max_nodes):
-        if _solve_diagonals(s, s, sigma, exact) is not None:
-            out.append(sigma)
-    return sorted(out)
+    return [tuple(site.sigma for site in w.sites)
+            for w in _lm_automorphisms(s, max_nodes)]
+
+
+def _butson_layer_witnesses(src: MinimalSupportState, dst: MinimalSupportState,
+                            max_nodes: int):
+    """One item per per-site tuple of BH(d,d) class representatives: the
+    replayed witness (layer, then a local monomial) mapping src onto dst,
+    or None when that layer admits no monomial completion."""
+    reps = enumerate_bh(src.d)
+    for combo in itertools.product(reps, repeat=src.n):
+        layer = LocalOperator([SiteOperator.butson(b) for b in combo])
+        mapped = layer.apply(src).as_minimal(k=src.k)
+        if mapped is None:
+            yield None
+            continue
+        cert = lm_match(mapped, dst, max_nodes=max_nodes, prefilter=False)
+        if not cert.equivalent:
+            yield None
+            continue
+        witness = cert.witness.compose_after(layer)
+        g = states_equal_up_to_global_phase(witness.apply(src), dst)
+        if g is None:
+            raise AssertionError("butson witness failed replay")
+        witness.global_phase = witness.global_phase * g.conj()
+        yield witness
 
 
 def automorphisms(s: MinimalSupportState, branch: str = "lm",
@@ -347,35 +376,16 @@ def automorphisms(s: MinimalSupportState, branch: str = "lm",
     branch "lm" searches monomial operators; "lm+butson" additionally applies
     every per-site tuple of enumerated BH(d,d) representatives.
     """
-    exact = s.is_exact
-    out = []
-    for sigma in lm_automorphism_sigmas(s, max_nodes):
-        w = _solve_diagonals(s, s, sigma, exact)
-        g = states_equal_up_to_global_phase(w.apply(s), s)
-        w.global_phase = g
-        out.append(w)
+    out = _lm_automorphisms(s, max_nodes)
+    for w in out:
+        w.global_phase = states_equal_up_to_global_phase(w.apply(s), s).conj()
     if branch == "lm+butson":
-        reps = enumerate_bh(s.d)
-        for combo in itertools.product(reps, repeat=s.n):
-            layer = LocalOperator([SiteOperator.butson(b) for b in combo])
-            mapped = layer.apply(s).as_minimal(k=s.k)
-            if mapped is None:
-                continue
-            cert = lm_match(mapped, s, max_nodes=max_nodes, prefilter=False)
-            if cert.equivalent:
-                w = cert.witness.compose_after(layer)
-                g = states_equal_up_to_global_phase(w.apply(s), s)
-                if g is not None:
-                    w.global_phase = w.global_phase * g.conj()
-                    out.append(w)
+        out.extend(w for w in _butson_layer_witnesses(s, s, max_nodes) if w is not None)
     return out
 
 
 # ---------------------------------------------------------------------------
 # the N = 2k Butson branch and dispatch
-
-_BH_CAP = 6
-
 
 def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
                  max_nodes: int = DEFAULT_MAX_NODES,
@@ -424,20 +434,8 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
 
     tried = 0
     if ok_b and "butson" in branches:
-        reps = enumerate_bh(src.d)
-        for combo in itertools.product(reps, repeat=src.n):
-            layer = LocalOperator([SiteOperator.butson(b) for b in combo])
-            mapped = layer.apply(src).as_minimal(k=src.k)
-            tried += 1
-            if mapped is None:
-                continue
-            cert = lm_match(mapped, dst, max_nodes=max_nodes, prefilter=False)
-            if cert.equivalent:
-                witness = cert.witness.compose_after(layer)
-                g = states_equal_up_to_global_phase(witness.apply(src), dst)
-                if g is None:
-                    raise AssertionError("butson witness failed replay")
-                witness.global_phase = witness.global_phase * g.conj()
+        for tried, witness in enumerate(_butson_layer_witnesses(src, dst, max_nodes), 1):
+            if witness is not None:
                 return EquivalenceCertificate(
                     "equivalent", witness=witness, reason="butson-witness",
                     exact=exact, stats={"butson_tuples": tried})

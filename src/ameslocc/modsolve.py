@@ -76,13 +76,8 @@ def solve_turn_system(rows, rhs, num_vars, exact=True, tol=None):
     for i in range(prow, m):
         if any(a[i]):
             raise AssertionError("elimination left a nonzero row below the pivots")
-        if exact:
-            if b[i].denominator != 1:
-                return None
-        else:
-            frac = float(b[i]) % 1.0
-            if min(frac, 1.0 - frac) > tol:
-                return None
+        if not _is_integral(b[i], exact, tol):
+            return None
 
     theta = [Fraction(0) if exact else 0.0] * num_vars
     for (row, col) in reversed(pivots):

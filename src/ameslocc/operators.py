@@ -8,12 +8,11 @@ general layers move the state to the sparse amplitude representation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .butson import ButsonMatrix
 from .phases import ONE, Amp, Phase, get_tolerance
-from .states import MinimalSupportState, SparseState, StateError
+from .states import MinimalSupportState, SparseState
 
 
 class OperatorError(ValueError):
@@ -24,8 +23,6 @@ class SiteOperator:
     """One unitary factor, |a> -> sum_j M[j][a] |j>.
 
     kinds:
-      permutation -- sigma tuple, |a> -> |sigma[a]>
-      diagonal    -- phases tuple, |a> -> D[a] |a>
       monomial    -- (sigma, phases), |a> -> D[a] |sigma[a]>
       butson      -- unscaled BH(d,d) layer, implicit 1/sqrt(d)
       general     -- explicit Amp matrix with implicit 1/sqrt(scale) factor
@@ -39,27 +36,23 @@ class SiteOperator:
         self.diag = tuple(diag) if diag is not None else None
         self.matrix = matrix  # list of rows of Amp (output index first)
         self.scale = scale  # amplitude normalization: entries / sqrt(scale)
-        if kind in ("permutation", "monomial"):
+        if kind == "monomial":
             if sorted(self.sigma) != list(range(d)):
                 raise OperatorError("sigma is not a permutation of [0,%d)" % d)
-        if kind in ("diagonal", "monomial") and len(self.diag) != d:
-            raise OperatorError("diagonal needs %d phases" % d)
-
-    @staticmethod
-    def permutation(sigma) -> "SiteOperator":
-        return SiteOperator("permutation", len(sigma), sigma=sigma)
-
-    @staticmethod
-    def diagonal(diag) -> "SiteOperator":
-        return SiteOperator("diagonal", len(diag), diag=diag)
+            if len(self.diag) != d:
+                raise OperatorError("diagonal needs %d phases" % d)
 
     @staticmethod
     def monomial(sigma, diag) -> "SiteOperator":
         return SiteOperator("monomial", len(sigma), sigma=sigma, diag=diag)
 
     @staticmethod
+    def permutation(sigma) -> "SiteOperator":
+        return SiteOperator.monomial(sigma, [ONE] * len(sigma))
+
+    @staticmethod
     def identity(d) -> "SiteOperator":
-        return SiteOperator("permutation", d, sigma=range(d))
+        return SiteOperator.permutation(range(d))
 
     @staticmethod
     def butson(b: ButsonMatrix) -> "SiteOperator":
@@ -71,17 +64,11 @@ class SiteOperator:
         return SiteOperator("general", d, matrix=matrix, scale=scale)
 
     def is_monomial_like(self):
-        return self.kind in ("permutation", "diagonal", "monomial")
+        return self.kind == "monomial"
 
     def image(self, a: int) -> Tuple[int, Phase]:
-        """Action on |a> for monomial-like kinds: (target symbol, phase)."""
-        if self.kind == "permutation":
-            return self.sigma[a], ONE
-        if self.kind == "diagonal":
-            return a, self.diag[a]
-        if self.kind == "monomial":
-            return self.sigma[a], self.diag[a]
-        raise OperatorError("image() needs a monomial-like site operator")
+        """Action on |a> of a monomial: (target symbol, phase)."""
+        return self.sigma[a], self.diag[a]
 
     def column(self, a: int) -> List[Tuple[int, Amp]]:
         """Nonzero (output symbol, amplitude) pairs of column a."""
@@ -105,7 +92,7 @@ class SiteOperator:
         if any(len(c) != s for c in cols) or any(rc != s for rc in row_counts):
             return None, False
         tol = get_tolerance()
-        if any(abs(m - mods[0]) > 1e-9 for m in mods):
+        if any(abs(m - mods[0]) > tol for m in mods):
             return None, False
         return s, True
 

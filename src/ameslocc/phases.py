@@ -82,9 +82,6 @@ class Phase:
             return Phase(-self.turn)
         return Phase(-float(self.turn))
 
-    def inverse(self) -> "Phase":
-        return self.conj()
-
     def __complex__(self):
         return cmath.exp(2j * math.pi * float(self.turn))
 

@@ -20,8 +20,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
+from .equivalence import DEFAULT_MAX_NODES, _iter_support_sigmas
 from .phases import ONE, Amp, Phase, root_of_unity
-from .states import (MinimalSupportState, StateError, _is_prime, ame_linear_5,
+from .states import (MinimalSupportState, _is_prime, ame_linear_5,
                      construct_ame5_phased, reduced_density)
 
 
@@ -67,54 +68,17 @@ def _projected_support(s: MinimalSupportState, subset) -> List[Tuple[int, ...]]:
 def _supports_permutation_match(rows_a, rows_b, d: int, m: int) -> bool:
     """Does some tuple of per-site symbol permutations map rows_a onto rows_b?
 
-    Complete backtracking over the row bijection, constrained to partial
-    per-site injections, mirroring the search used for full states but with
-    all phases trivial.
+    Both row sets go, as phase-free states on m sites, to the support search
+    of the full-state match, which reads neither phases nor the uniformity
+    label k (set to 0); every symbol must occur at every site of rows_a,
+    as it does in a projected support.  An exhausted node budget raises
+    EquivalenceError rather than reading as "no match".
     """
     if len(rows_a) != len(rows_b):
         return False
-    set_b = set(rows_b)
-    maps = [dict() for _ in range(m)]
-    used = [set() for _ in range(m)]
-
-    def feasible(src, dst):
-        for j, (a, b) in enumerate(zip(src, dst)):
-            got = maps[j].get(a)
-            if got is not None:
-                if got != b:
-                    return None
-            elif b in used[j]:
-                return None
-        touched = []
-        for j, (a, b) in enumerate(zip(src, dst)):
-            if a not in maps[j]:
-                maps[j][a] = b
-                used[j].add(b)
-                touched.append((j, a, b))
-        return touched
-
-    def undo(touched):
-        for j, a, b in touched:
-            del maps[j][a]
-            used[j].discard(b)
-
-    def rec(i):
-        if i == len(rows_a):
-            return True
-        src = rows_a[i]
-        for dst in rows_b:
-            img = tuple(maps[j].get(a, -1) for j, a in enumerate(src))
-            if any(g != -1 and g != b for g, b in zip(img, dst)):
-                continue
-            touched = feasible(src, dst)
-            if touched is None:
-                continue
-            if rec(i + 1):
-                return True
-            undo(touched)
-        return False
-
-    return rec(0)
+    src, dst = (MinimalSupportState(m, d, 0, {row: ONE for row in rows}, check=False)
+                for rows in (rows_a, rows_b))
+    return next(_iter_support_sigmas(src, dst, DEFAULT_MAX_NODES), None) is not None
 
 
 def reduced_lm_filter(a: MinimalSupportState, b: MinimalSupportState,

@@ -250,11 +250,6 @@ def construct_ame43() -> MinimalSupportState:
     return construct_linear(3, [[1, 0], [0, 1], [1, 1], [2, 1]])
 
 
-def construct_ame55p() -> MinimalSupportState:
-    """AME(5,5)': sum over i,j of |i, j, i+j, 2i+j, 3i+j> (mod 5)."""
-    return ame_linear_5(5)
-
-
 def ame_linear_5(d: int) -> MinimalSupportState:
     """The |i,j,i+j,2i+j,3i+j> family; an AME(5,d) state for prime d >= 5."""
     return construct_linear(d, [[1, 0], [0, 1], [1, 1], [2, 1], [3, 1]])
@@ -277,21 +272,20 @@ def gf4_mul(a: int, b: int) -> int:
     return _GF4_MUL[a][b]
 
 
-def construct_ame44() -> MinimalSupportState:
-    """AME(4,4): sum over i,j of |i, j, M1[i][j], M2[i][j]> using the GF(4)
-    multiplication tables M1[i][j] = i+j and M2[i][j] = i + 2j (field ops)."""
-    m1 = [[gf4_add(i, j) for j in range(4)] for i in range(4)]
-    m2 = [[gf4_add(i, gf4_mul(2, j)) for j in range(4)] for i in range(4)]
-    phases = {(i, j, m1[i][j], m2[i][j]): ONE
-              for i in range(4) for j in range(4)}
-    return MinimalSupportState(4, 4, 2, phases)
-
-
 def ame44_tables():
     """The two MOLS(4)-forming tables behind construct_ame44."""
     m1 = [[gf4_add(i, j) for j in range(4)] for i in range(4)]
     m2 = [[gf4_add(i, gf4_mul(2, j)) for j in range(4)] for i in range(4)]
     return m1, m2
+
+
+def construct_ame44() -> MinimalSupportState:
+    """AME(4,4): sum over i,j of |i, j, M1[i][j], M2[i][j]> using the GF(4)
+    multiplication tables M1[i][j] = i+j and M2[i][j] = i + 2j (field ops)."""
+    m1, m2 = ame44_tables()
+    phases = {(i, j, m1[i][j], m2[i][j]): ONE
+              for i in range(4) for j in range(4)}
+    return MinimalSupportState(4, 4, 2, phases)
 
 
 def construct_ame64() -> MinimalSupportState:
@@ -390,10 +384,6 @@ class DensityMatrix:
                 if not self.entries[i][j].equals(ref):
                     return False
         return True
-
-    def is_diagonal(self) -> bool:
-        return all(self.entries[i][j].is_zero()
-                   for i in range(self.dim) for j in range(self.dim) if i != j)
 
     def trace(self) -> Amp:
         t = Amp.zero()

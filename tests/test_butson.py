@@ -71,6 +71,7 @@ def test_f2f2_differs_from_f4():
 def test_dephased_counts_small():
     assert len(all_dephased(3)) == 2
     assert len(all_dephased(4)) == 24
+    assert len(all_dephased(5)) == 144
 
 
 def test_class_counts():

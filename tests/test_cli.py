@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ameslocc.cli import CliError, RunConfig, _config_from_args, run_cli
+from ameslocc.cli import CliError, RunConfig, run_cli
 
 
 def write(path, text):
@@ -115,13 +115,3 @@ def test_runconfig_validation():
     with pytest.raises(CliError):
         RunConfig(mode="symbolic")
 
-
-def test_threads_env(monkeypatch):
-    import argparse
-    ns = argparse.Namespace(mode="exact", tolerance=None, max_nodes=None,
-                            seed=None, json=None)
-    monkeypatch.setenv("AME_SLOCC_THREADS", "4")
-    assert _config_from_args(ns).threads == 4
-    monkeypatch.setenv("AME_SLOCC_THREADS", "lots")
-    with pytest.raises(CliError):
-        _config_from_args(ns)

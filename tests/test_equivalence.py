@@ -142,9 +142,20 @@ def test_butson_branch_finds_tensor_fourier_witness():
     cert = butson_match(s, s, branches=("butson",))
     assert cert.equivalent
     assert cert.reason == "butson-witness"
+    assert cert.stats["butson_tuples"] == 1
     replay = cert.witness.apply(s)
     g = states_equal_up_to_global_phase(replay, s)
     assert g is not None
+
+
+@pytest.mark.parametrize("make, count", [(construct_ame43, 19),
+                                         (construct_ame44, 49)])
+def test_lm_butson_automorphism_counts(make, count):
+    s = make()
+    auts = automorphisms(s, "lm+butson")
+    assert len(auts) == count
+    for w in auts:
+        assert states_equal_up_to_global_phase(w.apply(s), s) == ONE
 
 
 def test_butson_match_needs_even_split():

@@ -1,0 +1,34 @@
+"""Static guard: every module-level import in the package is used.
+
+No linter ships with the test dependencies, so this walks the syntax tree
+with the standard library.  ``__init__.py`` is skipped because its imports
+are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ameslocc"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree):
+    """(bound name, line) for each name bound by a module-level import."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = ["%s (line %d)" % (name, line)
+              for name, line in _imported_names(tree) if name not in used]
+    assert not unused, "%s: unused imports: %s" % (path.name, ", ".join(unused))

@@ -1,7 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from ameslocc import reductions
+from ameslocc.equivalence import EquivalenceError
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import ONE, root_of_unity
 from ameslocc.reductions import (ReductionError, _supports_permutation_match,
@@ -69,6 +73,48 @@ def test_supports_permutation_match_direct():
     assert _supports_permutation_match(rows, shifted, 3, 2)
     # no per-site relabeling maps a diagonal onto a non-injective set
     assert not _supports_permutation_match(rows, [(0, 0), (1, 1), (2, 0)], 3, 2)
+
+
+def test_filter_budget_exhaustion_is_not_a_verdict(monkeypatch):
+    # an unfinished search must raise, never report a failed filter
+    monkeypatch.setattr(reductions, "DEFAULT_MAX_NODES", 1)
+    s = ame_linear_5(5)
+    with pytest.raises(EquivalenceError):
+        reduced_lm_filter(s, s)
+
+
+PERMS3 = list(itertools.permutations(range(3)))
+
+
+@st.composite
+def covering_rows(draw, m, size):
+    """size distinct rows over [3]^m in which every symbol occurs at every site."""
+    cover = [draw(st.sampled_from(PERMS3)) for _ in range(m)]
+    rows = [tuple(p[i] for p in cover) for i in range(3)]
+    rest = [r for r in itertools.product(range(3), repeat=m) if r not in rows]
+    return rows + draw(st.permutations(rest))[:size - 3]
+
+
+@st.composite
+def row_set_pairs(draw):
+    m = draw(st.integers(min_value=1, max_value=3))
+    size = draw(st.integers(min_value=3, max_value=3 ** m))
+    rows_a = draw(covering_rows(m, size))
+    if draw(st.booleans()):
+        perms = [draw(st.sampled_from(PERMS3)) for _ in range(m)]
+        rows_b = [tuple(p[x] for p, x in zip(perms, row)) for row in rows_a]
+    else:
+        rows_b = draw(covering_rows(m, size))
+    return m, sorted(rows_a), sorted(rows_b)
+
+
+@given(row_set_pairs())
+def test_supports_permutation_match_agrees_with_brute_force(case):
+    m, rows_a, rows_b = case
+    target = set(rows_b)
+    brute = any({tuple(p[x] for p, x in zip(perms, row)) for row in rows_a} == target
+                for perms in itertools.product(PERMS3, repeat=m))
+    assert _supports_permutation_match(rows_a, rows_b, 3, m) == brute
 
 
 def test_triangular_exponents_d3():
