@@ -13,6 +13,8 @@ ones) canonicalizes the diagonal part.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .phases import Amp, Phase, root_of_unity
@@ -67,13 +69,6 @@ def fourier(d: int) -> ButsonMatrix:
     return ButsonMatrix(rows, d, check=False)
 
 
-def _rows_orthogonal(row_a, row_b) -> bool:
-    acc = Amp.zero()
-    for x, y in zip(row_a, row_b):
-        acc = acc + Amp.from_phase(x / y)
-    return acc.is_zero()
-
-
 def is_butson(entries, q: int) -> bool:
     """Entries are q-th roots of unity and rows are pairwise orthogonal."""
     d = len(entries)
@@ -83,11 +78,9 @@ def is_butson(entries, q: int) -> bool:
         for p in row:
             if not p.is_exact or (p.turn * q).denominator != 1:
                 return False
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not _rows_orthogonal(entries[i], entries[j]):
-                return False
-    return True
+    exps = [[int(p.turn * q) for p in row] for row in entries]
+    return all(_exp_rows_orthogonal(exps[i], exps[j], q)
+               for i in range(d) for j in range(i + 1, d))
 
 
 def tensor_butson(a: ButsonMatrix, b: ButsonMatrix) -> ButsonMatrix:
@@ -173,23 +166,19 @@ def _recover_diagonals(a, b, p, q):
     return dr, dc
 
 
+def _exp_rows_orthogonal(row_a, row_b, q) -> bool:
+    """Exponent rows a, b (mod q) are orthogonal: sum_j w^(a_j - b_j) vanishes
+    exactly, w the primitive q-th root of unity."""
+    counts = Counter((x - y) % q for x, y in zip(row_a, row_b))
+    return Amp(terms={Fraction(e, q): Fraction(c) for e, c in counts.items()}).is_zero()
+
+
 def _zero_sum_rows(d: int):
-    """All exponent tuples (0, e1, ..., e_{d-1}) whose d-th-root sum vanishes."""
-    out = []
-    for tail in itertools.product(range(d), repeat=d - 1):
-        acc = Amp.one()
-        for e in tail:
-            acc = acc + Amp.from_phase(root_of_unity(d, e))
-        if acc.is_zero():
-            out.append((0,) + tail)
-    return out
-
-
-def _exp_rows_orthogonal(row_a, row_b, d) -> bool:
-    acc = Amp.zero()
-    for x, y in zip(row_a, row_b):
-        acc = acc + Amp.from_phase(root_of_unity(d, x - y))
-    return acc.is_zero()
+    """All exponent tuples (0, e1, ..., e_{d-1}) whose d-th-root sum vanishes,
+    i.e. that are orthogonal to the all-zeros row."""
+    zeros = (0,) * d
+    return [(0,) + tail for tail in itertools.product(range(d), repeat=d - 1)
+            if _exp_rows_orthogonal((0,) + tail, zeros, d)]
 
 
 def _exp_to_matrix(rows, d) -> ButsonMatrix:

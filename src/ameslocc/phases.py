@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-import sympy
-
 #: Global tolerance for float-mode comparisons (CLI-overridable).
 DEFAULT_TOL = 1e-10
 
@@ -144,12 +142,42 @@ def nth_roots(x: Phase, d: int) -> list:
     return sorted(roots, key=lambda r: r.turn)
 
 
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(q: int):
-    """Integer coefficient list (low to high) of the q-th cyclotomic polynomial."""
-    x = sympy.symbols("x")
-    poly = sympy.Poly(sympy.cyclotomic_poly(q, x), x)
-    return tuple(int(c) for c in reversed(poly.all_coeffs()))
+    """Integer coefficient list (low to high) of the q-th cyclotomic polynomial.
+
+    Phi_q is the product over e | q of (x^e - 1)^mu(q/e): the mu = +1 binomials
+    are multiplied in first, then the mu = -1 ones are divided out exactly.
+    """
+    divisors = [e for e in range(1, q + 1) if q % e == 0]
+    poly = [1]
+    for e in divisors:
+        if _mobius(q // e) == 1:
+            out = [0] * e + poly
+            for i, c in enumerate(poly):
+                out[i] -= c
+            poly = out
+    for e in divisors:
+        if _mobius(q // e) == -1:
+            # p = f * (x^e - 1) gives p[i] = f[i-e] - f[i]
+            f = [0] * (len(poly) - e)
+            for i in range(len(f)):
+                f[i] = (f[i - e] if i >= e else 0) - poly[i]
+            poly = f
+    return tuple(poly)
 
 
 def _reduce_mod_cyclotomic(coeffs, q):
@@ -161,17 +189,20 @@ def _reduce_mod_cyclotomic(coeffs, q):
     """
     phi = _cyclotomic_coeffs(q)
     deg = len(phi) - 1
-    work = [Fraction(0)] * q
+    low = [(i, c) for i, c in enumerate(phi[:deg]) if c]
+    # clear denominators so the division by the monic integer Phi_q runs in ints
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    work = [0] * q
     for e, c in coeffs.items():
-        work[e % q] += c
-    # long division by the monic Phi_q
+        work[e % q] += int(c * den)
+    # long division over the nonzero lower coefficients of Phi_q
     for e in range(q - 1, deg - 1, -1):
         c = work[e]
         if c:
-            work[e] = Fraction(0)
-            for i in range(deg):
-                work[e - deg + i] -= c * phi[i]
-    return work[:deg]
+            work[e] = 0
+            for i, p in low:
+                work[e - deg + i] -= c * p
+    return [Fraction(c, den) for c in work[:deg]]
 
 
 class Amp:

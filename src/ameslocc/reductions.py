@@ -20,6 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
+from .butson import is_butson
 from .equivalence import DEFAULT_MAX_NODES, _iter_support_sigmas
 from .phases import ONE, Amp, Phase, root_of_unity
 from .states import (MinimalSupportState, _is_prime, ame_linear_5,
@@ -183,39 +184,14 @@ def build_u4_u5(d: int) -> TriangularMatrixPair:
                                      "recursion for V at (%d, %d)" % (i, j))
     pair = TriangularMatrixPair(d, tuple(map(tuple, w)), tuple(map(tuple, v)))
     for rows in (pair.u4(), pair.u5()):
-        if not _unitary_after_scaling(rows, d):
+        if not is_butson(rows, d):
             raise ReductionError("constructed matrix is not unitary")
     return pair
-
-
-def _unitary_after_scaling(rows: List[List[Phase]], d: int) -> bool:
-    """Rows of phases are pairwise orthogonal (so M / sqrt(d) is unitary)."""
-    for i in range(d):
-        for j in range(i + 1, d):
-            acc = Amp.zero()
-            for x, y in zip(rows[i], rows[j]):
-                acc = acc + Amp.from_phase(x / y)
-            if not acc.is_zero():
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
 # The three-party reduction lemma and the non-equivalence certificate.
 # ---------------------------------------------------------------------------
-
-def _rho_prime_diag(d: int) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Amp]:
-    """Diagonal reduction of the linear family onto its last three sites:
-    (1/d^2) sum_{i,j} |i+j, i+2j, i+3j><same|."""
-    out = {}
-    weight = Amp(terms={Fraction(0): Fraction(1, d * d)})
-    for i in range(d):
-        for j in range(d):
-            row = ((i + j) % d, (i + 2 * j) % d, (i + 3 * j) % d)
-            key = (row, row)
-            out[key] = out.get(key, Amp.zero()) + weight
-    return out
-
 
 def _conjugated_rho_prime(d: int, u4, u5):
     """(Id x U4 x U5) rho' (Id x U4 x U5)^dagger as a sparse Amp dict.
@@ -250,23 +226,9 @@ def verify_rho345_lemma(d: int) -> bool:
         raise ReductionError("the lemma is stated for odd d only")
     pair = build_u4_u5(d)
     got = _conjugated_rho_prime(d, pair.u4(), pair.u5())
-    rho = reduced_density(construct_ame5_phased(d), (2, 3, 4))
-    dd = d ** 3
-
-    def unrank(r):
-        out = []
-        for _ in range(3):
-            out.append(r % d)
-            r //= d
-        return tuple(reversed(out))
-
-    for ri in range(dd):
-        for rj in range(dd):
-            want = rho.entry(ri, rj)
-            have = got.get((unrank(ri), unrank(rj)), Amp.zero())
-            if not want.equals(have):
-                return False
-    return True
+    rho = reduced_density(construct_ame5_phased(d), (2, 3, 4)).entries
+    return got.keys() == rho.keys() and all(
+        rho[key].equals(amp) for key, amp in got.items())
 
 
 def verify_ame5_nonequivalence(d: int) -> dict:

@@ -191,7 +191,9 @@ def _exact_phase_split(a: Amp):
 
     Sums of roots of unity can collapse to r * root-of-unity without being a
     single stored term, so the candidate turn is guessed numerically and then
-    verified exactly.
+    verified exactly.  If r * zeta lies in Q(zeta_q), q the lcm of the term
+    denominators, then zeta is an lcm(2, q)-th root of unity, so the guess is
+    rounded to that grid and the check never leaves the field of the input.
     """
     if len(a.terms) == 1:
         (t, c), = a.terms.items()
@@ -201,7 +203,8 @@ def _exact_phase_split(a: Amp):
     z = complex(a)
     if abs(z) < 1e-12:
         return None
-    t = Fraction(cmath.phase(z) / (2 * math.pi)).limit_denominator(1000) % 1
+    order = math.lcm(2, *(t.denominator for t in a.terms))
+    t = Fraction(round(cmath.phase(z) / (2 * math.pi) * order), order) % 1
     m = Fraction(abs(z)).limit_denominator(10 ** 6)
     if a.equals(Amp(terms={t: m})):
         return m, Phase(t)
@@ -363,40 +366,41 @@ def tensor_compose(a, b):
 # analysis
 
 class DensityMatrix:
-    """Dense reduced density matrix with Amp entries, normalized to trace 1."""
+    """Reduced density matrix with Amp entries, normalized to trace 1.
 
-    def __init__(self, d: int, keep: Tuple[int, ...], entries):
+    ``entries`` holds the nonzero entries only, keyed by (row, column) pairs
+    of kept-site symbol tuples.
+    """
+
+    def __init__(self, d: int, keep: Tuple[int, ...],
+                 entries: Dict[Tuple[MultiIndex, MultiIndex], Amp]):
         self.d = d
         self.keep = keep
-        self.entries = entries  # list of lists of Amp
+        self.entries = entries
         self.dim = d ** len(keep)
 
+    def _unrank(self, r: int) -> MultiIndex:
+        out = []
+        for _ in self.keep:
+            r, s = divmod(r, self.d)
+            out.append(s)
+        return tuple(reversed(out))
+
     def entry(self, i, j) -> Amp:
-        return self.entries[i][j]
+        """The entry at row i and column j, ranked base d over the kept sites."""
+        return self.entries.get((self._unrank(i), self._unrank(j)), Amp.zero())
 
     def is_maximally_mixed(self) -> bool:
-        target = Fraction(1, self.dim)
-        want = Amp(terms={Fraction(0): target})
-        zero = Amp.zero()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ref = want if i == j else zero
-                if not self.entries[i][j].equals(ref):
-                    return False
-        return True
+        want = Amp(terms={Fraction(0): Fraction(1, self.dim)})
+        return len(self.entries) == self.dim and all(
+            row == col and a.equals(want) for (row, col), a in self.entries.items())
 
     def trace(self) -> Amp:
         t = Amp.zero()
-        for i in range(self.dim):
-            t = t + self.entries[i][i]
+        for (row, col), a in self.entries.items():
+            if row == col:
+                t = t + a
         return t
-
-
-def _rank(idx: MultiIndex, d: int) -> int:
-    r = 0
-    for s in idx:
-        r = r * d + s
-    return r
 
 
 def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
@@ -410,22 +414,20 @@ def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
     keep = tuple(sorted(keep))
     if not keep or len(keep) >= sp.n:
         raise StateError("keep must be a nonempty strict subset of positions")
-    if sp.d ** len(keep) > 2 ** 20:
-        raise StateError("reduced matrix dimension exceeds the 2^20 cap")
     drop = tuple(p for p in range(sp.n) if p not in set(keep))
-    dim = sp.d ** len(keep)
     inv_scale = Fraction(1) / Fraction(sp.scale2) if sp.is_exact else 1.0 / float(sp.scale2)
-    entries = [[Amp.zero() for _ in range(dim)] for _ in range(dim)]
     groups = {}
     for idx, c in sp.terms.items():
         key = tuple(idx[p] for p in drop)
         groups.setdefault(key, []).append((tuple(idx[p] for p in keep), c))
+    sums: Dict[Tuple[MultiIndex, MultiIndex], Amp] = {}
     for members in groups.values():
         for (ki, ci) in members:
-            ri = _rank(ki, sp.d)
             for (kj, cj) in members:
-                rj = _rank(kj, sp.d)
-                entries[ri][rj] = entries[ri][rj] + (ci * cj.conj()).scaled(inv_scale)
+                amp = (ci * cj.conj()).scaled(inv_scale)
+                got = sums.get((ki, kj))
+                sums[(ki, kj)] = amp if got is None else got + amp
+    entries = {key: a for key, a in sums.items() if not a.is_zero()}
     return DensityMatrix(sp.d, keep, entries)
 
 

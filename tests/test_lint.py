@@ -1,8 +1,10 @@
-"""Static guard: every module-level import in the package is used.
+"""Static guards on the package's imports.
 
-No linter ships with the test dependencies, so this walks the syntax tree
-with the standard library.  ``__init__.py`` is skipped because its imports
-are the package's re-exports.
+Every module-level import is used, and no module imports sympy, which the
+package does not depend on.  No linter ships with the test dependencies, so
+this walks the syntax tree with the standard library.  ``__init__.py`` is
+skipped by the unused-import check because its imports are the package's
+re-exports.
 """
 
 import ast
@@ -32,3 +34,19 @@ def test_no_unused_module_imports(path):
     unused = ["%s (line %d)" % (name, line)
               for name, line in _imported_names(tree) if name not in used]
     assert not unused, "%s: unused imports: %s" % (path.name, ", ".join(unused))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_sympy_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "sympy" for m in modules):
+            lines.append(node.lineno)
+    assert not lines, "%s imports sympy at lines %s" % (path.name, lines)

@@ -2,11 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from ameslocc.phases import (ONE, MINUS_ONE, Amp, Phase, get_tolerance,
-                             nth_roots, phase_product, root_of_unity,
-                             set_tolerance)
+from ameslocc.phases import (ONE, MINUS_ONE, Amp, Phase, _cyclotomic_coeffs,
+                             get_tolerance, nth_roots, phase_product,
+                             root_of_unity, set_tolerance)
 
 
 def rational_turns():
@@ -141,8 +141,56 @@ def test_as_single_phase():
 
 
 @given(st.integers(min_value=2, max_value=12))
+@example(105)
+@example(2520)
 def test_full_root_sum_vanishes(q):
     acc = Amp.zero()
     for j in range(q):
         acc = acc + Amp.from_phase(root_of_unity(q, j))
     assert acc.is_zero()
+
+
+# --- cyclotomic polynomials -------------------------------------------------
+
+PINNED_CYCLOTOMIC = {
+    1: (-1, 1),
+    2: (1, 1),
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    5: (1, 1, 1, 1, 1),
+    6: (1, -1, 1),
+    7: (1, 1, 1, 1, 1, 1, 1),
+    8: (1, 0, 0, 0, 1),
+    9: (1, 0, 0, 1, 0, 0, 1),
+    10: (1, -1, 1, -1, 1),
+    11: (1,) * 11,
+    12: (1, 0, -1, 0, 1),
+    # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+    105: (1, 1, 1, 0, 0, -1, -1, -2, -1, -1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0,
+          -1, 0, -1, 0, -1, 0, -1, 0, -1, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, -1,
+          -1, -2, -1, -1, 0, 0, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_CYCLOTOMIC))
+def test_cyclotomic_pinned(q):
+    assert _cyclotomic_coeffs(q) == PINNED_CYCLOTOMIC[q]
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("q", list(range(1, 61)) + [105, 385, 2520])
+def test_cyclotomic_degree_and_divisor_product(q):
+    phi = _cyclotomic_coeffs(q)
+    assert len(phi) - 1 == sum(1 for m in range(1, q + 1) if math.gcd(m, q) == 1)
+    prod = [1]
+    for e in range(1, q + 1):
+        if q % e == 0:
+            prod = _poly_mul(prod, _cyclotomic_coeffs(e))
+    assert prod == [-1] + [0] * (q - 1) + [1]

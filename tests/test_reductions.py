@@ -154,6 +154,23 @@ def test_rho345_lemma_small_dimension():
     assert verify_rho345_lemma(3)
 
 
+@pytest.mark.parametrize("change", ["drop", "alter"])
+def test_rho345_lemma_rejects_a_changed_entry(monkeypatch, change):
+    orig = reductions._conjugated_rho_prime
+
+    def changed(d, u4, u5):
+        got = orig(d, u4, u5)
+        key = min(got)
+        if change == "drop":
+            del got[key]
+        else:
+            got[key] = got[key] + got[key]
+        return got
+
+    monkeypatch.setattr(reductions, "_conjugated_rho_prime", changed)
+    assert not verify_rho345_lemma(3)
+
+
 def test_five_party_nonequivalence_report():
     report = verify_ame5_nonequivalence(5)
     assert report["all_passed"] and report["verdict"] == "inequivalent"

@@ -1,11 +1,15 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import ONE, Amp, Phase, root_of_unity
 from ameslocc.states import (MinimalSupportState, SparseState, StateError,
+                             _exact_phase_split,
                              ame64_phi, ame_linear_5, construct_ame43,
                              construct_ame44, construct_ame5_phased,
                              construct_ame64, construct_ghz, construct_linear,
@@ -139,6 +143,93 @@ def test_reduced_density_random_sparse_float():
                 zij = complex(rho.entry(i, j))
                 zji = complex(rho.entry(j, i))
                 assert zij == pytest.approx(zji.conjugate(), abs=1e-9)
+
+
+@st.composite
+def exact_states_and_keeps(draw):
+    """A small exact SparseState with rational-turn amplitudes, plus a kept
+    strict subset of its sites.  Supports are random, full, or GHZ-shaped
+    (whose one-site reductions are maximally mixed); half the draws use only
+    turns 0 and 1/2 with unit weights, so that entries cancel to zero."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 3))
+    indices = st.tuples(*[st.integers(0, d - 1)] * n)
+    support = draw(st.one_of(
+        st.sets(indices, min_size=1),
+        st.just(set(itertools.product(range(d), repeat=n))),
+        st.just({(s,) * n for s in range(d)})))
+    signs = draw(st.booleans())
+    den = 2 if signs else 6
+    turns = st.integers(0, den - 1).map(lambda m: Fraction(m, den))
+    weights = st.sampled_from([Fraction(1)] if signs else
+                              [Fraction(1), Fraction(2), Fraction(1, 3)])
+    weighted = {idx: (draw(turns), draw(weights)) for idx in sorted(support)}
+    terms = {idx: Amp.from_phase(Phase(t), w) for idx, (t, w) in weighted.items()}
+    scale2 = sum(w * w for _, w in weighted.values())
+    keep = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return SparseState(n, d, terms, scale2=scale2), sorted(keep)
+
+
+def partial_trace_by_definition(s, keep):
+    """rho[i, j] = sum over traced-out symbols t of psi(i, t) conj(psi(j, t)),
+    over every kept-site row and column, ranked base d."""
+    drop = [p for p in range(s.n) if p not in keep]
+    rows = list(itertools.product(range(s.d), repeat=len(keep)))
+    rho = {}
+    for i, ki in enumerate(rows):
+        for j, kj in enumerate(rows):
+            acc = Amp.zero()
+            for t in itertools.product(range(s.d), repeat=len(drop)):
+                a, b = [0] * s.n, [0] * s.n
+                for p, x, y in zip(keep, ki, kj):
+                    a[p], b[p] = x, y
+                for p, x in zip(drop, t):
+                    a[p] = b[p] = x
+                ca, cb = s.terms.get(tuple(a)), s.terms.get(tuple(b))
+                if ca is not None and cb is not None:
+                    acc = acc + (ca * cb.conj()).scaled(Fraction(1) / s.scale2)
+            rho[i, j] = acc
+    return rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_states_and_keeps())
+# unnormalized: d^|keep| entries equal to 1/dim that are not all diagonal
+@example((SparseState(3, 2, {(0, 0, 0): Amp.one(), (0, 1, 0): Amp.one()},
+                      scale2=4), [0, 1]))
+def test_sparse_reduced_density_matches_definition(case):
+    s, keep = case
+    rho = reduced_density(s, keep)
+    want = partial_trace_by_definition(s, keep)
+    assert all(not a.is_zero() for a in rho.entries.values())
+    assert len(rho.entries) == sum(not a.is_zero() for a in want.values())
+    for (i, j), a in want.items():
+        assert rho.entry(i, j).equals(a)
+    mixed = Amp(terms={Fraction(0): Fraction(1, rho.dim)})
+    assert rho.is_maximally_mixed() == all(
+        a.equals(mixed if i == j else Amp.zero()) for (i, j), a in want.items())
+
+
+def test_reduced_density_of_large_dimension():
+    # 2^21 x 2^21 matrix with two nonzero entries
+    rho = reduced_density(construct_ghz(22, 2), range(21))
+    assert rho.dim == 2 ** 21 and len(rho.entries) == 2
+    half = Amp(terms={Fraction(0): Fraction(1, 2)})
+    assert rho.entry(0, 0).equals(half)
+    assert rho.entry(rho.dim - 1, rho.dim - 1).equals(half)
+    assert rho.trace().equals(Amp.one())
+    assert not rho.is_maximally_mixed()
+
+
+def test_exact_phase_split_stays_in_input_field():
+    # w_1009 * (1 + w_3) = w_1009 * w_6 is one root of unity of order 6054;
+    # a free numerical guess of the turn leaves that field entirely
+    a = Amp(terms={Fraction(1, 1009): Fraction(1),
+                   Fraction(1, 3) + Fraction(1, 1009): Fraction(1)})
+    start = time.perf_counter()
+    got = _exact_phase_split(a)
+    assert time.perf_counter() - start < 1.0
+    assert got == (1, Phase(Fraction(1, 6) + Fraction(1, 1009)))
 
 
 def test_global_phase_detection():
