@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .phases import Amp, Phase, root_of_unity
+from .phases import Phase, exponent_sum_is_zero, root_of_unity
 
 
 class ButsonError(ValueError):
@@ -169,8 +168,7 @@ def _recover_diagonals(a, b, p, q):
 def _exp_rows_orthogonal(row_a, row_b, q) -> bool:
     """Exponent rows a, b (mod q) are orthogonal: sum_j w^(a_j - b_j) vanishes
     exactly, w the primitive q-th root of unity."""
-    counts = Counter((x - y) % q for x, y in zip(row_a, row_b))
-    return Amp(terms={Fraction(e, q): Fraction(c) for e, c in counts.items()}).is_zero()
+    return exponent_sum_is_zero(Counter((x - y) % q for x, y in zip(row_a, row_b)), q)
 
 
 def _zero_sum_rows(d: int):

@@ -205,6 +205,13 @@ def _reduce_mod_cyclotomic(coeffs, q):
     return [Fraction(c, den) for c in work[:deg]]
 
 
+def exponent_sum_is_zero(coeffs, q) -> bool:
+    """Does sum(c * w^e) over coeffs (exponent -> integer or Fraction c)
+    vanish, w the primitive q-th root of unity?  Exact, by reduction modulo
+    the q-th cyclotomic polynomial."""
+    return not any(_reduce_mod_cyclotomic(coeffs, q))
+
+
 class Amp:
     """A complex amplitude, exact (rational combination of roots of unity) or float.
 
@@ -290,14 +297,15 @@ class Amp:
 
     def is_zero(self, tol=None) -> bool:
         if self.is_exact:
-            if not self.terms:
-                return True
+            if len(self.terms) <= 1:
+                # one root of unity times c vanishes iff c does
+                return not any(self.terms.values())
             q = math.lcm(*(t.denominator for t in self.terms))
             coeffs = {}
             for t, c in self.terms.items():
                 e = int(t * q)
                 coeffs[e] = coeffs.get(e, Fraction(0)) + c
-            return all(c == 0 for c in _reduce_mod_cyclotomic(coeffs, q))
+            return exponent_sum_is_zero(coeffs, q)
         tol = _tol if tol is None else tol
         return abs(self.value) <= tol
 

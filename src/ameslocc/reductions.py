@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .butson import is_butson
 from .equivalence import DEFAULT_MAX_NODES, _iter_support_sigmas
-from .phases import ONE, Amp, Phase, root_of_unity
+from .phases import ONE, Amp, Phase, exponent_sum_is_zero, root_of_unity
 from .states import (MinimalSupportState, _is_prime, ame_linear_5,
                      construct_ame5_phased, reduced_density)
 
@@ -193,30 +193,41 @@ def build_u4_u5(d: int) -> TriangularMatrixPair:
 # The three-party reduction lemma and the non-equivalence certificate.
 # ---------------------------------------------------------------------------
 
-def _conjugated_rho_prime(d: int, u4, u5):
+def _conjugated_rho_prime(d: int, w, v):
     """(Id x U4 x U5) rho' (Id x U4 x U5)^dagger as a sparse Amp dict.
 
     rho' is an ensemble of d^2 orthogonal basis vectors, so the conjugation
-    is a sum of outer products of the transformed columns.
+    is a sum of outer products of the transformed columns.  w and v are the
+    exponent matrices of U4 and U5, so every entry is a sum of d-th roots of
+    unity, kept as its integer count per exponent; each distinct count
+    vector is zero-tested once.
     """
+    dd = d * d
     inv = Fraction(1, d ** 4)  # 1/d^2 ensemble weight, 1/d per unitary factor
+    entries: Dict[Tuple[int, ...], Optional[Amp]] = {}  # count vector -> entry
     out: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Amp] = {}
-    for i in range(d):
+    for s in range(d):
+        counts = [[0] * d for _ in range(dd * dd)]  # row x, column y at x*dd + y
         for j in range(d):
-            s, a, b = (i + j) % d, (i + 2 * j) % d, (i + 3 * j) % d
-            col = []
+            # ensemble vector |i+j, i+2j, i+3j> written with s = i + j
+            a, b = (s + j) % d, (s + 2 * j) % d
             # exponent matrices index (input symbol, output symbol), so the
             # column of the applied operator reads the a-th/b-th rows
-            for m in range(d):
-                for kk in range(d):
-                    col.append(((s, m, kk), u4[a][m] * u5[b][kk]))
-            for (ki, pi) in col:
-                for (kj, pj) in col:
-                    key = (ki, kj)
-                    amp = Amp(terms={(pi / pj).turn: inv})
-                    got = out.get(key)
-                    out[key] = amp if got is None else got + amp
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            col = [wm + vk for wm in w[a] for vk in v[b]]
+            for x, ex in enumerate(col):
+                base = x * dd
+                for y, ey in enumerate(col):
+                    counts[base + y][(ex - ey) % d] += 1
+        sites = [(s, m, kk) for m in range(d) for kk in range(d)]
+        for idx, vec in enumerate(map(tuple, counts)):
+            if vec not in entries:
+                zero = exponent_sum_is_zero(dict(enumerate(vec)), d)
+                entries[vec] = None if zero else Amp(
+                    terms={Fraction(e, d): c * inv for e, c in enumerate(vec) if c})
+            amp = entries[vec]
+            if amp is not None:
+                out[(sites[idx // dd], sites[idx % dd])] = amp
+    return out
 
 
 def verify_rho345_lemma(d: int) -> bool:
@@ -225,7 +236,7 @@ def verify_rho345_lemma(d: int) -> bool:
     if d % 2 == 0:
         raise ReductionError("the lemma is stated for odd d only")
     pair = build_u4_u5(d)
-    got = _conjugated_rho_prime(d, pair.u4(), pair.u5())
+    got = _conjugated_rho_prime(d, pair.w, pair.v)
     rho = reduced_density(construct_ame5_phased(d), (2, 3, 4)).entries
     return got.keys() == rho.keys() and all(
         rho[key].equals(amp) for key, amp in got.items())

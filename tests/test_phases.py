@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ameslocc.phases import (ONE, MINUS_ONE, Amp, Phase, _cyclotomic_coeffs,
+                             _reduce_mod_cyclotomic, exponent_sum_is_zero,
                              get_tolerance, nth_roots, phase_product,
                              root_of_unity, set_tolerance)
 
@@ -194,3 +195,35 @@ def test_cyclotomic_degree_and_divisor_product(q):
         if q % e == 0:
             prod = _poly_mul(prod, _cyclotomic_coeffs(e))
     assert prod == [-1] + [0] * (q - 1) + [1]
+
+
+def test_exponent_sum_is_zero():
+    # w^0 + w^3 + w^6 vanishes for w a primitive 9th root, without the
+    # counts being uniform; integer and Fraction coefficients agree
+    assert exponent_sum_is_zero({0: 1, 3: 1, 6: 1}, 9)
+    assert exponent_sum_is_zero({0: Fraction(1, 2), 3: Fraction(1, 2), 6: Fraction(1, 2)}, 9)
+    assert not exponent_sum_is_zero({0: 1, 3: 1}, 9)
+    assert exponent_sum_is_zero(dict(enumerate([2] * 7)), 7)
+    assert not exponent_sum_is_zero(dict(enumerate([2] * 6 + [1])), 7)
+    assert exponent_sum_is_zero({}, 5)
+
+
+@st.composite
+def few_term_amps(draw):
+    """Exact Amps with one or two stored terms, zero coefficients included."""
+    turns = draw(st.lists(st.fractions(0, 1, max_denominator=60).filter(lambda t: t < 1),
+                          min_size=1, max_size=2))
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    return Amp(terms={t: draw(coeffs) for t in turns})
+
+
+@given(few_term_amps())
+@example(Amp.from_phase(Phase(Fraction(1, 3)), 0))
+@example(Amp.from_phase(ONE, 0))
+@example(Amp(terms={Fraction(0): Fraction(1), Fraction(1, 2): Fraction(1)}))
+def test_is_zero_matches_cyclotomic_reduction(amp):
+    q = math.lcm(*(t.denominator for t in amp.terms))
+    coeffs = {}
+    for t, c in amp.terms.items():
+        coeffs[int(t * q)] = coeffs.get(int(t * q), 0) + c
+    assert amp.is_zero() == all(c == 0 for c in _reduce_mod_cyclotomic(coeffs, q))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,10 +8,10 @@ from hypothesis import given, strategies as st
 from ameslocc import reductions
 from ameslocc.equivalence import EquivalenceError
 from ameslocc.operators import LocalOperator, SiteOperator
-from ameslocc.phases import ONE, root_of_unity
-from ameslocc.reductions import (ReductionError, _supports_permutation_match,
-                                 build_u4_u5, reduced_lm_filter,
-                                 verify_ame5_nonequivalence,
+from ameslocc.phases import ONE, Amp, root_of_unity
+from ameslocc.reductions import (ReductionError, _conjugated_rho_prime,
+                                 _supports_permutation_match, build_u4_u5,
+                                 reduced_lm_filter, verify_ame5_nonequivalence,
                                  verify_rho345_lemma)
 from ameslocc.states import ame_linear_5, construct_ame43, construct_ame44
 
@@ -184,3 +185,52 @@ def test_five_party_pipeline_input_validation():
         verify_ame5_nonequivalence(4)  # composite dimension
     with pytest.raises(ReductionError):
         verify_ame5_nonequivalence(3)  # too small: both families coincide
+
+
+def conjugated_rho_prime_oracle(d):
+    """(Id x U4 x U5) rho' (Id x U4 x U5)^dagger from its definition: one Amp
+    term per (row, column) product of the transformed columns of the d^2
+    ensemble vectors |i+j, i+2j, i+3j>, each with weight 1/d^2 * 1/d^2."""
+    pair = build_u4_u5(d)
+    u4, u5 = pair.u4(), pair.u5()
+    out = {}
+    for i in range(d):
+        for j in range(d):
+            s, a, b = (i + j) % d, (i + 2 * j) % d, (i + 3 * j) % d
+            col = [((s, m, kk), u4[a][m] * u5[b][kk])
+                   for m in range(d) for kk in range(d)]
+            for ki, pi in col:
+                for kj, pj in col:
+                    term = Amp(terms={(pi / pj).turn: Fraction(1, d ** 4)})
+                    out[(ki, kj)] = out[(ki, kj)] + term if (ki, kj) in out else term
+    return {key: amp for key, amp in out.items() if not amp.is_zero()}
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_conjugated_rho_prime_matches_definition(d):
+    pair = build_u4_u5(d)
+    got = _conjugated_rho_prime(d, pair.w, pair.v)
+    want = conjugated_rho_prime_oracle(d)
+    assert got.keys() == want.keys()
+    assert len(got) == d ** 4
+    assert all(got[key].equals(amp) for key, amp in want.items())
+
+
+def test_rho345_lemma_composite_dimension():
+    # at d = 9, counts such as w^0 + w^3 + w^6 vanish without being uniform
+    assert verify_rho345_lemma(9)
+
+
+def test_rho345_lemma_zero_test_count(monkeypatch):
+    # one exact zero test per distinct count vector, not per (row, column)
+    # key: well under the d^5 keys the conjugation touches
+    calls = []
+    orig = Amp.is_zero
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(Amp, "is_zero", counting)
+    assert verify_rho345_lemma(7)
+    assert len(calls) < 7 ** 5
