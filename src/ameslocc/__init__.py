@@ -18,8 +18,7 @@ from .butson import (ButsonError, ButsonMatrix, dephase, enumerate_bh, fourier,
 from .operators import LocalOperator, OperatorError, SiteOperator
 from .equivalence import (EquivalenceCertificate, EquivalenceError, automorphisms,
                           butson_match, compute_w, cond_butson, cond_monomial,
-                          decide_slocc, family_classes, lm_match,
-                          necessary_condition)
+                          decide_slocc, family_classes, lm_match)
 from .reductions import (ReductionError, ReductionFilterReport,
                          TriangularMatrixPair, build_u4_u5, reduced_lm_filter,
                          verify_ame5_nonequivalence, verify_rho345_lemma)

@@ -92,10 +92,7 @@ def tensor_butson(a: ButsonMatrix, b: ButsonMatrix) -> ButsonMatrix:
 
 def dephase(m: ButsonMatrix) -> ButsonMatrix:
     """Scale rows and columns so the first row and column are all ones."""
-    e = m.entries
-    rows = [[e[i][j] / e[i][0] / e[0][j] * e[0][0] for j in range(m.d)]
-            for i in range(m.d)]
-    return ButsonMatrix(rows, m.q, check=False)
+    return ButsonMatrix(_anchored_form(m, 0, 0), m.q, check=False)
 
 
 def _anchored_form(b: ButsonMatrix, r0: int, c0: int):
@@ -116,18 +113,17 @@ def monomially_equivalent(a: ButsonMatrix, b: ButsonMatrix):
     if a.d != b.d:
         return None
     d = a.d
-    da = dephase(a).entries
+    da = _anchored_form(a, 0, 0)
+    da_rows = _row_multiset(da)
     for r0 in range(d):
         for c0 in range(d):
             c = _anchored_form(b, r0, c0)
+            # quick multiset check on row contents before permuting
+            if _row_multiset(c) != da_rows:
+                continue
             # match rows of da against rows of c; row 0 of da is all ones and
             # row r0 of c is all ones, so pair those and permute the rest
             rest = [r for r in range(d) if r != r0]
-            target_rows = {tuple(c[r]): None for r in range(d)}
-            # quick multiset check on row contents before permuting
-            if sorted(sorted(x.turn for x in row) for row in da) != \
-               sorted(sorted(x.turn for x in row) for row in c):
-                continue
             for perm in itertools.permutations(rest):
                 p = [r0] + list(perm)
                 # deduce the column permutation by matching columns
@@ -152,6 +148,10 @@ def monomially_equivalent(a: ButsonMatrix, b: ButsonMatrix):
                 if dr is not None:
                     return tuple(p), tuple(q), dr, dc
     return None
+
+
+def _row_multiset(rows):
+    return sorted(sorted(x.turn for x in row) for row in rows)
 
 
 def _recover_diagonals(a, b, p, q):

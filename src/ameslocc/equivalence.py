@@ -7,9 +7,9 @@ symbol permutations) followed by an exact mod-1 linear solve for the
 diagonal phases.
 
 At N = 2k and small parameters the non-monomial part of any equivalence is a
-per-site Butson BH(d,d) layer; ``butson_match`` adds that branch.  W-statistic
-ratio conditions supply cheap necessary conditions (and inequivalence
-certificates) for k > 2.
+per-site Butson BH(d,d) layer; ``butson_match`` adds that branch.  For k > 2
+the W-statistic ratio condition of the Butson form excludes that branch, and
+an exhausted ``lm_match`` search excludes the monomial one.
 """
 
 from __future__ import annotations
@@ -101,11 +101,18 @@ def _i_s_choices(s: MinimalSupportState):
 
 
 def cond_monomial(src: MinimalSupportState, dst: MinimalSupportState):
-    """Necessary condition (k > 2) for a monomial-form equivalence.
+    """W-ratio test (k > 2) for a monomial-form equivalence; not a necessary
+    condition in general.
 
-    For each site i and (k-2)-subset S there must exist symbol permutations
-    on the sites {i} u S making the ratio W'_{l,I} / W_{sigma(l),sigma(I)}
-    independent of I for every l.  Returns (ok, first violating (i, S)).
+    It asks for symbol permutations on the sites {i} u S making the ratio
+    W'_{l,I} / W_{sigma(l),sigma(I)} independent of I for every l.  A local
+    diagonal theta multiplies W^{i,S}_{l,I} by a constant times
+    theta_i(l)^d * prod_s theta_s(I_s)^d, so the ratio is only additively
+    separable in (l, I), and the test rejects monomial images whose
+    diagonals are not d-th roots of unity.  Its one caller is butson_match's
+    gate, kept because the complete lm_match search is still several times
+    slower on AME(6,4) pairs and because perfbench/spans.py rebinds this
+    name.  Returns (ok, first failing (i, S)).
     """
     if src.k <= 2:
         return True, None
@@ -160,30 +167,6 @@ def cond_butson(src: MinimalSupportState, dst: MinimalSupportState):
                               for I in itertools.product(range(d), repeat=len(S))]
                     if not _ratios_constant(ratios):
                         return False, (label, i, S, ell, ell2)
-    return True, None
-
-
-def necessary_condition(src, dst, sigma: Sequence[Sequence[int]]):
-    """Check the k > 2 W-ratio identities for one full local permutation.
-
-    Returns (True, None) or (False, violating (i, S, l, I, I')).
-    """
-    if src.k <= 2:
-        return True, None
-    d = src.d
-    for i, S in _i_s_choices(src):
-        wsrc = _w_table(src, i, S)
-        wdst = _w_table(dst, i, S)
-        for ell in range(d):
-            ref = None
-            ref_I = None
-            for I in itertools.product(range(d), repeat=len(S)):
-                mapped = (sigma[i][ell],) + tuple(sigma[p][x] for p, x in zip(S, I))
-                ratio = wdst[(ell,) + I] / wsrc[mapped]
-                if ref is None:
-                    ref, ref_I = ratio, I
-                elif not _ratios_constant([ref, ratio]):
-                    return False, (i, S, ell, ref_I, I)
     return True, None
 
 
@@ -286,8 +269,7 @@ def _iter_support_sigmas(src, dst, max_nodes):
 
 
 def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
-             max_nodes: int = DEFAULT_MAX_NODES,
-             prefilter: bool = True) -> EquivalenceCertificate:
+             max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCertificate:
     """Complete decision of local-monomial equivalence.
 
     Searches all per-site symbol permutations that map support onto support;
@@ -298,13 +280,6 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     _check_compatible(src, dst)
     exact = src.is_exact and dst.is_exact
     stats = {"sigmas_tested": 0}
-    if prefilter and src.k > 2:
-        ok, where = cond_monomial(src, dst)
-        if not ok:
-            return EquivalenceCertificate(
-                "inequivalent", reason="necessary-condition-violated",
-                details={"condition": "monomial-W-ratio", "site_subset": where},
-                exact=exact, stats=stats)
     try:
         for sigma in _iter_support_sigmas(src, dst, max_nodes):
             stats["sigmas_tested"] += 1
@@ -356,7 +331,7 @@ def _butson_layer_witnesses(src: MinimalSupportState, dst: MinimalSupportState,
         if mapped is None:
             yield None
             continue
-        cert = lm_match(mapped, dst, max_nodes=max_nodes, prefilter=False)
+        cert = lm_match(mapped, dst, max_nodes=max_nodes)
         if not cert.equivalent:
             yield None
             continue
@@ -388,15 +363,17 @@ def automorphisms(s: MinimalSupportState, branch: str = "lm",
 # the N = 2k Butson branch and dispatch
 
 def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
-                 max_nodes: int = DEFAULT_MAX_NODES,
-                 branches: Tuple[str, ...] = ("lm", "butson")) -> EquivalenceCertificate:
+                 max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCertificate:
     """Equivalence decision for AME(2k,d): LM branch plus Butson layers.
 
     The Butson branch applies every per-site tuple of BH(d,d) class
     representatives to src and delegates the residual monomial matching to
     lm_match.  Misses of that search are reported as inconclusive, never as
-    inequivalent; inequivalence verdicts come only from the k > 2 necessary
-    conditions, which cover both allowed equivalence forms.
+    inequivalent; inequivalence verdicts come only from the k > 2 W-ratio
+    gates of both forms.  The monomial gate cond_monomial also rejects
+    monomial images with non-d-th-root diagonals (see its docstring), so
+    this is the one entry point whose inequivalent verdict is not yet
+    backed by the complete search.
     """
     _check_compatible(src, dst)
     if src.n != 2 * src.k:
@@ -411,8 +388,8 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
             "inconclusive", reason="butson-enumeration-cap",
             details={"cap": _BH_CAP}, exact=exact)
 
-    # cheap necessary conditions first: each gates its own branch, and both
-    # failing proves inequivalence within the two allowed forms
+    # cheap W-ratio gates first: each gates its own branch, and both failing
+    # is reported as inequivalence within the two allowed forms
     ok_m = ok_b = True
     where_m = where_b = None
     if src.k > 2:
@@ -425,15 +402,13 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
                 exact=exact)
 
     lm = None
-    if ok_m and "lm" in branches:
-        lm = lm_match(src, dst, max_nodes=max_nodes, prefilter=False)
-        if lm.equivalent:
-            return lm
-        if lm.verdict == "inconclusive":
+    if ok_m:
+        lm = lm_match(src, dst, max_nodes=max_nodes)
+        if lm.verdict != "inequivalent":
             return lm
 
     tried = 0
-    if ok_b and "butson" in branches:
+    if ok_b:
         for tried, witness in enumerate(_butson_layer_witnesses(src, dst, max_nodes), 1):
             if witness is not None:
                 return EquivalenceCertificate(
@@ -516,12 +491,12 @@ def family_classes(base: MinimalSupportState, marked: Tuple[int, ...],
                    turns: Sequence) -> dict:
     """Pairwise class report for phase decorations at one marked support index.
 
-    For each pair of decorations the k > 2 necessary conditions of both
-    equivalence forms are evaluated.  Pairs whose marked phases agree or are
-    complex conjugate are never claimed separated: the structure theorem
-    behind the conditions is proven only in the small (k, d) regime, and the
-    case analysis of the conditions admits the conjugate pairing.  All other
-    pairs with both conditions violated are certified inequivalent.
+    Pairs whose marked phases agree or are complex conjugate are never
+    claimed separated, and are not searched: no written argument covers the
+    conjugate pairing.  Every other pair is certified inequivalent only when
+    both allowed equivalence forms are excluded: lm_match exhausts its
+    complete monomial search, and the Butson-form condition fails.  A
+    monomial witness makes the pair equivalent.
     """
     from .states import with_phases
     if base.k <= 2:
@@ -530,20 +505,25 @@ def family_classes(base: MinimalSupportState, marked: Tuple[int, ...],
     members = [with_phases(base, {tuple(marked): p}) for p in phases]
     report = {"turns": list(turns), "pairs": []}
     for a, b in itertools.combinations(range(len(members)), 2):
-        ok_m, where_m = cond_monomial(members[a], members[b])
-        ok_b, where_b = cond_butson(members[a], members[b])
+        pair = {"pair": (a, b), "lm_verdict": None, "lm_reason": None,
+                "butson_condition": None, "butson_violation": None}
         if phases[a].close_to(phases[b]):
             verdict = "not-separated-equal-phase"
         elif phases[a].close_to(phases[b].conj()):
             verdict = "not-separated-conjugate-phase"
-        elif not ok_m and not ok_b:
-            verdict = "inequivalent"
-        elif ok_m:
-            verdict = "not-separated-monomial-condition-holds"
         else:
-            verdict = "not-separated-butson-condition-holds"
-        report["pairs"].append({
-            "pair": (a, b), "verdict": verdict,
-            "monomial_condition": ok_m, "butson_condition": ok_b,
-            "violations": {"monomial": where_m, "butson": where_b}})
+            lm = lm_match(members[a], members[b])
+            ok_b, where_b = cond_butson(members[a], members[b])
+            pair.update(lm_verdict=lm.verdict, lm_reason=lm.reason,
+                        butson_condition=ok_b, butson_violation=where_b)
+            if lm.equivalent:
+                verdict = "equivalent"
+            elif lm.verdict == "inconclusive":
+                verdict = "not-separated-lm-inconclusive"
+            elif ok_b:
+                verdict = "not-separated-butson-condition-holds"
+            else:
+                verdict = "inequivalent"
+        pair["verdict"] = verdict
+        report["pairs"].append(pair)
     return report

@@ -15,20 +15,19 @@ from fractions import Fraction
 from .phases import get_tolerance
 
 
-def _is_integral(x, exact, tol):
+def _is_integral(x, exact):
     if exact:
         return x.denominator == 1
-    return min(float(x) % 1.0, 1.0 - float(x) % 1.0) <= tol
+    return min(float(x) % 1.0, 1.0 - float(x) % 1.0) <= get_tolerance()
 
 
-def solve_turn_system(rows, rhs, num_vars, exact=True, tol=None):
+def solve_turn_system(rows, rhs, num_vars, exact=True):
     """Find theta with sum_j rows[i][j]*theta[j] = rhs[i] (mod 1), or None.
 
     ``rows`` are integer coefficient lists, ``rhs`` entries are Fractions
     (exact) or floats.  Returns a list of turn values for the unknowns, with
     unused degrees of freedom set to zero.
     """
-    tol = get_tolerance() if tol is None else tol
     m = len(rows)
     a = [list(map(int, r)) for r in rows]
     if exact:
@@ -76,7 +75,7 @@ def solve_turn_system(rows, rhs, num_vars, exact=True, tol=None):
     for i in range(prow, m):
         if any(a[i]):
             raise AssertionError("elimination left a nonzero row below the pivots")
-        if not _is_integral(b[i], exact, tol):
+        if not _is_integral(b[i], exact):
             return None
 
     theta = [Fraction(0) if exact else 0.0] * num_vars

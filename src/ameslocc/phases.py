@@ -83,13 +83,12 @@ class Phase:
     def __complex__(self):
         return cmath.exp(2j * math.pi * float(self.turn))
 
-    def close_to(self, other: "Phase", tol=None) -> bool:
+    def close_to(self, other: "Phase") -> bool:
         """Equality, exact for rational turns, tolerance-based otherwise."""
         if self.is_exact and other.is_exact:
             return self.turn == other.turn
-        tol = _tol if tol is None else tol
         diff = (float(self.turn) - float(other.turn)) % 1.0
-        return min(diff, 1.0 - diff) <= tol
+        return min(diff, 1.0 - diff) <= _tol
 
     def to_json(self):
         if self.is_exact:
@@ -295,7 +294,7 @@ class Amp:
             )
         return self.value
 
-    def is_zero(self, tol=None) -> bool:
+    def is_zero(self) -> bool:
         if self.is_exact:
             if len(self.terms) <= 1:
                 # one root of unity times c vanishes iff c does
@@ -306,14 +305,12 @@ class Amp:
                 e = int(t * q)
                 coeffs[e] = coeffs.get(e, Fraction(0)) + c
             return exponent_sum_is_zero(coeffs, q)
-        tol = _tol if tol is None else tol
-        return abs(self.value) <= tol
+        return abs(self.value) <= _tol
 
-    def equals(self, other: "Amp", tol=None) -> bool:
+    def equals(self, other: "Amp") -> bool:
         if self.is_exact and other.is_exact:
             return (self - other).is_zero()
-        tol = _tol if tol is None else tol
-        return abs(complex(self) - complex(other)) <= tol
+        return abs(complex(self) - complex(other)) <= _tol
 
     def as_single_phase(self):
         """Return this amplitude as a Phase if it is exactly one unit root, else None."""

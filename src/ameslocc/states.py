@@ -462,7 +462,7 @@ def is_minimal_support(s, k: int) -> bool:
     return support_count(sp) == sp.d ** k
 
 
-def states_equal_up_to_global_phase(a, b, tol=None) -> Optional[Phase]:
+def states_equal_up_to_global_phase(a, b) -> Optional[Phase]:
     """The global phase g with a = g*b if the states are proportional, else None."""
     sa, sb = a.to_sparse(), b.to_sparse()
     if (sa.n, sa.d) != (sb.n, sb.d):
@@ -475,7 +475,7 @@ def states_equal_up_to_global_phase(a, b, tol=None) -> Optional[Phase]:
     # cross-ratio test: a_I * b_first == a_first * b_I for every I
     a0, b0 = sa.terms[first], sb.terms[first]
     for idx in sa.terms:
-        if not (sa.terms[idx] * b0).equals(a0 * sb.terms[idx], tol=tol):
+        if not (sa.terms[idx] * b0).equals(a0 * sb.terms[idx]):
             return None
     # extract the unit ratio of the normalized amplitudes a0/sqrt(s2a) etc.
     if a0.is_exact and b0.is_exact:
@@ -488,6 +488,6 @@ def states_equal_up_to_global_phase(a, b, tol=None) -> Optional[Phase]:
             return pa / pb
     g = (complex(a0) / math.sqrt(float(sa.scale2))) / \
         (complex(b0) / math.sqrt(float(sb.scale2)))
-    if abs(abs(g) - 1.0) > (get_tolerance() if tol is None else tol):
+    if abs(abs(g) - 1.0) > get_tolerance():
         return None
     return Phase(cmath.phase(g) / (2 * math.pi))

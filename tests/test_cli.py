@@ -1,8 +1,13 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from ameslocc.cli import CliError, RunConfig, run_cli
+from ameslocc.operators import LocalOperator, SiteOperator
+from ameslocc.phases import root_of_unity
+from ameslocc.states import ame64_phi
 
 
 def write(path, text):
@@ -65,6 +70,25 @@ def test_equiv_lm_branch(tmp_path, capsys):
     assert run_cli(["equiv", "--src", str(a), "--dst", str(a),
                     "--branch", "lm"]) == 0
     assert "equivalent" in capsys.readouterr().out
+
+
+def test_equiv_lm_branch_monomial_image(tmp_path):
+    # a local monomial with 1/360-turn diagonals, applied to an AME(6,4)
+    # family member: the complete search finds it
+    rng = random.Random(7)
+    sites = []
+    for _ in range(6):
+        sigma = list(range(4))
+        rng.shuffle(sigma)
+        sites.append(SiteOperator.monomial(
+            sigma, [root_of_unity(360, rng.randrange(360)) for _ in range(4)]))
+    s = ame64_phi(Fraction(1, 16))
+    a = write(tmp_path / "a.json", json.dumps(s.to_json()))
+    b = write(tmp_path / "b.json", json.dumps(LocalOperator(sites).apply(s).to_json()))
+    cert = tmp_path / "cert.json"
+    assert run_cli(["equiv", "--src", a, "--dst", b, "--branch", "lm",
+                    "--json", str(cert)]) == 0
+    assert json.loads(cert.read_text())["reason"] == "lm-witness"
 
 
 def test_autos_counts(tmp_path):

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ameslocc.butson import fourier, tensor_butson
-from ameslocc.equivalence import (EquivalenceError, automorphisms, butson_match,
-                                  compute_w, cond_butson, cond_monomial,
-                                  decide_slocc, family_classes, lm_match,
-                                  lm_automorphism_sigmas, necessary_condition)
+from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
+                                  _butson_layer_witnesses, automorphisms,
+                                  butson_match, compute_w, cond_butson,
+                                  cond_monomial, decide_slocc, family_classes,
+                                  lm_match, lm_automorphism_sigmas)
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import ONE, Phase, root_of_unity
 from ameslocc.states import (ame64_phi, ame_linear_5, construct_ame43,
@@ -16,12 +18,15 @@ from ameslocc.states import (ame64_phi, ame_linear_5, construct_ame43,
                              states_equal_up_to_global_phase, with_phases)
 
 
-def random_monomial(n, d, rng):
+def random_monomial(n, d, rng, den=None):
+    """Random per-site permutations with den-th-root diagonals (2d-th roots
+    by default)."""
+    den = den or 2 * d
     sites = []
     for _ in range(n):
         sigma = list(range(d))
         rng.shuffle(sigma)
-        diag = [root_of_unity(2 * d, rng.randrange(2 * d)) for _ in range(d)]
+        diag = [root_of_unity(den, rng.randrange(den)) for _ in range(d)]
         sites.append(SiteOperator.monomial(sigma, diag))
     return LocalOperator(sites)
 
@@ -78,20 +83,27 @@ def test_conditions_on_decorated_family():
     assert cond_butson(base, base)[0]
 
 
-def test_necessary_condition_full_sigma():
-    base = construct_ame64()
-    a = with_phases(base, {(0,) * 6: root_of_unity(8, 1)})
-    ident = [list(range(4)) for _ in range(6)]
-    assert necessary_condition(a, a, ident)[0]
-
-
 def test_conjugate_decorations_have_no_monomial_witness():
     base = construct_ame64()
     a = with_phases(base, {(0,) * 6: Phase(Fraction(1, 8))})
     b = with_phases(base, {(0,) * 6: Phase(Fraction(7, 8))})
-    cert = lm_match(a, b, prefilter=False)
+    cert = lm_match(a, b)
     assert cert.verdict == "inequivalent"
     assert cert.reason == "search-exhausted"
+
+
+@settings(max_examples=3, deadline=None)
+@given(t=st.integers(0, 15), seed=st.integers(0, 2 ** 32 - 1))
+@example(t=1, seed=7)
+def test_lm_match_recovers_ame64_monomial_images(t, seed):
+    # 1/360-turn diagonals are not d-th roots of unity, so the W-ratio
+    # test cond_monomial rejects these images; the complete search must not
+    s = ame64_phi(Fraction(t, 16))
+    target = random_monomial(6, 4, random.Random(seed), den=360).apply(s)
+    cert = lm_match(s, target)
+    assert cert.verdict == "equivalent" and cert.reason == "lm-witness"
+    assert states_equal_up_to_global_phase(
+        cert.witness.apply(s), target) is not None
 
 
 def test_five_party_decorations_form_many_classes():
@@ -139,13 +151,9 @@ def test_fourier_layer_is_automorphism():
 
 def test_butson_branch_finds_tensor_fourier_witness():
     s = construct_ame44()
-    cert = butson_match(s, s, branches=("butson",))
-    assert cert.equivalent
-    assert cert.reason == "butson-witness"
-    assert cert.stats["butson_tuples"] == 1
-    replay = cert.witness.apply(s)
-    g = states_equal_up_to_global_phase(replay, s)
-    assert g is not None
+    witness = next(_butson_layer_witnesses(s, s, DEFAULT_MAX_NODES))
+    assert witness is not None
+    assert states_equal_up_to_global_phase(witness.apply(s), s) == ONE
 
 
 @pytest.mark.parametrize("make, count", [(construct_ame43, 19),
@@ -168,7 +176,7 @@ def test_butson_match_outside_regime():
     # composed 9-level 2-uniform state: d = 9 is outside the small regime
     from ameslocc.states import tensor_compose
     c = tensor_compose(construct_ame43(), construct_ame43())
-    cert = butson_match(c, c, branches=())
+    cert = butson_match(c, c)
     assert cert.verdict == "inconclusive"
     assert cert.reason == "outside-small-regime"
 
