@@ -109,10 +109,9 @@ def cond_monomial(src: MinimalSupportState, dst: MinimalSupportState):
     diagonal theta multiplies W^{i,S}_{l,I} by a constant times
     theta_i(l)^d * prod_s theta_s(I_s)^d, so the ratio is only additively
     separable in (l, I), and the test rejects monomial images whose
-    diagonals are not d-th roots of unity.  Its one caller is butson_match's
-    gate, kept because the complete lm_match search is still several times
-    slower on AME(6,4) pairs and because perfbench/spans.py rebinds this
-    name.  Returns (ok, first failing (i, S)).
+    diagonals are not d-th roots of unity.  The engine does not call it;
+    it stays only because it is exported and perfbench/spans.py rebinds
+    this name.  Returns (ok, first failing (i, S)).
     """
     if src.k <= 2:
         return True, None
@@ -205,23 +204,29 @@ def _iter_support_sigmas(src, dst, max_nodes):
     support of src onto the support of dst.
 
     Yields complete per-site permutations; raises EquivalenceError when the
-    node budget is exhausted (so exhaustion claims stay honest).
+    node budget is exhausted (so exhaustion claims stay honest).  Each tried
+    candidate row is one node.
     """
     n, d = src.n, src.d
     src_rows = sorted(src.phases)
     dst_set = set(dst.phases)
     dst_rows = sorted(dst_set)
+    # index unity: the symbols on any k sites fix the dst row (k = 0 labels
+    # row sets without that property, as in reductions' projected supports)
+    by_cols = {cols: {tuple(r[c] for c in cols): r for r in dst_rows}
+               for cols in itertools.combinations(range(n), src.k)}
     maps: List[Dict[int, int]] = [dict() for _ in range(n)]
     used: List[set] = [set() for _ in range(n)]
     nodes = 0
 
     def candidates(row):
+        # once k symbols of row are mapped, only one dst row can be its image
+        cols = tuple(j for j in range(n) if row[j] in maps[j])[:src.k]
+        if src.k and len(cols) == src.k:
+            return (by_cols[cols][tuple(maps[j][row[j]] for j in cols)],)
         # identity-image first for deterministic, fast-path ordering
-        if row in dst_set:
-            yield row
-        for cand in dst_rows:
-            if cand != row:
-                yield cand
+        first = (row,) if row in dst_set else ()
+        return itertools.chain(first, (cand for cand in dst_rows if cand != row))
 
     def compatible(row, cand):
         for j in range(n):
@@ -368,12 +373,10 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
 
     The Butson branch applies every per-site tuple of BH(d,d) class
     representatives to src and delegates the residual monomial matching to
-    lm_match.  Misses of that search are reported as inconclusive, never as
-    inequivalent; inequivalence verdicts come only from the k > 2 W-ratio
-    gates of both forms.  The monomial gate cond_monomial also rejects
-    monomial images with non-d-th-root diagonals (see its docstring), so
-    this is the one entry point whose inequivalent verdict is not yet
-    backed by the complete search.
+    lm_match.  The verdict is inequivalent only when both allowed forms are
+    excluded: lm_match exhausts its complete monomial search, and the k > 2
+    Butson-form condition cond_butson fails (the rule family_classes uses).
+    Misses of the Butson layers are reported as inconclusive.
     """
     _check_compatible(src, dst)
     if src.n != 2 * src.k:
@@ -388,39 +391,26 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
             "inconclusive", reason="butson-enumeration-cap",
             details={"cap": _BH_CAP}, exact=exact)
 
-    # cheap W-ratio gates first: each gates its own branch, and both failing
-    # is reported as inequivalence within the two allowed forms
-    ok_m = ok_b = True
-    where_m = where_b = None
-    if src.k > 2:
-        ok_m, where_m = cond_monomial(src, dst)
-        ok_b, where_b = cond_butson(src, dst)
-        if not ok_m and not ok_b:
-            return EquivalenceCertificate(
-                "inequivalent", reason="necessary-condition-violated",
-                details={"monomial_condition": where_m, "butson_condition": where_b},
-                exact=exact)
-
-    lm = None
-    if ok_m:
-        lm = lm_match(src, dst, max_nodes=max_nodes)
-        if lm.verdict != "inequivalent":
-            return lm
+    lm = lm_match(src, dst, max_nodes=max_nodes)
+    if lm.verdict != "inequivalent":
+        return lm
+    ok_b, where_b = cond_butson(src, dst)
+    if not ok_b:
+        return EquivalenceCertificate(
+            "inequivalent", reason="lm-exhausted-butson-condition-violated",
+            details={"lm_reason": lm.reason, "butson_condition": where_b},
+            exact=exact, stats=lm.stats)
 
     tried = 0
-    if ok_b:
-        for tried, witness in enumerate(_butson_layer_witnesses(src, dst, max_nodes), 1):
-            if witness is not None:
-                return EquivalenceCertificate(
-                    "equivalent", witness=witness, reason="butson-witness",
-                    exact=exact, stats={"butson_tuples": tried})
+    for tried, witness in enumerate(_butson_layer_witnesses(src, dst, max_nodes), 1):
+        if witness is not None:
+            return EquivalenceCertificate(
+                "equivalent", witness=witness, reason="butson-witness",
+                exact=exact, stats={"butson_tuples": tried})
 
     return EquivalenceCertificate(
         "inconclusive", reason="searched-branches-found-no-witness",
-        details={"lm_exhausted": lm is not None and lm.verdict == "inequivalent",
-                 "butson_tuples": tried,
-                 "monomial_condition": ok_m, "butson_condition": ok_b},
-        exact=exact)
+        details={"butson_tuples": tried}, exact=exact)
 
 
 def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCertificate:
@@ -433,7 +423,13 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     else is inconclusive.
     """
     from .states import uniformity
-    ka, kb = uniformity(src), uniformity(dst)
+    sa, sb = src.to_sparse(), dst.to_sparse()
+    # a d^k-term equal-modulus state on an index-unity support is exactly
+    # k-uniform when 2k <= N (no two rows agree on N - k >= k sites)
+    ma, mb = (m if m is not None and 2 * m.k <= m.n else None
+              for m in (sa.as_minimal(), sb.as_minimal()))
+    ka = uniformity(sa) if ma is None else ma.k
+    kb = uniformity(sb) if mb is None else mb.k
     if ka == 0 or kb == 0:
         raise EquivalenceError("inputs must be k-uniform critical states")
     if ka != kb:
@@ -441,10 +437,8 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
             "inequivalent", reason="different-uniformity",
             details={"src": ka, "dst": kb})
     k = ka
-    sa, sb = src.to_sparse(), dst.to_sparse()
     if (sa.n, sa.d) != (sb.n, sb.d):
         return EquivalenceCertificate("inequivalent", reason="different-shape")
-    ma, mb = sa.as_minimal(k=k), sb.as_minimal(k=k)
     if ma is not None and mb is not None:
         if 2 * k < ma.n:
             return lm_match(ma, mb, max_nodes=max_nodes)

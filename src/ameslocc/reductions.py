@@ -70,10 +70,10 @@ def _supports_permutation_match(rows_a, rows_b, d: int, m: int) -> bool:
     """Does some tuple of per-site symbol permutations map rows_a onto rows_b?
 
     Both row sets go, as phase-free states on m sites, to the support search
-    of the full-state match, which reads neither phases nor the uniformity
-    label k (set to 0); every symbol must occur at every site of rows_a,
-    as it does in a projected support.  An exhausted node budget raises
-    EquivalenceError rather than reading as "no match".
+    of the full-state match; their label k = 0 tells it not to assume index
+    unity.  Every symbol must occur at every site of rows_a, as it does in a
+    projected support.  An exhausted node budget raises EquivalenceError
+    rather than reading as "no match".
     """
     if len(rows_a) != len(rows_b):
         return False

@@ -91,6 +91,24 @@ def test_equiv_lm_branch_monomial_image(tmp_path):
     assert json.loads(cert.read_text())["reason"] == "lm-witness"
 
 
+def test_equiv_full_branch_ame64_monomial_image(tmp_path):
+    # the default dispatch reaches butson_match at N = 2k, which must defer
+    # to the complete monomial search as the lm branch does
+    rng = random.Random(7)
+    sites = []
+    for _ in range(6):
+        sigma = list(range(4))
+        rng.shuffle(sigma)
+        sites.append(SiteOperator.monomial(
+            sigma, [root_of_unity(360, rng.randrange(360)) for _ in range(4)]))
+    s = ame64_phi(Fraction(1, 16))
+    a = write(tmp_path / "a.json", json.dumps(s.to_json()))
+    b = write(tmp_path / "b.json", json.dumps(LocalOperator(sites).apply(s).to_json()))
+    cert = tmp_path / "cert.json"
+    assert run_cli(["equiv", "--src", a, "--dst", b, "--json", str(cert)]) == 0
+    assert json.loads(cert.read_text())["reason"] == "lm-witness"
+
+
 def test_autos_counts(tmp_path):
     a = tmp_path / "a.json"
     run_cli(["construct", "ame43", "-o", str(a)])

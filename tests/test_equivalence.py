@@ -11,11 +11,13 @@ from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
                                   cond_monomial, decide_slocc, family_classes,
                                   lm_match, lm_automorphism_sigmas)
 from ameslocc.operators import LocalOperator, SiteOperator
-from ameslocc.phases import ONE, Phase, root_of_unity
-from ameslocc.states import (ame64_phi, ame_linear_5, construct_ame43,
-                             construct_ame44, construct_ame5_phased,
-                             construct_ame64, construct_ghz,
-                             states_equal_up_to_global_phase, with_phases)
+from ameslocc import states
+from ameslocc.phases import ONE, Amp, Phase, root_of_unity
+from ameslocc.states import (MinimalSupportState, SparseState, ame64_phi,
+                             ame_linear_5, construct_ame43, construct_ame44,
+                             construct_ame5_phased, construct_ame64,
+                             construct_ghz, states_equal_up_to_global_phase,
+                             with_phases)
 
 
 def random_monomial(n, d, rng, den=None):
@@ -104,6 +106,74 @@ def test_lm_match_recovers_ame64_monomial_images(t, seed):
     assert cert.verdict == "equivalent" and cert.reason == "lm-witness"
     assert states_equal_up_to_global_phase(
         cert.witness.apply(s), target) is not None
+
+
+@settings(max_examples=3, deadline=None)
+@given(t=st.integers(0, 15), seed=st.integers(0, 2 ** 32 - 1))
+@example(t=1, seed=7)
+def test_decide_slocc_recovers_ame64_monomial_images(t, seed):
+    # at N = 2k the monomial form is ruled out only by the complete search,
+    # so no W-ratio test may turn these images into inequivalent verdicts
+    s = ame64_phi(Fraction(t, 16))
+    target = random_monomial(6, 4, random.Random(seed), den=360).apply(s)
+    cert = decide_slocc(s, target)
+    assert cert.verdict == "equivalent"
+    assert states_equal_up_to_global_phase(
+        cert.witness.apply(s), target) is not None
+
+
+def test_decide_slocc_ame64_inequivalence_excludes_both_forms():
+    s = ame64_phi(Fraction(1, 16))
+    target = random_monomial(6, 4, random.Random(2), den=360).apply(
+        ame64_phi(Fraction(3, 16)))
+    cert = decide_slocc(s, target)
+    assert cert.verdict == "inequivalent"
+    assert cert.reason == "lm-exhausted-butson-condition-violated"
+    assert cert.details["lm_reason"] == "search-exhausted"
+    ok, where = cond_butson(s, target)
+    assert not ok and cert.details["butson_condition"] == where
+
+
+def test_butson_match_budget_is_inconclusive():
+    # an unfinished monomial search never counts as excluding that form
+    cert = butson_match(ame64_phi(Fraction(1, 16)), ame64_phi(Fraction(3, 16)),
+                        max_nodes=50)
+    assert cert.verdict == "inconclusive"
+    assert "budget" in cert.reason
+
+
+def test_decide_slocc_minimal_inputs_take_no_partial_trace(monkeypatch):
+    calls = []
+    orig = states.reduced_density
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(states, "reduced_density", counted)
+    s = ame_linear_5(5)
+    assert decide_slocc(s, random_monomial(5, 5, random.Random(4)).apply(s)).equivalent
+    assert decide_slocc(construct_ame43(), construct_ame43()).equivalent
+    assert decide_slocc(construct_ghz(4, 3), construct_ame43()).reason == \
+        "different-uniformity"
+    assert calls == []
+
+
+def test_decide_slocc_uniformity_shortcut_matches_partial_traces():
+    # the d^k-term shortcut applies only when 2k <= N and all moduli agree;
+    # taking k = 2 from either 4-term state below would wrongly report
+    # different-uniformity against a 1-uniform GHZ state
+    parity = MinimalSupportState(3, 2, 2, {r: ONE for r in
+                                           [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]})
+    one, two = (Amp(terms={Fraction(0): Fraction(m)}) for m in (1, 2))
+    unequal = SparseState(4, 2, {(0, 0, 0, 0): one, (1, 1, 1, 1): one,
+                                 (0, 0, 1, 1): two, (1, 1, 0, 0): two}, scale2=10)
+    assert states.uniformity(parity) == states.uniformity(unequal) == 1
+    for a, b in [(construct_ghz(3, 2), parity), (parity, parity),
+                 (unequal, construct_ghz(4, 2)), (unequal, unequal)]:
+        cert = decide_slocc(a, b)
+        assert (cert.verdict, cert.reason) == \
+            ("inconclusive", "no-complete-procedure-for-this-pair")
 
 
 def test_five_party_decorations_form_many_classes():
