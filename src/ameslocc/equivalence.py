@@ -15,11 +15,13 @@ an exhausted ``lm_match`` search excludes the monomial one.
 from __future__ import annotations
 
 import itertools
+import math
+from operator import getitem
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .butson import _BH_CAP, enumerate_bh
 from .designs import small_regime
-from .modsolve import solve_turn_system
+from .modsolve import Rows, solve_turn_system
 from .operators import LocalOperator, SiteOperator
 from .phases import Phase, phase_product
 from .states import MinimalSupportState, states_equal_up_to_global_phase
@@ -177,26 +179,69 @@ def _check_compatible(src, dst):
         raise EquivalenceError("states have different (n, d, k)")
 
 
-def _solve_diagonals(src, dst, sigma, exact):
-    """Phases theta_j(a) with w_I * prod_j theta_j(I_j) = w'_{sigma(I)}."""
+def _diagonal_solver(src, dst, exact):
+    """solve(sigma): the local monomial with permutations sigma whose
+    diagonal phases theta_j(a) give w_I * prod_j theta_j(I_j) = w'_{sigma(I)},
+    or None.  The incidence rows and both states' turns, as integer
+    numerators over one common denominator when exact, are set up once per
+    pair; each sigma only gathers the dst turns it maps onto."""
     n, d = src.n, src.d
-    rows, rhs = [], []
-    for idx, w in sorted(src.phases.items()):
-        out = tuple(sigma[j][a] for j, a in enumerate(idx))
-        coeff = [0] * (n * d)
-        for j, a in enumerate(idx):
-            coeff[j * d + a] += 1
-        rows.append(coeff)
-        diff = dst.phases[out] / w
-        rhs.append(diff.turn if exact else float(diff.turn))
-    theta = solve_turn_system(rows, rhs, n * d, exact=exact)
-    if theta is None:
-        return None
-    sites = []
-    for j in range(n):
-        diag = [Phase(theta[j * d + a]) for a in range(d)]
-        sites.append(SiteOperator.monomial(sigma[j], diag))
-    return LocalOperator(sites)
+    idxs = sorted(src.phases)
+    rows = Rows([int(idx[c // d] == c % d) for c in range(n * d)] for idx in idxs)
+    if exact:
+        den = mod = math.lcm(*(p.turn.denominator for state in (src, dst)
+                               for p in state.phases.values()))
+
+        def turn(p):
+            return p.turn.numerator * (den // p.turn.denominator)
+    else:
+        den, mod = None, 1.0
+
+        def turn(p):
+            return float(p.turn)
+    src_turns = [turn(src.phases[idx]) for idx in idxs]
+    dst_turns = {idx: turn(p) for idx, p in dst.phases.items()}
+
+    def solve(sigma):
+        rhs = [(dst_turns[tuple(map(getitem, sigma, idx))] - w) % mod
+               for idx, w in zip(idxs, src_turns)]
+        theta = solve_turn_system(rows, rhs, n * d, exact=exact, den=den)
+        if theta is None:
+            return None
+        return LocalOperator([
+            SiteOperator.monomial(sigma[j], [Phase(theta[j * d + a]) for a in range(d)])
+            for j in range(n)])
+
+    return solve
+
+
+def _solve_diagonals(src, dst, sigma, exact):
+    """One-off form of _diagonal_solver(src, dst, exact)(sigma)."""
+    return _diagonal_solver(src, dst, exact)(sigma)
+
+
+def _row_order(rows):
+    """(row, mapped sites) in search order: each next row is the one with
+    the most symbols on (site, symbol) pairs carried by the rows before it,
+    ties by sorted order.  Placing a row maps every symbol it carries, so
+    these are the sites whose symbols are mapped when the search reaches
+    the row, whatever the images chosen."""
+    mapped = dict.fromkeys(sorted(rows), 0)  # unplaced row -> mapped symbols
+    carriers = {}  # unmapped (site, symbol) -> the rows carrying it
+    for row in mapped:
+        for site in enumerate(row):
+            carriers.setdefault(site, []).append(row)
+    order = []
+    while mapped:
+        row = max(mapped, key=mapped.get)  # the first maximum in sorted order
+        del mapped[row]
+        order.append((row, tuple(j for j, a in enumerate(row)
+                                 if (j, a) not in carriers)))
+        for site in enumerate(row):
+            for other in carriers.pop(site, ()):
+                if other in mapped:
+                    mapped[other] += 1
+    return order
 
 
 def _iter_support_sigmas(src, dst, max_nodes):
@@ -205,24 +250,27 @@ def _iter_support_sigmas(src, dst, max_nodes):
 
     Yields complete per-site permutations; raises EquivalenceError when the
     node budget is exhausted (so exhaustion claims stay honest).  Each tried
-    candidate row is one node.
+    candidate row is one node.  Source rows are placed most-constrained
+    first (``_row_order``), so after about k rows every further row has k
+    mapped symbols and, by index unity, one possible image.
     """
-    n, d = src.n, src.d
-    src_rows = sorted(src.phases)
+    n, d, k = src.n, src.d, src.k
+    # the k mapped sites whose images fix a row's image, where it has them
+    plan = [(row, sites[:k] if k and len(sites) >= k else None)
+            for row, sites in _row_order(src.phases)]
     dst_set = set(dst.phases)
     dst_rows = sorted(dst_set)
     # index unity: the symbols on any k sites fix the dst row (k = 0 labels
     # row sets without that property, as in reductions' projected supports)
     by_cols = {cols: {tuple(r[c] for c in cols): r for r in dst_rows}
-               for cols in itertools.combinations(range(n), src.k)}
+               for cols in itertools.combinations(range(n), k)}
     maps: List[Dict[int, int]] = [dict() for _ in range(n)]
     used: List[set] = [set() for _ in range(n)]
     nodes = 0
 
-    def candidates(row):
+    def candidates(row, cols):
         # once k symbols of row are mapped, only one dst row can be its image
-        cols = tuple(j for j in range(n) if row[j] in maps[j])[:src.k]
-        if src.k and len(cols) == src.k:
+        if cols is not None:
             return (by_cols[cols][tuple(maps[j][row[j]] for j in cols)],)
         # identity-image first for deterministic, fast-path ordering
         first = (row,) if row in dst_set else ()
@@ -256,11 +304,11 @@ def _iter_support_sigmas(src, dst, max_nodes):
 
     def rec(pos):
         nonlocal nodes
-        if pos == len(src_rows):
+        if pos == len(plan):
             yield tuple(tuple(maps[j][a] for a in range(d)) for j in range(n))
             return
-        row = src_rows[pos]
-        for cand in candidates(row):
+        row, cols = plan[pos]
+        for cand in candidates(row, cols):
             nodes += 1
             if nodes > max_nodes:
                 raise EquivalenceError("search budget exhausted")
@@ -285,10 +333,11 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     _check_compatible(src, dst)
     exact = src.is_exact and dst.is_exact
     stats = {"sigmas_tested": 0}
+    solve = _diagonal_solver(src, dst, exact)
     try:
         for sigma in _iter_support_sigmas(src, dst, max_nodes):
             stats["sigmas_tested"] += 1
-            witness = _solve_diagonals(src, dst, sigma, exact)
+            witness = solve(sigma)
             if witness is not None:
                 # the solved system enforces witness(src) == dst outright
                 if states_equal_up_to_global_phase(witness.apply(src), dst) is None:
@@ -308,10 +357,10 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
 def _lm_automorphisms(s: MinimalSupportState, max_nodes: int) -> List[LocalOperator]:
     """One monomial self-witness per per-site permutation tuple admitting a
     diagonal completion (free diagonal parameters zeroed), sorted by tuple."""
-    exact = s.is_exact
+    solve = _diagonal_solver(s, s, s.is_exact)
     found = {}
     for sigma in _iter_support_sigmas(s, s, max_nodes):
-        w = _solve_diagonals(s, s, sigma, exact)
+        w = solve(sigma)
         if w is not None:
             found[sigma] = w
     return [found[sigma] for sigma in sorted(found)]

@@ -8,6 +8,13 @@ transformed right-hand side is integral on every zero row, and then a
 particular solution follows by back substitution.  A search solves one A
 against many b, so each distinct A is eliminated once; pivots and swaps read
 only A, so replaying U on b does the arithmetic of eliminating [A | b].
+
+The rows of U below the pivots span the cokernel of A (c.A = 0), and (U.b)
+on the zero rows of H is exactly c.b for those rows c.  So an exact system
+is infeasible iff some cokernel row has c.b not a whole number of turns
+(Cohen, A Course in Computational Algebraic Number Theory, 1993):
+one small integer product per row decides it, and only feasible systems
+replay U for the back substitution.
 """
 
 from __future__ import annotations
@@ -19,11 +26,25 @@ from functools import lru_cache
 from .phases import get_tolerance
 
 
+class Rows(tuple):
+    """Integer coefficient rows as a tuple of int tuples that hashes once,
+    so a matrix solved against many right-hand sides costs one hash."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, (tuple(map(int, r)) for r in rows))
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+
 @lru_cache(maxsize=32)
 def _eliminate(rows, num_vars):
-    """(ops, h, pivots): h = U.rows in echelon form with (row, col) pivots,
-    and U as row operations in order, (i, j, None) swapping rows i and j and
-    (i, j, q) subtracting q times row j from row i."""
+    """(ops, h, pivots, coker): h = U.rows in echelon form with (row, col)
+    pivots; U as row operations in order, (i, j, None) swapping rows i and j
+    and (i, j, q) subtracting q times row j from row i; and the rows of U
+    below the pivots as sparse ((index, coeff), ...) tuples."""
     m = len(rows)
     a = [list(r) for r in rows]
     ops = []
@@ -60,21 +81,45 @@ def _eliminate(rows, num_vars):
             break
     if any(map(any, a[prow:])):
         raise AssertionError("elimination left a nonzero row below the pivots")
-    return tuple(ops), tuple(map(tuple, a)), tuple(pivots)
+    u = [{i: 1} for i in range(m)]
+    for i, j, q in ops:
+        if q is None:
+            u[i], u[j] = u[j], u[i]
+            continue
+        ui = u[i]
+        for t, v in u[j].items():
+            x = ui.get(t, 0) - q * v
+            if x:
+                ui[t] = x
+            else:
+                del ui[t]
+    coker = tuple(tuple(sorted(r.items())) for r in u[prow:])
+    return tuple(ops), tuple(map(tuple, a)), tuple(pivots), coker
 
 
-def solve_turn_system(rows, rhs, num_vars, exact=True):
+def solve_turn_system(rows, rhs, num_vars, exact=True, den=None):
     """Find theta with sum_j rows[i][j]*theta[j] = rhs[i] (mod 1), or None.
 
-    ``rows`` are integer coefficient lists, ``rhs`` entries are Fractions
-    (exact) or floats.  Returns a list of turn values for the unknowns, with
-    unused degrees of freedom set to zero.
+    ``rows`` are integer coefficient sequences (pass ``Rows`` to skip the
+    conversion).  ``rhs`` entries are Fractions (exact) or floats; with
+    ``den``, exact entries are integer numerators over den.  Returns a list
+    of turn values for the unknowns, with unused degrees of freedom set to
+    zero.
     """
-    ops, h, pivots = _eliminate(tuple(tuple(map(int, r)) for r in rows), num_vars)
+    if not isinstance(rows, Rows):
+        rows = Rows(rows)
+    ops, h, pivots, coker = _eliminate(rows, num_vars)
     if exact:  # U applied in integers over the common denominator
-        b = [Fraction(x) for x in rhs]
-        den = math.lcm(*(x.denominator for x in b))
-        b = [x.numerator * (den // x.denominator) for x in b]
+        if den is None:
+            b = [Fraction(x) for x in rhs]
+            den = math.lcm(*(x.denominator for x in b))
+            b = [x.numerator * (den // x.denominator) for x in b]
+        else:
+            b = list(rhs)
+        # zero rows of H must carry a whole number of turns: c.b = 0 (mod den)
+        for c in coker:
+            if sum(v * b[i] for i, v in c) % den:
+                return None
     else:
         b = [float(x) for x in rhs]
     for i, j, q in ops:
@@ -83,10 +128,10 @@ def solve_turn_system(rows, rhs, num_vars, exact=True):
         else:
             b[i] = b[i] - q * b[j]
 
-    # consistency: zero rows must have integral rhs (a multiple of a full turn)
-    for x in b[len(pivots):]:
-        if (x % den if exact else min(x % 1.0, 1.0 - x % 1.0) > get_tolerance()):
-            return None
+    if not exact:  # zero rows must carry a whole turn, within tolerance
+        for x in b[len(pivots):]:
+            if min(x % 1.0, 1.0 - x % 1.0) > get_tolerance():
+                return None
 
     theta = [Fraction(0) if exact else 0.0] * num_vars
     for (row, col) in reversed(pivots):

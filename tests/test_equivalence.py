@@ -16,8 +16,8 @@ from ameslocc.phases import ONE, Amp, Phase, root_of_unity
 from ameslocc.states import (MinimalSupportState, SparseState, ame64_phi,
                              ame_linear_5, construct_ame43, construct_ame44,
                              construct_ame5_phased, construct_ame64,
-                             construct_ghz, states_equal_up_to_global_phase,
-                             with_phases)
+                             construct_ghz, construct_linear,
+                             states_equal_up_to_global_phase, with_phases)
 
 
 def random_monomial(n, d, rng, den=None):
@@ -197,6 +197,63 @@ def test_five_party_decorations_form_many_classes():
         cert = lm_match(base, decorate(base))
         assert cert.verdict == "inequivalent"
         assert cert.reason == "search-exhausted"
+
+
+def decorate_360(s, rng):
+    """s with an independent random m/360-turn phase on every support row."""
+    return with_phases(s, {idx: root_of_unity(360, rng.randrange(360))
+                           for idx in sorted(s.support)})
+
+
+def test_d7_linear_monomial_image_is_equivalent():
+    rng = random.Random(71)
+    src = decorate_360(ame_linear_5(7), rng)
+    dst = random_monomial(5, 7, rng, den=360).apply(src)
+    cert = decide_slocc(src, dst, max_nodes=DEFAULT_MAX_NODES)
+    assert (cert.verdict, cert.reason) == ("equivalent", "lm-witness")
+    assert states_equal_up_to_global_phase(cert.witness.apply(src), dst) is not None
+
+
+def test_d7_linear_unreachable_decoration_is_inequivalent():
+    # c(i, j) = [4i + j = 0] - [4i + j = 1] sums to zero on every line
+    # l(i, j) = a of the directions i, j, i+j, 2i+j, 3i+j that label the
+    # sites of row (i, j), since each such line meets each level set of
+    # 4i + j once.  So c.A = 0 for the incidence matrix A, and c.t not an
+    # integer excludes every diagonal completion of every sigma (c o sigma
+    # is again in the cokernel).
+    d = 7
+    base = ame_linear_5(d)
+    dst = decorate_360(base, random.Random(72))
+    level = {idx: (4 * idx[0] + idx[1]) % d for idx in base.support}
+    c = {idx: int(v == 0) - int(v == 1) for idx, v in level.items()}
+    for site in range(5):
+        for a in range(d):
+            assert sum(v for idx, v in c.items() if idx[site] == a) == 0
+    assert sum(v * dst.phases[idx].turn for idx, v in c.items()).denominator != 1
+    cert = decide_slocc(base, random_monomial(5, d, random.Random(73), den=360)
+                        .apply(dst), max_nodes=DEFAULT_MAX_NODES)
+    assert (cert.verdict, cert.reason) == ("inequivalent", "search-exhausted")
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_linear_five_party_automorphism_sigmas(d):
+    s = ame_linear_5(d)
+    sigmas = lm_automorphism_sigmas(s)
+    assert len(set(sigmas)) == len(sigmas) == d * d * (d - 1)
+    support = set(s.support)
+    for sigma in sigmas:
+        assert {tuple(sigma[j][a] for j, a in enumerate(idx))
+                for idx in support} == support
+
+
+def test_reed_solomon_7_3_monomial_image_is_equivalent():
+    # RS[7,3] over GF(7): a 7-party 3-uniform state on 343 support rows
+    rng = random.Random(73)
+    src = decorate_360(construct_linear(7, [[1, a, a * a % 7] for a in range(7)]), rng)
+    dst = random_monomial(7, 7, rng, den=360).apply(src)
+    cert = lm_match(src, dst, max_nodes=DEFAULT_MAX_NODES)
+    assert (cert.verdict, cert.reason) == ("equivalent", "lm-witness")
+    assert states_equal_up_to_global_phase(cert.witness.apply(src), dst) is not None
 
 
 def test_ghz_automorphism_count():

@@ -7,20 +7,24 @@ once k of its symbols are mapped.  The straightforward versions below
 eliminate [A | b] afresh for every system and scan every destination row for
 every source row.  The package must reproduce them exactly: the same theta
 (or None) for every system, and the same permutation tuples in the same
-order.
+order.  On symbol-permuted sources, where most-constrained-first row order
+and sorted order part ways early, the search must still yield exactly the
+row scan's set, once each; and the cokernel rows that decide exact
+feasibility must annihilate the coefficient matrix.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ameslocc.equivalence import _iter_support_sigmas
-from ameslocc.modsolve import solve_turn_system
+from ameslocc.equivalence import _iter_support_sigmas, _row_order
+from ameslocc.modsolve import Rows, _eliminate, solve_turn_system
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import get_tolerance, root_of_unity
-from ameslocc.states import (ame64_phi, ame_linear_5, construct_ame43,
-                             construct_ame44)
+from ameslocc.states import (MinimalSupportState, ame64_phi, ame_linear_5,
+                             construct_ame43, construct_ame44)
 
 
 def reference_solve(rows, rhs, num_vars, exact=True):
@@ -174,4 +178,43 @@ def test_single_elimination_matches_per_call_loop(make):
                 assert solve_turn_system(rows, values, num_vars, exact) == want
                 outcomes.add(want is None)
     # AME(4,3)'s diagonal system has full row rank, so every rhs is solvable
+    assert outcomes == ({False} if make is construct_ame43 else {True, False})
+
+
+@settings(max_examples=20, deadline=None)
+@given(which=st.sampled_from(CASES[:3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_support_search_set_is_order_free(which, seed):
+    rng = random.Random(seed)
+    base = which[1]()
+    perms = [rng.sample(range(base.d), base.d) for _ in range(base.n)]
+    src = MinimalSupportState(base.n, base.d, base.k, {
+        tuple(p[a] for p, a in zip(perms, idx)): w for idx, w in base.phases.items()})
+    assert _row_order(src.phases) != sorted(src.phases)
+    dst = monomial_image(src, rng)
+    got = list(_iter_support_sigmas(src, dst, 10 ** 7))
+    assert len(set(got)) == len(got)
+    assert set(got) == set(reference_sigmas(src, dst))
+
+
+@pytest.mark.parametrize("make", [c[1] for c in CASES], ids=[c[0] for c in CASES])
+def test_cokernel_rows_decide_exact_feasibility(make):
+    rng = random.Random(13)
+    src = make()
+    rows, _ = diagonal_system(src, src, (tuple(range(src.d)),) * src.n)
+    num_vars = src.n * src.d
+    ops, h, pivots, coker = _eliminate(Rows(rows), num_vars)
+    assert len(pivots) + len(coker) == len(rows)
+    for c in coker:
+        assert all(sum(v * rows[i][col] for i, v in c) == 0
+                   for col in range(num_vars))
+    outcomes = set()
+    for _ in range(20):
+        x = [Fraction(rng.randrange(360), 360) for _ in range(num_vars)]
+        image = [sum(r * t for r, t in zip(row, x)) for row in rows]
+        noise = [Fraction(rng.randrange(360), 360) for _ in rows]
+        for b in (image, noise):
+            infeasible = any(sum(v * b[i] for i, v in c).denominator != 1
+                             for c in coker)
+            assert (solve_turn_system(rows, b, num_vars) is None) == infeasible
+            outcomes.add(infeasible)
     assert outcomes == ({False} if make is construct_ame43 else {True, False})
