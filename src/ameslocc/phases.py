@@ -252,8 +252,12 @@ class Amp:
         if self.is_exact and other.is_exact:
             out = dict(self.terms)
             for t, c in other.terms.items():
-                out[t] = out.get(t, Fraction(0)) + c
-                if not out[t]:
+                old = out.get(t)
+                if old is not None:
+                    c = old + c
+                if c:
+                    out[t] = c
+                elif old is not None:
                     del out[t]
             return Amp(terms=out)
         return Amp(value=complex(self) + complex(other))
@@ -302,14 +306,16 @@ class Amp:
             q = math.lcm(*(t.denominator for t in self.terms))
             coeffs = {}
             for t, c in self.terms.items():
-                e = int(t * q)
+                e = t.numerator * (q // t.denominator)
                 coeffs[e] = coeffs.get(e, Fraction(0)) + c
             return exponent_sum_is_zero(coeffs, q)
         return abs(self.value) <= _tol
 
     def equals(self, other: "Amp") -> bool:
         if self.is_exact and other.is_exact:
-            return (self - other).is_zero()
+            # identical term maps are equal; different representations of one
+            # value still go through the cyclotomic test
+            return self.terms == other.terms or (self - other).is_zero()
         return abs(complex(self) - complex(other)) <= _tol
 
     def as_single_phase(self):

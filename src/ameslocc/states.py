@@ -20,7 +20,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .phases import ONE, Amp, Phase, get_tolerance, root_of_unity
+from .phases import (ONE, Amp, Phase, exponent_sum_is_zero, get_tolerance,
+                     root_of_unity)
 
 MultiIndex = Tuple[int, ...]
 
@@ -369,7 +370,9 @@ class DensityMatrix:
     """Reduced density matrix with Amp entries, normalized to trace 1.
 
     ``entries`` holds the nonzero entries only, keyed by (row, column) pairs
-    of kept-site symbol tuples.
+    of kept-site symbol tuples.  For an exact state each entry is built from
+    its integer count vector over the exponents of w_q, so entries with one
+    count vector are one shared Amp.
     """
 
     def __init__(self, d: int, keep: Tuple[int, ...],
@@ -408,26 +411,61 @@ def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
 
     Terms are grouped by their projection onto the traced-out positions;
     only pairs within a group contribute, which keeps the cost near
-    (#terms)^2 / #groups.
+    (#terms)^2 / #groups.  An exact state is read once as integer pairs
+    (exponent e of w_q, coefficient a over a common denominator), so each
+    entry is an integer count per exponent (e_i - e_j) mod q, and each
+    distinct count vector is zero-tested once.  A state with a real turn
+    sums complex products instead.
     """
     sp = s.to_sparse()
     keep = tuple(sorted(keep))
     if not keep or len(keep) >= sp.n:
         raise StateError("keep must be a nonempty strict subset of positions")
     drop = tuple(p for p in range(sp.n) if p not in set(keep))
-    inv_scale = Fraction(1) / Fraction(sp.scale2) if sp.is_exact else 1.0 / float(sp.scale2)
+    exact = sp.is_exact
+    if exact:
+        amps = sp.terms.values()
+        q = math.lcm(*(t.denominator for a in amps for t in a.terms))
+        den = math.lcm(*(c.denominator for a in amps for c in a.terms.values()))
+
+        def scalar(a):
+            return [(t.numerator * (q // t.denominator), c.numerator * (den // c.denominator))
+                    for t, c in a.terms.items()]
+    else:
+        scalar = complex
     groups = {}
-    for idx, c in sp.terms.items():
+    for idx, a in sp.terms.items():
         key = tuple(idx[p] for p in drop)
-        groups.setdefault(key, []).append((tuple(idx[p] for p in keep), c))
-    sums: Dict[Tuple[MultiIndex, MultiIndex], Amp] = {}
+        groups.setdefault(key, []).append((tuple(idx[p] for p in keep), scalar(a)))
+    sums = {}
     for members in groups.values():
         for (ki, ci) in members:
             for (kj, cj) in members:
-                amp = (ci * cj.conj()).scaled(inv_scale)
-                got = sums.get((ki, kj))
-                sums[(ki, kj)] = amp if got is None else got + amp
-    entries = {key: a for key, a in sums.items() if not a.is_zero()}
+                if exact:
+                    counts = sums.setdefault((ki, kj), {})
+                    for ei, ai in ci:
+                        for ej, aj in cj:
+                            e = (ei - ej) % q
+                            counts[e] = counts.get(e, 0) + ai * aj
+                else:
+                    sums[(ki, kj)] = sums.get((ki, kj), 0) + ci * cj.conjugate()
+    entries: Dict[Tuple[MultiIndex, MultiIndex], Amp] = {}
+    if exact:
+        scale = Fraction(sp.scale2) * den * den
+        memo = {}  # count vector -> entry, or None if it vanishes
+        for key, counts in sums.items():
+            vec = tuple(sorted((e, c) for e, c in counts.items() if c))
+            if vec not in memo:
+                memo[vec] = None if exponent_sum_is_zero(counts, q) else Amp(
+                    terms={Fraction(e, q): c / scale for e, c in vec})
+            if memo[vec] is not None:
+                entries[key] = memo[vec]
+    else:
+        inv_scale = 1.0 / float(sp.scale2)
+        for key, z in sums.items():
+            z *= inv_scale
+            if abs(z) > get_tolerance():
+                entries[key] = Amp(value=z)
     return DensityMatrix(sp.d, keep, entries)
 
 

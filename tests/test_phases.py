@@ -227,3 +227,31 @@ def test_is_zero_matches_cyclotomic_reduction(amp):
     for t, c in amp.terms.items():
         coeffs[int(t * q)] = coeffs.get(int(t * q), 0) + c
     assert amp.is_zero() == all(c == 0 for c in _reduce_mod_cyclotomic(coeffs, q))
+
+
+ONE_PLUS_W3 = Amp(terms={Fraction(0): Fraction(1), Fraction(1, 3): Fraction(1)})
+MINUS_W3_SQUARED = Amp(terms={Fraction(2, 3): Fraction(-1)})
+FULL_ROOT_SUM_12 = Amp(terms={Fraction(j, 12): Fraction(1) for j in range(12)})
+
+
+@st.composite
+def amp_pairs(draw):
+    """Two exact Amps over one small conductor; half the time the second is
+    a copy of the first's term map."""
+    q = draw(st.integers(1, 12))
+    turns = st.integers(0, q - 1).map(lambda m: Fraction(m, q))
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    amps = st.dictionaries(turns, coeffs, max_size=4).map(lambda terms: Amp(terms=terms))
+    a = draw(amps)
+    return a, Amp(terms=dict(a.terms)) if draw(st.booleans()) else draw(amps)
+
+
+@given(amp_pairs())
+@example((ONE_PLUS_W3, MINUS_W3_SQUARED))
+@example((FULL_ROOT_SUM_12, Amp.zero()))
+def test_equals_matches_difference_is_zero(pair):
+    # identical term maps may answer at once; different representations of
+    # one value must still reach the cyclotomic test
+    a, b = pair
+    assert a.equals(b) == (a - b).is_zero()
+    assert b.equals(a) == a.equals(b)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import ONE, Amp, Phase, root_of_unity
+from ameslocc.reductions import verify_rho345_lemma
 from ameslocc.states import (MinimalSupportState, SparseState, StateError,
                              _exact_phase_split,
                              ame64_phi, ame_linear_5, construct_ame43,
@@ -150,7 +151,11 @@ def exact_states_and_keeps(draw):
     """A small exact SparseState with rational-turn amplitudes, plus a kept
     strict subset of its sites.  Supports are random, full, or GHZ-shaped
     (whose one-site reductions are maximally mixed); half the draws use only
-    turns 0 and 1/2 with unit weights, so that entries cancel to zero."""
+    turns 0 and 1/2 with unit weights, so that entries cancel to zero.  The
+    other half draw amplitudes of up to two roots of unity, as a Butson
+    layer produces, with turns over 6 or mixed over 4 and 6 (conductor 12).
+    scale2 is the sum of the squared weights, a nominal normalization that
+    the definition below uses too."""
     n = draw(st.integers(2, 4))
     d = draw(st.integers(2, 3))
     indices = st.tuples(*[st.integers(0, d - 1)] * n)
@@ -159,13 +164,19 @@ def exact_states_and_keeps(draw):
         st.just(set(itertools.product(range(d), repeat=n))),
         st.just({(s,) * n for s in range(d)})))
     signs = draw(st.booleans())
-    den = 2 if signs else 6
-    turns = st.integers(0, den - 1).map(lambda m: Fraction(m, den))
+    dens = [2] if signs else draw(st.sampled_from([[6], [4, 6]]))
+    turns = st.sampled_from(dens).flatmap(
+        lambda den: st.integers(0, den - 1).map(lambda m: Fraction(m, den)))
     weights = st.sampled_from([Fraction(1)] if signs else
                               [Fraction(1), Fraction(2), Fraction(1, 3)])
-    weighted = {idx: (draw(turns), draw(weights)) for idx in sorted(support)}
-    terms = {idx: Amp.from_phase(Phase(t), w) for idx, (t, w) in weighted.items()}
-    scale2 = sum(w * w for _, w in weighted.values())
+    parts = st.lists(st.tuples(turns, weights), min_size=1, max_size=1 if signs else 2)
+    weighted = {idx: draw(parts) for idx in sorted(support)}
+    terms = {}
+    for idx, amp_parts in weighted.items():
+        terms[idx] = Amp.zero()
+        for t, w in amp_parts:
+            terms[idx] = terms[idx] + Amp.from_phase(Phase(t), w)
+    scale2 = sum(w * w for amp_parts in weighted.values() for _, w in amp_parts)
     keep = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
     return SparseState(n, d, terms, scale2=scale2), sorted(keep)
 
@@ -197,6 +208,15 @@ def partial_trace_by_definition(s, keep):
 # unnormalized: d^|keep| entries equal to 1/dim that are not all diagonal
 @example((SparseState(3, 2, {(0, 0, 0): Amp.one(), (0, 1, 0): Amp.one()},
                       scale2=4), [0, 1]))
+# groups of size d: dropping sites (0, 1, 2) of the phased state is rank-deficient
+@example((construct_ame5_phased(3), [3, 4]))
+# singleton groups: sites (2, 3, 4) determine the whole term
+@example((construct_ame5_phased(3), [0, 1]))
+# 1 + w_3 next to single roots of order 4: one count vector over conductor 12
+@example((SparseState(2, 2, {(0, 0): Amp(terms={Fraction(0): Fraction(1), Fraction(1, 3): Fraction(1)}),
+                             (0, 1): Amp.from_phase(Phase(Fraction(1, 4))),
+                             (1, 1): Amp.from_phase(Phase(Fraction(3, 4)), Fraction(2))},
+                      scale2=6), [1]))
 def test_sparse_reduced_density_matches_definition(case):
     s, keep = case
     rho = reduced_density(s, keep)
@@ -208,6 +228,23 @@ def test_sparse_reduced_density_matches_definition(case):
     mixed = Amp(terms={Fraction(0): Fraction(1, rho.dim)})
     assert rho.is_maximally_mixed() == all(
         a.equals(mixed if i == j else Amp.zero()) for (i, j), a in want.items())
+
+
+def test_five_party_partial_traces_add_no_amps(monkeypatch):
+    # entries are summed as integer exponent counts; an Amp is built only
+    # for a surviving entry, and equal entries compare without arithmetic
+    calls = []
+    add = Amp.__add__
+
+    def counted(a, b):
+        calls.append(1)
+        return add(a, b)
+
+    monkeypatch.setattr(Amp, "__add__", counted)
+    assert uniformity(construct_ame5_phased(7)) == 2
+    assert len(calls) == 0
+    assert verify_rho345_lemma(7)
+    assert len(calls) == 0
 
 
 def test_reduced_density_of_large_dimension():

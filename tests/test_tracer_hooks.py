@@ -41,6 +41,8 @@ def test_tracer_wraps_and_restores_pipeline_names(monkeypatch):
         monkeypatch, lambda: decide_slocc(construct_ame5_phased(5), ame_linear_5(5)))
     assert cert.verdict == "inequivalent"
     assert tracer.calls["reductions.pipeline"] == 1
+    # 15 two-party reductions in uniformity() and one for the rho345 lemma
+    assert tracer.calls["states.reduced_density"] == 16
     restored = (reductions.verify_ame5_nonequivalence,
                 reductions.reduced_density, phases.Amp.is_zero)
     assert all(now is orig for now, orig in zip(restored, originals))
