@@ -211,6 +211,23 @@ def exponent_sum_is_zero(coeffs, q) -> bool:
     return not any(_reduce_mod_cyclotomic(coeffs, q))
 
 
+def counts_amp(vec, q, scale):
+    """The Amp scale * sum(c * w^e) over vec, or None when it vanishes.
+
+    ``vec`` is a sequence of (exponent in [0, q), nonzero integer count)
+    pairs with distinct exponents, w the primitive q-th root of unity.  One
+    exponent is nonzero at once; otherwise the zero test runs over the
+    vector's own conductor q / gcd(q, exponents), not over q.
+    """
+    if len(vec) > 1:
+        g = math.gcd(q, *(e for e, _ in vec))
+        if exponent_sum_is_zero({e // g: c for e, c in vec}, q // g):
+            return None
+    elif not vec:
+        return None
+    return Amp(terms={Fraction(e, q): c * scale for e, c in vec})
+
+
 class Amp:
     """A complex amplitude, exact (rational combination of roots of unity) or float.
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .butson import is_butson
 from .equivalence import DEFAULT_MAX_NODES, _iter_support_sigmas
-from .phases import ONE, Amp, Phase, exponent_sum_is_zero, root_of_unity
+from .phases import ONE, Amp, Phase, counts_amp, root_of_unity
 from .states import (MinimalSupportState, _is_prime, ame_linear_5,
                      construct_ame5_phased, reduced_density)
 
@@ -221,9 +221,8 @@ def _conjugated_rho_prime(d: int, w, v):
         sites = [(s, m, kk) for m in range(d) for kk in range(d)]
         for idx, vec in enumerate(map(tuple, counts)):
             if vec not in entries:
-                zero = exponent_sum_is_zero(dict(enumerate(vec)), d)
-                entries[vec] = None if zero else Amp(
-                    terms={Fraction(e, d): c * inv for e, c in enumerate(vec) if c})
+                entries[vec] = counts_amp(
+                    [(e, c) for e, c in enumerate(vec) if c], d, inv)
             amp = entries[vec]
             if amp is not None:
                 out[(sites[idx // dd], sites[idx % dd])] = amp

@@ -20,8 +20,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .phases import (ONE, Amp, Phase, exponent_sum_is_zero, get_tolerance,
-                     root_of_unity)
+from .phases import ONE, Amp, Phase, counts_amp, get_tolerance, root_of_unity
 
 MultiIndex = Tuple[int, ...]
 
@@ -414,8 +413,9 @@ def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
     (#terms)^2 / #groups.  An exact state is read once as integer pairs
     (exponent e of w_q, coefficient a over a common denominator), so each
     entry is an integer count per exponent (e_i - e_j) mod q, and each
-    distinct count vector is zero-tested once.  A state with a real turn
-    sums complex products instead.
+    distinct count vector is zero-tested once, over its own conductor (see
+    ``phases.counts_amp``).  A state with a real turn sums complex products
+    instead.
     """
     sp = s.to_sparse()
     keep = tuple(sorted(keep))
@@ -451,13 +451,12 @@ def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
                     sums[(ki, kj)] = sums.get((ki, kj), 0) + ci * cj.conjugate()
     entries: Dict[Tuple[MultiIndex, MultiIndex], Amp] = {}
     if exact:
-        scale = Fraction(sp.scale2) * den * den
+        scale = 1 / (Fraction(sp.scale2) * den * den)
         memo = {}  # count vector -> entry, or None if it vanishes
         for key, counts in sums.items():
             vec = tuple(sorted((e, c) for e, c in counts.items() if c))
             if vec not in memo:
-                memo[vec] = None if exponent_sum_is_zero(counts, q) else Amp(
-                    terms={Fraction(e, q): c / scale for e, c in vec})
+                memo[vec] = counts_amp(vec, q, scale)
             if memo[vec] is not None:
                 entries[key] = memo[vec]
     else:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ameslocc.phases import (ONE, MINUS_ONE, Amp, Phase, _cyclotomic_coeffs,
-                             _reduce_mod_cyclotomic, exponent_sum_is_zero,
+                             _reduce_mod_cyclotomic, counts_amp,
+                             exponent_sum_is_zero,
                              get_tolerance, nth_roots, phase_product,
                              root_of_unity, set_tolerance)
 
@@ -207,6 +208,29 @@ def test_exponent_sum_is_zero():
     assert not exponent_sum_is_zero(dict(enumerate([2] * 6 + [1])), 7)
     assert exponent_sum_is_zero({}, 5)
 
+
+@st.composite
+def count_vectors(draw):
+    """(vec, q): distinct exponents in [0, q) with nonzero integer counts."""
+    q = draw(st.integers(1, 36))
+    counts = draw(st.dictionaries(st.integers(0, q - 1), st.integers(-3, 3).filter(bool),
+                                  max_size=5))
+    return tuple(sorted(counts.items())), q
+
+
+@given(count_vectors())
+@example((((0, 1), (12, 1), (24, 1)), 36))  # 1 + w_3 + w_3^2 over conductor 36
+@example((((0, 2), (9, 1)), 36))
+def test_counts_amp_matches_amp_sum(case):
+    vec, q = case
+    want = Amp.zero()
+    for e, c in vec:
+        want = want + Amp.from_phase(Phase(Fraction(e, q)), c)
+    got = counts_amp(vec, q, Fraction(1, 3))
+    if got is None:
+        assert want.is_zero()
+    else:
+        assert not want.is_zero() and got.equals(want.scaled(Fraction(1, 3)))
 
 @st.composite
 def few_term_amps(draw):

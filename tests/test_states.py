@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -245,6 +246,30 @@ def test_five_party_partial_traces_add_no_amps(monkeypatch):
     assert len(calls) == 0
     assert verify_rho345_lemma(7)
     assert len(calls) == 0
+
+
+def test_partial_trace_zero_tests_run_over_each_entry_conductor(monkeypatch):
+    # the state's turns 1/53, 1/57, 1/58, 1/59 give it conductor ~10^7, but
+    # its entries only need 53 * 58: single-exponent entries are nonzero at
+    # once, and the rest are tested over their own conductor
+    import ameslocc.phases as phases
+    w = lambda p: Amp.from_phase(Phase(Fraction(1, p)))
+    s = SparseState(2, 2, {(0, 0): w(53) + w(58), (0, 1): w(57), (1, 1): w(59)},
+                    scale2=4)
+    seen = []
+    real = phases.exponent_sum_is_zero
+
+    def own_conductor(coeffs, q):
+        assert math.gcd(q, *coeffs) == 1 and q <= 53 * 58, q
+        seen.append(q)
+        return real(coeffs, q)
+
+    monkeypatch.setattr(phases, "exponent_sum_is_zero", own_conductor)
+    rho = reduced_density(s, [0])
+    monkeypatch.undo()
+    assert seen == [53 * 58]
+    want = partial_trace_by_definition(s, [0])
+    assert all(rho.entry(i, j).equals(a) for (i, j), a in want.items())
 
 
 def test_reduced_density_of_large_dimension():
