@@ -1,19 +1,22 @@
 """Butson-type complex Hadamard matrices BH(d, q).
 
 A BH(d, q) matrix has q-th-root-of-unity entries and becomes unitary after
-scaling by 1/sqrt(d).  Entries are stored unscaled; every orthogonality test
-is an exact vanishing-sum-of-roots-of-unity check whenever the entries are
-rational turns.
+scaling by 1/sqrt(d).  Entries are stored unscaled as phases, and every test
+reads them as integer exponents of the primitive q-th root; orthogonality is
+an exact vanishing-sum-of-roots-of-unity check.
 
 Matrices are classified up to monomial equivalence (row/column permutations
-and unit-diagonal scalings); the dephased form (first row and column all
-ones) canonicalizes the diagonal part.
+and unit-diagonal scalings), decided on dephased exponent matrices (first
+row and column all zeros) by placing one row at a time under column-prefix
+pruning.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .phases import Phase, exponent_sum_is_zero, root_of_unity
@@ -35,11 +38,8 @@ class ButsonMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def exponents(self) -> Tuple[Tuple[int, ...], ...]:
-        """Entries as integer exponents of the primitive q-th root."""
-        out = []
-        for row in self.entries:
-            out.append(tuple(int(p.turn * self.q) for p in row))
-        return tuple(out)
+        """Entries as exponents of the primitive q-th root, or ButsonError."""
+        return _exponents(self.entries, self.q)
 
     def __eq__(self, other):
         return isinstance(other, ButsonMatrix) and self.entries == other.entries
@@ -68,22 +68,29 @@ def fourier(d: int) -> ButsonMatrix:
     return ButsonMatrix(rows, d, check=False)
 
 
+def _exponents(entries, q: int) -> Tuple[Tuple[int, ...], ...]:
+    """Exponents e in [0, q) with entry = w^e, w the primitive q-th root of
+    unity; ButsonError if an entry is not an exact q-th root."""
+    if any(not p.is_exact or q % p.turn.denominator for row in entries for p in row):
+        raise ButsonError("entries are not all %d-th roots of unity" % q)
+    return tuple(tuple(p.turn.numerator * (q // p.turn.denominator) for p in row)
+                 for row in entries)
+
+
 def is_butson(entries, q: int) -> bool:
     """Entries are q-th roots of unity and rows are pairwise orthogonal."""
     d = len(entries)
     if any(len(row) != d for row in entries):
         return False
-    for row in entries:
-        for p in row:
-            if not p.is_exact or (p.turn * q).denominator != 1:
-                return False
-    exps = [[int(p.turn * q) for p in row] for row in entries]
+    try:
+        exps = _exponents(entries, q)
+    except ButsonError:
+        return False
     return all(_exp_rows_orthogonal(exps[i], exps[j], q)
                for i in range(d) for j in range(i + 1, d))
 
 
 def tensor_butson(a: ButsonMatrix, b: ButsonMatrix) -> ButsonMatrix:
-    import math
     d = a.d * b.d
     rows = [[a[(i // b.d, j // b.d)] * b[(i % b.d, j % b.d)] for j in range(d)]
             for i in range(d)]
@@ -92,77 +99,69 @@ def tensor_butson(a: ButsonMatrix, b: ButsonMatrix) -> ButsonMatrix:
 
 def dephase(m: ButsonMatrix) -> ButsonMatrix:
     """Scale rows and columns so the first row and column are all ones."""
-    return ButsonMatrix(_anchored_form(m, 0, 0), m.q, check=False)
+    return _exp_to_matrix(_anchored(m.exponents(), 0, 0, m.q), m.q)
 
 
-def _anchored_form(b: ButsonMatrix, r0: int, c0: int):
-    """Dephased form of b after moving row r0 and column c0 to the front."""
-    e = b.entries
-    return tuple(
-        tuple(e[r][c] / e[r][c0] / e[r0][c] * e[r0][c0] for c in range(b.d))
-        for r in range(b.d))
+def _anchored(e, r0: int, c0: int, q: int):
+    """e[r][c] - e[r][c0] - e[r0][c] + e[r0][c0] mod q: e dephased at (r0, c0)."""
+    return tuple(tuple((x - row[c0] - y + e[r0][c0]) % q
+                       for x, y in zip(row, e[r0])) for row in e)
 
 
 def monomially_equivalent(a: ButsonMatrix, b: ButsonMatrix):
     """Witness (p, q, dr, dc) with a[i][j] = dr[i]*b[p[i]][q[j]]*dc[j], or None.
 
-    The search runs over dephasing anchors of b and row permutations; the
-    column permutation is then forced by column lookup, making the scan
-    complete over all monomial pairs.
+    Works on integer exponents over Q = lcm(a.q, b.q) (ButsonError if an
+    entry is not a Q-th root).  For each anchor (r0, c0) of b, in order, whose
+    dephased form has the sorted row and column contents of dephased a, rows
+    of dephased a are placed one at a time: row 0 on r0, row i on an unused
+    row with the same sorted contents, ascending, kept while the sorted
+    column-prefix tuples equal a's.  Every completion keeps them, so the
+    first witness is that of a plain scan over row permutations.  Columns
+    follow by lookup; the diagonals are recovered and checked mod Q.
     """
     if a.d != b.d:
         return None
-    d = a.d
-    da = _anchored_form(a, 0, 0)
-    da_rows = _row_multiset(da)
+    d, big_q = a.d, math.lcm(a.q, b.q)
+    ea, eb = _exponents(a.entries, big_q), _exponents(b.entries, big_q)
+    da = _anchored(ea, 0, 0, big_q)
+    rows_a = [tuple(sorted(row)) for row in da]
+    shape_a = (sorted(rows_a), sorted(sorted(col) for col in zip(*da)))
+    prefixes_a = [sorted(zip(*da[:t])) for t in range(d + 1)]
+
+    def placements(c, rows_c, p, cols):
+        """Column tuples of c under each passing completion of p, in order."""
+        i = len(p)
+        if i == d:
+            yield cols
+            return
+        for r in range(d):
+            if rows_c[r] == rows_a[i] and r not in p:
+                ext = [col + (x,) for col, x in zip(cols, c[r])]
+                if sorted(ext) == prefixes_a[i + 1]:
+                    p.append(r)
+                    yield from placements(c, rows_c, p, ext)
+                    p.pop()
+
     for r0 in range(d):
         for c0 in range(d):
-            c = _anchored_form(b, r0, c0)
-            # quick multiset check on row contents before permuting
-            if _row_multiset(c) != da_rows:
+            c = _anchored(eb, r0, c0, big_q)
+            rows_c = [tuple(sorted(row)) for row in c]
+            if (sorted(rows_c), sorted(sorted(col) for col in zip(*c))) != shape_a:
                 continue
-            # match rows of da against rows of c; row 0 of da is all ones and
-            # row r0 of c is all ones, so pair those and permute the rest
-            rest = [r for r in range(d) if r != r0]
-            for perm in itertools.permutations(rest):
-                p = [r0] + list(perm)
-                # deduce the column permutation by matching columns
-                cols_c = {}
-                for j in range(d):
-                    col = tuple(c[p[i]][j] for i in range(d))
-                    cols_c.setdefault(col, []).append(j)
-                q: List[int] = []
-                used = set()
-                ok = True
-                for j in range(d):
-                    col = tuple(da[i][j] for i in range(d))
-                    cand = [x for x in cols_c.get(col, []) if x not in used]
-                    if not cand:
-                        ok = False
-                        break
-                    q.append(cand[0])
-                    used.add(cand[0])
-                if not ok:
-                    continue
-                dr, dc = _recover_diagonals(a, b, p, q)
-                if dr is not None:
-                    return tuple(p), tuple(q), dr, dc
+            p = [r0]
+            for cols_c in placements(c, rows_c, p, [(x,) for x in c[r0]]):
+                slots = {}
+                for j, col in enumerate(cols_c):
+                    slots.setdefault(col, []).append(j)
+                q = [slots[col].pop(0) for col in zip(*da)]
+                dr = [(ea[i][0] - eb[p[i]][q[0]]) % big_q for i in range(d)]
+                dc = [(ea[0][j] - eb[p[0]][q[j]] - dr[0]) % big_q for j in range(d)]
+                if all((dr[i] + eb[p[i]][q[j]] + dc[j] - ea[i][j]) % big_q == 0
+                       for i in range(d) for j in range(d)):
+                    return (tuple(p), tuple(q), [root_of_unity(big_q, x) for x in dr],
+                            [root_of_unity(big_q, x) for x in dc])
     return None
-
-
-def _row_multiset(rows):
-    return sorted(sorted(x.turn for x in row) for row in rows)
-
-
-def _recover_diagonals(a, b, p, q):
-    d = a.d
-    dr = [a[(i, 0)] / b[(p[i], q[0])] for i in range(d)]
-    dc = [a[(0, j)] / b[(p[0], q[j])] / dr[0] for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if not (dr[i] * b[(p[i], q[j])] * dc[j]).close_to(a[(i, j)]):
-                return None, None
-    return dr, dc
 
 
 def _exp_rows_orthogonal(row_a, row_b, q) -> bool:
@@ -179,9 +178,9 @@ def _zero_sum_rows(d: int):
             if _exp_rows_orthogonal((0,) + tail, zeros, d)]
 
 
-def _exp_to_matrix(rows, d) -> ButsonMatrix:
-    return ButsonMatrix([[root_of_unity(d, e) for e in row] for row in rows],
-                        d, check=False)
+def _exp_to_matrix(rows, q) -> ButsonMatrix:
+    return ButsonMatrix([[root_of_unity(q, e) for e in row] for row in rows],
+                        q, check=False)
 
 
 def _sorted_dephased(d: int) -> List[List[Tuple[int, ...]]]:
@@ -217,16 +216,17 @@ def all_dephased(d: int) -> List[ButsonMatrix]:
 
 
 def _haagerup_key(m: ButsonMatrix):
-    """Multiset of all quartic phase products, invariant under monomial maps."""
-    d = m.d
-    vals = []
-    e = m.entries
-    for i in range(d):
-        for k in range(d):
-            for j in range(d):
-                for l in range(d):
-                    vals.append((e[i][j] * e[k][l] / e[i][l] / e[k][j]).turn)
-    return tuple(sorted((t.numerator, t.denominator) for t in vals))
+    """Multiset of all quartic phase products m_ij m_kl / (m_il m_kj), invariant
+    under monomial maps, as sorted (numerator, denominator) turns.  Counted
+    mod q as d_j - d_l over the row differences d = e_i - e_k."""
+    q, e = m.q, m.exponents()
+    counts = Counter()
+    for ri in e:
+        for rk in e:
+            diff = [x - y for x, y in zip(ri, rk)]
+            counts.update((x - y) % q for x in diff for y in diff)
+    turns = sorted((Fraction(x, q).as_integer_ratio(), n) for x, n in counts.items())
+    return tuple(pair for pair, n in turns for _ in range(n))
 
 
 _BH_CAP = 6
@@ -235,9 +235,9 @@ _BH_CAP = 6
 def enumerate_bh(d: int) -> List[ButsonMatrix]:
     """Representatives of BH(d,d) up to monomial equivalence, 2 <= d <= 6.
 
-    Enumerates dephased matrices with lexicographically sorted rows (a cheap
-    symmetry reduction), buckets them by a monomial invariant, and confirms
-    class distinctness with the complete equivalence search.
+    Enumerates dephased matrices with sorted rows (a cheap symmetry
+    reduction), buckets them by the Haagerup key, and keeps each that
+    monomially_equivalent relates to no earlier one in its bucket.
     """
     if not 2 <= d <= _BH_CAP:
         raise ButsonError("enumeration supported for 2 <= d <= %d only" % _BH_CAP)

@@ -1,12 +1,33 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ameslocc.butson import (ButsonError, ButsonMatrix, _haagerup_key,
                              all_dephased, dephase, enumerate_bh, fourier,
                              is_butson, monomially_equivalent, tensor_butson)
 from ameslocc.phases import ONE, Phase, root_of_unity
+
+# One dephased exponent matrix (entries mod 6) per monomial class of BH(6,6),
+# as enumerate_bh(6) returns them (Tadej and Zyczkowski, "A concise guide to
+# complex Hadamard matrices", 2006, list four classes).
+BH6_CLASSES = (
+    ((0, 0, 0, 0, 0, 0), (0, 0, 0, 3, 3, 3), (0, 2, 4, 0, 2, 4),
+     (0, 2, 4, 3, 5, 1), (0, 4, 2, 0, 4, 2), (0, 4, 2, 3, 1, 5)),
+    ((0, 0, 0, 0, 0, 0), (0, 0, 0, 3, 3, 3), (0, 2, 4, 0, 2, 4),
+     (0, 2, 4, 3, 5, 1), (0, 4, 2, 1, 5, 3), (0, 4, 2, 4, 2, 0)),
+    ((0, 0, 0, 0, 0, 0), (0, 0, 1, 3, 3, 4), (0, 2, 4, 0, 2, 4),
+     (0, 2, 5, 3, 5, 2), (0, 4, 2, 0, 4, 2), (0, 4, 3, 3, 1, 0)),
+    ((0, 0, 0, 0, 0, 0), (0, 0, 2, 2, 4, 4), (0, 2, 0, 4, 2, 4),
+     (0, 2, 4, 0, 4, 2), (0, 4, 2, 4, 0, 2), (0, 4, 4, 2, 2, 0)),
+)
+BH4_CLASSES = (
+    ((0, 0, 0, 0), (0, 0, 2, 2), (0, 2, 0, 2), (0, 2, 2, 0)),
+    ((0, 0, 0, 0), (0, 0, 2, 2), (0, 2, 1, 3), (0, 2, 3, 1)),
+)
 
 
 def test_fourier_is_butson():
@@ -75,9 +96,10 @@ def test_dephased_counts_small():
 
 
 def test_class_counts():
-    assert len(enumerate_bh(3)) == 1
-    assert len(enumerate_bh(4)) == 2
-    assert len(enumerate_bh(5)) == 1
+    """Counts 1, 2, 1, 4, and the representatives in their pinned order."""
+    reps = {d: [m.exponents() for m in enumerate_bh(d)] for d in (3, 4, 5, 6)}
+    assert reps == {3: [fourier(3).exponents()], 4: list(BH4_CLASSES),
+                    5: [fourier(5).exponents()], 6: list(BH6_CLASSES)}
 
 
 def test_enumeration_caps():
@@ -110,3 +132,114 @@ def test_json_roundtrip():
 
 def test_exponents_accessor():
     assert fourier(3).exponents() == ((0, 0, 0), (0, 1, 2), (0, 2, 1))
+
+
+def test_exponents_reject_inexact_roots():
+    i, minus_i = root_of_unity(4, 1), root_of_unity(4, 3)
+    m = ButsonMatrix([[ONE, i], [ONE, minus_i]], 2, check=False)
+    with pytest.raises(ButsonError):
+        m.exponents()
+    assert not is_butson(m.entries, 2)
+    assert is_butson(m.entries, 4)
+
+
+def _phase_haagerup_key(m):
+    """The key straight from its definition, in Phase arithmetic."""
+    e, r = m.entries, range(m.d)
+    return tuple(sorted(
+        (t.numerator, t.denominator)
+        for t in ((e[i][j] * e[k][l] / e[i][l] / e[k][j]).turn
+                  for i in r for k in r for j in r for l in r)))
+
+
+def test_haagerup_key_matches_phase_formula():
+    for m in [fourier(4), tensor_butson(fourier(2), fourier(3))] + all_dephased(4):
+        assert _haagerup_key(m) == _phase_haagerup_key(m)
+
+
+def _reference_witness(a, b):
+    """Unpruned scan over integer exponents mod Q = lcm(a.q, b.q): every
+    anchor (r0, c0) of b whose dephased rows have a's sorted contents, every
+    order of the other rows, columns by first unused lookup, diagonals
+    recovered from row and column 0 and checked entry by entry."""
+    big_q = math.lcm(a.q, b.q)
+
+    def exps(m):
+        out = [[p.turn * big_q for p in row] for row in m.entries]
+        assert all(x.denominator == 1 for row in out for x in row)
+        return [[int(x) for x in row] for row in out]
+
+    def anchored(e, r0, c0):
+        return [[(e[r][c] - e[r][c0] - e[r0][c] + e[r0][c0]) % big_q
+                 for c in range(len(e))] for r in range(len(e))]
+
+    ea, eb = exps(a), exps(b)
+    d = len(ea)
+    da = anchored(ea, 0, 0)
+    rows_a = sorted(sorted(row) for row in da)
+    for r0, c0 in itertools.product(range(d), repeat=2):
+        c = anchored(eb, r0, c0)
+        if sorted(sorted(row) for row in c) != rows_a:
+            continue
+        for perm in itertools.permutations([r for r in range(d) if r != r0]):
+            p = [r0] + list(perm)
+            q = []
+            for j in range(d):
+                col = [da[i][j] for i in range(d)]
+                free = [x for x in range(d) if x not in q
+                        and [c[p[i]][x] for i in range(d)] == col]
+                if not free:
+                    break
+                q.append(free[0])
+            else:
+                dr = [(ea[i][0] - eb[p[i]][q[0]]) % big_q for i in range(d)]
+                dc = [(ea[0][j] - eb[p[0]][q[j]] - dr[0]) % big_q for j in range(d)]
+                if all((dr[i] + eb[p[i]][q[j]] + dc[j] - ea[i][j]) % big_q == 0
+                       for i in range(d) for j in range(d)):
+                    return tuple(p), tuple(q), big_q, dr, dc
+    return None
+
+
+_F22 = tensor_butson(fourier(2), fourier(2))
+# Base matrices by dimension, as (exponents, q); F2 x F2 is over q = 2.
+_BASES = {
+    4: [(fourier(4).exponents(), 4), (_F22.exponents(), _F22.q)],
+    5: [(fourier(5).exponents(), 5)],
+    6: [(e, 6) for e in BH6_CLASSES]
+       + [(tensor_butson(fourier(2), fourier(3)).exponents(), 6)],
+}
+
+
+@st.composite
+def scrambled(draw, base):
+    """A random monomial image of a base matrix, over the base's q."""
+    e, q = base
+    d = len(e)
+    p, c = draw(st.permutations(range(d))), draw(st.permutations(range(d)))
+    dr, dc = (draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+              for _ in range(2))
+    return ButsonMatrix([[root_of_unity(q, e[p[i]][c[j]] + dr[i] + dc[j])
+                          for j in range(d)] for i in range(d)], q, check=False)
+
+
+@st.composite
+def scrambled_pairs(draw):
+    bases = _BASES[draw(st.sampled_from(sorted(_BASES)))]
+    return (draw(scrambled(draw(st.sampled_from(bases)))),
+            draw(scrambled(draw(st.sampled_from(bases)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scrambled_pairs())
+def test_monomial_equivalence_matches_unpruned_scan(pair):
+    a, b = pair
+    wit, ref = monomially_equivalent(a, b), _reference_witness(a, b)
+    assert (wit is None) == (ref is None)
+    if wit is None:
+        return
+    p, q, dr, dc = wit
+    assert (p, q) == ref[:2]
+    assert [x.turn for x in dr] == [Fraction(x, ref[2]) for x in ref[3]]
+    assert [x.turn for x in dc] == [Fraction(x, ref[2]) for x in ref[4]]
+    for i, j in itertools.product(range(a.d), repeat=2):
+        assert (dr[i] * b[(p[i], q[j])] * dc[j]).turn == a[(i, j)].turn

@@ -1,10 +1,11 @@
-"""Static guards on the package's imports.
+"""Static guards on the package's imports and private helpers.
 
-Every module-level import is used, and no module imports sympy, which the
-package does not depend on.  No linter ships with the test dependencies, so
-this walks the syntax tree with the standard library.  ``__init__.py`` is
-skipped by the unused-import check because its imports are the package's
-re-exports.
+Every module-level import is used, no module imports sympy, which the
+package does not depend on, and every module-level private function or class
+is referenced from somewhere other than its own definition.  No linter ships
+with the test dependencies, so this walks the syntax tree with the standard
+library.  ``__init__.py`` is skipped by the unused-import check because its
+imports are the package's re-exports.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ameslocc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ameslocc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -50,3 +52,36 @@ def test_no_sympy_import(path):
         if any(m.split(".")[0] == "sympy" for m in modules):
             lines.append(node.lineno)
     assert not lines, "%s imports sympy at lines %s" % (path.name, lines)
+
+
+def _names_in(node):
+    """Names node refers to: bare names, attributes, imported names, and
+    string constants (tests and the bench rebind helpers by name)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def test_private_helpers_are_referenced():
+    """Each module-level private def in the package is named by a statement
+    other than its own definition, in src/, tests/ or perfbench/."""
+    private, used = [], set()
+    for path in sorted(ROOT.glob("src/**/*.py")) + sorted(ROOT.glob("tests/*.py")) \
+            + sorted(ROOT.glob("perfbench/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            defined = None
+            if (path.parent == PACKAGE
+                    and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                defined = stmt.name
+                private.append("%s:%s" % (path.name, defined))
+            used.update(name for name in _names_in(stmt) if name != defined)
+    dead = [p for p in private if p.split(":")[1] not in used]
+    assert not dead, "unreferenced private helpers: %s" % ", ".join(dead)
