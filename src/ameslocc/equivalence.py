@@ -220,28 +220,34 @@ def _solve_diagonals(src, dst, sigma, exact):
     return _diagonal_solver(src, dst, exact)(sigma)
 
 
-def _row_order(rows):
-    """(row, mapped sites) in search order: each next row is the one with
-    the most symbols on (site, symbol) pairs carried by the rows before it,
-    ties by sorted order.  Placing a row maps every symbol it carries, so
-    these are the sites whose symbols are mapped when the search reaches
-    the row, whatever the images chosen."""
-    mapped = dict.fromkeys(sorted(rows), 0)  # unplaced row -> mapped symbols
+def _row_order(rows, k):
+    """(plan, rest): the rows the search places, in order, until every
+    (site, symbol) pair is mapped, and the other rows, sorted.
+
+    A plan entry is (row, cols), cols being k sites of the row mapped by the
+    rows before it, which fix its image by index unity, or None.  Next comes
+    a row with k mapped sites and the most unmapped pairs, failing that the
+    one with the most mapped sites, ties in sorted order; each row maps a
+    new pair, so the plan has at most n(d - 1) + 1 rows.
+    """
+    mapped = dict.fromkeys(sorted(rows), 0)  # unplaced row -> its mapped sites
     carriers = {}  # unmapped (site, symbol) -> the rows carrying it
     for row in mapped:
         for site in enumerate(row):
             carriers.setdefault(site, []).append(row)
-    order = []
-    while mapped:
-        row = max(mapped, key=mapped.get)  # the first maximum in sorted order
+    plan = []
+    while carriers:
+        # the first maximum in sorted order, among rows still carrying a pair
+        row = max(mapped, key=lambda r: (mapped[r] < len(r), min(mapped[r], k),
+                                         -mapped[r]))
         del mapped[row]
-        order.append((row, tuple(j for j, a in enumerate(row)
-                                 if (j, a) not in carriers)))
+        sites = tuple(j for j, a in enumerate(row) if (j, a) not in carriers)
+        plan.append((row, sites[:k] if k and len(sites) >= k else None))
         for site in enumerate(row):
             for other in carriers.pop(site, ()):
                 if other in mapped:
                     mapped[other] += 1
-    return order
+    return plan, list(mapped)
 
 
 def _iter_support_sigmas(src, dst, max_nodes):
@@ -249,74 +255,66 @@ def _iter_support_sigmas(src, dst, max_nodes):
     support of src onto the support of dst.
 
     Yields complete per-site permutations; raises EquivalenceError when the
-    node budget is exhausted (so exhaustion claims stay honest).  Each tried
-    candidate row is one node.  Source rows are placed most-constrained
-    first (``_row_order``), so after about k rows every further row has k
-    mapped symbols and, by index unity, one possible image.
+    node budget is exhausted (so exhaustion claims stay honest).  It branches
+    only over the plan of ``_row_order``; the permutations are then fixed, so
+    one membership test checks each other row.  Each tried candidate and
+    each checked row is one node.  Row sets labelled k = 0, such as the
+    projected supports of reductions, get no lookups: each plan row scans.
     """
-    n, d, k = src.n, src.d, src.k
-    # the k mapped sites whose images fix a row's image, where it has them
-    plan = [(row, sites[:k] if k and len(sites) >= k else None)
-            for row, sites in _row_order(src.phases)]
+    n, d = src.n, src.d
+    plan, rest = _row_order(src.phases, src.k)
     dst_set = set(dst.phases)
     dst_rows = sorted(dst_set)
-    # index unity: the symbols on any k sites fix the dst row (k = 0 labels
-    # row sets without that property, as in reductions' projected supports)
+    # index unity: the symbols on any k sites fix the dst row
     by_cols = {cols: {tuple(r[c] for c in cols): r for r in dst_rows}
-               for cols in itertools.combinations(range(n), k)}
+               for _, cols in plan if cols}
     maps: List[Dict[int, int]] = [dict() for _ in range(n)]
     used: List[set] = [set() for _ in range(n)]
     nodes = 0
 
-    def candidates(row, cols):
-        # once k symbols of row are mapped, only one dst row can be its image
-        if cols is not None:
-            return (by_cols[cols][tuple(maps[j][row[j]] for j in cols)],)
-        # identity-image first for deterministic, fast-path ordering
-        first = (row,) if row in dst_set else ()
-        return itertools.chain(first, (cand for cand in dst_rows if cand != row))
-
-    def compatible(row, cand):
-        for j in range(n):
-            a, b = row[j], cand[j]
+    def assign(row, cand):
+        """Map row onto cand: the new (site, a, b) triples, None on a clash."""
+        touched = []
+        for j, (a, b) in enumerate(zip(row, cand)):
             got = maps[j].get(a)
             if got is None:
                 if b in used[j]:
-                    return False
-            elif got != b:
-                return False
-        return True
-
-    def assign(row, cand):
-        touched = []
-        for j in range(n):
-            a, b = row[j], cand[j]
-            if a not in maps[j]:
-                maps[j][a] = b
-                used[j].add(b)
+                    return None
                 touched.append((j, a, b))
-        return touched
-
-    def undo(touched):
+            elif got != b:
+                return None
         for j, a, b in touched:
-            used[j].discard(b)
-            del maps[j][a]
+            maps[j][a] = b
+            used[j].add(b)
+        return touched
 
     def rec(pos):
         nonlocal nodes
         if pos == len(plan):
-            yield tuple(tuple(maps[j][a] for a in range(d)) for j in range(n))
+            sigma = tuple(tuple(maps[j][a] for a in range(d)) for j in range(n))
+            for row in rest:
+                nodes += 1
+                if nodes > max_nodes:
+                    raise EquivalenceError("search budget exhausted")
+                if tuple(map(getitem, sigma, row)) not in dst_set:
+                    return
+            yield sigma
             return
         row, cols = plan[pos]
-        for cand in candidates(row, cols):
+        # one image once k sites are mapped, else every dst row, identity first
+        cands = ((by_cols[cols][tuple(maps[j][row[j]] for j in cols)],) if cols
+                 else sorted(dst_rows, key=row.__ne__))
+        for cand in cands:
             nodes += 1
             if nodes > max_nodes:
                 raise EquivalenceError("search budget exhausted")
-            if not compatible(row, cand):
-                continue
             touched = assign(row, cand)
+            if touched is None:
+                continue
             yield from rec(pos + 1)
-            undo(touched)
+            for j, a, b in touched:
+                used[j].discard(b)
+                del maps[j][a]
 
     yield from rec(0)
 
@@ -425,7 +423,8 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
     lm_match.  The verdict is inequivalent only when both allowed forms are
     excluded: lm_match exhausts its complete monomial search, and the k > 2
     Butson-form condition cond_butson fails (the rule family_classes uses).
-    Misses of the Butson layers are reported as inconclusive.
+    Only the layer loop enumerates BH(d,d), so only it stops at _BH_CAP, and
+    its misses are reported as inconclusive.
     """
     _check_compatible(src, dst)
     if src.n != 2 * src.k:
@@ -435,11 +434,6 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
         return EquivalenceCertificate(
             "inconclusive", reason="outside-small-regime",
             details={"k": src.k, "d": src.d}, exact=exact)
-    if src.d > _BH_CAP:
-        return EquivalenceCertificate(
-            "inconclusive", reason="butson-enumeration-cap",
-            details={"cap": _BH_CAP}, exact=exact)
-
     lm = lm_match(src, dst, max_nodes=max_nodes)
     if lm.verdict != "inequivalent":
         return lm
@@ -449,6 +443,10 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
             "inequivalent", reason="lm-exhausted-butson-condition-violated",
             details={"lm_reason": lm.reason, "butson_condition": where_b},
             exact=exact, stats=lm.stats)
+    if src.d > _BH_CAP:
+        return EquivalenceCertificate(
+            "inconclusive", reason="butson-enumeration-cap",
+            details={"cap": _BH_CAP}, exact=exact)
 
     tried = 0
     for tried, witness in enumerate(_butson_layer_witnesses(src, dst, max_nodes), 1):
@@ -491,7 +489,7 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     if ma is not None and mb is not None:
         if 2 * k < ma.n:
             return lm_match(ma, mb, max_nodes=max_nodes)
-        if small_regime(k, ma.d) and ma.d <= _BH_CAP:
+        if small_regime(k, ma.d):
             return butson_match(ma, mb, max_nodes=max_nodes)
         cert = lm_match(ma, mb, max_nodes=max_nodes)
         if cert.equivalent:

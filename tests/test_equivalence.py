@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -256,6 +261,56 @@ def test_reed_solomon_7_3_monomial_image_is_equivalent():
     assert states_equal_up_to_global_phase(cert.witness.apply(src), dst) is not None
 
 
+def ame87(turn):
+    """AME(8,7) from the [8,4,5] MDS code over GF(7): 2401 support rows,
+    with the all-zero row at the given phase."""
+    base = construct_linear(7, [[1, a, a * a % 7, a ** 3 % 7] for a in range(7)]
+                            + [[0, 0, 0, 1]])
+    return with_phases(base, {(0,) * 8: Phase(turn)})
+
+
+def test_large_support_self_pair_is_decided():
+    # 1369 support rows: only the rows that fix sigma are searched by depth
+    s = ame_linear_5(37)
+    cert = decide_slocc(s, s)
+    assert (cert.verdict, cert.reason) == ("equivalent", "lm-witness")
+    assert cert.stats["sigmas_tested"] == 1
+
+
+def test_ame87_decorations_exhaust_default_budget():
+    cert = lm_match(ame87(Fraction(1, 16)), ame87(Fraction(1, 8)))
+    assert cert.verdict == "inconclusive"
+    assert "budget" in cert.reason
+
+
+def test_stack_depth_does_not_grow_with_support():
+    # RS[7,3] has 343 support rows; a search that recursed once per row
+    # would overflow this recursion limit
+    code = textwrap.dedent("""
+        import random, sys
+        from fractions import Fraction
+        from ameslocc.equivalence import lm_match
+        from ameslocc.operators import LocalOperator, SiteOperator
+        from ameslocc.phases import Phase, root_of_unity
+        from ameslocc.states import construct_linear, with_phases
+        rng = random.Random(73)
+        rs = construct_linear(7, [[1, a, a * a % 7] for a in range(7)])
+        src = with_phases(rs, {(0,) * 7: Phase(Fraction(1, 16))})
+        dst = LocalOperator([SiteOperator.monomial(
+            rng.sample(range(7), 7), [root_of_unity(360, rng.randrange(360))
+                                      for _ in range(7)]) for _ in range(7)]).apply(src)
+        sys.setrecursionlimit(150)
+        print(lm_match(src, dst).verdict)
+    """)
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["equivalent"]
+
+
 def test_ghz_automorphism_count():
     auts = automorphisms(construct_ghz(3, 2))
     assert len(auts) == 2  # identity and the global bit flip
@@ -297,6 +352,16 @@ def test_butson_match_needs_even_split():
     s = ame_linear_5(5)
     with pytest.raises(EquivalenceError):
         butson_match(s, s)
+
+
+def test_decide_slocc_ame67_past_enumeration_cap():
+    # d = 7 > _BH_CAP: the inequivalence rule needs no Butson enumeration
+    base = construct_linear(7, [[1, a, a * a % 7] for a in range(6)])
+    src, dst = (with_phases(base, {(0,) * 6: Phase(t)})
+                for t in (Fraction(1, 16), Fraction(1, 8)))
+    cert = decide_slocc(src, dst)
+    assert (cert.verdict, cert.reason) == (
+        "inequivalent", "lm-exhausted-butson-condition-violated")
 
 
 def test_butson_match_outside_regime():

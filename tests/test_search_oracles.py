@@ -3,13 +3,14 @@
 ``solve_turn_system`` eliminates each coefficient matrix once and replays
 the recorded row operations on every right-hand side, and
 ``_iter_support_sigmas`` finds the image of a source row with one lookup
-once k of its symbols are mapped.  The straightforward versions below
-eliminate [A | b] afresh for every system and scan every destination row for
-every source row.  The package must reproduce them exactly: the same theta
-(or None) for every system, and the same permutation tuples in the same
-order.  On symbol-permuted sources, where most-constrained-first row order
-and sorted order part ways early, the search must still yield exactly the
-row scan's set, once each; and the cokernel rows that decide exact
+once k of its symbols are mapped, and checks every row placed after the
+permutations are fixed with one membership test.  The straightforward
+versions below eliminate [A | b] afresh for every system and scan every
+destination row for every source row.  The package must reproduce them
+exactly: the same theta (or None) for every system, and the same permutation
+tuples in the same order.  On symbol-permuted sources, where the search's row
+order and sorted order part ways early, the search must still yield exactly
+the row scan's set, once each; and the cokernel rows that decide exact
 feasibility must annihilate the coefficient matrix.
 """
 
@@ -24,7 +25,7 @@ from ameslocc.modsolve import Rows, _eliminate, solve_turn_system
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import get_tolerance, root_of_unity
 from ameslocc.states import (MinimalSupportState, ame64_phi, ame_linear_5,
-                             construct_ame43, construct_ame44)
+                             construct_ame43, construct_ame44, construct_linear)
 
 
 def reference_solve(rows, rhs, num_vars, exact=True):
@@ -162,6 +163,33 @@ def test_support_search_matches_row_scan(make, count):
         assert len(got) == count
 
 
+PLAN_CASES = CASES + [
+    ("rs73", lambda: construct_linear(7, [[1, a, a * a % 7] for a in range(7)]), None),
+    ("ame5-linear-37", lambda: ame_linear_5(37), None),
+    ("ame87", lambda: construct_linear(7, [[1, a, a * a % 7, a ** 3 % 7]
+                                           for a in range(7)] + [[0, 0, 0, 1]]), None)]
+
+
+@pytest.mark.parametrize("make", [c[1] for c in PLAN_CASES],
+                         ids=[c[0] for c in PLAN_CASES])
+def test_row_order_plan_fixes_sigma(make):
+    s = make()
+    plan, rest = _row_order(s.phases, s.k)
+    placed = [row for row, _ in plan]
+    assert sorted(placed + rest) == sorted(s.phases)
+    assert rest == sorted(rest)
+    mapped = set()
+    for pos, (row, cols) in enumerate(plan):
+        pairs = set(enumerate(row))
+        assert pos == 0 or not pairs <= mapped
+        if cols is not None:
+            assert len(cols) == s.k
+            assert all((j, row[j]) in mapped for j in cols)
+        mapped |= pairs
+    assert mapped == {(j, a) for j in range(s.n) for a in range(s.d)}
+    assert len(plan) <= s.n * (s.d - 1) + 1
+
+
 @pytest.mark.parametrize("make", [c[1] for c in CASES], ids=[c[0] for c in CASES])
 def test_single_elimination_matches_per_call_loop(make):
     rng = random.Random(11)
@@ -189,7 +217,8 @@ def test_support_search_set_is_order_free(which, seed):
     perms = [rng.sample(range(base.d), base.d) for _ in range(base.n)]
     src = MinimalSupportState(base.n, base.d, base.k, {
         tuple(p[a] for p, a in zip(perms, idx)): w for idx, w in base.phases.items()})
-    assert _row_order(src.phases) != sorted(src.phases)
+    placed = [row for row, _ in _row_order(src.phases, src.k)[0]]
+    assert placed != sorted(src.phases)[:len(placed)]
     dst = monomial_image(src, rng)
     got = list(_iter_support_sigmas(src, dst, 10 ** 7))
     assert len(set(got)) == len(got)
