@@ -472,9 +472,10 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     from .states import uniformity
     sa, sb = src.to_sparse(), dst.to_sparse()
     # a d^k-term equal-modulus state on an index-unity support is exactly
-    # k-uniform when 2k <= N (no two rows agree on N - k >= k sites)
-    ma, mb = (m if m is not None and 2 * m.k <= m.n else None
-              for m in (sa.as_minimal(), sb.as_minimal()))
+    # k-uniform when 2k <= N (no two rows agree on N - k >= k sites); more
+    # than d^(N // 2) terms would give 2k > N, so such a state is not read
+    ma, mb = (s.as_minimal() if len(s.terms) <= s.d ** (s.n // 2) else None
+              for s in (sa, sb))
     ka = uniformity(sa) if ma is None else ma.k
     kb = uniformity(sb) if mb is None else mb.k
     if ka == 0 or kb == 0:
@@ -512,18 +513,28 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
 
 
 def _ame5_pipeline_applicable(sa, sb) -> Optional[int]:
-    """Detect the five-party phased-family versus minimal-support pair."""
-    from .states import ame_linear_5, construct_ame5_phased, _is_prime
+    """Detect the five-party phased-family versus minimal-support pair.
+
+    Returns the prime d >= 5 when one support is exactly the d^3 rows of
+    ``construct_ame5_phased(d)`` and the other exactly the d^2 rows of
+    ``ame_linear_5(d)``, in either order; None otherwise.  Each support is
+    checked against its defining congruences mod d: the solutions in [d]^5
+    number d^3 (free i0, i1, i4) and d^2 (free i0, i1), so that many
+    distinct rows satisfying them are the whole support.
+    """
+    from .states import _is_prime
     d = sa.d
-    if sa.n != 5 or d < 5 or not _is_prime(d):
+    if (sa.n, sb.n, sb.d) != (5, 5, d) or d < 5 or not _is_prime(d):
         return None
     counts = {len(sa.terms), len(sb.terms)}
     if counts != {d ** 2, d ** 3}:
         return None
     big, small = (sa, sb) if len(sa.terms) == d ** 3 else (sb, sa)
-    if set(big.terms) != set(construct_ame5_phased(d).terms):
+    if any((i0 + i1 - i2) % d or (2 * i0 + i1 + i4 - i3) % d
+           for i0, i1, i2, i3, i4 in big.terms):
         return None
-    if set(small.terms) != set(ame_linear_5(d).phases):
+    if any((i0 + i1 - i2) % d or (2 * i0 + i1 - i3) % d or (3 * i0 + i1 - i4) % d
+           for i0, i1, i2, i3, i4 in small.terms):
         return None
     return d
 

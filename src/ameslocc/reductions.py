@@ -15,8 +15,10 @@ with d^3 terms.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
@@ -252,9 +254,18 @@ def verify_ame5_nonequivalence(d: int) -> dict:
     dense, so the image of each of the d^2 linear-family terms has support
     d^2, and the forced support d^2 * d^2 = d^4 contradicts the d^3-term
     support of the phased family.
+
+    The report depends on d alone, so it is built once per d and each call
+    returns a deep copy of it.
     """
     if not (_is_prime(d) and d >= 5):
         raise ReductionError("the certificate needs a prime d >= 5")
+    return copy.deepcopy(_ame5_certificate(d))
+
+
+@lru_cache(maxsize=None)
+def _ame5_certificate(d: int) -> dict:
+    """The report of ``verify_ame5_nonequivalence`` for a validated d."""
     steps = []
     ok1 = verify_rho345_lemma(d)
     steps.append({"step": "rho345-lemma",

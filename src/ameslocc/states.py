@@ -18,6 +18,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .phases import ONE, Amp, Phase, counts_amp, get_tolerance, root_of_unity
@@ -117,6 +118,27 @@ class SparseState:
     @property
     def is_exact(self):
         return all(a.is_exact for a in self.terms.values())
+
+    @cached_property
+    def _integer_reading(self):
+        """The exact terms over integers, read once per state: (q, den, pairs).
+
+        ``pairs[idx]`` lists (e, c) with the amplitude at idx equal to
+        sum(c * w_q^e) / den, where q is the lcm of every turn denominator
+        and den the lcm of every coefficient denominator.  Every partial
+        trace of this state reuses the reading.  None when a term has a
+        real turn.
+        """
+        amps = self.terms.values()
+        if not all(a.is_exact for a in amps):
+            return None
+        q = math.lcm(*(t.denominator for a in amps for t in a.terms))
+        den = math.lcm(*(c.denominator for a in amps for c in a.terms.values()))
+        pairs = {idx: [(t.numerator * (q // t.denominator),
+                        c.numerator * (den // c.denominator))
+                       for t, c in a.terms.items()]
+                 for idx, a in self.terms.items()}
+        return q, den, pairs
 
     def to_sparse(self):
         return self
@@ -410,10 +432,10 @@ def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
 
     Terms are grouped by their projection onto the traced-out positions;
     only pairs within a group contribute, which keeps the cost near
-    (#terms)^2 / #groups.  An exact state is read once as integer pairs
-    (exponent e of w_q, coefficient a over a common denominator), so each
-    entry is an integer count per exponent (e_i - e_j) mod q, and each
-    distinct count vector is zero-tested once, over its own conductor (see
+    (#terms)^2 / #groups.  An exact state is summed on its integer reading
+    (``SparseState._integer_reading``, made once per state), so each entry
+    is an integer count per exponent (e_i - e_j) mod q, and each distinct
+    count vector is zero-tested once, over its own conductor (see
     ``phases.counts_amp``).  A state with a real turn sums complex products
     instead.
     """
@@ -422,21 +444,16 @@ def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
     if not keep or len(keep) >= sp.n:
         raise StateError("keep must be a nonempty strict subset of positions")
     drop = tuple(p for p in range(sp.n) if p not in set(keep))
-    exact = sp.is_exact
+    reading = sp._integer_reading
+    exact = reading is not None
     if exact:
-        amps = sp.terms.values()
-        q = math.lcm(*(t.denominator for a in amps for t in a.terms))
-        den = math.lcm(*(c.denominator for a in amps for c in a.terms.values()))
-
-        def scalar(a):
-            return [(t.numerator * (q // t.denominator), c.numerator * (den // c.denominator))
-                    for t, c in a.terms.items()]
+        q, den, scalars = reading
     else:
-        scalar = complex
+        scalars = {idx: complex(a) for idx, a in sp.terms.items()}
     groups = {}
-    for idx, a in sp.terms.items():
+    for idx, c in scalars.items():
         key = tuple(idx[p] for p in drop)
-        groups.setdefault(key, []).append((tuple(idx[p] for p in keep), scalar(a)))
+        groups.setdefault(key, []).append((tuple(idx[p] for p in keep), c))
     sums = {}
     for members in groups.values():
         for (ki, ci) in members:
@@ -478,15 +495,14 @@ def is_k_uniform(s, k: int) -> bool:
 
 
 def uniformity(s) -> int:
-    """Largest k with all k-party reductions maximally mixed (0 if none)."""
+    """Largest k with all k-party reductions maximally mixed (0 if none).
+
+    Levels are tested from N // 2 down, and the first that holds is the
+    answer: a partial trace of a maximally mixed reduction is maximally
+    mixed, so k-uniform implies (k-1)-uniform.
+    """
     sp = s.to_sparse()
-    best = 0
-    for k in range(1, sp.n // 2 + 1):
-        if is_k_uniform(sp, k):
-            best = k
-        else:
-            break
-    return best
+    return next((k for k in range(sp.n // 2, 0, -1) if is_k_uniform(sp, k)), 0)
 
 
 def support_count(s) -> int:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ameslocc.butson import fourier, tensor_butson
 from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
+                                  _ame5_pipeline_applicable,
                                   _butson_layer_witnesses, automorphisms,
                                   butson_match, compute_w, cond_butson,
                                   cond_monomial, decide_slocc, family_classes,
@@ -384,6 +385,68 @@ def test_decide_slocc_five_party_pipeline():
     assert cert.verdict == "inequivalent"
     assert cert.reason == "reduction-pipeline"
     assert cert.details["all_passed"]
+
+
+def pipeline_applicable_by_construction(sa, sb):
+    """The pipeline's input test by its definition: compare the two term sets
+    with those of freshly built reference states."""
+    d = sa.d
+    if sa.n != 5 or d < 5 or not states._is_prime(d):
+        return None
+    if {len(sa.terms), len(sb.terms)} != {d ** 2, d ** 3}:
+        return None
+    big, small = (sa, sb) if len(sa.terms) == d ** 3 else (sb, sa)
+    if set(big.terms) != set(construct_ame5_phased(d).terms):
+        return None
+    if set(small.terms) != set(ame_linear_5(d).phases):
+        return None
+    return d
+
+
+def _with_row_moved(s, site):
+    """s with one support row shifted by 1 at the given site, off the support."""
+    terms = dict(s.terms)
+    for row in sorted(terms):
+        moved = row[:site] + ((row[site] + 1) % s.d,) + row[site + 1:]
+        if moved not in terms:
+            terms[moved] = terms.pop(row)
+            return SparseState(s.n, s.d, terms, scale2=s.scale2)
+    raise AssertionError("no row leaves the support when moved")
+
+
+@pytest.mark.parametrize("d", [5, 7, 11, 13])
+def test_pipeline_recognition_matches_term_sets(d):
+    phased = construct_ame5_phased(d)
+    linear = ame_linear_5(d).to_sparse()
+    other = construct_linear(d, [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3]]).to_sparse()
+    cases = [(phased, linear), (phased, other), (phased, phased), (linear, linear),
+             (_with_row_moved(phased, 3), linear), (phased, _with_row_moved(linear, 4))]
+    for a, b in cases:
+        for pair in ((a, b), (b, a)):
+            assert _ame5_pipeline_applicable(*pair) == \
+                pipeline_applicable_by_construction(*pair)
+    assert _ame5_pipeline_applicable(phased, linear) == \
+        _ame5_pipeline_applicable(linear, phased) == d
+
+
+@pytest.mark.parametrize("site", range(5))
+def test_pipeline_recognition_rejects_one_changed_row(site):
+    phased, linear = construct_ame5_phased(5), ame_linear_5(5).to_sparse()
+    for a, b in [(_with_row_moved(phased, site), linear),
+                 (phased, _with_row_moved(linear, site))]:
+        assert _ame5_pipeline_applicable(a, b) is None
+        assert _ame5_pipeline_applicable(b, a) is None
+
+
+def test_pipeline_certificate_is_a_fresh_copy_per_decision():
+    first = decide_slocc(construct_ame5_phased(5), ame_linear_5(5))
+    second = decide_slocc(construct_ame5_phased(5), ame_linear_5(5))
+    assert first.details == second.details
+    first.details["steps"][0]["passed"] = False
+    first.details["all_passed"] = False
+    third = decide_slocc(construct_ame5_phased(5), ame_linear_5(5))
+    assert second.details["all_passed"] and second.details["steps"][0]["passed"]
+    assert third.details == second.details
 
 
 def test_decide_slocc_complete_for_odd_split():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ameslocc import phases
 from ameslocc.phases import (ONE, MINUS_ONE, Amp, Phase, _cyclotomic_coeffs,
                              _reduce_mod_cyclotomic, counts_amp,
                              exponent_sum_is_zero,
@@ -207,6 +208,43 @@ def test_exponent_sum_is_zero():
     assert exponent_sum_is_zero(dict(enumerate([2] * 7)), 7)
     assert not exponent_sum_is_zero(dict(enumerate([2] * 6 + [1])), 7)
     assert exponent_sum_is_zero({}, 5)
+
+
+def test_large_conductor_nonzero_sum_skips_the_reduction(monkeypatch):
+    # turns 1/59, 1/58, 1/57, 1/53 have conductor ~10^7, where the exact
+    # reduction takes about a minute; a clearly nonzero sum never reaches it
+    def reduce_mod_cyclotomic(coeffs, q):
+        raise AssertionError("cyclotomic reduction reached at q = %d" % q)
+
+    monkeypatch.setattr(phases, "_reduce_mod_cyclotomic", reduce_mod_cyclotomic)
+    amp = Amp(terms={Fraction(1, p): Fraction(1) for p in (59, 58, 57, 53)})
+    assert amp.is_zero() is False
+    assert not amp.equals(Amp.zero())
+
+
+@st.composite
+def vanishing_sums(draw):
+    """(coeffs, q): a sum of full cycles of d-th roots of unity, d | q, each
+    rotated by a q-th root and scaled by a nonzero rational."""
+    q = draw(st.integers(2, 420))
+    divisors = [d for d in range(2, q + 1) if q % d == 0]
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.sampled_from(divisors))
+        shift = draw(st.integers(0, q - 1))
+        scale = draw(st.fractions(-3, 3, max_denominator=5).filter(bool))
+        for j in range(d):
+            e = (shift + j * (q // d)) % q
+            coeffs[e] = coeffs.get(e, 0) + scale
+    return coeffs, q
+
+
+@given(vanishing_sums())
+@example(({0: 1, 3: 1, 6: 1}, 9))
+def test_vanishing_sums_stay_zero(case):
+    coeffs, q = case
+    assert exponent_sum_is_zero(coeffs, q)
+    assert Amp(terms={Fraction(e, q): c for e, c in coeffs.items() if c}).is_zero()
 
 
 @st.composite

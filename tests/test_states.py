@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ameslocc.butson import fourier
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import ONE, Amp, Phase, root_of_unity
 from ameslocc.reductions import verify_rho345_lemma
@@ -115,6 +116,61 @@ def test_ame64_phi_marks_origin():
     assert not s.is_exact
     t = ame64_phi(Fraction(1, 4))
     assert t.is_exact
+
+
+def uniformity_bottom_up(s):
+    """Uniformity by its definition: levels k = 1, 2, ... in turn, each
+    tested on every k-party partial trace, up to the first level that fails."""
+    sp = s.to_sparse()
+    best = 0
+    for k in range(1, sp.n // 2 + 1):
+        if not all(reduced_density(sp, keep).is_maximally_mixed()
+                   for keep in itertools.combinations(range(sp.n), k)):
+            break
+        best = k
+    return best
+
+
+def _unit_amp(m):
+    return Amp(terms={Fraction(0): Fraction(m)})
+
+
+UNIFORMITY_CASES = {
+    "ghz-3-2": lambda: construct_ghz(3, 2),
+    "ghz-4-3": lambda: construct_ghz(4, 3),
+    "ame43": construct_ame43,
+    "ame44": construct_ame44,
+    "ame64": construct_ame64,
+    "ame55": lambda: ame_linear_5(5),
+    "phased-3": lambda: construct_ame5_phased(3),
+    "phased-5": lambda: construct_ame5_phased(5),
+    "ame64-phi": lambda: ame64_phi(Fraction(1, 16)),
+    "ame64-real-turn": lambda: ame64_phi(0.1),
+    "ame43-x-ame43": lambda: tensor_compose(construct_ame43(), construct_ame43()),
+    "ghz-x-ame43": lambda: tensor_compose(construct_ghz(4, 3), construct_ame43()),
+    "ame44-x-fourier-ghz": lambda: tensor_compose(
+        construct_ame44(),
+        LocalOperator([SiteOperator.butson(fourier(2))] * 4).apply(construct_ghz(4, 2))),
+    # the parity support has 2^2 rows but is only 1-uniform at N = 3
+    "parity": lambda: MinimalSupportState(
+        3, 2, 2, {r: ONE for r in [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]},
+        check=False),
+    "unequal-moduli": lambda: SparseState(
+        4, 2, {(0, 0, 0, 0): _unit_amp(1), (1, 1, 1, 1): _unit_amp(1),
+               (0, 0, 1, 1): _unit_amp(2), (1, 1, 0, 0): _unit_amp(2)}, scale2=10),
+    "product": lambda: SparseState(
+        3, 2, {(0, 0, 0): Amp.one(), (0, 1, 0): Amp.one()}, scale2=2),
+}
+
+
+@pytest.mark.parametrize("make", UNIFORMITY_CASES.values(), ids=UNIFORMITY_CASES.keys())
+def test_uniformity_top_down_matches_bottom_up(make):
+    s = make()
+    want = uniformity_bottom_up(s)
+    assert uniformity(s) == want
+    n = s.to_sparse().n
+    assert [is_k_uniform(s, k) for k in range(1, n // 2 + 1)] == \
+        [k <= want for k in range(1, n // 2 + 1)]
 
 
 def test_reduced_density_maximally_mixed():
@@ -308,7 +364,6 @@ def test_global_phase_detection():
 def test_global_phase_after_unscaled_layer():
     # raw amplitudes pick up sqrt(d) factors per Fourier site; the
     # comparison must normalize through scale2
-    from ameslocc.butson import fourier
     s = construct_ame43()
     layer = LocalOperator([SiteOperator.butson(fourier(3))] * 4)
     image = layer.apply(s)

@@ -2,7 +2,7 @@
 
 ``perfbench/spans.py`` wraps module-level names of the package for its
 traced run.  The tier-1 suite never runs the benchmark, so this installs the
-tracer around one five-party decision and checks that the pipeline span is
+tracer around five-party decisions and checks that the pipeline span is
 recorded and that ``uninstall`` restores the original objects, and that
 the counts it reads agree with the engine's own.
 """
@@ -37,12 +37,19 @@ def traced(monkeypatch, call):
 def test_tracer_wraps_and_restores_pipeline_names(monkeypatch):
     originals = (reductions.verify_ame5_nonequivalence,
                  reductions.reduced_density, phases.Amp.is_zero)
+    # the d-only certificate is built once per d; start without it
+    reductions._ame5_certificate.cache_clear()
     cert, tracer = traced(
         monkeypatch, lambda: decide_slocc(construct_ame5_phased(5), ame_linear_5(5)))
     assert cert.verdict == "inequivalent"
     assert tracer.calls["reductions.pipeline"] == 1
-    # 15 two-party reductions in uniformity() and one for the rho345 lemma
-    assert tracer.calls["states.reduced_density"] == 16
+    # 10 two-party reductions in uniformity(), which tests k = 2 first, and
+    # one for the rho345 lemma; a repeat reuses the certificate
+    assert tracer.calls["states.reduced_density"] == 11
+    cert, tracer = traced(
+        monkeypatch, lambda: decide_slocc(construct_ame5_phased(5), ame_linear_5(5)))
+    assert tracer.calls["reductions.pipeline"] == 1
+    assert tracer.calls["states.reduced_density"] == 10
     restored = (reductions.verify_ame5_nonequivalence,
                 reductions.reduced_density, phases.Amp.is_zero)
     assert all(now is orig for now, orig in zip(restored, originals))
