@@ -4,12 +4,13 @@ For k-uniform states of minimal support with 2k < N, LU-equivalence reduces
 to local monomial (LM) equivalence, which ``lm_match`` decides completely:
 a backtracking search over support-row bijections (constrained to per-site
 symbol permutations) followed by an exact mod-1 linear solve for the
-diagonal phases.
+diagonal phases, cut short when the cokernel characters of the two states'
+turns have different orders.
 
 At N = 2k and small parameters the non-monomial part of any equivalence is a
 per-site Butson BH(d,d) layer; ``butson_match`` adds that branch.  For k > 2
 the W-statistic ratio condition of the Butson form excludes that branch, and
-an exhausted ``lm_match`` search excludes the monomial one.
+an ``lm_match`` inequivalence excludes the monomial one.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .butson import _BH_CAP, enumerate_bh
 from .designs import small_regime
-from .modsolve import Rows, solve_turn_system
+from .modsolve import Rows, character_order, solve_turn_system
 from .operators import LocalOperator, SiteOperator
 from .phases import Phase, phase_product
-from .states import MinimalSupportState, states_equal_up_to_global_phase
+from .states import (MinimalSupportState, StateError, _infer_k,
+                     states_equal_up_to_global_phase)
 
 DEFAULT_MAX_NODES = 2_000_000
 
@@ -180,11 +182,14 @@ def _check_compatible(src, dst):
 
 
 def _diagonal_solver(src, dst, exact):
-    """solve(sigma): the local monomial with permutations sigma whose
-    diagonal phases theta_j(a) give w_I * prod_j theta_j(I_j) = w'_{sigma(I)},
-    or None.  The incidence rows and both states' turns, as integer
-    numerators over one common denominator when exact, are set up once per
-    pair; each sigma only gathers the dst turns it maps onto."""
+    """(solve, orders).  solve(sigma): the local monomial with permutations
+    sigma whose diagonal phases theta_j(a) give
+    w_I * prod_j theta_j(I_j) = w'_{sigma(I)}, or None.  orders(sigma): the
+    character orders (``modsolve.character_order``) of the src turns and of
+    the dst turns pulled back by sigma; None when the pair is not exact.
+    The incidence rows and both states' turns, as integer numerators over
+    one common denominator when exact, are set up once per pair; each sigma
+    only gathers the dst turns it maps onto."""
     n, d = src.n, src.d
     idxs = sorted(src.phases)
     rows = Rows([int(idx[c // d] == c % d) for c in range(n * d)] for idx in idxs)
@@ -202,9 +207,11 @@ def _diagonal_solver(src, dst, exact):
     src_turns = [turn(src.phases[idx]) for idx in idxs]
     dst_turns = {idx: turn(p) for idx, p in dst.phases.items()}
 
+    def pulled_back(sigma):
+        return [dst_turns[tuple(map(getitem, sigma, idx))] for idx in idxs]
+
     def solve(sigma):
-        rhs = [(dst_turns[tuple(map(getitem, sigma, idx))] - w) % mod
-               for idx, w in zip(idxs, src_turns)]
+        rhs = [(t - w) % mod for t, w in zip(pulled_back(sigma), src_turns)]
         theta = solve_turn_system(rows, rhs, n * d, exact=exact, den=den)
         if theta is None:
             return None
@@ -212,12 +219,16 @@ def _diagonal_solver(src, dst, exact):
             SiteOperator.monomial(sigma[j], [Phase(theta[j * d + a]) for a in range(d)])
             for j in range(n)])
 
-    return solve
+    def orders(sigma):
+        return (character_order(rows, src_turns, n * d, den),
+                character_order(rows, pulled_back(sigma), n * d, den))
+
+    return solve, (orders if exact else None)
 
 
 def _solve_diagonals(src, dst, sigma, exact):
-    """One-off form of _diagonal_solver(src, dst, exact)(sigma)."""
-    return _diagonal_solver(src, dst, exact)(sigma)
+    """One-off form of the solve of _diagonal_solver(src, dst, exact)."""
+    return _diagonal_solver(src, dst, exact)[0](sigma)
 
 
 def _row_order(rows, k):
@@ -327,11 +338,18 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     for each, the diagonal phases are an exact linear system over turns
     mod 1.  The first witness (identity-first ordering) is replay-verified
     before being returned.
+
+    When the first sigma has no diagonal completion and the pair is exact,
+    the cokernel characters of the src turns and of the pulled-back dst
+    turns are compared: every other sigma is that one composed with a
+    support automorphism, which permutes the cokernel, so unequal orders
+    exclude every sigma at once (``cokernel-character``).  Otherwise every
+    sigma is tried (``search-exhausted``).
     """
     _check_compatible(src, dst)
     exact = src.is_exact and dst.is_exact
     stats = {"sigmas_tested": 0}
-    solve = _diagonal_solver(src, dst, exact)
+    solve, orders = _diagonal_solver(src, dst, exact)
     try:
         for sigma in _iter_support_sigmas(src, dst, max_nodes):
             stats["sigmas_tested"] += 1
@@ -343,6 +361,13 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
                 return EquivalenceCertificate(
                     "equivalent", witness=witness, reason="lm-witness",
                     exact=exact, stats=stats)
+            if orders is not None and stats["sigmas_tested"] == 1:
+                o_src, o_dst = orders(sigma)
+                if o_src != o_dst:
+                    return EquivalenceCertificate(
+                        "inequivalent", reason="cokernel-character",
+                        details={"orders": {"src": o_src, "dst": o_dst}},
+                        exact=exact, stats=stats)
     except EquivalenceError as e:
         return EquivalenceCertificate(
             "inconclusive", reason=str(e), exact=exact, stats=stats)
@@ -355,7 +380,7 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
 def _lm_automorphisms(s: MinimalSupportState, max_nodes: int) -> List[LocalOperator]:
     """One monomial self-witness per per-site permutation tuple admitting a
     diagonal completion (free diagonal parameters zeroed), sorted by tuple."""
-    solve = _diagonal_solver(s, s, s.is_exact)
+    solve = _diagonal_solver(s, s, s.is_exact)[0]
     found = {}
     for sigma in _iter_support_sigmas(s, s, max_nodes):
         w = solve(sigma)
@@ -421,8 +446,10 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
     The Butson branch applies every per-site tuple of BH(d,d) class
     representatives to src and delegates the residual monomial matching to
     lm_match.  The verdict is inequivalent only when both allowed forms are
-    excluded: lm_match exhausts its complete monomial search, and the k > 2
-    Butson-form condition cond_butson fails (the rule family_classes uses).
+    excluded: lm_match reports inequivalent (``details["lm_reason"]`` is its
+    reason: an exhausted search or unequal cokernel character orders), and
+    the k > 2 Butson-form condition cond_butson fails (the rule
+    family_classes uses).
     Only the layer loop enumerates BH(d,d), so only it stops at _BH_CAP, and
     its misses are reported as inconclusive.
     """
@@ -470,14 +497,9 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     else is inconclusive.
     """
     from .states import uniformity
-    sa, sb = src.to_sparse(), dst.to_sparse()
-    # a d^k-term equal-modulus state on an index-unity support is exactly
-    # k-uniform when 2k <= N (no two rows agree on N - k >= k sites); more
-    # than d^(N // 2) terms would give 2k > N, so such a state is not read
-    ma, mb = (s.as_minimal() if len(s.terms) <= s.d ** (s.n // 2) else None
-              for s in (sa, sb))
-    ka = uniformity(sa) if ma is None else ma.k
-    kb = uniformity(sb) if mb is None else mb.k
+    ma, mb = _read_minimal(src), _read_minimal(dst)
+    ka = uniformity(src) if ma is None else ma.k
+    kb = uniformity(dst) if mb is None else mb.k
     if ka == 0 or kb == 0:
         raise EquivalenceError("inputs must be k-uniform critical states")
     if ka != kb:
@@ -485,7 +507,7 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
             "inequivalent", reason="different-uniformity",
             details={"src": ka, "dst": kb})
     k = ka
-    if (sa.n, sa.d) != (sb.n, sb.d):
+    if (src.n, src.d) != (dst.n, dst.d):
         return EquivalenceCertificate("inequivalent", reason="different-shape")
     if ma is not None and mb is not None:
         if 2 * k < ma.n:
@@ -498,7 +520,7 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
         return EquivalenceCertificate(
             "inconclusive", reason="N=2k-outside-complete-regime",
             details={"lm_verdict": cert.verdict}, exact=cert.exact)
-    pipeline = _ame5_pipeline_applicable(sa, sb)
+    pipeline = _ame5_pipeline_applicable(src.to_sparse(), dst.to_sparse())
     if pipeline is not None:
         from .reductions import verify_ame5_nonequivalence
         report = verify_ame5_nonequivalence(pipeline)
@@ -510,6 +532,27 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
             "inconclusive", reason="reduction-pipeline-step-failed", details=report)
     return EquivalenceCertificate(
         "inconclusive", reason="no-complete-procedure-for-this-pair")
+
+
+def _read_minimal(s) -> Optional[MinimalSupportState]:
+    """s as a validated minimal-support state, k inferred from its term
+    count, or None.
+
+    A d^k-term equal-modulus state on an index-unity support is exactly
+    k-uniform when 2k <= N (no two rows agree on N - k >= k sites); more
+    than d^(N // 2) terms would give 2k > N, so such a state is not read.
+    A MinimalSupportState is validated as it stands, with no SparseState
+    built for it.
+    """
+    if not isinstance(s, MinimalSupportState):
+        s = s.to_sparse()
+        return s.as_minimal() if len(s.terms) <= s.d ** (s.n // 2) else None
+    if len(s.phases) > s.d ** (s.n // 2):
+        return None
+    try:
+        return MinimalSupportState(s.n, s.d, _infer_k(s.d, len(s.phases)), s.phases)
+    except StateError:
+        return None
 
 
 def _ame5_pipeline_applicable(sa, sb) -> Optional[int]:
@@ -546,8 +589,8 @@ def family_classes(base: MinimalSupportState, marked: Tuple[int, ...],
     Pairs whose marked phases agree or are complex conjugate are never
     claimed separated, and are not searched: no written argument covers the
     conjugate pairing.  Every other pair is certified inequivalent only when
-    both allowed equivalence forms are excluded: lm_match exhausts its
-    complete monomial search, and the Butson-form condition fails.  A
+    both allowed equivalence forms are excluded: lm_match reports
+    inequivalent, and the Butson-form condition fails.  A
     monomial witness makes the pair equivalent.
     """
     from .states import with_phases

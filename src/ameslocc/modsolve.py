@@ -15,6 +15,12 @@ is infeasible iff some cokernel row has c.b not a whole number of turns
 (Cohen, A Course in Computational Algebraic Number Theory, 1993):
 one small integer product per row decides it, and only feasible systems
 replay U for the back substitution.
+
+The same rows give an invariant of a whole family of right-hand sides:
+c -> c.b mod 1 is a character of the cokernel lattice, and the order of its
+image, den / gcd(den, c_1.b, ..., c_m.b) over the basis rows, does not
+change when the entries of b are permuted by a map that permutes the
+cokernel.
 """
 
 from __future__ import annotations
@@ -142,3 +148,11 @@ def solve_turn_system(rows, rhs, num_vars, exact=True, den=None):
         # theta[col] solves p*x = acc (mod 1); any branch works, take acc/p
         theta[col] = (acc / h[row][col]) % (1 if exact else 1.0)
     return theta
+
+
+def character_order(rows, values, num_vars, den):
+    """Order of the character c -> c.values / den (mod 1) on the integer
+    cokernel of ``rows`` (a ``Rows``), for integer ``values`` over ``den``;
+    1 when the cokernel is trivial."""
+    coker = _eliminate(rows, num_vars)[3]
+    return den // math.gcd(den, *(sum(v * values[i] for i, v in c) for c in coker))

@@ -182,6 +182,29 @@ def test_decide_slocc_uniformity_shortcut_matches_partial_traces():
             ("inconclusive", "no-complete-procedure-for-this-pair")
 
 
+def test_decide_slocc_validates_minimal_inputs_without_sparse_copies(monkeypatch):
+    calls = []
+    orig = SparseState.as_minimal
+    monkeypatch.setattr(SparseState, "as_minimal",
+                        lambda self, *a, **kw: calls.append(self) or orig(self, *a, **kw))
+    s = ame_linear_5(5)
+    assert decide_slocc(s, random_monomial(5, 5, random.Random(4)).apply(s)).equivalent
+    assert decide_slocc(construct_ame43(), construct_ame43()).equivalent
+    assert calls == []
+    monkeypatch.undo()
+    # AME(4,3) with the last symbols of two rows swapped, built unchecked:
+    # 1-uniform, and not index-unity, so it must not be read as k = 2
+    rows = sorted(construct_ame43().phases)
+    rows[0], rows[1] = (0, 0, 0, 1), (0, 1, 1, 0)
+    bad = MinimalSupportState(4, 3, 2, {r: ONE for r in rows}, check=False)
+    for a, b in [(bad, construct_ame43()), (construct_ame43(), bad), (bad, bad)]:
+        cert = decide_slocc(a, b)
+        want = decide_slocc(a.to_sparse(), b.to_sparse())
+        assert (cert.verdict, cert.reason, cert.details) == \
+            (want.verdict, want.reason, want.details)
+    assert decide_slocc(bad, construct_ame43()).details == {"src": 1, "dst": 2}
+
+
 def test_five_party_decorations_form_many_classes():
     # The diagonal-phase system of the 4-party qutrit state has full row
     # rank, so any decoration of it can be matched.  The five-party linear
@@ -199,10 +222,12 @@ def test_five_party_decorations_form_many_classes():
         assert lm_match(construct_ame43(),
                         decorate(construct_ame43())).equivalent
     base = ame_linear_5(5)
-    for _ in range(3):
+    for dst_order in (360, 120, 360):
         cert = lm_match(base, decorate(base))
         assert cert.verdict == "inequivalent"
-        assert cert.reason == "search-exhausted"
+        assert cert.reason == "cokernel-character"
+        assert cert.details["orders"] == {"src": 1, "dst": dst_order}
+        assert cert.stats["sigmas_tested"] == 1
 
 
 def decorate_360(s, rng):
@@ -238,7 +263,8 @@ def test_d7_linear_unreachable_decoration_is_inequivalent():
     assert sum(v * dst.phases[idx].turn for idx, v in c.items()).denominator != 1
     cert = decide_slocc(base, random_monomial(5, d, random.Random(73), den=360)
                         .apply(dst), max_nodes=DEFAULT_MAX_NODES)
-    assert (cert.verdict, cert.reason) == ("inequivalent", "search-exhausted")
+    assert (cert.verdict, cert.reason) == ("inequivalent", "cokernel-character")
+    assert cert.details["orders"] == {"src": 1, "dst": 360}
 
 
 @pytest.mark.parametrize("d", [5, 7])
@@ -279,9 +305,18 @@ def test_large_support_self_pair_is_decided():
 
 
 def test_ame87_decorations_exhaust_default_budget():
-    cert = lm_match(ame87(Fraction(1, 16)), ame87(Fraction(1, 8)))
+    # 1/16 and 3/16 give equal cokernel character orders, so every sigma
+    # is searched
+    cert = lm_match(ame87(Fraction(1, 16)), ame87(Fraction(3, 16)))
     assert cert.verdict == "inconclusive"
     assert "budget" in cert.reason
+
+
+def test_ame87_decorations_with_unequal_character_orders_are_decided():
+    cert = lm_match(ame87(Fraction(1, 16)), ame87(Fraction(1, 8)))
+    assert (cert.verdict, cert.reason) == ("inequivalent", "cokernel-character")
+    assert cert.details["orders"] == {"src": 16, "dst": 8}
+    assert cert.stats["sigmas_tested"] == 1
 
 
 def test_stack_depth_does_not_grow_with_support():

@@ -1,8 +1,10 @@
-"""Static guards on the package's imports and private helpers.
+"""Static guards on the package's imports, private helpers and verdicts.
 
 Every module-level import is used, no module imports sympy, which the
-package does not depend on, and every module-level private function or class
-is referenced from somewhere other than its own definition.  No linter ships
+package does not depend on, every module-level private function or class
+is referenced from somewhere other than its own definition, and every
+reason an ``inequivalent`` certificate can carry is explained in the
+README's "Verdict semantics" section.  No linter ships
 with the test dependencies, so this walks the syntax tree with the standard
 library.  ``__init__.py`` is skipped by the unused-import check because its
 imports are the package's re-exports.
@@ -85,3 +87,29 @@ def test_private_helpers_are_referenced():
             used.update(name for name in _names_in(stmt) if name != defined)
     dead = [p for p in private if p.split(":")[1] not in used]
     assert not dead, "unreferenced private helpers: %s" % ", ".join(dead)
+
+
+def _inequivalent_reasons(tree):
+    """(reason, line) for each EquivalenceCertificate("inequivalent", ...)
+    call whose reason is a string literal."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "EquivalenceCertificate"):
+            continue
+        args = {kw.arg: kw.value for kw in node.keywords}
+        verdict = node.args[0] if node.args else args.get("verdict")
+        reason = args.get("reason")
+        if (isinstance(verdict, ast.Constant) and verdict.value == "inequivalent"
+                and isinstance(reason, ast.Constant)):
+            yield reason.value, node.lineno
+
+
+def test_inequivalence_reasons_are_documented():
+    path = PACKAGE / "equivalence.py"
+    reasons = list(_inequivalent_reasons(ast.parse(path.read_text(), filename=str(path))))
+    assert reasons
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Verdict semantics", 1)[1].split("\n## ", 1)[0]
+    missing = ["%s (line %d)" % (r, line) for r, line in reasons
+               if "`%s`" % r not in section]
+    assert not missing, "undocumented inequivalence reasons: %s" % ", ".join(missing)

@@ -11,21 +11,26 @@ exactly: the same theta (or None) for every system, and the same permutation
 tuples in the same order.  On symbol-permuted sources, where the search's row
 order and sorted order part ways early, the search must still yield exactly
 the row scan's set, once each; and the cokernel rows that decide exact
-feasibility must annihilate the coefficient matrix.
+feasibility must annihilate the coefficient matrix.  ``lm_match`` decides a
+pair whose cokernel character orders differ after its first sigma; its
+verdicts must match a search that solves every sigma.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ameslocc.equivalence import _iter_support_sigmas, _row_order
+from ameslocc.equivalence import (_diagonal_solver, _iter_support_sigmas,
+                                  _row_order, lm_match)
 from ameslocc.modsolve import Rows, _eliminate, solve_turn_system
 from ameslocc.operators import LocalOperator, SiteOperator
-from ameslocc.phases import get_tolerance, root_of_unity
+from ameslocc.phases import Phase, get_tolerance, root_of_unity
 from ameslocc.states import (MinimalSupportState, ame64_phi, ame_linear_5,
-                             construct_ame43, construct_ame44, construct_linear)
+                             construct_ame43, construct_ame44, construct_ame64,
+                             construct_linear, with_phases)
 
 
 def reference_solve(rows, rhs, num_vars, exact=True):
@@ -247,3 +252,66 @@ def test_cokernel_rows_decide_exact_feasibility(make):
             assert (solve_turn_system(rows, b, num_vars) is None) == infeasible
             outcomes.add(infeasible)
     assert outcomes == ({False} if make is construct_ame43 else {True, False})
+
+
+def reference_lm_verdict(src, dst):
+    """Every sigma of the search through the diagonal solve, no shortcut."""
+    solve = _diagonal_solver(src, dst, True)[0]
+    for sigma in _iter_support_sigmas(src, dst, 10 ** 7):
+        if solve(sigma) is not None:
+            return "equivalent"
+    return "inequivalent"
+
+
+def decorate(s, rng, den):
+    """s with m/den-turn phases on up to three random support rows."""
+    rows = rng.sample(sorted(s.phases), rng.randrange(4))
+    return with_phases(s, {idx: Phase(Fraction(rng.randrange(den), den))
+                           for idx in rows})
+
+
+DECORATED = [ame_linear_5(5), construct_ame44(), construct_ame64()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.sampled_from(DECORATED), den=st.sampled_from([4, 5, 16, 20, 360]),
+       same=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_lm_match_verdict_matches_full_search(base, den, same, seed):
+    rng = random.Random(seed)
+    src = decorate(base, rng, den)
+    dst = monomial_image(src if same else decorate(base, rng, den), rng)
+    cert = lm_match(src, dst, max_nodes=10 ** 7)
+    assert cert.verdict == reference_lm_verdict(src, dst)
+    if cert.reason == "cokernel-character":
+        orders = cert.details["orders"]
+        assert orders["src"] != orders["dst"]
+        assert cert.stats["sigmas_tested"] == 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(base=st.sampled_from(DECORATED), den=st.sampled_from([4, 5, 16, 20, 360]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_character_order_survives_local_monomials(base, den, seed):
+    # an equivalent pair has equal orders under every sigma, so it never
+    # takes the shortcut; each order is the lcm of the rows' own orders
+    rng = random.Random(seed)
+    src = decorate(base, rng, den)
+    dst = monomial_image(src, rng)
+    orders = _diagonal_solver(src, dst, True)[1]
+    rows, _ = diagonal_system(src, src, (tuple(range(src.d)),) * src.n)
+    coker = _eliminate(Rows(rows), src.n * src.d)[3]
+    turns = [p.turn for _, p in sorted(src.phases.items())]
+    want = math.lcm(*(sum(v * turns[i] for i, v in c).denominator for c in coker))
+    for sigma in _iter_support_sigmas(src, dst, 10 ** 7):
+        assert orders(sigma) == (want, want)
+
+
+@pytest.mark.parametrize("turn, reason, sigmas", [
+    (Fraction(1, 8), "cokernel-character", 1),
+    (Fraction(15, 16), "search-exhausted", 2058)])
+def test_reed_solomon_decorations_by_character_order(turn, reason, sigmas):
+    rs = construct_linear(7, [[1, a, a * a % 7] for a in range(7)])
+    src, dst = (with_phases(rs, {(0,) * 7: Phase(t)}) for t in (Fraction(1, 16), turn))
+    cert = lm_match(src, dst)
+    assert (cert.verdict, cert.reason) == ("inequivalent", reason)
+    assert cert.stats["sigmas_tested"] == sigmas
