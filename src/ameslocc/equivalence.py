@@ -16,7 +16,6 @@ an ``lm_match`` inequivalence excludes the monomial one.
 from __future__ import annotations
 
 import itertools
-import math
 from operator import getitem
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,7 +23,7 @@ from .butson import _BH_CAP, enumerate_bh
 from .designs import small_regime
 from .modsolve import Rows, character_order, solve_turn_system
 from .operators import LocalOperator, SiteOperator
-from .phases import Phase, phase_product
+from .phases import Phase, phase_product, turn_numerators
 from .states import (MinimalSupportState, StateError, _infer_k,
                      states_equal_up_to_global_phase)
 
@@ -187,25 +186,21 @@ def _diagonal_solver(src, dst, exact):
     w_I * prod_j theta_j(I_j) = w'_{sigma(I)}, or None.  orders(sigma): the
     character orders (``modsolve.character_order``) of the src turns and of
     the dst turns pulled back by sigma; None when the pair is not exact.
-    The incidence rows and both states' turns, as integer numerators over
-    one common denominator when exact, are set up once per pair; each sigma
-    only gathers the dst turns it maps onto."""
+    ``exact`` says whether every turn of both states is rational.  The
+    incidence rows and both states' turns, read once by
+    ``phases.turn_numerators`` (integers over one common denominator when
+    exact), are set up once per pair; each sigma only gathers the dst turns
+    it maps onto."""
     n, d = src.n, src.d
     idxs = sorted(src.phases)
     rows = Rows([int(idx[c // d] == c % d) for c in range(n * d)] for idx in idxs)
-    if exact:
-        den = mod = math.lcm(*(p.turn.denominator for state in (src, dst)
-                               for p in state.phases.values()))
-
-        def turn(p):
-            return p.turn.numerator * (den // p.turn.denominator)
-    else:
-        den, mod = None, 1.0
-
-        def turn(p):
-            return float(p.turn)
-    src_turns = [turn(src.phases[idx]) for idx in idxs]
-    dst_turns = {idx: turn(p) for idx, p in dst.phases.items()}
+    mod, turns = turn_numerators(
+        [src.phases[idx] for idx in idxs] + list(dst.phases.values()))
+    if not exact:  # solved in floats
+        mod, turns = 1.0, [t / mod for t in turns]
+    den = mod if exact else None
+    src_turns = turns[:len(idxs)]
+    dst_turns = dict(zip(dst.phases, turns[len(idxs):]))
 
     def pulled_back(sigma):
         return [dst_turns[tuple(map(getitem, sigma, idx))] for idx in idxs]

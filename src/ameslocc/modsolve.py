@@ -14,7 +14,10 @@ on the zero rows of H is exactly c.b for those rows c.  So an exact system
 is infeasible iff some cokernel row has c.b not a whole number of turns
 (Cohen, A Course in Computational Algebraic Number Theory, 1993):
 one small integer product per row decides it, and only feasible systems
-replay U for the back substitution.
+replay U for the back substitution.  That substitution runs on integer
+turns too: the solution is kept as numerators over one running
+denominator, multiplied by |p| only when a pivot p does not divide the
+accumulated numerator, and becomes Fractions once, at the end.
 
 The same rows give an invariant of a whole family of right-hand sides:
 c -> c.b mod 1 is a character of the cokernel lattice, and the order of its
@@ -139,15 +142,33 @@ def solve_turn_system(rows, rhs, num_vars, exact=True, den=None):
             if min(x % 1.0, 1.0 - x % 1.0) > get_tolerance():
                 return None
 
-    theta = [Fraction(0) if exact else 0.0] * num_vars
+    # theta[col] solves p*x = acc (mod 1); any branch works, take acc/p
+    if not exact:
+        theta = [0.0] * num_vars
+        for (row, col) in reversed(pivots):
+            acc = b[row]
+            for j in range(col + 1, num_vars):
+                if h[row][j]:
+                    acc = acc - h[row][j] * theta[j]
+            theta[col] = (acc / h[row][col]) % 1.0
+        return theta
+    # theta[j] = t[j] / den, den growing by |p| when a pivot p does not
+    # divide the numerator, so every step stays in integers
+    t = [0] * num_vars
+    scale = 1  # den / (the denominator of b)
     for (row, col) in reversed(pivots):
-        acc = Fraction(b[row], den) if exact else b[row]
+        hr = h[row]
+        acc = b[row] * scale
         for j in range(col + 1, num_vars):
-            if h[row][j]:
-                acc = acc - h[row][j] * theta[j]
-        # theta[col] solves p*x = acc (mod 1); any branch works, take acc/p
-        theta[col] = (acc / h[row][col]) % (1 if exact else 1.0)
-    return theta
+            if hr[j]:
+                acc -= hr[j] * t[j]
+        p = hr[col]
+        if acc % p:
+            s = abs(p)
+            t = [x * s for x in t]
+            acc, scale, den = acc * s, scale * s, den * s
+        t[col] = acc // p % den
+    return [Fraction(x, den) for x in t]
 
 
 def character_order(rows, values, num_vars, den):

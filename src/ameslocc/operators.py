@@ -8,10 +8,13 @@ general layers move the state to the sparse amplitude representation.
 
 from __future__ import annotations
 
+import itertools
+from operator import getitem
 from typing import List, Sequence, Tuple
 
 from .butson import ButsonMatrix
-from .phases import ONE, Amp, Phase, get_tolerance
+from .phases import (ONE, Amp, Phase, get_tolerance, numerator_phase,
+                     turn_numerators)
 from .states import MinimalSupportState, SparseState
 
 
@@ -147,15 +150,21 @@ class LocalOperator:
     def apply(self, state):
         """Apply to a state, staying exact and minimal-support when possible."""
         if isinstance(state, MinimalSupportState) and self.is_monomial:
+            # one reading of every phase involved; row I goes to sigma(I)
+            # with turn w_I + g + sum_j theta_j(I_j), summed mod q
+            q, turns = turn_numerators(itertools.chain(
+                [self.global_phase], (p for site in self.sites for p in site.diag),
+                state.phases.values()))
+            turns = iter(turns)
+            g = next(turns)
+            diag = [list(itertools.islice(turns, site.d)) for site in self.sites]
+            sigmas = [site.sigma for site in self.sites]
             phases = {}
-            for idx, w in state.phases.items():
-                out = []
-                p = w * self.global_phase
-                for a, site in zip(idx, self.sites):
-                    j, ph = site.image(a)
-                    out.append(j)
-                    p = p * ph
-                phases[tuple(out)] = p
+            for idx, w in zip(state.phases, turns):
+                acc = w + g
+                for a, theta in zip(idx, diag):
+                    acc += theta[a]
+                phases[tuple(map(getitem, sigmas, idx))] = numerator_phase(acc, q)
             return MinimalSupportState(state.n, state.d, state.k, phases, check=False)
         sp = state.to_sparse()
         terms = dict(sp.terms)

@@ -50,7 +50,8 @@ class Phase:
     def __post_init__(self):
         t = self.turn
         if isinstance(t, Fraction):
-            object.__setattr__(self, "turn", t % 1)
+            if not 0 <= t.numerator < t.denominator:
+                object.__setattr__(self, "turn", t % 1)
         elif isinstance(t, int):
             object.__setattr__(self, "turn", Fraction(0))
         else:
@@ -62,12 +63,12 @@ class Phase:
 
     def __mul__(self, other: "Phase") -> "Phase":
         if self.is_exact and other.is_exact:
-            return Phase(self.turn + other.turn)
+            return Phase(_turn_sum(self.turn, other.turn, 1))
         return Phase(float(self.turn) + float(other.turn))
 
     def __truediv__(self, other: "Phase") -> "Phase":
         if self.is_exact and other.is_exact:
-            return Phase(self.turn - other.turn)
+            return Phase(_turn_sum(self.turn, other.turn, -1))
         return Phase(float(self.turn) - float(other.turn))
 
     def __pow__(self, n: int) -> "Phase":
@@ -107,6 +108,36 @@ class Phase:
         if self.is_exact:
             return f"Phase({self.turn})"
         return f"Phase({float(self.turn):.12g})"
+
+
+def _turn_sum(a: Fraction, b: Fraction, sign: int) -> Fraction:
+    """(a + sign * b) mod 1, with the numerators added over lcm(denominators)."""
+    p, q = a.denominator, b.denominator
+    m = math.lcm(p, q)
+    return Fraction((a.numerator * (m // p) + sign * b.numerator * (m // q)) % m, m)
+
+
+def turn_numerators(phases: Iterable[Phase]):
+    """(q, values): the turns of ``phases``, in order, as integer numerators
+    over q, the lcm of their denominators; or, when any turn is real,
+    q = 1.0 and the float turns.
+
+    Either way each turn is value / q, so a product of phases is a sum of
+    values mod q, read back with ``numerator_phase``.
+    """
+    turns = [p.turn for p in phases]
+    if not all(isinstance(t, Fraction) for t in turns):
+        return 1.0, [float(t) for t in turns]
+    q = math.lcm(*{t.denominator for t in turns})
+    return q, [t.numerator * (q // t.denominator) for t in turns]
+
+
+def numerator_phase(value, q) -> Phase:
+    """The phase of turn value / q, for a q and value as ``turn_numerators``
+    gives them (value any integer when q is)."""
+    if isinstance(q, int):
+        return Phase(Fraction(value % q, q))
+    return Phase(value % q)
 
 
 ONE = Phase(Fraction(0))

@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .phases import ONE, Amp, Phase, counts_amp, get_tolerance, root_of_unity
+from .phases import (ONE, Amp, Phase, counts_amp, get_tolerance, numerator_phase,
+                     root_of_unity, turn_numerators)
 
 MultiIndex = Tuple[int, ...]
 
@@ -516,7 +517,22 @@ def is_minimal_support(s, k: int) -> bool:
 
 
 def states_equal_up_to_global_phase(a, b) -> Optional[Phase]:
-    """The global phase g with a = g*b if the states are proportional, else None."""
+    """The global phase g with a = g*b if the states are proportional, else None.
+
+    Two exact minimal-support states are compared on their integer turns
+    (``phases.turn_numerators``): equal supports, and one constant
+    difference w_I - w'_I mod q, which is g.  Other inputs compare
+    amplitudes by cross ratios.
+    """
+    if isinstance(a, MinimalSupportState) and isinstance(b, MinimalSupportState):
+        if (a.n, a.d) != (b.n, b.d) or a.phases.keys() != b.phases.keys():
+            return None
+        idxs = list(a.phases)
+        q, turns = turn_numerators([a.phases[i] for i in idxs] + [b.phases[i] for i in idxs])
+        if isinstance(q, int) and idxs:
+            m = len(idxs)
+            diffs = {(x - y) % q for x, y in zip(turns[:m], turns[m:])}
+            return numerator_phase(diffs.pop(), q) if len(diffs) == 1 else None
     sa, sb = a.to_sparse(), b.to_sparse()
     if (sa.n, sa.d) != (sb.n, sb.d):
         return None

@@ -58,6 +58,26 @@ def test_monomial_image_recovered():
         assert states_equal_up_to_global_phase(replay, op.apply(s)) is not None
 
 
+def test_replay_rejects_a_wrong_diagonal(monkeypatch):
+    # the replay reads the witness's own phases: one diagonal entry off by
+    # 1/360 turns a solvable AME(4,4) pair into a failed replay
+    from ameslocc import equivalence
+    s = construct_ame44()
+    dst = random_monomial(4, 4, random.Random(8), den=360).apply(s)
+    solve = equivalence.solve_turn_system
+
+    def shifted(*args, **kwargs):
+        theta = solve(*args, **kwargs)
+        if theta is not None:
+            theta[5] = (theta[5] + Fraction(1, 360)) % 1
+        return theta
+
+    assert lm_match(s, dst).equivalent
+    monkeypatch.setattr(equivalence, "solve_turn_system", shifted)
+    with pytest.raises(AssertionError, match="^diagonal solution failed replay$"):
+        lm_match(s, dst)
+
+
 def test_budget_gives_inconclusive():
     s = construct_ame44()
     cert = lm_match(s, s, max_nodes=1)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from ameslocc.butson import fourier
 from ameslocc.operators import LocalOperator, OperatorError, SiteOperator
 from ameslocc.phases import ONE, Amp, Phase, root_of_unity
-from ameslocc.states import (MinimalSupportState, construct_ame43,
-                             states_equal_up_to_global_phase)
+from ameslocc.states import (MinimalSupportState, ame_linear_5, construct_ame43,
+                             states_equal_up_to_global_phase, with_phases)
 
 
 def test_permutation_image():
@@ -87,6 +88,44 @@ def test_global_phase_applies():
     out = op.apply(s)
     g = states_equal_up_to_global_phase(out, s)
     assert g is not None and g.close_to(root_of_unity(6, 1))
+
+
+def chained_image(op, state):
+    """Row by row: sigma(I) with phase w_I * g * prod_j theta_j(I_j)."""
+    out = {}
+    for idx, w in state.phases.items():
+        p = w * op.global_phase
+        for a, site in zip(idx, op.sites):
+            p = p * site.image(a)[1]
+        out[tuple(site.image(a)[0] for a, site in zip(idx, op.sites))] = p
+    return out
+
+
+@pytest.mark.parametrize("case", ["360", "float-diagonal", "global-phase"])
+def test_monomial_apply_matches_chained_products(case):
+    rng = random.Random(case)
+    s = ame_linear_5(5)
+    s = with_phases(s, {idx: root_of_unity(16, rng.randrange(16))
+                        for idx in rng.sample(sorted(s.phases), 3)})
+    sites = []
+    for _ in range(5):
+        sigma = rng.sample(range(5), 5)
+        sites.append(SiteOperator.monomial(
+            sigma, [root_of_unity(360, rng.randrange(360)) for _ in range(5)]))
+    g = ONE
+    if case == "float-diagonal":
+        sites[2].diag = sites[2].diag[:3] + (Phase(0.123456789),) + sites[2].diag[4:]
+    elif case == "global-phase":
+        g = root_of_unity(7, 3)
+    op = LocalOperator(sites, global_phase=g)
+    got = op.apply(s)
+    want = chained_image(op, s)
+    assert isinstance(got, MinimalSupportState) and got.phases.keys() == want.keys()
+    if case == "float-diagonal":
+        assert not got.is_exact
+        assert all(got.phases[i].close_to(p) for i, p in want.items())
+    else:
+        assert got.phases == want
 
 
 def test_site_count_mismatch():

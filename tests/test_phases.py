@@ -89,6 +89,14 @@ def test_product_matches_complex(t1, t2):
     assert complex(a * b) == pytest.approx(complex(a) * complex(b), abs=1e-9)
 
 
+@given(st.fractions(min_value=-3, max_value=3), st.fractions(min_value=-3, max_value=3))
+def test_exact_products_and_quotients_are_turn_sums_mod_1(t1, t2):
+    a, b = Phase(t1), Phase(t2)
+    assert a.turn == t1 % 1 and b.turn == t2 % 1
+    assert (a * b).turn == (t1 + t2) % 1
+    assert (a / b).turn == (t1 - t2) % 1
+
+
 @given(rational_turns())
 def test_conj_inverse(t):
     p = Phase(t)

@@ -5,8 +5,9 @@ the recorded row operations on every right-hand side, and
 ``_iter_support_sigmas`` finds the image of a source row with one lookup
 once k of its symbols are mapped, and checks every row placed after the
 permutations are fixed with one membership test.  The straightforward
-versions below eliminate [A | b] afresh for every system and scan every
-destination row for every source row.  The package must reproduce them
+versions below eliminate [A | b] afresh for every system, back-substitute
+in Fractions, and scan every destination row for every source row.  The
+package must reproduce them
 exactly: the same theta (or None) for every system, and the same permutation
 tuples in the same order.  On symbol-permuted sources, where the search's row
 order and sorted order part ways early, the search must still yield exactly
@@ -212,6 +213,35 @@ def test_single_elimination_matches_per_call_loop(make):
                 outcomes.add(want is None)
     # AME(4,3)'s diagonal system has full row rank, so every rhs is solvable
     assert outcomes == ({False} if make is construct_ame43 else {True, False})
+
+
+def test_back_substitution_matches_per_call_loop_off_unit_pivots():
+    # [[2, 1], [0, 3]] grows the back substitution's denominator; the
+    # random matrices have entries in -3..3, and 35 of their 96 pivots are
+    # not +-1
+    rng = random.Random(17)
+    matrices = [[[2, 1], [0, 3]]]
+    while len(matrices) < 40:
+        m, n = rng.randrange(2, 5), rng.randrange(2, 5)
+        matrices.append([[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)])
+    for rows in matrices:
+        num_vars = len(rows[0])
+        for den in (1, 2, 12, 360):
+            x = [Fraction(rng.randrange(den), den) for _ in range(num_vars)]
+            image = [sum(r * t for r, t in zip(row, x)) % 1 for row in rows]
+            noise = [Fraction(rng.randrange(den), den) for _ in rows]
+            for b in (image, noise):
+                for exact, values in ((True, b), (False, [float(v) for v in b])):
+                    want = reference_solve(rows, values, num_vars, exact)
+                    got = solve_turn_system(rows, values, num_vars, exact)
+                    assert got == want, (rows, values)
+
+
+def test_back_substitution_denominator_grows():
+    # theta_1 = 1/9 and theta_0 = (1/2 - 1/9) / 2 = 7/36, over a den of 6
+    rows, b = [[2, 1], [0, 3]], [Fraction(1, 2), Fraction(1, 3)]
+    assert solve_turn_system(rows, b, 2) == reference_solve(rows, b, 2) \
+        == [Fraction(7, 36), Fraction(1, 9)]
 
 
 @settings(max_examples=20, deadline=None)

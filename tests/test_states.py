@@ -361,6 +361,41 @@ def test_global_phase_detection():
     assert states_equal_up_to_global_phase(s, decorated) is None
 
 
+def _minimal_pairs():
+    rng = random.Random(21)
+    base = ame_linear_5(5)
+    decorated = with_phases(base, {idx: root_of_unity(360, rng.randrange(360))
+                                   for idx in rng.sample(sorted(base.phases), 4)})
+    shift = LocalOperator([SiteOperator.permutation([(a + c) % 5 for a in range(5)])
+                           for c in (1, 0, 1, 2, 3)])  # adds a codeword
+    rotate = LocalOperator([SiteOperator.identity(5)] * 5,
+                           global_phase=root_of_unity(360, 77))
+    monomial = LocalOperator([SiteOperator.monomial(
+        rng.sample(range(5), 5), [root_of_unity(360, rng.randrange(360))
+                                  for _ in range(5)]) for _ in range(5)])
+    real = with_phases(decorated, {(0,) * 5: Phase(0.3)})
+    return {
+        "global-phase": (rotate.apply(decorated), decorated),
+        "monomial-image": (monomial.apply(decorated), decorated),
+        "decoration": (decorated, base),
+        "permuted-support": (shift.apply(base), rotate.apply(base)),
+        "permuted-decorated": (shift.apply(decorated), decorated),
+        "other-d": (base, ame_linear_5(7)),
+        "other-n": (construct_ame43(), construct_ame44()),
+        "float-turn": (rotate.apply(real), real),
+        "mixed": (real, decorated),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_minimal_pairs()))
+def test_global_phase_of_minimal_states_matches_sparse_forms(case):
+    a, b = _minimal_pairs()[case]
+    got = states_equal_up_to_global_phase(a, b)
+    assert got == states_equal_up_to_global_phase(a.to_sparse(), b.to_sparse())
+    proportional = case in ("global-phase", "permuted-support", "float-turn")
+    assert (got is not None) == proportional
+
+
 def test_global_phase_after_unscaled_layer():
     # raw amplitudes pick up sqrt(d) factors per Fourier site; the
     # comparison must normalize through scale2
