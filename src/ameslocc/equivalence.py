@@ -16,6 +16,7 @@ an ``lm_match`` inequivalence excludes the monomial one.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import getitem
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -234,8 +235,17 @@ def _row_order(rows, k):
     rows before it, which fix its image by index unity, or None.  Next comes
     a row with k mapped sites and the most unmapped pairs, failing that the
     one with the most mapped sites, ties in sorted order; each row maps a
-    new pair, so the plan has at most n(d - 1) + 1 rows.
+    new pair, so the plan has at most n(d - 1) + 1 rows.  It depends only
+    on the row set and k, so it is made once per (row set, k) while it
+    stays in a small cache.
     """
+    plan, rest = _row_plan(frozenset(rows), k)
+    return plan, list(rest)
+
+
+@lru_cache(maxsize=32)
+def _row_plan(rows, k):
+    """_row_order of a frozenset of rows, as tuples."""
     mapped = dict.fromkeys(sorted(rows), 0)  # unplaced row -> its mapped sites
     carriers = {}  # unmapped (site, symbol) -> the rows carrying it
     for row in mapped:
@@ -253,7 +263,7 @@ def _row_order(rows, k):
             for other in carriers.pop(site, ()):
                 if other in mapped:
                     mapped[other] += 1
-    return plan, list(mapped)
+    return tuple(plan), tuple(mapped)
 
 
 def _iter_support_sigmas(src, dst, max_nodes):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -54,16 +55,29 @@ class MinimalSupportState:
             self.validate()
 
     def validate(self):
-        if len(self.phases) != self.d ** self.k:
+        """Check the support size, every index, and index unity.
+
+        The checks run on per-site columns: each k-subset of sites is
+        index-unity when its columns, zipped, give d^k distinct tuples.  A
+        bad index is looked up row by row only once the columns show one,
+        so the error names the first bad index in support order, and index
+        unity names the first failing k-subset in combination order.
+        """
+        n, d, k = self.n, self.d, self.k
+        size = d ** k
+        if len(self.phases) != size:
             raise StateError(
-                "support size %d != d^k = %d" % (len(self.phases), self.d ** self.k))
-        for idx in self.phases:
-            _check_index(idx, self.n, self.d)
-        for cols in itertools.combinations(range(self.n), self.k):
-            seen = {tuple(idx[c] for c in cols) for idx in self.phases}
-            if len(seen) != self.d ** self.k:
+                "support size %d != d^k = %d" % (len(self.phases), size))
+        cols = _columns(self.phases, n)
+        if (len(cols) != n or len(set(map(len, self.phases))) != 1
+                or any(min(col) < 0 or max(col) >= d for col in cols)):
+            for idx in self.phases:
+                _check_index(idx, n, d)
+        for sites in itertools.combinations(range(n), k):
+            # k = 0 zips no columns; its one-row support is trivially unity
+            if k and len(set(zip(*(cols[c] for c in sites)))) != size:
                 raise StateError(
-                    "support is not index-unity on columns %r" % (cols,))
+                    "support is not index-unity on columns %r" % (sites,))
 
     @property
     def support(self):
@@ -122,24 +136,33 @@ class SparseState:
 
     @cached_property
     def _integer_reading(self):
-        """The exact terms over integers, read once per state: (q, den, pairs).
+        """The exact terms over integers, read once per state:
+        (q, den, cols, pairs, norms, norm).
 
-        ``pairs[idx]`` lists (e, c) with the amplitude at idx equal to
-        sum(c * w_q^e) / den, where q is the lcm of every turn denominator
-        and den the lcm of every coefficient denominator.  Every partial
-        trace of this state reuses the reading.  None when a term has a
-        real turn.
+        Term r is the r-th entry of ``terms``, and ``cols[p]`` lists the
+        symbol of every term on site p.  ``pairs[r]`` lists (e, c) with
+        the amplitude of term r equal to sum(c * w_q^e) / den, where q is
+        the lcm of every turn denominator and den the lcm of every
+        coefficient denominator.  ``norms[r]`` is den^2 times its squared
+        modulus as a count vector (``_count_vector``), and ``norm`` the one
+        such vector when every term has it, else None.  Every partial trace
+        of this state reuses the reading.  None when a term has a real turn.
         """
         amps = self.terms.values()
         if not all(a.is_exact for a in amps):
             return None
         q = math.lcm(*(t.denominator for a in amps for t in a.terms))
         den = math.lcm(*(c.denominator for a in amps for c in a.terms.values()))
-        pairs = {idx: [(t.numerator * (q // t.denominator),
-                        c.numerator * (den // c.denominator))
-                       for t, c in a.terms.items()]
-                 for idx, a in self.terms.items()}
-        return q, den, pairs
+        pairs = [[(t.numerator * (q // t.denominator),
+                   c.numerator * (den // c.denominator))
+                  for t, c in a.terms.items()]
+                 for a in amps]
+        # |c w^e|^2 = c^2 needs no products
+        norms = [((0, p[0][1] ** 2),) if len(p) == 1
+                 else _count_vector(_add_products({}, p, p, q)) for p in pairs]
+        distinct = set(norms)
+        norm = distinct.pop() if len(distinct) == 1 else None
+        return q, den, _columns(self.terms, self.n), pairs, norms, norm
 
     def to_sparse(self):
         return self
@@ -207,6 +230,26 @@ class SparseState:
 
     def __repr__(self):
         return f"SparseState(n={self.n}, d={self.d}, {len(self.terms)} terms)"
+
+
+def _columns(rows, n):
+    """The symbols of every row on site p, for each site p < n."""
+    return tuple(zip(*rows)) if rows else ((),) * n
+
+
+def _add_products(counts, pi, pj, q):
+    """Add a_i * conj(a_j) into counts (exponent of w_q -> integer count),
+    for amplitudes given as integer pairs (``SparseState._integer_reading``)."""
+    for ei, ai in pi:
+        for ej, aj in pj:
+            e = (ei - ej) % q
+            counts[e] = counts.get(e, 0) + ai * aj
+    return counts
+
+
+def _count_vector(counts):
+    """counts as a sorted tuple of its (exponent, nonzero count) pairs."""
+    return tuple(sorted((e, c) for e, c in counts.items() if c))
 
 
 def _exact_phase_split(a: Amp):
@@ -416,9 +459,15 @@ class DensityMatrix:
         return self.entries.get((self._unrank(i), self._unrank(j)), Amp.zero())
 
     def is_maximally_mixed(self) -> bool:
+        """Exactly ``dim`` entries, all diagonal and equal to 1/dim.  Each
+        distinct entry object is compared once: entries with one count
+        vector share one Amp."""
+        if len(self.entries) != self.dim or any(
+                row != col for row, col in self.entries):
+            return False
         want = Amp(terms={Fraction(0): Fraction(1, self.dim)})
-        return len(self.entries) == self.dim and all(
-            row == col and a.equals(want) for (row, col), a in self.entries.items())
+        distinct = {id(a): a for a in self.entries.values()}
+        return all(a.equals(want) for a in distinct.values())
 
     def trace(self) -> Amp:
         t = Amp.zero()
@@ -431,14 +480,27 @@ class DensityMatrix:
 def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
     """Partial trace onto the given positions, normalized to trace 1.
 
-    Terms are grouped by their projection onto the traced-out positions;
-    only pairs within a group contribute, which keeps the cost near
-    (#terms)^2 / #groups.  An exact state is summed on its integer reading
-    (``SparseState._integer_reading``, made once per state), so each entry
-    is an integer count per exponent (e_i - e_j) mod q, and each distinct
-    count vector is zero-tested once, over its own conductor (see
-    ``phases.counts_amp``).  A state with a real turn sums complex products
-    instead.
+    Terms are grouped by their symbols on the traced-out positions (a zip
+    over those columns); only pairs within a group contribute, which keeps
+    the cost near (#terms)^2 / #groups.  An exact state is summed on its
+    integer reading (``SparseState._integer_reading``, made once per
+    state), so each entry is an integer count per exponent (e_i - e_j)
+    mod q, and each distinct count vector is zero-tested once, over its
+    own conductor (see ``phases.counts_amp``; a vector of one exponent
+    needs no test):
+
+    * every term adds its squared modulus to its diagonal entry, with no
+      phase products; when all terms share one modulus, the diagonal is
+      the kept columns' row counts (a ``Counter``) times it.  A lone row,
+      alone in its group, adds nothing else, so a state whose groups are
+      all lone rows has a diagonal marginal;
+    * inside a group of two or more terms, each unordered pair is summed
+      once, in the orientation with the smaller kept tuple first, and the
+      mirrored entry is the conjugate, its exponents negated, with no
+      second zero test.
+
+    A state with a real turn sums complex products over every ordered pair
+    of a group instead.
     """
     sp = s.to_sparse()
     keep = tuple(sorted(keep))
@@ -446,44 +508,87 @@ def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
         raise StateError("keep must be a nonempty strict subset of positions")
     drop = tuple(p for p in range(sp.n) if p not in set(keep))
     reading = sp._integer_reading
-    exact = reading is not None
-    if exact:
-        q, den, scalars = reading
+    cols = _columns(sp.terms, sp.n) if reading is None else reading[2]
+    kept = list(zip(*(cols[p] for p in keep)))
+    keys = list(zip(*(cols[p] for p in drop)))
+    if reading is None:
+        entries = _float_entries(sp, kept, keys)
     else:
-        scalars = {idx: complex(a) for idx, a in sp.terms.items()}
-    groups = {}
-    for idx, c in scalars.items():
-        key = tuple(idx[p] for p in drop)
-        groups.setdefault(key, []).append((tuple(idx[p] for p in keep), c))
-    sums = {}
-    for members in groups.values():
-        for (ki, ci) in members:
-            for (kj, cj) in members:
-                if exact:
-                    counts = sums.setdefault((ki, kj), {})
-                    for ei, ai in ci:
-                        for ej, aj in cj:
-                            e = (ei - ej) % q
-                            counts[e] = counts.get(e, 0) + ai * aj
-                else:
-                    sums[(ki, kj)] = sums.get((ki, kj), 0) + ci * cj.conjugate()
-    entries: Dict[Tuple[MultiIndex, MultiIndex], Amp] = {}
-    if exact:
-        scale = 1 / (Fraction(sp.scale2) * den * den)
-        memo = {}  # count vector -> entry, or None if it vanishes
-        for key, counts in sums.items():
-            vec = tuple(sorted((e, c) for e, c in counts.items() if c))
-            if vec not in memo:
-                memo[vec] = counts_amp(vec, q, scale)
-            if memo[vec] is not None:
-                entries[key] = memo[vec]
-    else:
-        inv_scale = 1.0 / float(sp.scale2)
-        for key, z in sums.items():
-            z *= inv_scale
-            if abs(z) > get_tolerance():
-                entries[key] = Amp(value=z)
+        entries = _exact_entries(sp, reading, kept, keys)
     return DensityMatrix(sp.d, keep, entries)
+
+
+def _groups(keys):
+    """Lists of the row numbers that share one key, for each key."""
+    groups = {}
+    for r, key in enumerate(keys):
+        groups.setdefault(key, []).append(r)
+    return groups.values()
+
+
+def _exact_entries(sp, reading, kept, keys):
+    """The nonzero entries of an exact partial trace (see reduced_density)."""
+    q, den, _, pairs, norms, norm = reading
+    scale = 1 / (Fraction(sp.scale2) * den * den)
+    memo = {}  # count vector -> entry, or None if it vanishes
+
+    def entry(vec):
+        if vec not in memo:
+            memo[vec] = counts_amp(vec, q, scale)
+        return memo[vec]
+
+    # a diagonal entry sums squared moduli of nonzero terms, so it is nonzero
+    if norm is not None:
+        rows = Counter(kept)
+        by_rows = {w: entry(tuple((e, c * w) for e, c in norm))
+                   for w in set(rows.values())}
+        entries = {(k, k): by_rows[w] for k, w in rows.items()}
+    else:
+        diagonal = {}
+        for k, vec in zip(kept, norms):
+            counts = diagonal.setdefault(k, {})
+            for e, c in vec:
+                counts[e] = counts.get(e, 0) + c
+        entries = {(k, k): entry(_count_vector(counts))
+                   for k, counts in diagonal.items()}
+    if len(set(keys)) == len(keys):  # every group is a lone row
+        return entries
+    sums = {}
+    for members in _groups(keys):
+        for i, j in itertools.combinations(members, 2):
+            if kept[i] > kept[j]:
+                i, j = j, i
+            _add_products(sums.setdefault((kept[i], kept[j]), {}),
+                          pairs[i], pairs[j], q)
+    for (ki, kj), counts in sums.items():
+        vec = _count_vector(counts)
+        amp = entry(vec)
+        if amp is not None:
+            entries[ki, kj] = amp
+            mirror = tuple(sorted(((-e) % q, c) for e, c in vec))
+            if mirror not in memo:  # the conjugate of a nonzero entry
+                memo[mirror] = Amp(terms={Fraction(e, q): c * scale
+                                          for e, c in mirror})
+            entries[kj, ki] = memo[mirror]
+    return entries
+
+
+def _float_entries(sp, kept, keys):
+    """The entries of a partial trace with a real turn, as complex sums."""
+    scalars = [complex(a) for a in sp.terms.values()]
+    sums = {}
+    for members in _groups(keys):
+        for i in members:
+            for j in members:
+                key = (kept[i], kept[j])
+                sums[key] = sums.get(key, 0) + scalars[i] * scalars[j].conjugate()
+    inv_scale = 1.0 / float(sp.scale2)
+    entries = {}
+    for key, z in sums.items():
+        z *= inv_scale
+        if abs(z) > get_tolerance():
+            entries[key] = Amp(value=z)
+    return entries
 
 
 def is_k_uniform(s, k: int) -> bool:

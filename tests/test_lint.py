@@ -1,7 +1,8 @@
 """Static guards on the package's imports, private helpers and verdicts.
 
 Every module-level import is used, no module imports sympy, which the
-package does not depend on, every module-level private function or class
+package does not depend on, ``import ameslocc`` loads neither numpy nor
+sympy, every module-level private function or class
 is referenced from somewhere other than its own definition, and every
 reason an ``inequivalent`` certificate can carry is explained in the
 README's "Verdict semantics" section.  No linter ships
@@ -11,6 +12,9 @@ imports are the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +58,17 @@ def test_no_sympy_import(path):
         if any(m.split(".")[0] == "sympy" for m in modules):
             lines.append(node.lineno)
     assert not lines, "%s imports sympy at lines %s" % (path.name, lines)
+
+
+def test_import_loads_neither_numpy_nor_sympy():
+    # the exact core is pure Python; importing numpy alone would take
+    # longer than importing the whole package
+    code = ("import sys, ameslocc; "
+            "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _names_in(node):

@@ -81,6 +81,57 @@ def test_index_unity_validation():
             for i in range(3) for j in range(3)})
 
 
+def validate_row_wise(s):
+    """MinimalSupportState.validate as one pass over the rows per check."""
+    size = s.d ** s.k
+    if len(s.phases) != size:
+        raise StateError("support size %d != d^k = %d" % (len(s.phases), size))
+    for idx in s.phases:
+        if len(idx) != s.n or any(not (0 <= x < s.d) for x in idx):
+            raise StateError("bad multi-index %r for n=%d d=%d" % (idx, s.n, s.d))
+    for cols in itertools.combinations(range(s.n), s.k):
+        if len({tuple(idx[c] for c in cols) for idx in s.phases}) != size:
+            raise StateError("support is not index-unity on columns %r" % (cols,))
+
+
+def _ame43_rows(replace=None):
+    rows = [(i, j, (i + j) % 3, (2 * i + j) % 3) for i in range(3) for j in range(3)]
+    for pos, row in (replace or {}).items():
+        rows[pos] = row
+    return MinimalSupportState(4, 3, 2, {r: ONE for r in rows}, check=False)
+
+
+VALIDATE_CASES = {
+    "ame43": lambda: _ame43_rows(),
+    "ame64": construct_ame64,
+    "ghz-k1": lambda: construct_ghz(3, 2),
+    "one-row-k0": lambda: MinimalSupportState(3, 2, 0, {(0, 1, 1): ONE}, check=False),
+    "wrong-size": lambda: MinimalSupportState(
+        4, 3, 2, dict(list(construct_ame43().phases.items())[:8]), check=False),
+    "out-of-range": lambda: _ame43_rows({4: (1, 1, 2, 3)}),
+    "negative": lambda: _ame43_rows({2: (0, -1, 2, 1)}),
+    "short-index": lambda: _ame43_rows({5: (1, 2, 0)}),
+    "two-bad-rows": lambda: _ame43_rows({3: (1, 0, 1), 6: (2, 0, 5, 1)}),
+    # (i, j, i+j, i+j): the first five column pairs are unity, (2, 3) is not
+    "unity-fails-late": lambda: MinimalSupportState(
+        4, 3, 2, {(i, j, (i + j) % 3, (i + j) % 3): ONE
+                  for i in range(3) for j in range(3)}, check=False),
+}
+
+
+@pytest.mark.parametrize("make", VALIDATE_CASES.values(), ids=VALIDATE_CASES.keys())
+def test_validate_matches_row_wise_check(make):
+    s = make()
+    outcomes = []
+    for check in (s.validate, lambda: validate_row_wise(s)):
+        try:
+            check()
+            outcomes.append(None)
+        except StateError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_minimal_json_roundtrip():
     s = with_phases(construct_ame43(), {(0, 0, 0, 0): root_of_unity(9, 2)})
     t = MinimalSupportState.from_json(s.to_json())
@@ -201,6 +252,9 @@ def test_reduced_density_random_sparse_float():
                 zij = complex(rho.entry(i, j))
                 zji = complex(rho.entry(j, i))
                 assert zij == pytest.approx(zji.conjugate(), abs=1e-9)
+        want = partial_trace_by_definition(s, (0, 1))
+        for (i, j), a in want.items():
+            assert complex(rho.entry(i, j)) == pytest.approx(complex(a), abs=1e-9)
 
 
 @st.composite
@@ -274,6 +328,28 @@ def partial_trace_by_definition(s, keep):
                              (0, 1): Amp.from_phase(Phase(Fraction(1, 4))),
                              (1, 1): Amp.from_phase(Phase(Fraction(3, 4)), Fraction(2))},
                       scale2=6), [1]))
+# equal moduli, every group a lone row, kept symbol 0 on two rows and 1 on one
+@example((SparseState(3, 2, {(0, 0, 0): Amp.from_phase(Phase(Fraction(1, 4))),
+                             (0, 0, 1): Amp.from_phase(Phase(Fraction(1, 3))),
+                             (1, 1, 1): Amp.one()}, scale2=3), [0]))
+# unequal moduli, every group a lone row
+@example((SparseState(3, 2, {(0, 0, 0): Amp.from_phase(Phase(Fraction(1, 4)), Fraction(2)),
+                             (1, 0, 1): Amp.from_phase(Phase(Fraction(1, 3))),
+                             (0, 1, 1): Amp(terms={Fraction(0): Fraction(1),
+                                                   Fraction(1, 6): Fraction(1)})},
+                      scale2=7), [0]))
+# a two-row group listed larger kept symbol first: its pair is summed as
+# (0, 1) only after swapping, and (1, 0) is filled in as the conjugate
+@example((SparseState(2, 2, {(1, 0): Amp.from_phase(Phase(Fraction(1, 4))),
+                             (0, 0): Amp.from_phase(Phase(Fraction(1, 3))),
+                             (1, 1): Amp.one()}, scale2=3), [0]))
+# the pair of kept symbols (0, 1) listed in one order in one group and in
+# the other order in the next: both groups add to one entry
+@example((SparseState(2, 2, {(1, 0): Amp.from_phase(Phase(Fraction(1, 4))),
+                             (0, 0): Amp.from_phase(Phase(Fraction(1, 3))),
+                             (0, 1): Amp.one(),
+                             (1, 1): Amp.from_phase(Phase(Fraction(1, 6)))},
+                      scale2=4), [0]))
 def test_sparse_reduced_density_matches_definition(case):
     s, keep = case
     rho = reduced_density(s, keep)
