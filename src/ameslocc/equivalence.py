@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from operator import getitem
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .butson import _BH_CAP, enumerate_bh
 from .designs import small_regime
@@ -89,12 +89,16 @@ def compute_w(s: MinimalSupportState, positions: Sequence[int], symbols: Sequenc
 
 
 def _w_table(s: MinimalSupportState, i: int, S: Tuple[int, ...]):
-    """W^{i,S}_{l,I} for all symbols l at site i and tuples I on sites S."""
-    table = {}
-    for ell in range(s.d):
-        for I in itertools.product(range(s.d), repeat=len(S)):
-            table[(ell,) + I] = compute_w(s, (i,) + S, (ell,) + I)
-    return table
+    """W^{i,S}_{l,I} for all symbols l at site i and tuples I on sites S,
+    keyed (l,) + I, in one pass over the support: the rows are grouped by
+    their symbols at (i,) + S and each group gives one phase product, the
+    one ``compute_w`` takes for that cell."""
+    positions = (i,) + tuple(S)
+    groups = {}
+    for idx, p in s.phases.items():
+        groups.setdefault(tuple(map(idx.__getitem__, positions)), []).append(p)
+    return {cell: phase_product(groups.get(cell, ()))
+            for cell in itertools.product(range(s.d), repeat=len(positions))}
 
 
 def _i_s_choices(s: MinimalSupportState):
@@ -188,13 +192,13 @@ def _diagonal_solver(src, dst, exact):
     character orders (``modsolve.character_order``) of the src turns and of
     the dst turns pulled back by sigma; None when the pair is not exact.
     ``exact`` says whether every turn of both states is rational.  The
-    incidence rows and both states' turns, read once by
+    incidence rows come from ``_incidence``, so a batch on one support
+    builds and hashes them once; both states' turns, read once by
     ``phases.turn_numerators`` (integers over one common denominator when
     exact), are set up once per pair; each sigma only gathers the dst turns
     it maps onto."""
     n, d = src.n, src.d
-    idxs = sorted(src.phases)
-    rows = Rows([int(idx[c // d] == c % d) for c in range(n * d)] for idx in idxs)
+    idxs, cols, rows = _incidence(frozenset(src.phases), n, d)
     mod, turns = turn_numerators(
         [src.phases[idx] for idx in idxs] + list(dst.phases.values()))
     if not exact:  # solved in floats
@@ -204,7 +208,8 @@ def _diagonal_solver(src, dst, exact):
     dst_turns = dict(zip(dst.phases, turns[len(idxs):]))
 
     def pulled_back(sigma):
-        return [dst_turns[tuple(map(getitem, sigma, idx))] for idx in idxs]
+        images = zip(*[map(perm.__getitem__, col) for perm, col in zip(sigma, cols)])
+        return list(map(dst_turns.__getitem__, images))
 
     def solve(sigma):
         rhs = [(t - w) % mod for t, w in zip(pulled_back(sigma), src_turns)]
@@ -227,6 +232,16 @@ def _solve_diagonals(src, dst, sigma, exact):
     return _diagonal_solver(src, dst, exact)[0](sigma)
 
 
+@lru_cache(maxsize=32)
+def _incidence(rows, n, d):
+    """(idxs, cols, Rows) of a frozenset of rows: the rows sorted, their
+    columns, and their (site, symbol) incidence rows, which ``modsolve``
+    eliminates."""
+    idxs = tuple(sorted(rows))
+    return idxs, tuple(zip(*idxs)), Rows(
+        [int(idx[c // d] == c % d) for c in range(n * d)] for idx in idxs)
+
+
 def _row_order(rows, k):
     """(plan, rest): the rows the search places, in order, until every
     (site, symbol) pair is mapped, and the other rows, sorted.
@@ -239,31 +254,113 @@ def _row_order(rows, k):
     on the row set and k, so it is made once per (row set, k) while it
     stays in a small cache.
     """
-    plan, rest = _row_plan(frozenset(rows), k)
-    return plan, list(rest)
+    plan = _row_plan(frozenset(rows), k)
+    return [(row, cols) for row, cols, _, _ in plan.steps], list(plan.rest)
 
 
 @lru_cache(maxsize=32)
 def _row_plan(rows, k):
-    """_row_order of a frozenset of rows, as tuples."""
+    """The search plan (``_Plan``) of a frozenset of rows and k."""
     mapped = dict.fromkeys(sorted(rows), 0)  # unplaced row -> its mapped sites
     carriers = {}  # unmapped (site, symbol) -> the rows carrying it
     for row in mapped:
         for site in enumerate(row):
             carriers.setdefault(site, []).append(row)
-    plan = []
+    steps = []
     while carriers:
         # the first maximum in sorted order, among rows still carrying a pair
         row = max(mapped, key=lambda r: (mapped[r] < len(r), min(mapped[r], k),
                                          -mapped[r]))
         del mapped[row]
-        sites = tuple(j for j, a in enumerate(row) if (j, a) not in carriers)
-        plan.append((row, sites[:k] if k and len(sites) >= k else None))
+        old = tuple(j for j, a in enumerate(row) if (j, a) not in carriers)
+        new = tuple(j for j, a in enumerate(row) if (j, a) in carriers)
+        steps.append((row, old[:k] if k and len(old) >= k else None, old, new))
         for site in enumerate(row):
             for other in carriers.pop(site, ()):
                 if other in mapped:
                     mapped[other] += 1
-    return tuple(plan), tuple(mapped)
+    return _Plan(tuple(steps), tuple(mapped))
+
+
+class _Plan:
+    """The support search of one (row set, k), compiled by ``_row_plan``.
+
+    ``steps`` holds one (row, cols, old, new) per plan row, in order: old
+    are the sites whose (site, symbol) pair earlier rows map, new the sites
+    the row maps first, and cols the first k of old when there are k, else
+    None.  ``rest`` holds the other rows, sorted.  ``segments`` cuts the
+    plan before each row without cols, where the search branches; each
+    segment is (branch, lookups, undo):
+    - branch is (row, j0, expect, pairs): j0 is the first old site, whose
+      image filters the candidates (None when no site is mapped yet);
+    - lookups are the rows with cols up to the next branch, as (cols,
+      symbols at cols, expect, pairs);
+    - undo[m] lists the new pairs of the branch row and the first m lookups.
+    pairs are a row's new (site, symbol) pairs; expect gives, site by site,
+    the symbol whose image a candidate must carry there (its old sites) or
+    -1 for an image no symbol has yet (its new sites).
+    ``group`` is None until a search from this row set runs to its end,
+    then that search's ``_Group``.
+    """
+
+    def __init__(self, steps, rest):
+        self.steps, self.rest, self.group = steps, rest, None
+        self.rest_cols = tuple(zip(*rest))  # the sites' symbols over rest
+        segments = []
+        for row, cols, old, new in steps:
+            expect = tuple(a if j in old else -1 for j, a in enumerate(row))
+            pairs = tuple((j, row[j]) for j in new)
+            if cols is None:
+                segments.append(((row, old[0] if old else None, expect, pairs), [], [pairs]))
+            else:
+                segments[-1][1].append((cols, tuple(row[j] for j in cols), expect, pairs))
+                segments[-1][2].append(segments[-1][2][-1] + pairs)
+        self.segments = tuple((b, tuple(l), tuple(u)) for b, l, u in segments)
+        self.branch_rows = tuple(row for row, cols, _, _ in steps if cols is None)
+
+
+class _Group:
+    """The automorphisms of a row set, from one search that ran to its end.
+
+    ``cost`` is that search's node count.  The elements g = sigma0^-1 o
+    sigma, over every sigma it yielded, are bucketed by g(r0), r0 being the
+    first plan row, so ``coset`` reaches each next sigma without a pass
+    over the whole group.
+    """
+
+    def __init__(self, sigmas, cost, branch_rows):
+        self.cost, self.branch_rows = cost, branch_rows
+        inverse = []
+        for perm in sigmas[0]:
+            inv = [0] * len(perm)
+            for a, b in enumerate(perm):
+                inv[b] = a
+            inverse.append(inv.__getitem__)
+        self.buckets = {}
+        for sigma in sigmas:
+            g = tuple(tuple(map(inv, perm)) for inv, perm in zip(inverse, sigma))
+            self.buckets.setdefault(tuple(map(getitem, g, branch_rows[0])), []).append(g)
+
+    def coset(self, sigma0):
+        """sigma0 o G without sigma0, in the search's order: lexicographic
+        in (sigma(r) != r, sigma(r)) over the plan rows without cols."""
+        first, *later = self.branch_rows
+
+        def rank(row, image):
+            return image != row, image
+
+        def order(sigma):
+            return [rank(row, tuple(map(getitem, sigma, row))) for row in later]
+
+        # sigma(r0) = sigma0(g(r0)) is the first key, shared within a bucket
+        for head in sorted(self.buckets,
+                           key=lambda s: rank(first, tuple(map(getitem, sigma0, s)))):
+            sigmas = [tuple(tuple(map(p.__getitem__, q)) for p, q in zip(sigma0, g))
+                      for g in self.buckets[head]]
+            sigmas.sort(key=order)
+            for sigma in sigmas:
+                if sigma != sigma0:
+                    yield sigma
 
 
 def _iter_support_sigmas(src, dst, max_nodes):
@@ -271,68 +368,136 @@ def _iter_support_sigmas(src, dst, max_nodes):
     support of src onto the support of dst.
 
     Yields complete per-site permutations; raises EquivalenceError when the
-    node budget is exhausted (so exhaustion claims stay honest).  It branches
-    only over the plan of ``_row_order``; the permutations are then fixed, so
-    one membership test checks each other row.  Each tried candidate and
-    each checked row is one node.  Row sets labelled k = 0, such as the
-    projected supports of reductions, get no lookups: each plan row scans.
+    node budget is exhausted (so exhaustion claims stay honest).  It runs
+    on the plan of ``_row_plan``: it branches only at plan rows without
+    lookup columns, trying only the dst rows that agree with one site those
+    rows already map, and counts every candidate it skips as a node; each
+    following stretch of lookup rows runs in a plain loop, one node each.
+    Once the permutations are fixed, one membership test checks each other
+    row, one node each.  Row sets labelled k = 0, such as the projected
+    supports of reductions, get no lookups: each plan row branches.
+
+    A search that runs to its end records its node count and the row
+    set's automorphism group on the plan.  A later search from that row
+    set whose budget covers that count backtracks only to its first sigma0
+    and then yields the coset sigma0 o G in the same order: the sigmas,
+    their order and the budget errors are those of the full search.
     """
-    n, d = src.n, src.d
-    plan, rest = _row_order(src.phases, src.k)
-    dst_set = set(dst.phases)
-    dst_rows = sorted(dst_set)
+    plan = _row_plan(frozenset(src.phases), src.k)
+    dst_rows = frozenset(dst.phases)
+    onto = len(dst_rows) == len(src.phases)
+    group = plan.group if onto else None
+    if group is not None and max_nodes >= group.cost:
+        search = _backtrack(plan, src.n, src.d, dst_rows, max_nodes, None)
+        sigma0 = next(search, None)
+        if sigma0 is not None:
+            yield sigma0
+            yield from group.coset(sigma0)
+        return
+    found = [] if onto and group is None else None
+    cost = yield from _backtrack(plan, src.n, src.d, dst_rows, max_nodes, found)
+    if found:
+        plan.group = _Group(found, cost, plan.branch_rows)
+
+
+def _backtrack(plan, n, d, dst_rows, max_nodes, found):
+    """The backtracking of ``_iter_support_sigmas`` on a compiled plan:
+    yields each sigma, also appending it to ``found`` unless that is None,
+    and returns the node count."""
+    ordered = sorted(dst_rows)
+    total = len(ordered)
+    fwd = [[-1] * d for _ in range(n)]  # fwd[j][a]: the image of symbol a at site j
+    back = [[-1] * d for _ in range(n)]  # back[j][b]: the symbol whose image is b
     # index unity: the symbols on any k sites fix the dst row
-    by_cols = {cols: {tuple(r[c] for c in cols): r for r in dst_rows}
-               for _, cols in plan if cols}
-    maps: List[Dict[int, int]] = [dict() for _ in range(n)]
-    used: List[set] = [set() for _ in range(n)]
+    tables = {cols: {tuple(r[c] for c in cols): r for r in ordered}
+              for cols in {cols for _, cols, _, _ in plan.steps if cols}}
+    # each lookup bound to its table and to the maps of its cols
+    segments = [(branch, [(tables[cols], [fwd[j] for j in cols], symbols, expect, pairs)
+                          for cols, symbols, expect, pairs in lookups], undo)
+                for branch, lookups, undo in plan.segments]
+    rest, rest_cols = plan.rest, plan.rest_cols
+    bottom = len(segments)
+    saved = [None] * bottom
+    memo = {}
     nodes = 0
 
-    def assign(row, cand):
-        """Map row onto cand: the new (site, a, b) triples, None on a clash."""
-        touched = []
-        for j, (a, b) in enumerate(zip(row, cand)):
-            got = maps[j].get(a)
-            if got is None:
-                if b in used[j]:
-                    return None
-                touched.append((j, a, b))
-            elif got != b:
-                return None
-        for j, a, b in touched:
-            maps[j][a] = b
-            used[j].add(b)
-        return touched
+    def candidates(row, j0, b):
+        """(position, dst row) in the order of the full candidate list
+        (identity first, then sorted), for the dst rows with b at j0."""
+        pivot = ordered.index(row) if row in dst_rows else -1
+        head = [(0, row)] if pivot >= 0 and (j0 is None or row[j0] == b) else []
+        return head + [(i + (i < pivot), c) for i, c in enumerate(ordered)
+                       if c != row and (j0 is None or c[j0] == b)]
 
-    def rec(pos):
-        nonlocal nodes
-        if pos == len(plan):
-            sigma = tuple(tuple(maps[j][a] for a in range(d)) for j in range(n))
-            for row in rest:
-                nodes += 1
-                if nodes > max_nodes:
-                    raise EquivalenceError("search budget exhausted")
-                if tuple(map(getitem, sigma, row)) not in dst_set:
-                    return
-            yield sigma
-            return
-        row, cols = plan[pos]
-        # one image once k sites are mapped, else every dst row, identity first
-        cands = ((by_cols[cols][tuple(maps[j][row[j]] for j in cols)],) if cols
-                 else sorted(dst_rows, key=row.__ne__))
-        for cand in cands:
-            nodes += 1
+    def place(image, pairs):
+        for j, a in pairs:
+            b = fwd[j][a] = image[j]
+            back[j][b] = a
+
+    def unplace(pairs):
+        for j, a in pairs:
+            back[j][fwd[j][a]] = -1
+            fwd[j][a] = -1
+
+    depth, enter = 0, True
+    while depth >= 0:
+        if depth == bottom:  # every pair is mapped: check the other rows
+            sigma = tuple(map(tuple, fwd))
+            images = zip(*[map(perm.__getitem__, col) for perm, col in zip(sigma, rest_cols)])
+            passed = len(list(itertools.takewhile(dst_rows.__contains__, images)))
+            nodes += passed + (passed < len(rest))  # up to the first miss
             if nodes > max_nodes:
                 raise EquivalenceError("search budget exhausted")
-            touched = assign(row, cand)
-            if touched is None:
+            if passed == len(rest):
+                if found is not None:
+                    found.append(sigma)
+                yield sigma
+            depth, enter = depth - 1, False
+            continue
+        (row, j0, expect, pairs), lookups, undo = segments[depth]
+        if enter:
+            b = None if j0 is None else fwd[j0][row[j0]]
+            cands = memo.get((depth, b))
+            if cands is None:
+                cands = memo[depth, b] = candidates(row, j0, b)
+            at, last = 0, -1
+        else:
+            cands, at, last = saved[depth]
+            unplace(undo[-1])
+        while at < len(cands):
+            pos, cand = cands[at]
+            at += 1
+            nodes += pos - last
+            last = pos
+            if nodes > max_nodes:
+                raise EquivalenceError("search budget exhausted")
+            if tuple(map(getitem, back, cand)) != expect:
                 continue
-            yield from rec(pos + 1)
-            for j, a, b in touched:
-                used[j].discard(b)
-                del maps[j][a]
-
-    yield from rec(0)
+            place(cand, pairs)
+            placed = len(lookups)
+            for m, (table, maps, symbols, lexpect, lpairs) in enumerate(lookups):
+                image = table[tuple(map(getitem, maps, symbols))]
+                if tuple(map(getitem, back, image)) != lexpect:
+                    placed = m
+                    break
+                place(image, lpairs)
+            # one node per lookup up to the first clash; nothing in the
+            # stretch yields, so the budget is checked once after it
+            nodes += placed + (placed < len(lookups))
+            if nodes > max_nodes:
+                raise EquivalenceError("search budget exhausted")
+            if placed == len(lookups):
+                saved[depth] = cands, at, last
+                depth, enter = depth + 1, True
+                break
+            unplace(undo[placed])
+        else:
+            # the skipped candidates after the last one tried
+            nodes += total - 1 - last
+            if nodes > max_nodes:
+                raise EquivalenceError("search budget exhausted")
+            depth, enter = depth - 1, False
+    return nodes
 
 
 def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
@@ -350,6 +515,12 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     support automorphism, which permutes the cokernel, so unequal orders
     exclude every sigma at once (``cokernel-character``).  Otherwise every
     sigma is tried (``search-exhausted``).
+
+    The sigmas are those of ``_iter_support_sigmas``, in its order, so
+    ``stats["sigmas_tested"]`` and the budget verdicts do not depend on
+    whether the src support's automorphism group is already recorded;
+    only the time to reach each sigma does.  The incidence rows of the
+    diagonal systems are built once per src support (``_incidence``).
     """
     _check_compatible(src, dst)
     exact = src.is_exact and dst.is_exact

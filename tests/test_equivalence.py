@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -12,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 from ameslocc.butson import fourier, tensor_butson
 from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
                                   _ame5_pipeline_applicable,
-                                  _butson_layer_witnesses, automorphisms,
-                                  butson_match, compute_w, cond_butson,
+                                  _butson_layer_witnesses, _i_s_choices,
+                                  _iter_support_sigmas, _row_plan, _w_table,
+                                  automorphisms, butson_match, compute_w, cond_butson,
                                   cond_monomial, decide_slocc, family_classes,
                                   lm_match, lm_automorphism_sigmas)
 from ameslocc.operators import LocalOperator, SiteOperator
@@ -146,6 +148,66 @@ def test_decide_slocc_recovers_ame64_monomial_images(t, seed):
     assert cert.verdict == "equivalent"
     assert states_equal_up_to_global_phase(
         cert.witness.apply(s), target) is not None
+
+
+RS73 = construct_linear(7, [[1, a, a * a % 7] for a in range(7)])
+
+
+def rs73_phi(turn):
+    """RS[7,3] with its all-zero row at the given phase."""
+    return with_phases(RS73, {(0,) * 7: Phase(turn)})
+
+
+# the undecorated states find a witness at their first sigma, the
+# decorated ones after about a hundred (AME(6,4)) or a thousand (RS[7,3])
+K3_LIBRARY = st.one_of(st.just(construct_ame64()), st.just(RS73),
+                       st.integers(0, 15).map(lambda t: ame64_phi(Fraction(t, 16))),
+                       st.integers(0, 15).map(lambda t: rs73_phi(Fraction(t, 16))))
+
+
+@settings(max_examples=3, deadline=None)
+@given(s=K3_LIBRARY, recorded=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(s=construct_ame64(), recorded=False, seed=7)
+@example(s=construct_ame64(), recorded=True, seed=7)
+@example(s=ame64_phi(Fraction(1, 16)), recorded=False, seed=7)
+@example(s=ame64_phi(Fraction(1, 16)), recorded=True, seed=7)
+@example(s=RS73, recorded=False, seed=7)
+@example(s=RS73, recorded=True, seed=7)
+@example(s=rs73_phi(Fraction(1, 16)), recorded=False, seed=7)
+@example(s=rs73_phi(Fraction(1, 16)), recorded=True, seed=7)
+def test_decide_slocc_recovers_monomial_images_of_k3_library_states(s, recorded, seed):
+    # every library minimal state with k >= 3 and their decorations,
+    # searched from scratch and with the support's automorphism group
+    # recorded, which the search then replays as a coset
+    plan = _row_plan(frozenset(s.phases), s.k)
+    if recorded and plan.group is None:
+        list(_iter_support_sigmas(s, s, DEFAULT_MAX_NODES))
+    elif not recorded:
+        _row_plan.cache_clear()
+    assert (_row_plan(frozenset(s.phases), s.k).group is not None) == recorded
+    target = random_monomial(s.n, s.d, random.Random(seed), den=360).apply(s)
+    cert = decide_slocc(s, target)
+    assert cert.verdict == "equivalent"
+    assert states_equal_up_to_global_phase(
+        cert.witness.apply(s), target) is not None
+
+
+W_STATES = [("ame64", construct_ame64()), ("ame64-phi-1/16", ame64_phi(Fraction(1, 16))),
+            ("rs73", RS73)]
+
+
+@pytest.mark.parametrize("s", [s for _, s in W_STATES] + [
+    random_monomial(6, 4, random.Random(5), den=360).apply(s) for _, s in W_STATES[:2]],
+    ids=[name for name, _ in W_STATES] + [name + "-image" for name, _ in W_STATES[:2]])
+def test_w_tables_match_compute_w(s):
+    # cond_butson reads each table from one pass over the support; the
+    # 1/360 images give the cells of one table distinct phases
+    for i, S in _i_s_choices(s):
+        table = _w_table(s, i, S)
+        assert list(table) == [(ell,) + I for ell in range(s.d)
+                               for I in itertools.product(range(s.d), repeat=len(S))]
+        for cell, w in table.items():
+            assert w == compute_w(s, (i,) + S, cell)
 
 
 def test_decide_slocc_ame64_inequivalence_excludes_both_forms():

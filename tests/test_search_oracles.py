@@ -15,17 +15,27 @@ the row scan's set, once each; and the cokernel rows that decide exact
 feasibility must annihilate the coefficient matrix.  ``lm_match`` decides a
 pair whose cokernel character orders differ after its first sigma; its
 verdicts must match a search that solves every sigma.
+
+The search runs on a compiled plan and, once a search from a row set has
+run to its end, replays later searches from that row set as a coset of
+the recorded automorphism group.  Both must give what the recursive form
+below gives, one generator frame per plan row and every dst row a
+candidate at each branching row: the same sigmas in the same order, and
+the budget error at the same point, for every node budget, whether or not
+the row set's group is recorded.
 """
 
 import math
 import random
 from fractions import Fraction
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ameslocc.equivalence import (_diagonal_solver, _iter_support_sigmas,
-                                  _row_order, lm_match)
+from ameslocc.equivalence import (EquivalenceError, _diagonal_solver,
+                                  _iter_support_sigmas, _row_order, _row_plan,
+                                  butson_match, lm_match)
 from ameslocc.modsolve import Rows, _eliminate, solve_turn_system
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import Phase, get_tolerance, root_of_unity
@@ -345,3 +355,181 @@ def test_reed_solomon_decorations_by_character_order(turn, reason, sigmas):
     cert = lm_match(src, dst)
     assert (cert.verdict, cert.reason) == ("inequivalent", reason)
     assert cert.stats["sigmas_tested"] == sigmas
+
+
+def recursive_sigmas(src, dst, max_nodes):
+    """The support search in recursive form: the plan of ``_row_order``,
+    one generator frame per plan row, one lookup at a row with cols and
+    every dst row (identity first) at one without; each candidate and each
+    checked row is one node.  Returns the node count at its end."""
+    n, d = src.n, src.d
+    plan, rest = _row_order(src.phases, src.k)
+    dst_set = set(dst.phases)
+    dst_rows = sorted(dst_set)
+    by_cols = {cols: {tuple(r[c] for c in cols): r for r in dst_rows}
+               for _, cols in plan if cols}
+    maps = [dict() for _ in range(n)]
+    used = [set() for _ in range(n)]
+    nodes = 0
+
+    def assign(row, cand):
+        touched = []
+        for j, (a, b) in enumerate(zip(row, cand)):
+            got = maps[j].get(a)
+            if got is None:
+                if b in used[j]:
+                    return None
+                touched.append((j, a, b))
+            elif got != b:
+                return None
+        for j, a, b in touched:
+            maps[j][a] = b
+            used[j].add(b)
+        return touched
+
+    def rec(pos):
+        nonlocal nodes
+        if pos == len(plan):
+            sigma = tuple(tuple(maps[j][a] for a in range(d)) for j in range(n))
+            for row in rest:
+                nodes += 1
+                if nodes > max_nodes:
+                    raise EquivalenceError("search budget exhausted")
+                if tuple(map(getitem, sigma, row)) not in dst_set:
+                    return
+            yield sigma
+            return
+        row, cols = plan[pos]
+        cands = ((by_cols[cols][tuple(maps[j][row[j]] for j in cols)],) if cols
+                 else sorted(dst_rows, key=row.__ne__))
+        for cand in cands:
+            nodes += 1
+            if nodes > max_nodes:
+                raise EquivalenceError("search budget exhausted")
+            touched = assign(row, cand)
+            if touched is None:
+                continue
+            yield from rec(pos + 1)
+            for j, a, b in touched:
+                used[j].discard(b)
+                del maps[j][a]
+
+    yield from rec(0)
+    return nodes
+
+
+def search_cost(src, dst):
+    """The nodes of the whole recursive search."""
+    search = recursive_sigmas(src, dst, 10 ** 9)
+    while True:
+        try:
+            next(search)
+        except StopIteration as stop:
+            return stop.value
+
+
+def budgeted(sigmas):
+    """(the sigmas yielded, whether the node budget ran out)."""
+    out = []
+    try:
+        for sigma in sigmas:
+            out.append(sigma)
+    except EquivalenceError:
+        return out, True
+    return out, False
+
+
+@pytest.fixture
+def fresh_groups():
+    """No row set's group recorded when the test starts or after it ends:
+    ``_row_plan`` keeps each group with its plan."""
+    _row_plan.cache_clear()
+    yield
+    _row_plan.cache_clear()
+
+
+def recorded_group(s):
+    """The group of s's support, recorded by one full search onto s."""
+    list(_iter_support_sigmas(s, s, 10 ** 7))
+    group = _row_plan(frozenset(s.phases), s.k).group
+    assert group is not None
+    return group
+
+
+RS73 = ("rs73", PLAN_CASES[4][1], 2058)
+
+
+@pytest.mark.parametrize("make, count", [c[1:] for c in CASES + [RS73]],
+                         ids=[c[0] for c in CASES + [RS73]])
+def test_recorded_group_replays_the_search(make, count, fresh_groups):
+    # RS[7,3]'s 343 rows are too many for the row scan: it is checked
+    # against the recursive search, which the budget test below pins to
+    # the search on every CASES support, and the search there to the row
+    # scan
+    src = make()
+    group = recorded_group(src)
+    rng = random.Random(23)
+    for _ in range(3):
+        dst = monomial_image(src, rng)
+        want = (list(recursive_sigmas(src, dst, 10 ** 7)) if len(src.phases) > 100
+                else reference_sigmas(src, dst))
+        assert list(_iter_support_sigmas(src, dst, 10 ** 7)) == want
+        assert _row_plan(frozenset(src.phases), src.k).group is group
+        if count is not None:
+            assert len(want) == count
+
+
+BUDGETS = [1, 5, 17, 50, 333, 1000, 4321, 10 ** 7]
+
+
+def latin_square(op, d):
+    """The table of a group of order d as a phase-free row set on three
+    sites, (a, b, a.b): index unity on every two."""
+    return MinimalSupportState(3, d, 2, {(a, b, op(a, b)): Phase(0)
+                                         for a in range(d) for b in range(d)})
+
+
+def budget_pairs():
+    """(id, src, dst): each CASES support onto a monomial image, the Z4
+    table onto an image, and the Z4 and Klein tables onto each other.
+    Those two are not isotopic, so no sigma exists.  On the group tables
+    some lookups clash, and from the Klein table some rows checked after
+    the plan miss; neither happens on the CASES supports."""
+    z4 = latin_square(lambda a, b: (a + b) % 4, 4)
+    klein = latin_square(lambda a, b: a ^ b, 4)
+    pairs = [(name, make()) for name, make, _ in CASES] + [("latin-z4", z4)]
+    for name, src in pairs:
+        yield name, src, monomial_image(src, random.Random(29))
+    yield "latin-z4-to-klein", z4, klein
+    yield "latin-klein-to-z4", klein, z4
+
+
+BUDGET_PAIRS = list(budget_pairs())
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["fresh", "recorded"])
+@pytest.mark.parametrize("src, dst", [p[1:] for p in BUDGET_PAIRS],
+                         ids=[p[0] for p in BUDGET_PAIRS])
+def test_budgeted_search_matches_recursive_search(src, dst, recorded, fresh_groups):
+    # the whole search ends at the recursive search's node count: one node
+    # less runs out of budget
+    cost = search_cost(src, dst)
+    if recorded:
+        # budgets on both sides of the recorded cost: below it the search
+        # backtracks, from it on the coset is replayed
+        assert BUDGETS[0] < recorded_group(src).cost <= BUDGETS[-1]
+    for max_nodes in BUDGETS + [cost - 1, cost]:
+        if not recorded:
+            _row_plan.cache_clear()
+        got = budgeted(_iter_support_sigmas(src, dst, max_nodes))
+        assert got == budgeted(recursive_sigmas(src, dst, max_nodes))
+        assert got[1] == (max_nodes < cost)
+
+
+def test_recorded_cost_over_budget_stays_inconclusive(fresh_groups):
+    # the 50-node butson_match of test_equivalence, on a recorded support
+    assert recorded_group(ame64_phi(Fraction(1, 16))).cost > 50
+    cert = butson_match(ame64_phi(Fraction(1, 16)), ame64_phi(Fraction(3, 16)),
+                        max_nodes=50)
+    assert cert.verdict == "inconclusive"
+    assert "budget" in cert.reason
