@@ -19,10 +19,10 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, product
 from typing import Dict, List, Optional, Tuple
 
-from .butson import is_butson
+from .butson import _exp_rows_orthogonal
 from .equivalence import DEFAULT_MAX_NODES, _iter_support_sigmas
 from .phases import ONE, Amp, Phase, counts_amp, root_of_unity
 from .states import (MinimalSupportState, _is_prime, ame_linear_5,
@@ -185,8 +185,8 @@ def build_u4_u5(d: int) -> TriangularMatrixPair:
                 raise ReductionError("closed formula disagrees with the "
                                      "recursion for V at (%d, %d)" % (i, j))
     pair = TriangularMatrixPair(d, tuple(map(tuple, w)), tuple(map(tuple, v)))
-    for rows in (pair.u4(), pair.u5()):
-        if not is_butson(rows, d):
+    for rows in (pair.w, pair.v):
+        if not all(_exp_rows_orthogonal(r, t, d) for r, t in combinations(rows, 2)):
             raise ReductionError("constructed matrix is not unitary")
     return pair
 
@@ -199,35 +199,44 @@ def _conjugated_rho_prime(d: int, w, v):
     """(Id x U4 x U5) rho' (Id x U4 x U5)^dagger as a sparse Amp dict.
 
     rho' is an ensemble of d^2 orthogonal basis vectors, so the conjugation
-    is a sum of outer products of the transformed columns.  w and v are the
-    exponent matrices of U4 and U5, so every entry is a sum of d-th roots of
-    unity, kept as its integer count per exponent; each distinct count
-    vector is zero-tested once.
+    is a sum of outer products of the transformed columns: entry (x, y) of
+    block s counts the exponents e_x - e_y mod d, read from w and v, the
+    exponent matrices of U4 and U5.  Those histograms are packed one byte
+    per exponent slot, 2d slots per column y, into one int per row x: each
+    ensemble vector shifts a base int (a 1 at slot -e_y mod d of every
+    column) by e_x slots into each row.  Folding the two halves of a column
+    gives its count vector (no count exceeds d < 256), sliced from the
+    block's bytes; each distinct vector is zero-tested once.
     """
-    dd = d * d
+    if d > 255:
+        raise ReductionError("one byte per exponent slot needs d < 256")
+    dd, width = d * d, 2 * d
     inv = Fraction(1, d ** 4)  # 1/d^2 ensemble weight, 1/d per unitary factor
-    entries: Dict[Tuple[int, ...], Optional[Amp]] = {}  # count vector -> entry
+    low = int.from_bytes((b"\xff" * d + bytes(d)) * dd, "little")
+    units = [bytes(int(i == -e % d) for i in range(width)) for e in range(d)]
+    entries: Dict[bytes, Optional[Amp]] = {}  # count vector -> entry
     out: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Amp] = {}
     for s in range(d):
-        counts = [[0] * d for _ in range(dd * dd)]  # row x, column y at x*dd + y
+        rows = [0] * dd
         for j in range(d):
             # ensemble vector |i+j, i+2j, i+3j> written with s = i + j
             a, b = (s + j) % d, (s + 2 * j) % d
             # exponent matrices index (input symbol, output symbol), so the
             # column of the applied operator reads the a-th/b-th rows
-            col = [wm + vk for wm in w[a] for vk in v[b]]
-            for x, ex in enumerate(col):
-                base = x * dd
-                for y, ey in enumerate(col):
-                    counts[base + y][(ex - ey) % d] += 1
+            col = [(wm + vk) % d for wm in w[a] for vk in v[b]]
+            base = int.from_bytes(b"".join(map(units.__getitem__, col)), "little")
+            shifted = [base << 8 * e for e in range(d)]
+            rows = [r + shifted[e] for r, e in zip(rows, col)]
+        block = b"".join([((r & low) + ((r >> 8 * d) & low)).to_bytes(
+            width * dd, "little") for r in rows])
+        vecs = [block[i:i + d] for i in range(0, len(block), width)]
+        for vec in set(vecs).difference(entries):
+            entries[vec] = counts_amp(
+                [(e, c) for e, c in enumerate(vec) if c], d, inv)
+        amps = list(map(entries.__getitem__, vecs))
         sites = [(s, m, kk) for m in range(d) for kk in range(d)]
-        for idx, vec in enumerate(map(tuple, counts)):
-            if vec not in entries:
-                entries[vec] = counts_amp(
-                    [(e, c) for e, c in enumerate(vec) if c], d, inv)
-            amp = entries[vec]
-            if amp is not None:
-                out[(sites[idx // dd], sites[idx % dd])] = amp
+        out.update(zip(compress(product(sites, sites), amps),
+                       compress(amps, amps)))
     return out
 
 
@@ -239,8 +248,9 @@ def verify_rho345_lemma(d: int) -> bool:
     pair = build_u4_u5(d)
     got = _conjugated_rho_prime(d, pair.w, pair.v)
     rho = reduced_density(construct_ame5_phased(d), (2, 3, 4)).entries
+    # both sides share one Amp per count vector: compare each pair once
     return got.keys() == rho.keys() and all(
-        rho[key].equals(amp) for key, amp in got.items())
+        a.equals(b) for a, b in {(rho[key], amp) for key, amp in got.items()})
 
 
 def verify_ame5_nonequivalence(d: int) -> dict:

@@ -380,10 +380,9 @@ def construct_ame5_phased(d: int) -> SparseState:
     """The d^3-term AME(5,d) state sum_{i,j,k} w^{(3i+j)k} |i,j,i+j,2i+j+k,k>."""
     if d < 2:
         raise StateError("need d >= 2")
-    terms = {}
-    for i, j, k in itertools.product(range(d), repeat=3):
-        idx = (i, j, (i + j) % d, (2 * i + j + k) % d, k)
-        terms[idx] = Amp.from_phase(root_of_unity(d, (3 * i + j) * k))
+    roots = [Amp.from_phase(root_of_unity(d, e)) for e in range(d)]
+    terms = {(i, j, (i + j) % d, (2 * i + j + k) % d, k): roots[(3 * i + j) * k % d]
+             for i, j, k in itertools.product(range(d), repeat=3)}
     return SparseState(5, d, terms, scale2=d ** 3)
 
 

@@ -145,6 +145,15 @@ def test_reproduce_fourier(tmp_path):
     assert json.loads(rep.read_text())["passed"]
 
 
+@pytest.mark.parametrize("d", ["7", "11"])
+def test_reproduce_appendix_d(tmp_path, d):
+    rep = tmp_path / "rep.json"
+    assert run_cli(["reproduce", "appendix-d", "--d", d,
+                    "--json", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    assert report["passed"] and report["d"] == int(d)
+
+
 def test_no_subcommand_usage():
     assert run_cli([]) == 2
 

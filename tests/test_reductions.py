@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from ameslocc import reductions
 from ameslocc.equivalence import EquivalenceError
 from ameslocc.operators import LocalOperator, SiteOperator
-from ameslocc.phases import ONE, Amp, root_of_unity
+from ameslocc.phases import ONE, Amp, counts_amp, root_of_unity
 from ameslocc.reductions import (ReductionError, _conjugated_rho_prime,
                                  _supports_permutation_match, build_u4_u5,
                                  reduced_lm_filter, verify_ame5_nonequivalence,
@@ -234,3 +234,79 @@ def test_rho345_lemma_zero_test_count(monkeypatch):
     monkeypatch.setattr(Amp, "is_zero", counting)
     assert verify_rho345_lemma(7)
     assert len(calls) < 7 ** 5
+
+
+def count_loop_rho_prime(d, w, v):
+    """The conjugated reduction by one integer count per (row, column,
+    exponent): the loop the packed histograms replace, kept as a reference."""
+    dd = d * d
+    inv = Fraction(1, d ** 4)
+    entries = {}
+    out = {}
+    for s in range(d):
+        counts = [[0] * d for _ in range(dd * dd)]
+        for j in range(d):
+            a, b = (s + j) % d, (s + 2 * j) % d
+            col = [wm + vk for wm in w[a] for vk in v[b]]
+            for x, ex in enumerate(col):
+                for y, ey in enumerate(col):
+                    counts[x * dd + y][(ex - ey) % d] += 1
+        sites = [(s, m, kk) for m in range(d) for kk in range(d)]
+        for idx, vec in enumerate(map(tuple, counts)):
+            if vec not in entries:
+                entries[vec] = counts_amp(
+                    [(e, c) for e, c in enumerate(vec) if c], d, inv)
+            if entries[vec] is not None:
+                out[(sites[idx // dd], sites[idx % dd])] = entries[vec]
+    return out
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
+def test_packed_histograms_match_count_loop(d):
+    pair = build_u4_u5(d)
+    got = _conjugated_rho_prime(d, pair.w, pair.v)
+    want = count_loop_rho_prime(d, pair.w, pair.v)
+    assert list(got) == list(want)
+    assert all(got[key].terms == amp.terms for key, amp in want.items())
+
+
+def certificate_report(d):
+    return {"d": d, "all_passed": True, "verdict": "inequivalent", "steps": [
+        {"step": "rho345-lemma",
+         "claim": "Id x U4 x U5 conjugates the diagonal 3-party reduction "
+                  "of the linear family onto the phased family's reduction",
+         "passed": True},
+        {"step": "support-count",
+         "claim": "monomial outer factors preserve term counts, so an "
+                  "equivalence would give the phased state support d^4, but "
+                  "it has d^3 terms",
+         "passed": True, "phased_support": d ** 3, "linear_support": d ** 2,
+         "forced_support": d ** 4}]}
+
+
+@pytest.mark.parametrize("d", [5, 7, 11])
+def test_five_party_report_is_pinned(d):
+    assert verify_ame5_nonequivalence(d) == certificate_report(d)
+
+
+def test_rho345_lemma_rejects_an_entry_shared_with_another_key(monkeypatch):
+    # the replaced entry is an object the lemma already compared, at an
+    # earlier key with a different value, so only the pair of objects at
+    # the changed key shows the difference
+    orig = reductions._conjugated_rho_prime
+
+    def changed(d, w, v):
+        got = orig(d, w, v)
+        keys = list(got)
+        last = got[keys[-1]]
+        other = next(got[key] for key in keys if not got[key].equals(last))
+        got[keys[-1]] = other
+        return got
+
+    monkeypatch.setattr(reductions, "_conjugated_rho_prime", changed)
+    assert not verify_rho345_lemma(7)
+
+
+def test_packed_histograms_need_byte_counts():
+    with pytest.raises(ReductionError):
+        _conjugated_rho_prime(257, (), ())

@@ -380,6 +380,18 @@ def test_five_party_partial_traces_add_no_amps(monkeypatch):
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("d", range(2, 8))
+def test_phased_state_shares_its_root_amplitudes(d):
+    built = construct_ame5_phased(d)
+    terms = {(i, j, (i + j) % d, (2 * i + j + k) % d, k):
+             Amp.from_phase(root_of_unity(d, (3 * i + j) * k))
+             for i, j, k in itertools.product(range(d), repeat=3)}
+    assert list(built.terms) == list(terms)
+    assert all(built.terms[idx].terms == amp.terms for idx, amp in terms.items())
+    assert len({id(amp) for amp in built.terms.values()}) <= d
+    assert uniformity(built) == 2
+
+
 def test_partial_trace_zero_tests_run_over_each_entry_conductor(monkeypatch):
     # the state's turns 1/53, 1/57, 1/58, 1/59 give it conductor ~10^7, but
     # its entries only need 53 * 58: single-exponent entries are nonzero at
