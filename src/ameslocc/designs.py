@@ -11,7 +11,8 @@ bijective; for N = 2k the two notions coincide.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Sequence, Tuple
+from operator import eq
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .phases import ONE
 from .states import MinimalSupportState
@@ -111,31 +112,16 @@ class LatinHypercube:
 
 
 def check_molh(L: LatinHypercube) -> bool:
-    """Full slice-bijectivity test of the Latin-hypercube property.
+    """Latin-hypercube test: the rows input + output form an index-unity OA
+    of strength k on 2k columns.
 
-    For every way of fixing k-s input coordinates and every choice of s output
-    coordinates, the induced map [d]^s -> [d]^s must be a bijection.
+    Fixing k-s input coordinates and reading s output coordinates picks k of
+    the 2k columns, so every slice bijection is one column-set condition.
     """
-    k, d = L.k, L.d
-    if len(set(L.table.values())) != d ** k:
+    try:
+        return check_oa([i + o for i, o in L.table.items()], L.d, L.k)["is_oa"]
+    except DesignError:
         return False
-    for s in range(1, k + 1):
-        for fixed_pos in itertools.combinations(range(k), k - s):
-            free_pos = [p for p in range(k) if p not in fixed_pos]
-            for out_pos in itertools.combinations(range(k), s):
-                for fixed_vals in itertools.product(range(d), repeat=k - s):
-                    seen = set()
-                    for free_vals in itertools.product(range(d), repeat=s):
-                        idx = [0] * k
-                        for p, v in zip(fixed_pos, fixed_vals):
-                            idx[p] = v
-                        for p, v in zip(free_pos, free_vals):
-                            idx[p] = v
-                        out = L(tuple(idx))
-                        seen.add(tuple(out[p] for p in out_pos))
-                    if len(seen) != d ** s:
-                        return False
-    return True
 
 
 def state_to_molh(s: MinimalSupportState) -> LatinHypercube:
@@ -237,48 +223,31 @@ def no_molh_exists(k: int, d: int, node_budget: int = 10 ** 8) -> Optional[bool]
     a hypercube, False when one is found, None when the budget runs out.
     Feasible only for very small parameters (e.g. 3-MOLH(3)).
     """
-    inputs = list(itertools.product(range(d), repeat=k))
-    all_outputs = list(itertools.product(range(d), repeat=k))
-    assignment: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    cells = list(itertools.product(range(d), repeat=k))
+    placed: List[Tuple[int, ...]] = []
     used = set()
     nodes = 0
 
-    def consistent(pos: int) -> bool:
-        # check every slice constraint that the first pos+1 assignments could
-        # already saturate: partial injectivity of each induced map
-        for s in range(1, k + 1):
-            for fixed_pos in itertools.combinations(range(k), k - s):
-                for out_pos in itertools.combinations(range(k), s):
-                    buckets: Dict[Tuple[int, ...], set] = {}
-                    for idx in inputs[:pos + 1]:
-                        key = tuple(idx[p] for p in fixed_pos)
-                        proj = tuple(assignment[idx][p] for p in out_pos)
-                        b = buckets.setdefault(key, set())
-                        if proj in b:
-                            return False
-                        b.add(proj)
-        return True
-
     def rec(pos: int) -> Optional[bool]:
         nonlocal nodes
-        if pos == len(inputs):
+        if pos == len(cells):
             return False  # a full hypercube exists
-        for out in all_outputs:
+        for out in cells:
             if out in used:
                 continue
             nodes += 1
             if nodes > node_budget:
                 return None
-            assignment[inputs[pos]] = out
-            used.add(out)
-            if consistent(pos):
+            # index unity: two rows agree on at most k-1 of the 2k columns
+            row = cells[pos] + out
+            if all(sum(map(eq, row, other)) < k for other in placed):
+                used.add(out)
+                placed.append(row)
                 sub = rec(pos + 1)
+                placed.pop()
+                used.discard(out)
                 if sub is not True:
-                    used.discard(out)
-                    del assignment[inputs[pos]]
                     return sub
-            used.discard(out)
-            del assignment[inputs[pos]]
         return True
 
     return rec(0)

@@ -25,8 +25,8 @@ from .designs import small_regime
 from .modsolve import Rows, character_order, solve_turn_system
 from .operators import LocalOperator, SiteOperator
 from .phases import Phase, phase_product, turn_numerators
-from .states import (MinimalSupportState, StateError, _infer_k,
-                     states_equal_up_to_global_phase)
+from .states import (MinimalSupportState, StateError, _infer_k, _is_prime,
+                     states_equal_up_to_global_phase, with_phases)
 
 DEFAULT_MAX_NODES = 2_000_000
 
@@ -672,6 +672,7 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     minimal-support family is settled by the reduction pipeline; everything
     else is inconclusive.
     """
+    # looked up per call: perfbench/spans.py traces by rebinding states.uniformity
     from .states import uniformity
     ma, mb = _read_minimal(src), _read_minimal(dst)
     ka = uniformity(src) if ma is None else ma.k
@@ -741,7 +742,6 @@ def _ame5_pipeline_applicable(sa, sb) -> Optional[int]:
     number d^3 (free i0, i1, i4) and d^2 (free i0, i1), so that many
     distinct rows satisfying them are the whole support.
     """
-    from .states import _is_prime
     d = sa.d
     if (sa.n, sb.n, sb.d) != (5, 5, d) or d < 5 or not _is_prime(d):
         return None
@@ -769,7 +769,6 @@ def family_classes(base: MinimalSupportState, marked: Tuple[int, ...],
     inequivalent, and the Butson-form condition fails.  A
     monomial witness makes the pair equivalent.
     """
-    from .states import with_phases
     if base.k <= 2:
         raise EquivalenceError("family analysis applies to k > 2")
     phases = [Phase(t) for t in turns]

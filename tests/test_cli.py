@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ameslocc.cli import CliError, RunConfig, run_cli
+from ameslocc.cli import _SCENARIOS, CliError, RunConfig, run_cli
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import root_of_unity
 from ameslocc.states import ame64_phi
@@ -145,6 +145,13 @@ def test_reproduce_fourier(tmp_path):
     assert json.loads(rep.read_text())["passed"]
 
 
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_reproduce_every_scenario(tmp_path, scenario):
+    rep = tmp_path / "rep.json"
+    assert run_cli(["reproduce", scenario, "--json", str(rep)]) == 0
+    assert json.loads(rep.read_text())["passed"] is True
+
+
 @pytest.mark.parametrize("d", ["7", "11"])
 def test_reproduce_appendix_d(tmp_path, d):
     rep = tmp_path / "rep.json"
@@ -166,3 +173,17 @@ def test_runconfig_validation():
     with pytest.raises(CliError):
         RunConfig(mode="symbolic")
 
+
+@pytest.mark.parametrize("flag", ["--tolerance", "--max-nodes"])
+def test_zero_config_values_are_rejected(flag):
+    # 0 is a given value, not a missing one: RunConfig rejects it
+    assert run_cli([flag, "0", "reproduce", "ex9"]) == 2
+
+
+def test_construct_phi_keeps_a_rational_turn(tmp_path, capsys):
+    out = tmp_path / "phi.json"
+    assert run_cli(["construct", "ame64-phi", "--phi", "1/16", "-o", str(out)]) == 0
+    terms = {tuple(t["idx"]): t for t in json.loads(out.read_text())["terms"]}
+    assert terms[(0,) * 6]["phase"] == {"turn": {"num": 1, "den": 16}}
+    assert run_cli(["check", "state", "--file", str(out)]) == 0
+    assert "uniformity=3" in capsys.readouterr().out

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from ameslocc.designs import (DesignError, LatinHypercube, OrthogonalArray,
@@ -123,3 +126,127 @@ def test_latin_hypercube_slices():
 def test_ame44_is_two_mols4():
     L = state_to_molh(construct_ame44())
     assert check_molh(L)
+
+
+def slice_loop_molh(L):
+    """Reference: the slice-bijection loop check_molh ran before it became
+    one index-unity OA check."""
+    k, d = L.k, L.d
+    if len(set(L.table.values())) != d ** k:
+        return False
+    for s in range(1, k + 1):
+        for fixed_pos in itertools.combinations(range(k), k - s):
+            free_pos = [p for p in range(k) if p not in fixed_pos]
+            for out_pos in itertools.combinations(range(k), s):
+                for fixed_vals in itertools.product(range(d), repeat=k - s):
+                    seen = set()
+                    for free_vals in itertools.product(range(d), repeat=s):
+                        idx = [0] * k
+                        for p, v in zip(fixed_pos, fixed_vals):
+                            idx[p] = v
+                        for p, v in zip(free_pos, free_vals):
+                            idx[p] = v
+                        out = L(tuple(idx))
+                        seen.add(tuple(out[p] for p in out_pos))
+                    if len(seen) != d ** s:
+                        return False
+    return True
+
+
+def rescan_no_molh(k, d, node_budget):
+    """Reference: the search no_molh_exists ran before it pruned by pairwise
+    agreement, re-scanning every slice of every placed input at each node."""
+    inputs = list(itertools.product(range(d), repeat=k))
+    assignment = {}
+    used = set()
+    nodes = 0
+
+    def consistent(pos):
+        for s in range(1, k + 1):
+            for fixed_pos in itertools.combinations(range(k), k - s):
+                for out_pos in itertools.combinations(range(k), s):
+                    buckets = {}
+                    for idx in inputs[:pos + 1]:
+                        key = tuple(idx[p] for p in fixed_pos)
+                        proj = tuple(assignment[idx][p] for p in out_pos)
+                        b = buckets.setdefault(key, set())
+                        if proj in b:
+                            return False
+                        b.add(proj)
+        return True
+
+    def rec(pos):
+        nonlocal nodes
+        if pos == len(inputs):
+            return False
+        for out in inputs:
+            if out in used:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                return None
+            assignment[inputs[pos]] = out
+            used.add(out)
+            if consistent(pos):
+                sub = rec(pos + 1)
+                if sub is not True:
+                    used.discard(out)
+                    del assignment[inputs[pos]]
+                    return sub
+            used.discard(out)
+            del assignment[inputs[pos]]
+        return True
+
+    return rec(0)
+
+
+def random_tables(count, seed):
+    """Tables L(x) = A x + b mod d with nonzero coefficients in A, half of
+    them with two outputs swapped afterwards; symbols stay in range."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k, d = rng.choice((1, 2, 3)), rng.choice((2, 3, 4))
+        a = [[rng.randrange(1, d) for _ in range(k)] for _ in range(k)]
+        b = [rng.randrange(d) for _ in range(k)]
+        table = {x: tuple((sum(r * v for r, v in zip(row, x)) + c) % d
+                          for row, c in zip(a, b))
+                 for x in itertools.product(range(d), repeat=k)}
+        if rng.random() < 0.5:
+            x, y = rng.sample(sorted(table), 2)
+            table[x], table[y] = table[y], table[x]
+        yield LatinHypercube(k, d, table)
+
+
+def test_check_molh_matches_slice_loop_on_library_hypercubes():
+    for L in (mols3(), tensor_molh(mols3(), mols3()),
+              state_to_molh(construct_ame44())):
+        assert check_molh(L) is slice_loop_molh(L) is True
+
+
+def test_check_molh_matches_slice_loop_on_random_tables():
+    verdicts = [(check_molh(L), slice_loop_molh(L))
+                for L in random_tables(600, seed=19)]
+    assert all(new == ref for new, ref in verdicts)
+    # both verdicts occur, so the comparison is not vacuous
+    assert {new for new, _ in verdicts} == {True, False}
+
+
+def test_check_molh_rejects_out_of_range_symbol():
+    # MOLS(3) with the symbol 3 in place of 0 at (0, 0): the slice loop only
+    # counted distinct images, so it accepted this table
+    L = LatinHypercube(2, 3, {(i, j): ((i + j) % 3,
+                                      (2 * i + j) % 3 + 3 * ((i, j) == (0, 0)))
+                              for i in range(3) for j in range(3)})
+    assert slice_loop_molh(L)
+    assert not check_molh(L)
+
+
+@pytest.mark.parametrize("k, d, n, verdict", [
+    (2, 2, 24, True), (2, 3, 26, False), (3, 3, 11313, True),
+    (2, 4, 76, False), (3, 4, 1072, False)])
+def test_no_molh_exists_matches_rescan_search(k, d, n, verdict):
+    # n is the node count of the full search: one node fewer runs out
+    assert no_molh_exists(k, d, n - 1) is rescan_no_molh(k, d, n - 1) is None
+    assert no_molh_exists(k, d, n) is rescan_no_molh(k, d, n) is verdict
+    for budget in (1, 5, 10 ** 8):
+        assert no_molh_exists(k, d, budget) is rescan_no_molh(k, d, budget)

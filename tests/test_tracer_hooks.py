@@ -93,3 +93,12 @@ def test_exact_minimal_equivalent_decision_builds_no_sparse_state(monkeypatch):
     assert cert.verdict == "equivalent"
     assert tracer.calls["states.equal_up_to_phase"] == 1
     assert tracer.calls["states.to_sparse"] == 0
+
+
+def test_tracer_sees_the_uniformity_call_of_a_decision(monkeypatch):
+    # decide_slocc looks uniformity up in states at each call; a module-level
+    # import in equivalence would bypass the rebound name and hide the span
+    cert, tracer = traced(
+        monkeypatch, lambda: decide_slocc(construct_ame5_phased(5), ame_linear_5(5)))
+    assert cert.verdict == "inequivalent"
+    assert tracer.calls["states.uniformity"] == 1
