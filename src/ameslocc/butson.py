@@ -3,7 +3,8 @@
 A BH(d, q) matrix has q-th-root-of-unity entries and becomes unitary after
 scaling by 1/sqrt(d).  Entries are stored unscaled as phases, and every test
 reads them as integer exponents of the primitive q-th root; orthogonality is
-an exact vanishing-sum-of-roots-of-unity check.
+an exact vanishing-sum-of-roots-of-unity check, made once per exponent
+histogram.
 
 Matrices are classified up to monomial equivalence (row/column permutations
 and unit-diagonal scalings), decided on dephased exponent matrices (first
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -71,10 +73,10 @@ def fourier(d: int) -> ButsonMatrix:
 def _exponents(entries, q: int) -> Tuple[Tuple[int, ...], ...]:
     """Exponents e in [0, q) with entry = w^e, w the primitive q-th root of
     unity; ButsonError if an entry is not an exact q-th root."""
-    if any(not p.is_exact or q % p.turn.denominator for row in entries for p in row):
+    turns = [[p.turn for p in row] for row in entries]
+    if any(not isinstance(t, Fraction) or q % t.denominator for row in turns for t in row):
         raise ButsonError("entries are not all %d-th roots of unity" % q)
-    return tuple(tuple(p.turn.numerator * (q // p.turn.denominator) for p in row)
-                 for row in entries)
+    return tuple(tuple(t.numerator * (q // t.denominator) for t in row) for row in turns)
 
 
 def is_butson(entries, q: int) -> bool:
@@ -111,22 +113,40 @@ def _anchored(e, r0: int, c0: int, q: int):
 def monomially_equivalent(a: ButsonMatrix, b: ButsonMatrix):
     """Witness (p, q, dr, dc) with a[i][j] = dr[i]*b[p[i]][q[j]]*dc[j], or None.
 
-    Works on integer exponents over Q = lcm(a.q, b.q) (ButsonError if an
-    entry is not a Q-th root).  For each anchor (r0, c0) of b, in order, whose
-    dephased form has the sorted row and column contents of dephased a, rows
-    of dephased a are placed one at a time: row 0 on r0, row i on an unused
-    row with the same sorted contents, ascending, kept while the sorted
-    column-prefix tuples equal a's.  Every completion keeps them, so the
-    first witness is that of a plain scan over row permutations.  Columns
-    follow by lookup; the diagonals are recovered and checked mod Q.
+    Runs _monomial_witness on the integer exponents of a and b over
+    Q = lcm(a.q, b.q) (ButsonError if an entry is not a Q-th root) and turns
+    its diagonal exponents into Q-th roots of unity.
     """
     if a.d != b.d:
         return None
-    d, big_q = a.d, math.lcm(a.q, b.q)
-    ea, eb = _exponents(a.entries, big_q), _exponents(b.entries, big_q)
+    big_q = math.lcm(a.q, b.q)
+    found = _monomial_witness(_exponents(a.entries, big_q),
+                              _exponents(b.entries, big_q), big_q)
+    if found is None:
+        return None
+    p, q, dr, dc = found
+    return p, q, [root_of_unity(big_q, x) for x in dr], [root_of_unity(big_q, x) for x in dc]
+
+
+def _monomial_witness(ea, eb, big_q):
+    """(p, q, dr, dc) with ea[i][j] = dr[i] + eb[p[i]][q[j]] + dc[j] mod Q,
+    the diagonals as exponents, or None; ea and eb are d x d exponent rows.
+
+    For each anchor (r0, c0) of b, in order, whose dephased form has the
+    sorted row and then the sorted column contents of dephased a, rows of
+    dephased a are placed one at a time: row 0 on r0, row i on an unused row
+    with the same sorted contents, ascending, kept while the sorted
+    column-prefix tuples equal a's.  Every completion keeps them, so the
+    first witness is that of a plain scan over row permutations.  Columns
+    follow by lookup; the diagonals are recovered and checked mod Q.  The
+    dephased form at (r0, c0) is D[r][c] - D[r][c0] with D[r] = eb[r] - eb[r0],
+    so D is built once per r0 and shifted for each c0.
+    """
+    d = len(ea)
     da = _anchored(ea, 0, 0, big_q)
     rows_a = [tuple(sorted(row)) for row in da]
-    shape_a = (sorted(rows_a), sorted(sorted(col) for col in zip(*da)))
+    sorted_rows_a = sorted(rows_a)
+    cols_a = sorted(sorted(col) for col in zip(*da))
     prefixes_a = [sorted(zip(*da[:t])) for t in range(d + 1)]
 
     def placements(c, rows_c, p, cols):
@@ -144,10 +164,12 @@ def monomially_equivalent(a: ButsonMatrix, b: ButsonMatrix):
                     p.pop()
 
     for r0 in range(d):
+        diffs = [[x - y for x, y in zip(row, eb[r0])] for row in eb]
         for c0 in range(d):
-            c = _anchored(eb, r0, c0, big_q)
+            c = [[(x - row[c0]) % big_q for x in row] for row in diffs]
             rows_c = [tuple(sorted(row)) for row in c]
-            if (sorted(rows_c), sorted(sorted(col) for col in zip(*c))) != shape_a:
+            if (sorted(rows_c) != sorted_rows_a
+                    or sorted(sorted(col) for col in zip(*c)) != cols_a):
                 continue
             p = [r0]
             for cols_c in placements(c, rows_c, p, [(x,) for x in c[r0]]):
@@ -159,23 +181,62 @@ def monomially_equivalent(a: ButsonMatrix, b: ButsonMatrix):
                 dc = [(ea[0][j] - eb[p[0]][q[j]] - dr[0]) % big_q for j in range(d)]
                 if all((dr[i] + eb[p[i]][q[j]] + dc[j] - ea[i][j]) % big_q == 0
                        for i in range(d) for j in range(d)):
-                    return (tuple(p), tuple(q), [root_of_unity(big_q, x) for x in dr],
-                            [root_of_unity(big_q, x) for x in dc])
+                    return tuple(p), tuple(q), dr, dc
     return None
+
+
+@lru_cache(maxsize=4096)
+def _vanishes(counts: Tuple[int, ...], q: int) -> bool:
+    """The sum of counts[e] copies of w^e vanishes, w the primitive q-th root
+    of unity: the exact test, run once per histogram.  Whether roots of unity
+    sum to zero depends only on how often each one occurs."""
+    return exponent_sum_is_zero({e: c for e, c in enumerate(counts) if c}, q)
+
+
+def _histogram(exps, q: int) -> Tuple[int, ...]:
+    """How often each residue 0..q-1 occurs among exps (each in [0, q))."""
+    counts = [0] * q
+    for e in exps:
+        counts[e] += 1
+    return tuple(counts)
 
 
 def _exp_rows_orthogonal(row_a, row_b, q) -> bool:
     """Exponent rows a, b (mod q) are orthogonal: sum_j w^(a_j - b_j) vanishes
     exactly, w the primitive q-th root of unity."""
-    return exponent_sum_is_zero(Counter((x - y) % q for x, y in zip(row_a, row_b)), q)
+    return _vanishes(_histogram(((x - y) % q for x, y in zip(row_a, row_b)), q), q)
 
 
 def _zero_sum_rows(d: int):
     """All exponent tuples (0, e1, ..., e_{d-1}) whose d-th-root sum vanishes,
-    i.e. that are orthogonal to the all-zeros row."""
-    zeros = (0,) * d
-    return [(0,) + tail for tail in itertools.product(range(d), repeat=d - 1)
-            if _exp_rows_orthogonal((0,) + tail, zeros, d)]
+    i.e. that are orthogonal to the all-zeros row, in lexicographic order.
+
+    Each multiset of tails is one histogram; it is tested once, and only a
+    vanishing one is expanded to its distinct orderings.
+    """
+    rows = []
+    for tail in itertools.combinations_with_replacement(range(d), d - 1):
+        if _vanishes(_histogram((0,) + tail, d), d):
+            rows.extend((0,) + t for t in set(itertools.permutations(tail)))
+    return sorted(rows)
+
+
+def _orthogonality_graph(rows, d: int):
+    """{i: {j > i with rows[i], rows[j] orthogonal}} for rows = _zero_sum_rows(d).
+
+    Two rows r, s that start at 0 are orthogonal exactly when (s - r) mod d
+    is a zero-sum row: it starts at 0 and its root sum is sum_j w^(s_j - r_j).
+    So each edge is one set lookup.  Rows are packed one byte per entry
+    (d < 128): every byte of s + d - r lies in [1, 2d), so no borrow crosses
+    bytes, and adding 128 - d sets a byte's top bit exactly where it is at
+    least d, which marks where d comes off to reduce mod d.
+    """
+    packed = [int.from_bytes(bytes(r), "little") for r in rows]
+    all_d, ones, top = (int.from_bytes(bytes([x] * d), "little") for x in (d, 1, 128 - d))
+    zero_sum = set(packed)
+    return {i: {j for j in range(i + 1, len(rows))
+                if (v := packed[j] + all_d - r) - ((v + top) >> 7 & ones) * d in zero_sum}
+            for i, r in enumerate(packed)}
 
 
 def _exp_to_matrix(rows, q) -> ButsonMatrix:
@@ -185,13 +246,10 @@ def _exp_to_matrix(rows, q) -> ButsonMatrix:
 
 def _sorted_dephased(d: int) -> List[List[Tuple[int, ...]]]:
     """Exponent rows of every dephased BH(d,d) matrix whose rows are in
-    lexicographic order (complete backtracking over pairwise orthogonal
-    zero-sum rows)."""
-    cands = sorted(_zero_sum_rows(d))
-    ortho = {}
-    for i, r in enumerate(cands):
-        ortho[i] = {j for j, s in enumerate(cands)
-                    if j > i and _exp_rows_orthogonal(r, s, d)}
+    lexicographic order (complete backtracking over the orthogonality graph
+    of the zero-sum rows)."""
+    cands = _zero_sum_rows(d)
+    ortho = _orthogonality_graph(cands, d)
     sorted_sets = []
 
     def rec(chosen: List[int], pool: set):
@@ -217,16 +275,26 @@ def all_dephased(d: int) -> List[ButsonMatrix]:
 
 def _haagerup_key(m: ButsonMatrix):
     """Multiset of all quartic phase products m_ij m_kl / (m_il m_kj), invariant
-    under monomial maps, as sorted (numerator, denominator) turns.  Counted
-    mod q as d_j - d_l over the row differences d = e_i - e_k."""
-    q, e = m.q, m.exponents()
-    counts = Counter()
-    for ri in e:
-        for rk in e:
-            diff = [x - y for x, y in zip(ri, rk)]
-            counts.update((x - y) % q for x in diff for y in diff)
-    turns = sorted((Fraction(x, q).as_integer_ratio(), n) for x, n in counts.items())
+    under monomial maps, as sorted (numerator, denominator) turns: the
+    expansion of _haagerup_counts."""
+    turns = sorted((Fraction(x, m.q).as_integer_ratio(), n)
+                   for x, n in _haagerup_counts(m.exponents(), m.q))
     return tuple(pair for pair, n in turns for _ in range(n))
+
+
+def _haagerup_counts(e, q: int):
+    """The quartic products of exponent rows e as sorted (exponent, count)
+    pairs mod q, counted as d_j - d_l over the row differences d = e_i - e_k.
+    The row pairs (i, k) and (k, i) give the same counts, so each is counted
+    once and doubled; i = k gives d^2 zeros."""
+    pairs = Counter()
+    for i, ri in enumerate(e):
+        for rk in e[:i]:
+            diff = [x - y for x, y in zip(ri, rk)]
+            pairs.update((x - y) % q for x in diff for y in diff)
+    counts = Counter({x: 2 * n for x, n in pairs.items()})
+    counts[0] += len(e) ** 3
+    return tuple(sorted(counts.items()))
 
 
 _BH_CAP = 6
@@ -235,21 +303,19 @@ _BH_CAP = 6
 def enumerate_bh(d: int) -> List[ButsonMatrix]:
     """Representatives of BH(d,d) up to monomial equivalence, 2 <= d <= 6.
 
-    Enumerates dephased matrices with sorted rows (a cheap symmetry
-    reduction), buckets them by the Haagerup key, and keeps each that
-    monomially_equivalent relates to no earlier one in its bucket.
+    Enumerates dephased exponent matrices with sorted rows (a cheap symmetry
+    reduction), buckets them by their _haagerup_counts, and keeps each that
+    _monomial_witness relates to no earlier one in its bucket.  Only the
+    representatives become ButsonMatrix objects, in exponent order.
     """
     if not 2 <= d <= _BH_CAP:
         raise ButsonError("enumeration supported for 2 <= d <= %d only" % _BH_CAP)
     buckets = {}
-    reps: List[ButsonMatrix] = []
+    reps = []
     for rows in _sorted_dephased(d):
-        m = _exp_to_matrix(rows, d)
-        key = _haagerup_key(m)
-        bucket = buckets.setdefault(key, [])
-        if any(monomially_equivalent(m, r) is not None for r in bucket):
+        bucket = buckets.setdefault(_haagerup_counts(rows, d), [])
+        if any(_monomial_witness(rows, r, d) is not None for r in bucket):
             continue
-        bucket.append(m)
-        reps.append(m)
-    reps.sort(key=lambda m: m.exponents())
-    return reps
+        bucket.append(rows)
+        reps.append(rows)
+    return [_exp_to_matrix(rows, d) for rows in sorted(reps)]

@@ -97,14 +97,20 @@ def _emit(payload: dict, args, text_lines=None) -> None:
         print(line)
 
 
+def _given(value, default):
+    """value unless the option was left out; an explicit 0 stays 0, so the
+    constructor rejects it."""
+    return default if value is None else value
+
+
 _CONSTRUCTORS = {
-    "ghz": lambda a: st.construct_ghz(a.n or 3, a.d or 2),
-    "bell": lambda a: st.construct_ghz(2, a.d or 2),
+    "ghz": lambda a: st.construct_ghz(_given(a.n, 3), _given(a.d, 2)),
+    "bell": lambda a: st.construct_ghz(2, _given(a.d, 2)),
     "ame43": lambda a: st.construct_ame43(),
     "ame44": lambda a: st.construct_ame44(),
     "ame64": lambda a: st.construct_ame64(),
-    "ame5-linear": lambda a: st.ame_linear_5(a.d or 5),
-    "ame5-phased": lambda a: st.construct_ame5_phased(a.d or 5),
+    "ame5-linear": lambda a: st.ame_linear_5(_given(a.d, 5)),
+    "ame5-phased": lambda a: st.construct_ame5_phased(_given(a.d, 5)),
     "ame64-phi": lambda a: st.ame64_phi(a.phi),
 }
 
@@ -375,7 +381,7 @@ _SCENARIOS = {
     "composed-automorphism": lambda cfg, a: _scenario_composed_automorphism(cfg),
     "bell-UUbar": lambda cfg, a: _scenario_bell(cfg),
     "ex9": lambda cfg, a: _scenario_ex9(cfg),
-    "appendix-d": lambda cfg, a: _scenario_appendix_d(cfg, a.d or 5),
+    "appendix-d": lambda cfg, a: _scenario_appendix_d(cfg, _given(a.d, 5)),
     "ame55-inequivalence": lambda cfg, a: _scenario_ame55(cfg),
     "ame6-family": lambda cfg, a: _scenario_ame6_family(cfg),
 }

@@ -245,9 +245,15 @@ def verify_rho345_lemma(d: int) -> bool:
     Id x U4 x U5 reproduces the reduction of the phased family exactly."""
     if d % 2 == 0:
         raise ReductionError("the lemma is stated for odd d only")
+    return _rho345_lemma_holds(d, construct_ame5_phased(d))
+
+
+def _rho345_lemma_holds(d: int, phased) -> bool:
+    """verify_rho345_lemma for odd d, against ``phased``, the state
+    construct_ame5_phased(d) returns."""
     pair = build_u4_u5(d)
     got = _conjugated_rho_prime(d, pair.w, pair.v)
-    rho = reduced_density(construct_ame5_phased(d), (2, 3, 4)).entries
+    rho = reduced_density(phased, (2, 3, 4)).entries
     # both sides share one Amp per count vector: compare each pair once
     return got.keys() == rho.keys() and all(
         a.equals(b) for a, b in {(rho[key], amp) for key, amp in got.items()})
@@ -277,13 +283,13 @@ def verify_ame5_nonequivalence(d: int) -> dict:
 def _ame5_certificate(d: int) -> dict:
     """The report of ``verify_ame5_nonequivalence`` for a validated d."""
     steps = []
-    ok1 = verify_rho345_lemma(d)
+    phased = construct_ame5_phased(d)
+    ok1 = _rho345_lemma_holds(d, phased)
     steps.append({"step": "rho345-lemma",
                   "claim": "Id x U4 x U5 conjugates the diagonal 3-party "
                            "reduction of the linear family onto the phased "
                            "family's reduction",
                   "passed": ok1})
-    phased = construct_ame5_phased(d)
     linear = ame_linear_5(d)
     supp_phased = len(phased.terms)
     supp_linear = len(linear.phases)

@@ -1,15 +1,18 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ameslocc.butson import (ButsonError, ButsonMatrix, _haagerup_key,
+from ameslocc import butson
+from ameslocc.butson import (ButsonError, ButsonMatrix, _exp_rows_orthogonal,
+                             _haagerup_key, _orthogonality_graph, _zero_sum_rows,
                              all_dephased, dephase, enumerate_bh, fourier,
                              is_butson, monomially_equivalent, tensor_butson)
-from ameslocc.phases import ONE, Phase, root_of_unity
+from ameslocc.phases import ONE, Phase, exponent_sum_is_zero, root_of_unity
 
 # One dephased exponent matrix (entries mod 6) per monomial class of BH(6,6),
 # as enumerate_bh(6) returns them (Tadej and Zyczkowski, "A concise guide to
@@ -105,6 +108,59 @@ def test_class_counts():
 def test_enumeration_caps():
     with pytest.raises(ButsonError):
         enumerate_bh(7)
+
+
+def test_census_d7_is_fourier_alone(monkeypatch):
+    # the cap guards butson_match's dense layer loop, not the census itself
+    monkeypatch.setattr(butson, "_BH_CAP", 7)
+    assert [m.exponents() for m in enumerate_bh(7)] == [fourier(7).exponents()]
+
+
+def direct_orthogonal(row_a, row_b, q):
+    """One exact zero test on the difference Counter, per call."""
+    return exponent_sum_is_zero(Counter((x - y) % q for x, y in zip(row_a, row_b)), q)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_zero_sum_rows_match_product_filter(d):
+    zeros = (0,) * d
+    want = [(0,) + tail for tail in itertools.product(range(d), repeat=d - 1)
+            if direct_orthogonal((0,) + tail, zeros, d)]
+    assert _zero_sum_rows(d) == want
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_orthogonality_graph_matches_direct_tests(d):
+    rows = _zero_sum_rows(d)
+    want = {i: {j for j, s in enumerate(rows) if j > i and direct_orthogonal(r, s, d)}
+            for i, r in enumerate(rows)}
+    assert _orthogonality_graph(rows, d) == want
+
+
+@st.composite
+def row_pairs(draw):
+    """Rows a, b mod q whose differences are often a union of rotated cosets
+    of the p-th roots (p | q, a vanishing sum), sometimes with one entry
+    changed."""
+    q = draw(st.sampled_from(list(range(2, 13)) + [15, 30]))
+    divisors = [p for p in range(2, q + 1) if q % p == 0]
+    diff = []
+    for p in draw(st.lists(st.sampled_from(divisors), max_size=3)):
+        shift = draw(st.integers(0, q - 1))
+        diff += [shift + k * (q // p) for k in range(p)]
+    diff += draw(st.lists(st.integers(0, q - 1), max_size=2))
+    if not diff:
+        diff = [draw(st.integers(0, q - 1))]
+    diff = draw(st.permutations(diff))
+    b = draw(st.lists(st.integers(0, q - 1), min_size=len(diff), max_size=len(diff)))
+    return [(x + y) % q for x, y in zip(diff, b)], b, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs())
+def test_exp_rows_orthogonal_matches_direct_test(pair):
+    a, b, q = pair
+    assert _exp_rows_orthogonal(a, b, q) == direct_orthogonal(a, b, q)
 
 
 def test_haagerup_invariant_under_scrambles():

@@ -180,6 +180,23 @@ def test_zero_config_values_are_rejected(flag):
     assert run_cli([flag, "0", "reproduce", "ex9"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "ghz", "--n", "0", "--d", "0"],
+    ["construct", "ghz", "--n", "0"],
+    ["construct", "bell", "--d", "0"],
+    ["construct", "ame5-linear", "--d", "0"],
+    ["construct", "ame5-phased", "--d", "0"],
+    ["reproduce", "appendix-d", "--d", "0"],
+])
+def test_zero_size_values_are_rejected(tmp_path, argv):
+    # an explicit 0 reaches the constructor, which rejects it, rather than
+    # being read as the left-out option's default
+    out = tmp_path / "out.json"
+    flag = "-o" if argv[0] == "construct" else "--json"
+    assert run_cli(argv + [flag, str(out)]) == 2
+    assert not out.exists()
+
+
 def test_construct_phi_keeps_a_rational_turn(tmp_path, capsys):
     out = tmp_path / "phi.json"
     assert run_cli(["construct", "ame64-phi", "--phi", "1/16", "-o", str(out)]) == 0
