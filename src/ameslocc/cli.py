@@ -67,7 +67,7 @@ def _load_state(path: str):
         raise CliError("cannot read state file %s: %s" % (path, e))
     try:
         return st.SparseState.from_json(obj)
-    except (KeyError, st.StateError) as e:
+    except (KeyError, TypeError, ValueError) as e:  # StateError, PhaseError are ValueErrors
         raise CliError("malformed state file %s: %s" % (path, e))
 
 

@@ -24,7 +24,7 @@ from .butson import _BH_CAP, enumerate_bh
 from .designs import small_regime
 from .modsolve import Rows, character_order, solve_turn_system
 from .operators import LocalOperator, SiteOperator
-from .phases import Phase, phase_product, turn_numerators
+from .phases import Phase, get_tolerance, phase_product, turn_numerators
 from .states import (MinimalSupportState, StateError, _infer_k, _is_prime,
                      states_equal_up_to_global_phase, with_phases)
 
@@ -88,17 +88,16 @@ def compute_w(s: MinimalSupportState, positions: Sequence[int], symbols: Sequenc
         if all(idx[pos] == sym for pos, sym in zip(positions, symbols)))
 
 
-def _w_table(s: MinimalSupportState, i: int, S: Tuple[int, ...]):
-    """W^{i,S}_{l,I} for all symbols l at site i and tuples I on sites S,
-    keyed (l,) + I, in one pass over the support: the rows are grouped by
-    their symbols at (i,) + S and each group gives one phase product, the
-    one ``compute_w`` takes for that cell."""
-    positions = (i,) + tuple(S)
-    groups = {}
-    for idx, p in s.phases.items():
-        groups.setdefault(tuple(map(idx.__getitem__, positions)), []).append(p)
-    return {cell: phase_product(groups.get(cell, ()))
-            for cell in itertools.product(range(s.d), repeat=len(positions))}
+def _w_table(turns, d, positions):
+    """W_{l,I} for all symbols l at positions[0] and tuples I on the other
+    positions, keyed (l,) + I, in one pass over ``turns``, a dict of the
+    support rows' turn numerators (``phases.turn_numerators``): each cell
+    sums the numerators of the rows carrying its symbols, the turn of the
+    phase product ``compute_w`` takes."""
+    cells = dict.fromkeys(itertools.product(range(d), repeat=len(positions)), 0)
+    for idx, t in turns.items():
+        cells[tuple(map(idx.__getitem__, positions))] += t
+    return cells
 
 
 def _i_s_choices(s: MinimalSupportState):
@@ -124,37 +123,32 @@ def cond_monomial(src: MinimalSupportState, dst: MinimalSupportState):
     if src.k <= 2:
         return True, None
     d = src.d
+    q, turns = turn_numerators([*src.phases.values(), *dst.phases.values()])
+    tsrc, tdst = dict(zip(src.phases, turns)), dict(zip(dst.phases, turns[len(src.phases):]))
     perms = list(itertools.permutations(range(d)))
     for i, S in _i_s_choices(src):
-        wsrc = _w_table(src, i, S)
-        wdst = _w_table(dst, i, S)
-        if not _sigma_exists(wsrc, wdst, d, len(S), perms):
+        wsrc = _w_table(tsrc, d, (i,) + S)
+        wdst = _w_table(tdst, d, (i,) + S)
+        if not _sigma_exists(wsrc, wdst, d, len(S), perms, q):
             return False, (i, S)
     return True, None
 
 
-def _ratios_constant(phases: List[Phase]) -> bool:
-    """All phases equal, exactly for rational turns and within tolerance
-    (circular distance) when any float turn is involved."""
-    if all(p.is_exact for p in phases):
-        return len({p.turn for p in phases}) <= 1
-    return all(p.close_to(phases[0]) for p in phases[1:])
+def _ratios_constant(ratios, q) -> bool:
+    """All turns r / q in ratios equal mod 1: exactly for an int q, and
+    within tolerance (circular distance) for float turns, q = 1.0."""
+    if isinstance(q, int):
+        return len({r % q for r in ratios}) <= 1
+    return all(min(x, 1.0 - x) <= get_tolerance()
+               for x in ((r - ratios[0]) % 1.0 for r in ratios))
 
 
-def _sigma_exists(wsrc, wdst, d, slen, perms) -> bool:
+def _sigma_exists(wsrc, wdst, d, slen, perms, q) -> bool:
     tuples = list(itertools.product(range(d), repeat=slen))
     for sigma_i in perms:
         for sigma_S in itertools.product(perms, repeat=slen):
-            ok = True
-            for ell in range(d):
-                ratios = [
-                    wdst[(ell,) + I] / wsrc[(sigma_i[ell],) +
-                                            tuple(p[x] for p, x in zip(sigma_S, I))]
-                    for I in tuples]
-                if not _ratios_constant(ratios):
-                    ok = False
-                    break
-            if ok:
+            if all(_ratios_constant([wdst[(ell,) + I] - wsrc[(sigma_i[ell],) + tuple(
+                    p[x] for p, x in zip(sigma_S, I))] for I in tuples], q) for ell in range(d)):
                 return True
     return False
 
@@ -166,14 +160,14 @@ def cond_butson(src: MinimalSupportState, dst: MinimalSupportState):
         return True, None
     for state, label in ((src, "src"), (dst, "dst")):
         d = state.d
+        q, turns = turn_numerators(state.phases.values())
+        turns = dict(zip(state.phases, turns))
+        tuples = list(itertools.product(range(d), repeat=state.k - 2))
         for i, S in _i_s_choices(state):
-            w = _w_table(state, i, S)
-            for ell in range(d):
-                for ell2 in range(ell + 1, d):
-                    ratios = [w[(ell,) + I] / w[(ell2,) + I]
-                              for I in itertools.product(range(d), repeat=len(S))]
-                    if not _ratios_constant(ratios):
-                        return False, (label, i, S, ell, ell2)
+            w = _w_table(turns, d, (i,) + S)
+            for ell, ell2 in itertools.combinations(range(d), 2):
+                if not _ratios_constant([w[(ell,) + I] - w[(ell2,) + I] for I in tuples], q):
+                    return False, (label, i, S, ell, ell2)
     return True, None
 
 
@@ -213,7 +207,7 @@ def _diagonal_solver(src, dst, exact):
 
     def solve(sigma):
         rhs = [(t - w) % mod for t, w in zip(pulled_back(sigma), src_turns)]
-        theta = solve_turn_system(rows, rhs, n * d, exact=exact, den=den)
+        theta = solve_turn_system(rows, rhs, n * d, den)
         if theta is None:
             return None
         return LocalOperator([

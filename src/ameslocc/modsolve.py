@@ -106,44 +106,36 @@ def _eliminate(rows, num_vars):
     return tuple(ops), tuple(map(tuple, a)), tuple(pivots), coker
 
 
-def solve_turn_system(rows, rhs, num_vars, exact=True, den=None):
+def solve_turn_system(rows, rhs, num_vars, den=None):
     """Find theta with sum_j rows[i][j]*theta[j] = rhs[i] (mod 1), or None.
 
     ``rows`` are integer coefficient sequences (pass ``Rows`` to skip the
-    conversion).  ``rhs`` entries are Fractions (exact) or floats; with
-    ``den``, exact entries are integer numerators over den.  Returns a list
-    of turn values for the unknowns, with unused degrees of freedom set to
-    zero.
+    conversion).  With ``den`` the system is exact: ``rhs`` entries are
+    integer numerators over den, and the turns come back as Fractions.
+    Without it ``rhs`` entries are float turns, solved within the tolerance.
+    Returns a list of turn values for the unknowns, with unused degrees of
+    freedom set to zero.
     """
     if not isinstance(rows, Rows):
         rows = Rows(rows)
     ops, h, pivots, coker = _eliminate(rows, num_vars)
-    if exact:  # U applied in integers over the common denominator
-        if den is None:
-            b = [Fraction(x) for x in rhs]
-            den = math.lcm(*(x.denominator for x in b))
-            b = [x.numerator * (den // x.denominator) for x in b]
-        else:
-            b = list(rhs)
+    if den is None:
+        b = [float(x) for x in rhs]
+    else:  # U applied in integers over den
+        b = list(rhs)
         # zero rows of H must carry a whole number of turns: c.b = 0 (mod den)
         for c in coker:
             if sum(v * b[i] for i, v in c) % den:
                 return None
-    else:
-        b = [float(x) for x in rhs]
     for i, j, q in ops:
         if q is None:
             b[i], b[j] = b[j], b[i]
         else:
             b[i] = b[i] - q * b[j]
-
-    if not exact:  # zero rows must carry a whole turn, within tolerance
-        for x in b[len(pivots):]:
-            if min(x % 1.0, 1.0 - x % 1.0) > get_tolerance():
-                return None
-
-    # theta[col] solves p*x = acc (mod 1); any branch works, take acc/p
-    if not exact:
+    if den is None:  # zero rows must carry a whole turn, within tolerance
+        if any(min(x % 1.0, 1.0 - x % 1.0) > get_tolerance() for x in b[len(pivots):]):
+            return None
+        # theta[col] solves p*x = acc (mod 1); any branch works, take acc/p
         theta = [0.0] * num_vars
         for (row, col) in reversed(pivots):
             acc = b[row]

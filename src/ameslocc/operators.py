@@ -122,15 +122,8 @@ class SiteOperator:
             obj["sigma"] = list(self.sigma)
         if self.diag is not None:
             obj["diag"] = [p.to_json() for p in self.diag]
-        if self.matrix is not None:
-            rows = []
-            for row in self.matrix:
-                out_row = []
-                for amp in row:
-                    z = complex(amp)
-                    out_row.append([z.real, z.imag])
-                rows.append(out_row)
-            obj["matrix"] = rows
+        if self.matrix is not None:  # entries as Amp.to_json gives them
+            obj["matrix"] = [[amp.to_json() for amp in row] for row in self.matrix]
         return obj
 
 

@@ -4,6 +4,11 @@ A phase is stored as a "turn" t with value exp(2*pi*i*t).  Rational turns
 (roots of unity) are kept as reduced fractions and all arithmetic on them is
 exact; arbitrary unimodular scalars fall back to a real turn in [0, 1) with
 tolerance-based comparison.
+
+An exact amplitude (``Amp``) is one integer form (q, counts, den): the sum
+of c * w_q^e / den over its counts, exponent e -> nonzero int c, with w_q
+the primitive q-th root of unity.  Its arithmetic runs in ints, and its
+zero test is the cyclotomic reduction of that count vector.
 """
 
 from __future__ import annotations
@@ -213,18 +218,17 @@ def _cyclotomic_coeffs(q: int):
 def _reduce_mod_cyclotomic(coeffs, q):
     """Remainder of sum(coeffs[k] * x^k) modulo the q-th cyclotomic polynomial.
 
-    ``coeffs`` maps exponent -> Fraction.  Returns a dense list of Fractions of
-    length deg(Phi_q); the represented sum of roots of unity is zero iff every
-    entry is zero.
+    ``coeffs`` maps exponent -> integer (or Fraction) coefficient.  Returns
+    a dense list of coefficients of length deg(Phi_q); the represented sum of
+    roots of unity is zero iff every entry is zero.  The division by the
+    monic integer Phi_q runs in the coefficients' own type.
     """
     phi = _cyclotomic_coeffs(q)
     deg = len(phi) - 1
     low = [(i, c) for i, c in enumerate(phi[:deg]) if c]
-    # clear denominators so the division by the monic integer Phi_q runs in ints
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
     work = [0] * q
     for e, c in coeffs.items():
-        work[e % q] += int(c * den)
+        work[e % q] += c
     # long division over the nonzero lower coefficients of Phi_q
     for e in range(q - 1, deg - 1, -1):
         c = work[e]
@@ -232,7 +236,7 @@ def _reduce_mod_cyclotomic(coeffs, q):
             work[e] = 0
             for i, p in low:
                 work[e - deg + i] -= c * p
-    return [Fraction(c, den) for c in work[:deg]]
+    return work[:deg]
 
 
 def exponent_sum_is_zero(coeffs, q) -> bool:
@@ -259,50 +263,48 @@ def exponent_sum_is_zero(coeffs, q) -> bool:
     return not any(_reduce_mod_cyclotomic(coeffs, q))
 
 
-def counts_amp(vec, q, scale):
-    """The Amp scale * sum(c * w^e) over vec, or None when it vanishes.
-
-    ``vec`` is a sequence of (exponent in [0, q), nonzero integer count)
-    pairs with distinct exponents, w the primitive q-th root of unity.  One
-    exponent is nonzero at once; otherwise the zero test runs over the
-    vector's own conductor q / gcd(q, exponents), not over q.
-    """
-    if len(vec) > 1:
-        g = math.gcd(q, *(e for e, _ in vec))
-        if exponent_sum_is_zero({e // g: c for e, c in vec}, q // g):
-            return None
-    elif not vec:
-        return None
-    return Amp(terms={Fraction(e, q): c * scale for e, c in vec})
-
-
 class Amp:
     """A complex amplitude, exact (rational combination of roots of unity) or float.
 
-    Exact mode stores a map turn-Fraction -> rational coefficient; sums of
-    roots of unity are compared by reduction modulo the cyclotomic polynomial,
-    so zero-tests and equality are exact.  Any real-turn contribution switches
-    the value to a complex double.
+    Exact mode holds the integer form (q, counts, den) of the module
+    docstring.  Sums and products lift both sides to the lcm of their q and
+    of their den; ``form`` reduces to the own conductor and lowest
+    denominator only when a reader needs it.  Any real-turn contribution
+    switches the value to a complex double.  ``Amp(terms={turn: coeff})``
+    converts Fraction turns and coefficients once.
     """
 
-    __slots__ = ("terms", "value")
+    __slots__ = ("q", "counts", "den", "value")
 
     def __init__(self, terms=None, value=None):
-        self.terms = terms  # dict Fraction -> Fraction, or None in float mode
+        self.q = self.counts = self.den = None  # the exact form, or None in float mode
         self.value = value  # complex, or None in exact mode
+        if terms is not None:
+            amp = sum((Amp.from_phase(Phase(t), c) for t, c in terms.items()), Amp.zero())
+            self.q, self.counts, self.den = amp.q, amp.counts, amp.den
+
+    @staticmethod
+    def from_counts(q: int, counts: dict, den: int = 1) -> "Amp":
+        """sum(c * w_q^e) / den over ``counts``, a dict of exponents in
+        [0, q) to nonzero ints, which the Amp keeps without a copy."""
+        amp = Amp()
+        amp.q, amp.counts, amp.den = q, counts, den
+        return amp
 
     @staticmethod
     def zero() -> "Amp":
-        return Amp(terms={})
+        return Amp.from_counts(1, {})
 
     @staticmethod
     def one() -> "Amp":
-        return Amp(terms={Fraction(0): Fraction(1)})
+        return Amp.from_counts(1, {0: 1})
 
     @staticmethod
     def from_phase(p: Phase, coeff=Fraction(1)) -> "Amp":
         if p.is_exact:
-            return Amp(terms={p.turn: Fraction(coeff)})
+            c = Fraction(coeff)
+            counts = {p.turn.numerator: c.numerator} if c else {}
+            return Amp.from_counts(p.turn.denominator, counts, c.denominator)
         return Amp(value=complex(p) * float(coeff))
 
     @staticmethod
@@ -311,92 +313,118 @@ class Amp:
 
     @property
     def is_exact(self):
-        return self.terms is not None
+        return self.counts is not None
+
+    def form(self):
+        """(q, counts, den) at this amplitude's own conductor and lowest
+        denominator; the amplitude keeps that form from then on."""
+        g, h = math.gcd(self.q, *self.counts), math.gcd(self.den, *self.counts.values())
+        if g > 1 or h > 1:
+            self.q, self.den = self.q // g, self.den // h
+            self.counts = {e // g: c // h for e, c in self.counts.items()}
+        return self.q, self.counts, self.den
 
     def __add__(self, other: "Amp") -> "Amp":
         if self.is_exact and other.is_exact:
-            out = dict(self.terms)
-            for t, c in other.terms.items():
-                old = out.get(t)
-                if old is not None:
-                    c = old + c
+            q, den = math.lcm(self.q, other.q), math.lcm(self.den, other.den)
+            s, m = q // self.q, den // self.den
+            out = (dict(self.counts) if s == m == 1 else
+                   {e * s: c * m for e, c in self.counts.items()})
+            s, m = q // other.q, den // other.den
+            for e, c in other.counts.items():
+                e *= s
+                c = out.get(e, 0) + c * m
                 if c:
-                    out[t] = c
-                elif old is not None:
-                    del out[t]
-            return Amp(terms=out)
+                    out[e] = c
+                else:
+                    del out[e]
+            return Amp.from_counts(q, out, den)
         return Amp(value=complex(self) + complex(other))
 
     def __sub__(self, other: "Amp") -> "Amp":
-        return self + other.scaled(Fraction(-1))
+        return self + other.scaled(-1)
 
     def scaled(self, c) -> "Amp":
         if self.is_exact:
             c = Fraction(c)
             if not c:
                 return Amp.zero()
-            return Amp(terms={t: k * c for t, k in self.terms.items()})
+            return Amp.from_counts(self.q, {e: k * c.numerator for e, k in self.counts.items()},
+                                   self.den * c.denominator)
         return Amp(value=complex(self) * float(c))
 
     def __mul__(self, other) -> "Amp":
         if isinstance(other, Phase):
             other = Amp.from_phase(other)
         if self.is_exact and other.is_exact:
+            q = math.lcm(self.q, other.q)
+            s, t = q // self.q, q // other.q
             out = {}
-            for t1, c1 in self.terms.items():
-                for t2, c2 in other.terms.items():
-                    t = (t1 + t2) % 1
-                    out[t] = out.get(t, Fraction(0)) + c1 * c2
-            return Amp(terms={t: c for t, c in out.items() if c})
+            for e1, c1 in self.counts.items():
+                for e2, c2 in other.counts.items():
+                    e = (e1 * s + e2 * t) % q
+                    out[e] = out.get(e, 0) + c1 * c2
+            return Amp.from_counts(q, {e: c for e, c in out.items() if c}, self.den * other.den)
         return Amp(value=complex(self) * complex(other))
 
     def conj(self) -> "Amp":
         if self.is_exact:
-            return Amp(terms={(-t) % 1: c for t, c in self.terms.items()})
+            q = self.q
+            return Amp.from_counts(q, {-e % q: c for e, c in self.counts.items()}, self.den)
         return Amp(value=complex(self).conjugate())
 
     def __complex__(self):
         if self.is_exact:
-            return sum(
-                (float(c) * cmath.exp(2j * math.pi * float(t)) for t, c in self.terms.items()),
-                0j,
-            )
+            return sum((c / self.den * cmath.exp(2j * math.pi * (e / self.q))
+                        for e, c in self.counts.items()), 0j)
         return self.value
 
     def is_zero(self) -> bool:
         if self.is_exact:
-            if len(self.terms) <= 1:
-                # one root of unity times c vanishes iff c does
-                return not any(self.terms.values())
-            q = math.lcm(*(t.denominator for t in self.terms))
-            coeffs = {}
-            for t, c in self.terms.items():
-                e = t.numerator * (q // t.denominator)
-                coeffs[e] = coeffs.get(e, Fraction(0)) + c
-            return exponent_sum_is_zero(coeffs, q)
+            if len(self.counts) <= 1:  # one root of unity times c != 0
+                return not self.counts
+            q, counts, _ = self.form()
+            return exponent_sum_is_zero(counts, q)
         return abs(self.value) <= _tol
 
     def equals(self, other: "Amp") -> bool:
         if self.is_exact and other.is_exact:
-            # identical term maps are equal; different representations of one
+            # identical forms are equal; different representations of one
             # value still go through the cyclotomic test
-            return self.terms == other.terms or (self - other).is_zero()
+            return self.form() == other.form() or (self - other).is_zero()
         return abs(complex(self) - complex(other)) <= _tol
 
     def as_single_phase(self):
         """Return this amplitude as a Phase if it is exactly one unit root, else None."""
         if self.is_exact:
-            if len(self.terms) == 1:
-                (t, c), = self.terms.items()
-                if c == 1:
-                    return Phase(t)
+            q, counts, den = self.form()
+            if len(counts) == 1 and den in counts.values():  # its one c / den is 1
+                return Phase(Fraction(next(iter(counts)), q))
             return None
         z = self.value
         if abs(abs(z) - 1.0) <= _tol:
             return Phase(cmath.phase(z) / (2 * math.pi))
         return None
 
+    def to_json(self):
+        """{"q", "counts": [[e, c], ...], "den"} when exact, else {"re", "im"}."""
+        if self.is_exact:
+            q, counts, den = self.form()
+            return {"q": q, "counts": sorted(map(list, counts.items())), "den": den}
+        return {"re": self.value.real, "im": self.value.imag}
+
+    @staticmethod
+    def from_json(obj) -> "Amp":
+        """The amplitude ``to_json`` wrote; exponents are read mod q."""
+        if "counts" not in obj:
+            return Amp.from_complex(complex(obj["re"], obj["im"]))
+        q, den, counts = obj["q"], obj["den"], obj["counts"]
+        if not (all(type(x) is int for x in [q, den, *(x for pair in counts for x in pair)])
+                and q > 0 and den > 0):
+            raise PhaseError("not an exact amplitude encoding: %r" % (obj,))
+        return sum((Amp.from_counts(q, {e % q: c}, den) for e, c in counts if c), Amp.zero())
+
     def __repr__(self):
         if self.is_exact:
-            return "Amp(%s)" % " + ".join(f"{c}*e({t})" for t, c in sorted(self.terms.items()))
+            return "Amp(q=%d, counts=%r, den=%d)" % self.form()
         return f"Amp({self.value:.12g})"

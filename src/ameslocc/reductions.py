@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, product
 from typing import Dict, List, Optional, Tuple
 
 from .butson import _exp_rows_orthogonal
 from .equivalence import DEFAULT_MAX_NODES, _iter_support_sigmas
-from .phases import ONE, Amp, Phase, counts_amp, root_of_unity
+from .phases import ONE, Amp, Phase, root_of_unity
 from .states import (MinimalSupportState, _is_prime, ame_linear_5,
                      construct_ame5_phased, reduced_density)
 
@@ -211,7 +210,6 @@ def _conjugated_rho_prime(d: int, w, v):
     if d > 255:
         raise ReductionError("one byte per exponent slot needs d < 256")
     dd, width = d * d, 2 * d
-    inv = Fraction(1, d ** 4)  # 1/d^2 ensemble weight, 1/d per unitary factor
     low = int.from_bytes((b"\xff" * d + bytes(d)) * dd, "little")
     units = [bytes(int(i == -e % d) for i in range(width)) for e in range(d)]
     entries: Dict[bytes, Optional[Amp]] = {}  # count vector -> entry
@@ -231,8 +229,9 @@ def _conjugated_rho_prime(d: int, w, v):
             width * dd, "little") for r in rows])
         vecs = [block[i:i + d] for i in range(0, len(block), width)]
         for vec in set(vecs).difference(entries):
-            entries[vec] = counts_amp(
-                [(e, c) for e, c in enumerate(vec) if c], d, inv)
+            # 1/d^2 ensemble weight, 1/d per unitary factor
+            amp = Amp.from_counts(d, {e: c for e, c in enumerate(vec) if c}, d ** 4)
+            entries[vec] = None if amp.is_zero() else amp
         amps = list(map(entries.__getitem__, vecs))
         sites = [(s, m, kk) for m in range(d) for kk in range(d)]
         out.update(zip(compress(product(sites, sites), amps),

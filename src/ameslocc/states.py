@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .phases import (ONE, Amp, Phase, counts_amp, get_tolerance, numerator_phase,
-                     root_of_unity, turn_numerators)
+from .phases import (ONE, Amp, Phase, get_tolerance, numerator_phase, root_of_unity,
+                     turn_numerators)
 
 MultiIndex = Tuple[int, ...]
 
@@ -141,22 +141,21 @@ class SparseState:
 
         Term r is the r-th entry of ``terms``, and ``cols[p]`` lists the
         symbol of every term on site p.  ``pairs[r]`` lists (e, c) with
-        the amplitude of term r equal to sum(c * w_q^e) / den, where q is
-        the lcm of every turn denominator and den the lcm of every
-        coefficient denominator.  ``norms[r]`` is den^2 times its squared
-        modulus as a count vector (``_count_vector``), and ``norm`` the one
-        such vector when every term has it, else None.  Every partial trace
-        of this state reuses the reading.  None when a term has a real turn.
+        the amplitude of term r equal to sum(c * w_q^e) / den: each
+        amplitude's ``Amp.form`` lifted to q and den, the lcm of their
+        conductors and of their denominators.  ``norms[r]`` is den^2 times
+        its squared modulus as a count vector (``_count_vector``), and
+        ``norm`` the one such vector when every term has it, else None.
+        Every partial trace of this state reuses the reading.  None when a
+        term has a real turn.
         """
-        amps = self.terms.values()
-        if not all(a.is_exact for a in amps):
+        if not self.is_exact:
             return None
-        q = math.lcm(*(t.denominator for a in amps for t in a.terms))
-        den = math.lcm(*(c.denominator for a in amps for c in a.terms.values()))
-        pairs = [[(t.numerator * (q // t.denominator),
-                   c.numerator * (den // c.denominator))
-                  for t, c in a.terms.items()]
-                 for a in amps]
+        forms = [a.form() for a in self.terms.values()]
+        q = math.lcm(*(f[0] for f in forms))
+        den = math.lcm(*(f[2] for f in forms))
+        pairs = [[(e * (q // aq), c * (den // aden)) for e, c in counts.items()]
+                 for aq, counts, aden in forms]
         # |c w^e|^2 = c^2 needs no products
         norms = [((0, p[0][1] ** 2),) if len(p) == 1
                  else _count_vector(_add_products({}, p, p, q)) for p in pairs]
@@ -204,26 +203,20 @@ class SparseState:
             return None
 
     def to_json(self):
+        """Terms as their phase when one unit root, else as ``Amp.to_json``."""
         out = []
         for i in sorted(self.terms):
             a = self.terms[i]
             p = a.as_single_phase()
-            if p is None:
-                z = complex(a)
-                out.append({"idx": list(i), "re": z.real, "im": z.imag})
-            else:
-                out.append({"idx": list(i), "phase": p.to_json()})
+            out.append({"idx": list(i), **(a.to_json() if p is None else {"phase": p.to_json()})})
         return {"n": self.n, "d": self.d, "scale2": str(self.scale2), "terms": out}
 
     @staticmethod
     def from_json(obj) -> "SparseState":
         terms = {}
         for t in obj["terms"]:
-            idx = tuple(t["idx"])
-            if "phase" in t:
-                terms[idx] = Amp.from_phase(Phase.from_json(t["phase"]))
-            else:
-                terms[idx] = Amp.from_complex(complex(t["re"], t["im"]))
+            terms[tuple(t["idx"])] = (Amp.from_phase(Phase.from_json(t["phase"]))
+                                      if "phase" in t else Amp.from_json(t))
         # unit-modulus terms with equal weights: squared norm is the count
         scale2 = Fraction(obj["scale2"]) if "scale2" in obj else len(terms)
         return SparseState(obj["n"], obj["d"], terms, scale2=scale2)
@@ -257,23 +250,22 @@ def _exact_phase_split(a: Amp):
 
     Sums of roots of unity can collapse to r * root-of-unity without being a
     single stored term, so the candidate turn is guessed numerically and then
-    verified exactly.  If r * zeta lies in Q(zeta_q), q the lcm of the term
-    denominators, then zeta is an lcm(2, q)-th root of unity, so the guess is
+    verified exactly.  If r * zeta lies in Q(zeta_q), q the conductor of the
+    amplitude's own form, then zeta is an lcm(2, q)-th root of unity, so the guess is
     rounded to that grid and the check never leaves the field of the input.
     """
-    if len(a.terms) == 1:
-        (t, c), = a.terms.items()
-        if c > 0:
-            return c, Phase(t)
-        return -c, Phase((t + Fraction(1, 2)) % 1)
+    q, counts, den = a.form()
+    if len(counts) == 1:
+        (e, c), = counts.items()
+        return Fraction(abs(c), den), Phase(Fraction(e, q) + (c < 0) * Fraction(1, 2))
     z = complex(a)
     if abs(z) < 1e-12:
         return None
-    order = math.lcm(2, *(t.denominator for t in a.terms))
-    t = Fraction(round(cmath.phase(z) / (2 * math.pi) * order), order) % 1
+    order = math.lcm(2, q)
+    e = round(cmath.phase(z) / (2 * math.pi) * order) % order
     m = Fraction(abs(z)).limit_denominator(10 ** 6)
-    if a.equals(Amp(terms={t: m})):
-        return m, Phase(t)
+    if m and a.equals(Amp.from_counts(order, {e: m.numerator}, m.denominator)):
+        return m, Phase(Fraction(e, order))
     return None
 
 
@@ -464,7 +456,7 @@ class DensityMatrix:
         if len(self.entries) != self.dim or any(
                 row != col for row, col in self.entries):
             return False
-        want = Amp(terms={Fraction(0): Fraction(1, self.dim)})
+        want = Amp.from_counts(1, {0: 1}, self.dim)
         distinct = {id(a): a for a in self.entries.values()}
         return all(a.equals(want) for a in distinct.values())
 
@@ -485,7 +477,7 @@ def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
     integer reading (``SparseState._integer_reading``, made once per
     state), so each entry is an integer count per exponent (e_i - e_j)
     mod q, and each distinct count vector is zero-tested once, over its
-    own conductor (see ``phases.counts_amp``; a vector of one exponent
+    own conductor (see ``Amp.is_zero``; a vector of one exponent
     needs no test):
 
     * every term adds its squared modulus to its diagonal entry, with no
@@ -533,7 +525,8 @@ def _exact_entries(sp, reading, kept, keys):
 
     def entry(vec):
         if vec not in memo:
-            memo[vec] = counts_amp(vec, q, scale)
+            amp = Amp.from_counts(q, {e: c * scale.numerator for e, c in vec}, scale.denominator)
+            memo[vec] = None if amp.is_zero() else amp
         return memo[vec]
 
     # a diagonal entry sums squared moduli of nonzero terms, so it is nonzero
@@ -566,8 +559,7 @@ def _exact_entries(sp, reading, kept, keys):
             entries[ki, kj] = amp
             mirror = tuple(sorted(((-e) % q, c) for e, c in vec))
             if mirror not in memo:  # the conjugate of a nonzero entry
-                memo[mirror] = Amp(terms={Fraction(e, q): c * scale
-                                          for e, c in mirror})
+                memo[mirror] = amp.conj()
             entries[kj, ki] = memo[mirror]
     return entries
 

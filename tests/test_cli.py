@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from ameslocc.butson import fourier
 from ameslocc.cli import _SCENARIOS, CliError, RunConfig, run_cli
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import root_of_unity
-from ameslocc.states import ame64_phi
+from ameslocc.states import ame64_phi, construct_ame43
 
 
 def write(path, text):
@@ -195,6 +196,22 @@ def test_zero_size_values_are_rejected(tmp_path, argv):
     flag = "-o" if argv[0] == "construct" else "--json"
     assert run_cli(argv + [flag, str(out)]) == 2
     assert not out.exists()
+
+
+def test_check_state_reads_dense_images_exactly(tmp_path, capsys):
+    # the F3 x4 image of AME(4,3) is written with integer counts, so exact
+    # mode reads it back exact
+    image = LocalOperator([SiteOperator.butson(fourier(3))] * 4).apply(construct_ame43())
+    path = write(tmp_path / "f3.json", json.dumps(image.to_json()))
+    assert run_cli(["check", "state", "--file", path]) == 0
+    assert "uniformity=2" in capsys.readouterr().out
+    # malformed amplitudes exit 2 with a message; the float numerator
+    # raised a TypeError out of run_cli before
+    for term in ({"q": 0, "counts": [], "den": 1}, {"q": 3, "counts": [[0, 1, 2]], "den": 1},
+                 {"q": 3, "counts": [[0, 1.5]], "den": 1},
+                 {"phase": {"turn": {"num": 1.5, "den": 2}}}):
+        bad = write(tmp_path / "bad.json", json.dumps({"n": 1, "d": 2, "terms": [{"idx": [0], **term}]}))
+        assert run_cli(["check", "state", "--file", bad]) == 2
 
 
 def test_construct_phi_keeps_a_rational_turn(tmp_path, capsys):

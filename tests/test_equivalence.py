@@ -20,7 +20,7 @@ from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
                                   lm_match, lm_automorphism_sigmas)
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc import states
-from ameslocc.phases import ONE, Amp, Phase, root_of_unity
+from ameslocc.phases import ONE, Amp, Phase, numerator_phase, root_of_unity, turn_numerators
 from ameslocc.states import (MinimalSupportState, SparseState, ame64_phi,
                              ame_linear_5, construct_ame43, construct_ame44,
                              construct_ame5_phased, construct_ame64,
@@ -200,14 +200,72 @@ W_STATES = [("ame64", construct_ame64()), ("ame64-phi-1/16", ame64_phi(Fraction(
     random_monomial(6, 4, random.Random(5), den=360).apply(s) for _, s in W_STATES[:2]],
     ids=[name for name, _ in W_STATES] + [name + "-image" for name, _ in W_STATES[:2]])
 def test_w_tables_match_compute_w(s):
-    # cond_butson reads each table from one pass over the support; the
-    # 1/360 images give the cells of one table distinct phases
+    # cond_butson reads each table from one pass over the support's turn
+    # numerators; the 1/360 images give the cells of one table distinct phases
+    q, turns = turn_numerators(s.phases.values())
+    turns = dict(zip(s.phases, turns))
     for i, S in _i_s_choices(s):
-        table = _w_table(s, i, S)
+        table = _w_table(turns, s.d, (i,) + S)
         assert list(table) == [(ell,) + I for ell in range(s.d)
                                for I in itertools.product(range(s.d), repeat=len(S))]
         for cell, w in table.items():
-            assert w == compute_w(s, (i,) + S, cell)
+            assert numerator_phase(w, q) == compute_w(s, (i,) + S, cell)
+
+
+def phase_w_table(s, i, S):
+    """A W table as phase products, one per cell, as compute_w takes them."""
+    return {cell: compute_w(s, (i,) + S, cell)
+            for cell in itertools.product(range(s.d), repeat=1 + len(S))}
+
+
+def phases_constant(phases):
+    if all(p.is_exact for p in phases):
+        return len({p.turn for p in phases}) <= 1
+    return all(p.close_to(phases[0]) for p in phases[1:])
+
+
+def reference_cond_butson(src, dst):
+    """cond_butson on Phase ratios of phase-product W tables."""
+    for state, label in ((src, "src"), (dst, "dst")):
+        for i, S in _i_s_choices(state):
+            w = phase_w_table(state, i, S)
+            for ell, ell2 in itertools.combinations(range(state.d), 2):
+                if not phases_constant([w[(ell,) + I] / w[(ell2,) + I] for I in itertools.product(
+                        range(state.d), repeat=len(S))]):
+                    return False, (label, i, S, ell, ell2)
+    return True, None
+
+
+def reference_cond_monomial(src, dst):
+    """cond_monomial on Phase ratios of phase-product W tables."""
+    d = src.d
+    perms = list(itertools.permutations(range(d)))
+    for i, S in _i_s_choices(src):
+        wsrc, wdst = phase_w_table(src, i, S), phase_w_table(dst, i, S)
+        tuples = list(itertools.product(range(d), repeat=len(S)))
+        if not any(all(phases_constant([wdst[(ell,) + I] / wsrc[(si[ell],) + tuple(
+                p[x] for p, x in zip(sS, I))] for I in tuples]) for ell in range(d))
+                   for si in perms for sS in itertools.product(perms, repeat=len(S))):
+            return False, (i, S)
+    return True, None
+
+
+W_LIBRARY = W_STATES + [("ame64-phi-3/16", ame64_phi(Fraction(3, 16))),
+                        ("ame64-real-turn", ame64_phi(0.1)),
+                        ("ame64-image", random_monomial(6, 4, random.Random(5), den=360).apply(
+                            ame64_phi(Fraction(1, 16))))]
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(len(W_LIBRARY)) for b in range(len(W_LIBRARY))
+                                  if W_LIBRARY[a][1].d == W_LIBRARY[b][1].d and a <= b])
+def test_w_conditions_match_phase_products(a, b):
+    # the integer W tables give the verdicts and failing cells that phase
+    # products give; cond_monomial is checked at d = 4 only, where it tries
+    # 24^2 permutation pairs per (i, S)
+    src, dst = W_LIBRARY[a][1], W_LIBRARY[b][1]
+    assert cond_butson(src, dst) == reference_cond_butson(src, dst)
+    if src.d == 4:
+        assert cond_monomial(src, dst) == reference_cond_monomial(src, dst)
 
 
 def test_decide_slocc_ame64_inequivalence_excludes_both_forms():

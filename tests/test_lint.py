@@ -3,7 +3,8 @@
 Every module-level import is used, no module imports sympy, which the
 package does not depend on, ``import ameslocc`` loads neither numpy nor
 sympy, every module-level private function or class
-is referenced from somewhere other than its own definition, and every
+is referenced from somewhere other than its own definition, only
+phases.py converts ``Amp`` term maps, and every
 reason an ``inequivalent`` certificate can carry is explained in the
 README's "Verdict semantics" section.  No linter ships
 with the test dependencies, so this walks the syntax tree with the standard
@@ -102,6 +103,22 @@ def test_private_helpers_are_referenced():
             used.update(name for name in _names_in(stmt) if name != defined)
     dead = [p for p in private if p.split(":")[1] not in used]
     assert not dead, "unreferenced private helpers: %s" % ", ".join(dead)
+
+
+def test_only_phases_converts_amp_term_maps():
+    """``Amp(terms=...)`` is an input form for code outside the package.
+    Inside it amplitudes are built in their one integer form, so no module
+    but phases.py passes ``Amp`` a term map, by keyword or by position."""
+    calls = []
+    for path in MODULES:
+        if path.name == "phases.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Amp"
+                    and (node.args or any(kw.arg == "terms" for kw in node.keywords))):
+                calls.append("%s:%d" % (path.name, node.lineno))
+    assert not calls, "Amp term maps built at %s" % ", ".join(calls)
 
 
 def _inequivalent_reasons(tree):

@@ -133,6 +133,18 @@ def test_site_count_mismatch():
         LocalOperator.identity(4, 3).compose_after(LocalOperator.identity(3, 3))
 
 
+def test_site_matrices_are_written_exactly():
+    # Butson and general entries use the integer form of Amp.to_json
+    butson = SiteOperator.butson(fourier(3))
+    general = butson.compose_after(butson)  # 3 times a permutation
+    assert butson.to_json()["matrix"][1][1] == {"q": 3, "counts": [[1, 1]], "den": 1}
+    assert general.kind == "general"
+    for site in (butson, general):
+        rows = site.to_json()["matrix"]
+        assert all(Amp.from_json(obj).equals(a)
+                   for row_obj, row in zip(rows, site.matrix) for obj, a in zip(row_obj, row))
+
+
 def test_to_json_shapes():
     op = LocalOperator([SiteOperator.monomial((1, 0), (ONE, ONE)),
                         SiteOperator.butson(fourier(2))])

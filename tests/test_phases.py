@@ -6,8 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from ameslocc import phases
 from ameslocc.phases import (ONE, MINUS_ONE, Amp, Phase, _cyclotomic_coeffs,
-                             _reduce_mod_cyclotomic, counts_amp,
-                             exponent_sum_is_zero,
+                             _reduce_mod_cyclotomic, exponent_sum_is_zero,
                              get_tolerance, nth_roots, phase_product,
                              root_of_unity, set_tolerance)
 
@@ -267,36 +266,35 @@ def count_vectors(draw):
 @given(count_vectors())
 @example((((0, 1), (12, 1), (24, 1)), 36))  # 1 + w_3 + w_3^2 over conductor 36
 @example((((0, 2), (9, 1)), 36))
-def test_counts_amp_matches_amp_sum(case):
+def test_from_counts_matches_amp_sum(case):
     vec, q = case
     want = Amp.zero()
     for e, c in vec:
         want = want + Amp.from_phase(Phase(Fraction(e, q)), c)
-    got = counts_amp(vec, q, Fraction(1, 3))
-    if got is None:
-        assert want.is_zero()
-    else:
-        assert not want.is_zero() and got.equals(want.scaled(Fraction(1, 3)))
+    got = Amp.from_counts(q, dict(vec), 3)
+    assert got.is_zero() == want.is_zero()
+    assert got.equals(want.scaled(Fraction(1, 3)))
 
 @st.composite
-def few_term_amps(draw):
-    """Exact Amps with one or two stored terms, zero coefficients included."""
+def few_terms(draw):
+    """Term maps (turn -> coefficient) of one or two terms, zero
+    coefficients included."""
     turns = draw(st.lists(st.fractions(0, 1, max_denominator=60).filter(lambda t: t < 1),
                           min_size=1, max_size=2))
     coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
-    return Amp(terms={t: draw(coeffs) for t in turns})
+    return {t: draw(coeffs) for t in turns}
 
 
-@given(few_term_amps())
-@example(Amp.from_phase(Phase(Fraction(1, 3)), 0))
-@example(Amp.from_phase(ONE, 0))
-@example(Amp(terms={Fraction(0): Fraction(1), Fraction(1, 2): Fraction(1)}))
-def test_is_zero_matches_cyclotomic_reduction(amp):
-    q = math.lcm(*(t.denominator for t in amp.terms))
+@given(few_terms())
+@example({Fraction(1, 3): Fraction(0)})
+@example({Fraction(0): Fraction(0)})
+@example({Fraction(0): Fraction(1), Fraction(1, 2): Fraction(1)})
+def test_is_zero_matches_cyclotomic_reduction(terms):
+    q = math.lcm(*(t.denominator for t in terms))
     coeffs = {}
-    for t, c in amp.terms.items():
+    for t, c in terms.items():
         coeffs[int(t * q)] = coeffs.get(int(t * q), 0) + c
-    assert amp.is_zero() == all(c == 0 for c in _reduce_mod_cyclotomic(coeffs, q))
+    assert Amp(terms=terms).is_zero() == all(c == 0 for c in _reduce_mod_cyclotomic(coeffs, q))
 
 
 ONE_PLUS_W3 = Amp(terms={Fraction(0): Fraction(1), Fraction(1, 3): Fraction(1)})
@@ -307,13 +305,13 @@ FULL_ROOT_SUM_12 = Amp(terms={Fraction(j, 12): Fraction(1) for j in range(12)})
 @st.composite
 def amp_pairs(draw):
     """Two exact Amps over one small conductor; half the time the second is
-    a copy of the first's term map."""
+    built from the first's term map."""
     q = draw(st.integers(1, 12))
     turns = st.integers(0, q - 1).map(lambda m: Fraction(m, q))
     coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
-    amps = st.dictionaries(turns, coeffs, max_size=4).map(lambda terms: Amp(terms=terms))
-    a = draw(amps)
-    return a, Amp(terms=dict(a.terms)) if draw(st.booleans()) else draw(amps)
+    term_maps = st.dictionaries(turns, coeffs, max_size=4)
+    a = draw(term_maps)
+    return Amp(terms=a), Amp(terms=a if draw(st.booleans()) else draw(term_maps))
 
 
 @given(amp_pairs())

@@ -149,6 +149,16 @@ def monomial_image(s, rng):
     return LocalOperator(sites).apply(s)
 
 
+def solve_turns(rows, values, num_vars, exact=True):
+    """``solve_turn_system`` on Fraction turns, passed as integer numerators
+    over their common denominator, as the engine passes them (exact); or on
+    float turns."""
+    if not exact:
+        return solve_turn_system(rows, values, num_vars)
+    den = math.lcm(*(Fraction(x).denominator for x in values))
+    return solve_turn_system(rows, [int(x * den) for x in values], num_vars, den)
+
+
 def diagonal_system(src, dst, sigma):
     """The rows and exact rhs that lm_match solves for one sigma."""
     n, d = src.n, src.d
@@ -219,7 +229,7 @@ def test_single_elimination_matches_per_call_loop(make):
         for b in (rhs, noise):
             for exact, values in ((True, b), (False, [float(x) for x in b])):
                 want = reference_solve(rows, values, num_vars, exact)
-                assert solve_turn_system(rows, values, num_vars, exact) == want
+                assert solve_turns(rows, values, num_vars, exact) == want
                 outcomes.add(want is None)
     # AME(4,3)'s diagonal system has full row rank, so every rhs is solvable
     assert outcomes == ({False} if make is construct_ame43 else {True, False})
@@ -243,14 +253,14 @@ def test_back_substitution_matches_per_call_loop_off_unit_pivots():
             for b in (image, noise):
                 for exact, values in ((True, b), (False, [float(v) for v in b])):
                     want = reference_solve(rows, values, num_vars, exact)
-                    got = solve_turn_system(rows, values, num_vars, exact)
+                    got = solve_turns(rows, values, num_vars, exact)
                     assert got == want, (rows, values)
 
 
 def test_back_substitution_denominator_grows():
     # theta_1 = 1/9 and theta_0 = (1/2 - 1/9) / 2 = 7/36, over a den of 6
     rows, b = [[2, 1], [0, 3]], [Fraction(1, 2), Fraction(1, 3)]
-    assert solve_turn_system(rows, b, 2) == reference_solve(rows, b, 2) \
+    assert solve_turns(rows, b, 2) == reference_solve(rows, b, 2) \
         == [Fraction(7, 36), Fraction(1, 9)]
 
 
@@ -289,7 +299,7 @@ def test_cokernel_rows_decide_exact_feasibility(make):
         for b in (image, noise):
             infeasible = any(sum(v * b[i] for i, v in c).denominator != 1
                              for c in coker)
-            assert (solve_turn_system(rows, b, num_vars) is None) == infeasible
+            assert (solve_turns(rows, b, num_vars) is None) == infeasible
             outcomes.add(infeasible)
     assert outcomes == ({False} if make is construct_ame43 else {True, False})
 

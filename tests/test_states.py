@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ameslocc.butson import fourier
 from ameslocc.operators import LocalOperator, SiteOperator
-from ameslocc.phases import ONE, Amp, Phase, root_of_unity
+from ameslocc.phases import ONE, Amp, Phase, PhaseError, root_of_unity
 from ameslocc.reductions import verify_rho345_lemma
 from ameslocc.states import (MinimalSupportState, SparseState, StateError,
                              _exact_phase_split,
@@ -145,6 +146,34 @@ def test_sparse_json_roundtrip():
     assert set(t.terms) == set(s.terms)
     assert t.scale2 == s.scale2
     assert states_equal_up_to_global_phase(s, t) is not None
+
+
+def test_sparse_json_keeps_dense_images_exact():
+    # the F3 x4 image of AME(4,3) has amplitudes 9 over scale2 729: exact
+    # amplitudes that are not single unit roots are written as integer counts
+    image = LocalOperator([SiteOperator.butson(fourier(3))] * 4).apply(construct_ame43())
+    obj = json.loads(json.dumps(image.to_json()))
+    assert obj["terms"][0] == {"idx": [0, 0, 0, 0], "q": 1, "counts": [[0, 9]], "den": 1}
+    back = SparseState.from_json(obj)
+    assert back.is_exact and back.scale2 == image.scale2
+    assert back.terms.keys() == image.terms.keys()
+    assert all(back.terms[i].equals(a) for i, a in image.terms.items())
+
+
+def test_sparse_json_reads_every_amplitude_encoding():
+    obj = {"n": 2, "d": 2, "scale2": "3", "terms": [
+        {"idx": [0, 0], "phase": {"turn": {"num": 1, "den": 4}}},
+        {"idx": [0, 1], "re": 0.5, "im": -0.5},
+        # 2 * w_6 / 2: exponents are read mod q and zero counts dropped
+        {"idx": [1, 1], "q": 6, "counts": [[7, 2], [3, 0]], "den": 2}]}
+    s = SparseState.from_json(obj)
+    assert s.terms[(0, 0)].equals(Amp.from_phase(Phase(Fraction(1, 4))))
+    assert not s.terms[(0, 1)].is_exact and complex(s.terms[(0, 1)]) == 0.5 - 0.5j
+    assert s.terms[(1, 1)].as_single_phase() == Phase(Fraction(1, 6))
+    for bad in ({"q": 0, "counts": [], "den": 1}, {"q": 3, "counts": [[0, 1.5]], "den": 1},
+                {"q": 3, "counts": [[0, 1]], "den": -1}):
+        with pytest.raises(PhaseError):
+            SparseState.from_json({"n": 1, "d": 2, "terms": [{"idx": [0], **bad}]})
 
 
 def test_tensor_compose_9level():
@@ -387,7 +416,7 @@ def test_phased_state_shares_its_root_amplitudes(d):
              Amp.from_phase(root_of_unity(d, (3 * i + j) * k))
              for i, j, k in itertools.product(range(d), repeat=3)}
     assert list(built.terms) == list(terms)
-    assert all(built.terms[idx].terms == amp.terms for idx, amp in terms.items())
+    assert all(built.terms[idx].form() == amp.form() for idx, amp in terms.items())
     assert len({id(amp) for amp in built.terms.values()}) <= d
     assert uniformity(built) == 2
 
