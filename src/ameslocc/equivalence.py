@@ -16,13 +16,15 @@ an ``lm_match`` inequivalence excludes the monomial one.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from functools import lru_cache
-from operator import getitem
+from operator import getitem, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .butson import _BH_CAP, enumerate_bh
 from .designs import small_regime
-from .modsolve import Rows, character_order, solve_turn_system
+from .modsolve import Rows, _eliminate, solve_turn_system
 from .operators import LocalOperator, SiteOperator
 from .phases import Phase, get_tolerance, phase_product, turn_numerators
 from .states import (MinimalSupportState, StateError, _infer_k, _is_prime,
@@ -180,17 +182,27 @@ def _check_compatible(src, dst):
 
 
 def _diagonal_solver(src, dst, exact):
-    """(solve, orders).  solve(sigma): the local monomial with permutations
-    sigma whose diagonal phases theta_j(a) give
-    w_I * prod_j theta_j(I_j) = w'_{sigma(I)}, or None.  orders(sigma): the
-    character orders (``modsolve.character_order``) of the src turns and of
-    the dst turns pulled back by sigma; None when the pair is not exact.
-    ``exact`` says whether every turn of both states is rational.  The
-    incidence rows come from ``_incidence``, so a batch on one support
-    builds and hashes them once; both states' turns, read once by
-    ``phases.turn_numerators`` (integers over one common denominator when
-    exact), are set up once per pair; each sigma only gathers the dst turns
-    it maps onto."""
+    """(solve, orders, screen) for the sigmas mapping src's support onto dst's.
+
+    solve(sigma): the local monomial with permutations sigma whose diagonal
+    phases theta_j(a) give w_I * prod_j theta_j(I_j) = w'_{sigma(I)}, or
+    None.  orders(sigma): den / gcd(den, c.t) over the cokernel rows c for
+    the src turns t and for the dst turns pulled back by sigma.  screen:
+    False when sigma has no solution, True when it must be solved, as the
+    first, sigma0, always is.  Unless ``exact`` (every turn rational),
+    orders is None and screen passes every sigma.
+
+    Each later sigma is sigma0 o g, g a support automorphism, which
+    permutes the cokernel; each cokernel row sums to 0, as the all-ones
+    vector is a column sum of the incidence rows.  So with m the most common
+    src turn and Z the rows whose turn is not m, sigma is solvable iff
+    sum over i in Z of c[g(i)] * (src_i - m) = c.pull_sigma0(dst) (mod den)
+    for all c: a test of g(Z), the rows sigma0 maps onto sigma(Z), alone,
+    memoised by them.  When Z is longer than the shortest cokernel row,
+    each row is tested directly, c.pull_sigma(dst) = c.src, shortest first,
+    gathering dst over its support only.  The tables are cached per support
+    (``_incidence``, ``_cokernel``); c.pull_sigma0(dst) is taken at the
+    second sigma."""
     n, d = src.n, src.d
     idxs, cols, rows = _incidence(frozenset(src.phases), n, d)
     mod, turns = turn_numerators(
@@ -201,9 +213,8 @@ def _diagonal_solver(src, dst, exact):
     src_turns = turns[:len(idxs)]
     dst_turns = dict(zip(dst.phases, turns[len(idxs):]))
 
-    def pulled_back(sigma):
-        images = zip(*[map(perm.__getitem__, col) for perm, col in zip(sigma, cols)])
-        return list(map(dst_turns.__getitem__, images))
+    def pulled_back(sigma, cols=cols):
+        return list(map(dst_turns.__getitem__, _images(sigma, cols)))
 
     def solve(sigma):
         rhs = [(t - w) % mod for t, w in zip(pulled_back(sigma), src_turns)]
@@ -214,11 +225,69 @@ def _diagonal_solver(src, dst, exact):
             SiteOperator.monomial(sigma[j], [Phase(theta[j * d + a]) for a in range(d)])
             for j in range(n)])
 
-    def orders(sigma):
-        return (character_order(rows, src_turns, n * d, den),
-                character_order(rows, pulled_back(sigma), n * d, den))
+    if not exact:
+        return solve, None, lambda sigma: True
 
-    return solve, (orders if exact else None)
+    @lru_cache(maxsize=2)  # c.src and K_c stay while a search reads them
+    def dots(sigma):
+        """c.src (sigma None) or c.pull_sigma(dst) mod den, for each
+        cokernel row c, shortest first."""
+        values = src_turns if sigma is None else pulled_back(sigma)
+        return [sum(map(mul, coeffs, map(values.__getitem__, at))) % den
+                for at, coeffs, _ in _cokernel(rows, n, d)[0]]
+
+    def orders(sigma):
+        return tuple(den // math.gcd(den, *dots(s)) for s in (None, sigma))
+
+    def transported(sigma0):
+        """The test of each sigma after sigma0."""
+        by_row, touching = _cokernel(rows, n, d)
+        m = Counter(src_turns).most_common(1)[0][0]
+        z = [i for i, t in enumerate(src_turns) if t != m]
+        if by_row and len(z) > len(by_row[0][0]):
+            want = list(zip(by_row, dots(None)))
+
+            def direct(sigma):
+                return not any((sum(map(mul, coeffs, pulled_back(sigma, rcols))) - w) % den
+                               for (_, coeffs, rcols), w in want)
+            return direct
+        k0 = dots(sigma0)
+        nonzero = {r for r, k in enumerate(k0) if k}
+        back = {image: i for i, image in enumerate(_images(sigma0, cols))}
+        zcols = tuple(zip(*[idxs[i] for i in z]))
+        steps = [(src_turns[i] - m) % den for i in z]
+        memo = {}
+
+        def by_images(sigma):
+            key = tuple(map(back.__getitem__, _images(sigma, zcols)))
+            ok = memo.get(key)
+            if ok is None:
+                acc = {}
+                for i, step in zip(key, steps):
+                    for r, v in touching[i]:
+                        acc[r] = acc.get(r, 0) + v * step
+                ok = memo[key] = nonzero <= acc.keys() and not any(
+                    (a - k0[r]) % den for r, a in acc.items())
+            return ok
+        return by_images
+
+    sigma0 = test = None
+
+    def screen(sigma):
+        nonlocal sigma0, test
+        if sigma0 is None:
+            sigma0 = sigma
+            return True
+        if test is None:
+            test = transported(sigma0)
+        return test(sigma)
+
+    return solve, orders, screen
+
+
+def _images(sigma, cols):
+    """The images under sigma of the rows whose site columns are cols."""
+    return zip(*[map(perm.__getitem__, col) for perm, col in zip(sigma, cols)])
 
 
 def _solve_diagonals(src, dst, sigma, exact):
@@ -234,6 +303,22 @@ def _incidence(rows, n, d):
     idxs = tuple(sorted(rows))
     return idxs, tuple(zip(*idxs)), Rows(
         [int(idx[c // d] == c % d) for c in range(n * d)] for idx in idxs)
+
+
+@lru_cache(maxsize=32)
+def _cokernel(rows, n, d):
+    """(by_row, touching) for incidence ``Rows`` from ``_incidence``: the
+    cokernel rows ``modsolve`` keeps from its elimination, shortest first,
+    each as (support rows, coefficients, site columns of those rows); and
+    for each support row the (cokernel row, coefficient) pairs touching it."""
+    idxs = [tuple(r.index(1, j * d) - j * d for j in range(n)) for r in rows]
+    coker = sorted(_eliminate(rows, n * d)[3], key=len)
+    touching = [[] for _ in rows]
+    for at, c in enumerate(coker):
+        for i, v in c:
+            touching[i].append((at, v))
+    return [(tuple(i for i, _ in c), tuple(v for _, v in c),
+             tuple(zip(*[idxs[i] for i, _ in c]))) for c in coker], touching
 
 
 def _row_order(rows, k):
@@ -437,8 +522,8 @@ def _backtrack(plan, n, d, dst_rows, max_nodes, found):
     while depth >= 0:
         if depth == bottom:  # every pair is mapped: check the other rows
             sigma = tuple(map(tuple, fwd))
-            images = zip(*[map(perm.__getitem__, col) for perm, col in zip(sigma, rest_cols)])
-            passed = len(list(itertools.takewhile(dst_rows.__contains__, images)))
+            passed = len(list(itertools.takewhile(dst_rows.__contains__,
+                                                  _images(sigma, rest_cols))))
             nodes += passed + (passed < len(rest))  # up to the first miss
             if nodes > max_nodes:
                 raise EquivalenceError("search budget exhausted")
@@ -508,7 +593,10 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     turns are compared: every other sigma is that one composed with a
     support automorphism, which permutes the cokernel, so unequal orders
     exclude every sigma at once (``cokernel-character``).  Otherwise every
-    sigma is tried (``search-exhausted``).
+    sigma is tried (``search-exhausted``), each after the first by the
+    cokernel test carried over from it (``_diagonal_solver``'s screen);
+    only those that pass are solved.  ``stats`` counts the ``solves`` and
+    ``coker_rejects``, which sum to ``sigmas_tested``.
 
     The sigmas are those of ``_iter_support_sigmas``, in its order, so
     ``stats["sigmas_tested"]`` and the budget verdicts do not depend on
@@ -518,11 +606,15 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     """
     _check_compatible(src, dst)
     exact = src.is_exact and dst.is_exact
-    stats = {"sigmas_tested": 0}
-    solve, orders = _diagonal_solver(src, dst, exact)
+    stats = {"sigmas_tested": 0, "solves": 0, "coker_rejects": 0}
+    solve, orders, screen = _diagonal_solver(src, dst, exact)
     try:
         for sigma in _iter_support_sigmas(src, dst, max_nodes):
             stats["sigmas_tested"] += 1
+            if not screen(sigma):
+                stats["coker_rejects"] += 1
+                continue
+            stats["solves"] += 1
             witness = solve(sigma)
             if witness is not None:
                 # the solved system enforces witness(src) == dst outright
@@ -550,11 +642,11 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
 def _lm_automorphisms(s: MinimalSupportState, max_nodes: int) -> List[LocalOperator]:
     """One monomial self-witness per per-site permutation tuple admitting a
     diagonal completion (free diagonal parameters zeroed), sorted by tuple."""
-    solve = _diagonal_solver(s, s, s.is_exact)[0]
+    solve, _, screen = _diagonal_solver(s, s, s.is_exact)
     found = {}
     for sigma in _iter_support_sigmas(s, s, max_nodes):
-        w = solve(sigma)
-        if w is not None:
+        w = screen(sigma) and solve(sigma)
+        if w:
             found[sigma] = w
     return [found[sigma] for sigma in sorted(found)]
 

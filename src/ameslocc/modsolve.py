@@ -19,16 +19,18 @@ turns too: the solution is kept as numerators over one running
 denominator, multiplied by |p| only when a pivot p does not divide the
 accumulated numerator, and becomes Fractions once, at the end.
 
-The same rows give an invariant of a whole family of right-hand sides:
-c -> c.b mod 1 is a character of the cokernel lattice, and the order of its
-image, den / gcd(den, c_1.b, ..., c_m.b) over the basis rows, does not
-change when the entries of b are permuted by a map that permutes the
-cokernel.
+A support search solves one A against b = pull_sigma(dst) - src for many
+sigma, each after the first, sigma0, being sigma0 o g for a support
+automorphism g, which permutes the cokernel.  Every cokernel row sums to 0
+(the all-ones vector is A times one site's indicator), so with src shifted
+by its most common turn only the rows Z still carrying a turn enter: c.b = 0
+iff sum over i in Z of c[g(i)] * (src_i - m) = c.pull_sigma0(dst).
+``equivalence`` tests each later sigma so, on the rows ``_eliminate`` keeps,
+memoised by g(Z), and solves only the sigmas that pass.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -162,10 +164,3 @@ def solve_turn_system(rows, rhs, num_vars, den=None):
         t[col] = acc // p % den
     return [Fraction(x, den) for x in t]
 
-
-def character_order(rows, values, num_vars, den):
-    """Order of the character c -> c.values / den (mod 1) on the integer
-    cokernel of ``rows`` (a ``Rows``), for integer ``values`` over ``den``;
-    1 when the cokernel is trivial."""
-    coker = _eliminate(rows, num_vars)[3]
-    return den // math.gcd(den, *(sum(v * values[i] for i, v in c) for c in coker))

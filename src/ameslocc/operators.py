@@ -110,9 +110,10 @@ class SiteOperator:
                 diag.append(p * p2)
             return SiteOperator.monomial(sigma, diag)
         rows = [[Amp.zero() for _ in range(self.d)] for _ in range(self.d)]
+        columns = [self.column(mid) for mid in range(self.d)]  # read once
         for a in range(self.d):
             for mid, amp1 in other.column(a):
-                for out, amp2 in self.column(mid):
+                for out, amp2 in columns[mid]:
                     rows[out][a] = rows[out][a] + amp2 * amp1
         return SiteOperator.general(rows, self.d, scale=self.scale * other.scale)
 
@@ -164,8 +165,9 @@ class LocalOperator:
         scale2 = sp.scale2
         for pos, site in enumerate(self.sites):
             new_terms = {}
+            columns = [site.column(a) for a in range(site.d)]  # read once per site
             for idx, amp in terms.items():
-                for j, m in site.column(idx[pos]):
+                for j, m in columns[idx[pos]]:
                     out = idx[:pos] + (j,) + idx[pos + 1:]
                     acc = new_terms.get(out)
                     new_terms[out] = m * amp if acc is None else acc + m * amp

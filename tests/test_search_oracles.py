@@ -14,7 +14,9 @@ order and sorted order part ways early, the search must still yield exactly
 the row scan's set, once each; and the cokernel rows that decide exact
 feasibility must annihilate the coefficient matrix.  ``lm_match`` decides a
 pair whose cokernel character orders differ after its first sigma; its
-verdicts must match a search that solves every sigma.
+verdicts must match a search that solves every sigma.  It solves only the
+first sigma and the sigmas that pass the cokernel test carried over from
+the first; that test must agree with the full solve on every sigma.
 
 The search runs on a compiled plan and, once a search from a row set has
 run to its end, replays later searches from that row set as a coset of
@@ -31,8 +33,10 @@ from fractions import Fraction
 from operator import getitem
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ameslocc import equivalence
+from ameslocc.butson import fourier, tensor_butson
 from ameslocc.equivalence import (EquivalenceError, _diagonal_solver,
                                   _iter_support_sigmas, _row_order, _row_plan,
                                   butson_match, lm_match)
@@ -365,6 +369,69 @@ def test_reed_solomon_decorations_by_character_order(turn, reason, sigmas):
     cert = lm_match(src, dst)
     assert (cert.verdict, cert.reason) == ("inequivalent", reason)
     assert cert.stats["sigmas_tested"] == sigmas
+
+
+def rs73():
+    return construct_linear(7, [[1, a, a * a % 7] for a in range(7)])
+
+
+def test_reed_solomon_search_solves_only_the_first_sigma(monkeypatch):
+    # one decorated row, so each later sigma is decided by the image of
+    # that row under sigma0^-1 o sigma alone: one memoised test per row
+    reads = []
+    cokernel = equivalence._cokernel
+
+    class Touching(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    monkeypatch.setattr(equivalence, "_cokernel", lambda *args: (
+        cokernel(*args)[0], Touching(cokernel(*args)[1])))
+    src, dst = (with_phases(rs73(), {(0,) * 7: Phase(t)})
+                for t in (Fraction(1, 16), Fraction(5, 16)))
+    cert = lm_match(src, dst)
+    assert (cert.verdict, cert.reason) == ("inequivalent", "search-exhausted")
+    assert cert.stats == {"sigmas_tested": 2058, "solves": 1, "coker_rejects": 2057}
+    assert 0 < len(reads) == len(set(reads)) <= 343
+
+
+def f2f2_ame44():
+    layer = LocalOperator([SiteOperator.butson(tensor_butson(fourier(2), fourier(2)))] * 4)
+    return layer.apply(construct_ame44()).as_minimal(k=2)
+
+
+SCREENED = {"ame64": ame64_phi(Fraction(1, 16)), "rs73": rs73(),
+            "ame5-linear-5": ame_linear_5(5), "f2f2-ame44": f2f2_ame44()}
+
+
+def decorate_side(s, rng, den, dense):
+    """decorate, or m/den-turn phases on every support row when dense."""
+    if not dense:
+        return decorate(s, rng, den)
+    return with_phases(s, {idx: Phase(Fraction(rng.randrange(den), den))
+                           for idx in s.phases})
+
+
+@settings(max_examples=24, deadline=None)
+@given(base=st.sampled_from(sorted(SCREENED)), den=st.sampled_from([4, 16, 20, 360]),
+       dense=st.tuples(st.booleans(), st.booleans()), same=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(base="rs73", den=16, dense=(False, False), same=True, seed=7)
+@example(base="rs73", den=360, dense=(True, False), same=False, seed=7)
+@example(base="ame5-linear-5", den=360, dense=(True, True), same=True, seed=1)
+def test_screen_matches_full_solve_for_every_sigma(base, den, dense, same, seed):
+    # sparse decorations take the memoised transported test, dense ones the
+    # row-by-row direct test; both must agree with solving the full rhs
+    rng = random.Random(seed)
+    src = decorate_side(SCREENED[base], rng, den, dense[0])
+    dst = monomial_image(src if same else decorate_side(SCREENED[base], rng, den, dense[1]), rng)
+    solve, _, screen = _diagonal_solver(src, dst, True)
+    verdicts = [(screen(sigma), solve(sigma) is not None)
+                for sigma in _iter_support_sigmas(src, dst, 10 ** 7)]
+    assert verdicts[0][0]
+    assert all(passed == solved for passed, solved in verdicts[1:])
+    assert any(solved for _, solved in verdicts) or not same
 
 
 def recursive_sigmas(src, dst, max_nodes):

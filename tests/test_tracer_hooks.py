@@ -55,15 +55,25 @@ def test_tracer_wraps_and_restores_pipeline_names(monkeypatch):
     assert all(now is orig for now, orig in zip(restored, originals))
 
 
-def test_tracer_counts_one_solve_per_sigma(monkeypatch):
+def test_tracer_counts_one_solve_per_solved_sigma(monkeypatch):
+    # the sigmas after the first are screened by the carried-over cokernel
+    # test, so only the solved ones reach the modsolve span
     s = ame_linear_5(5)
-    rng = random.Random(99)
-    dst = with_phases(s, {idx: root_of_unity(360, rng.randrange(360))
-                          for idx in sorted(s.phases)})
-    cert, tracer = traced(monkeypatch, lambda: lm_match(s, dst))
-    assert cert.verdict == "inequivalent"
-    assert tracer.calls["modsolve"] == tracer.counts["equivalence.search.sigmas"] \
-        == cert.stats["sigmas_tested"] > 0
+    rows = sorted(s.phases)
+    ame64 = ame64_phi(Fraction(1, 16))
+    op = LocalOperator([SiteOperator.monomial(
+        (1, 2, 3, 0), [root_of_unity(360, 7 * j + a) for a in range(4)]) for j in range(6)])
+    pairs = [(ame64, ame64_phi(Fraction(3, 16)), "inequivalent"),
+             (with_phases(s, {rows[3]: root_of_unity(16, 1)}),
+              with_phases(s, {rows[7]: root_of_unity(16, 5)}), "inequivalent"),
+             (ame64, op.apply(ame64), "equivalent")]
+    for a, b, verdict in pairs:
+        cert, tracer = traced(monkeypatch, lambda: lm_match(a, b))
+        stats = cert.stats
+        assert cert.verdict == verdict
+        assert tracer.calls["modsolve"] == stats["solves"]
+        assert tracer.counts["equivalence.search.sigmas"] == stats["sigmas_tested"] \
+            == stats["solves"] + stats["coker_rejects"] > 1
 
 
 def test_tracer_sees_no_monomial_w_ratio_test_at_n_2k(monkeypatch):
