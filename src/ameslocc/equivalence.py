@@ -202,16 +202,18 @@ def _diagonal_solver(src, dst, exact):
     each row is tested directly, c.pull_sigma(dst) = c.src, shortest first,
     gathering dst over its support only.  The tables are cached per support
     (``_incidence``, ``_cokernel``); c.pull_sigma0(dst) is taken at the
-    second sigma."""
-    n, d = src.n, src.d
+    second sigma.  By index unity a row is fixed by its first k symbols, so
+    only the first k sites of sigma are read."""
+    n, d, k = src.n, src.d, src.k
     idxs, cols, rows = _incidence(frozenset(src.phases), n, d)
+    cols = cols[:k]
     mod, turns = turn_numerators(
         [src.phases[idx] for idx in idxs] + list(dst.phases.values()))
     if not exact:  # solved in floats
         mod, turns = 1.0, [t / mod for t in turns]
     den = mod if exact else None
     src_turns = turns[:len(idxs)]
-    dst_turns = dict(zip(dst.phases, turns[len(idxs):]))
+    dst_turns = {idx[:k]: t for idx, t in zip(dst.phases, turns[len(idxs):])}
 
     def pulled_back(sigma, cols=cols):
         return list(map(dst_turns.__getitem__, _images(sigma, cols)))
@@ -245,16 +247,17 @@ def _diagonal_solver(src, dst, exact):
         m = Counter(src_turns).most_common(1)[0][0]
         z = [i for i, t in enumerate(src_turns) if t != m]
         if by_row and len(z) > len(by_row[0][0]):
-            want = list(zip(by_row, dots(None)))
+            want = [(coeffs, rcols[:k], w)
+                    for (_, coeffs, rcols), w in zip(by_row, dots(None))]
 
             def direct(sigma):
                 return not any((sum(map(mul, coeffs, pulled_back(sigma, rcols))) - w) % den
-                               for (_, coeffs, rcols), w in want)
+                               for coeffs, rcols, w in want)
             return direct
         k0 = dots(sigma0)
-        nonzero = {r for r, k in enumerate(k0) if k}
+        nonzero = {r for r, v in enumerate(k0) if v}
         back = {image: i for i, image in enumerate(_images(sigma0, cols))}
-        zcols = tuple(zip(*[idxs[i] for i in z]))
+        zcols = tuple(zip(*[idxs[i][:k] for i in z]))
         steps = [(src_turns[i] - m) % den for i in z]
         memo = {}
 
@@ -378,12 +381,13 @@ class _Plan:
     pairs are a row's new (site, symbol) pairs; expect gives, site by site,
     the symbol whose image a candidate must carry there (its old sites) or
     -1 for an image no symbol has yet (its new sites).
-    ``group`` is None until a search from this row set runs to its end,
-    then that search's ``_Group``.
+    ``group`` is the row set's automorphism group (``_Group``) once a
+    self-search (``_self_search``) has found it, and ``tried`` the largest
+    node budget a self-search ran out of.
     """
 
     def __init__(self, steps, rest):
-        self.steps, self.rest, self.group = steps, rest, None
+        self.steps, self.rest, self.group, self.tried = steps, rest, None, 0
         self.rest_cols = tuple(zip(*rest))  # the sites' symbols over rest
         segments = []
         for row, cols, old, new in steps:
@@ -398,48 +402,96 @@ class _Plan:
         self.branch_rows = tuple(row for row, cols, _, _ in steps if cols is None)
 
 
-class _Group:
-    """The automorphisms of a row set, from one search that ran to its end.
+def _compose(g, h):
+    """The per-site permutations g o h."""
+    return tuple([tuple(map(a.__getitem__, b)) for a, b in zip(g, h)])
 
-    ``cost`` is that search's node count.  The elements g = sigma0^-1 o
-    sigma, over every sigma it yielded, are bucketed by g(r0), r0 being the
-    first plan row, so ``coset`` reaches each next sigma without a pass
-    over the whole group.
+
+class _Group:
+    """The automorphisms of a row set, as per-level transversals over the
+    branch rows b_1, ..., b_L of its plan.
+
+    ``levels[i]`` maps each row p in the orbit of b_i under the pointwise
+    stabiliser of b_1, ..., b_(i-1) to one element of that stabiliser
+    taking b_i to p (b_i itself to the identity).  Every automorphism is
+    one product u_1 o ... o u_L with u_i from level i, so the group order
+    is the product of the orbit lengths.  ``cost`` is the node count of the
+    self-search that found it.
     """
 
-    def __init__(self, sigmas, cost, branch_rows):
-        self.cost, self.branch_rows = cost, branch_rows
-        inverse = []
-        for perm in sigmas[0]:
-            inv = [0] * len(perm)
-            for a, b in enumerate(perm):
-                inv[b] = a
-            inverse.append(inv.__getitem__)
-        self.buckets = {}
-        for sigma in sigmas:
-            g = tuple(tuple(map(inv, perm)) for inv, perm in zip(inverse, sigma))
-            self.buckets.setdefault(tuple(map(getitem, g, branch_rows[0])), []).append(g)
+    def __init__(self, branch_rows, n, d):
+        self.rows, self.gens, self.cost = branch_rows, [], None
+        self.identity = (tuple(range(d)),) * n
+        self.levels = [{row: self.identity} for row in branch_rows]
+
+    def add(self, g):
+        """Take the automorphism g as a generator and regrow the orbit of
+        the first branch row g moves.  Every generator so far fixes the
+        branch rows before that one, as the self-search finds them from
+        the deepest row up."""
+        self.gens.append(g)
+        i = next(i for i, row in enumerate(self.rows) if tuple(map(getitem, g, row)) != row)
+        orbit = {self.rows[i]: self.identity}
+        queue = [self.rows[i]]
+        for p in queue:  # grows while it is read: a breadth-first search
+            for s in self.gens:
+                image = tuple(map(getitem, s, p))
+                if image not in orbit:
+                    orbit[image] = _compose(s, orbit[p])
+                    queue.append(image)
+        self.levels[i] = orbit
 
     def coset(self, sigma0):
         """sigma0 o G without sigma0, in the search's order: lexicographic
-        in (sigma(r) != r, sigma(r)) over the plan rows without cols."""
-        first, *later = self.branch_rows
+        in (sigma(r) != r, sigma(r)) over the branch rows r.  With h the
+        product of sigma0 and the elements chosen at the levels before i,
+        sigma(b_i) = h(p) for the point p chosen at level i, and a level
+        with one point adds no choice."""
+        levels = [(row, orbit) for row, orbit in zip(self.rows, self.levels)
+                  if len(orbit) > 1]
 
-        def rank(row, image):
-            return image != row, image
+        def walk(h, at):
+            row, orbit = levels[at]
 
-        def order(sigma):
-            return [rank(row, tuple(map(getitem, sigma, row))) for row in later]
+            def rank(p):
+                image = tuple(map(getitem, h, p))
+                return image != row, image
 
-        # sigma(r0) = sigma0(g(r0)) is the first key, shared within a bucket
-        for head in sorted(self.buckets,
-                           key=lambda s: rank(first, tuple(map(getitem, sigma0, s)))):
-            sigmas = [tuple(tuple(map(p.__getitem__, q)) for p, q in zip(sigma0, g))
-                      for g in self.buckets[head]]
-            sigmas.sort(key=order)
-            for sigma in sigmas:
-                if sigma != sigma0:
+            for p in sorted(orbit, key=rank):
+                sigma = _compose(h, orbit[p])
+                if at + 1 < len(levels):
+                    yield from walk(sigma, at + 1)
+                elif sigma != sigma0:
                     yield sigma
+
+        return walk(sigma0, 0) if levels else iter(())
+
+
+def _self_search(plan, n, d, max_nodes):
+    """The automorphism group of the plan's row set, or None when the
+    search needs more than max_nodes nodes; recorded on the plan either way.
+
+    It is the backtracking of ``_backtrack`` from the rows onto themselves,
+    pruned by the automorphisms it finds, as in nauty (McKay and Piperno,
+    J. Symb. Comput. 60, 2014).  It follows the identity path first, so it
+    settles the branch rows from the deepest up.  At a branch row the path
+    reaches by the identity, a candidate image already in the row's orbit
+    under the automorphisms found so far is skipped; below any other
+    candidate the search stops at the first automorphism, which becomes a
+    generator.  So each level ends with the orbit of its row under the
+    stabiliser of the rows before it.
+    """
+    group = _Group(plan.branch_rows, n, d)
+    rows = frozenset(row for row, _, _, _ in plan.steps).union(plan.rest)
+    search = _backtrack(plan, n, d, rows, max_nodes, group.levels)
+    try:
+        while True:
+            group.add(next(search)[1])
+    except StopIteration as stop:
+        group.cost, plan.group = stop.value, group
+    except EquivalenceError:
+        plan.tried = max(plan.tried, max_nodes)
+    return plan.group
 
 
 def _iter_support_sigmas(src, dst, max_nodes):
@@ -456,33 +508,49 @@ def _iter_support_sigmas(src, dst, max_nodes):
     row, one node each.  Row sets labelled k = 0, such as the projected
     supports of reductions, get no lookups: each plan row branches.
 
-    A search that runs to its end records its node count and the row
-    set's automorphism group on the plan.  A later search from that row
-    set whose budget covers that count backtracks only to its first sigma0
-    and then yields the coset sigma0 o G in the same order: the sigmas,
-    their order and the budget errors are those of the full search.
+    Every sigma is sigma0 o g, for the first sigma0 and g in the src
+    support's automorphism group G.  Asked for a second sigma on an onto
+    pair, the search finds G by ``_self_search`` (once per support, under
+    a node budget of its own, max_nodes) and walks sigma0 o G in the
+    backtracking order, one node per sigma after those up to sigma0.
+    Backtracking spends at least that, so at every budget the walk yields
+    a prefix of the same sigmas at least as long.  G is walked only under
+    a budget that covers its self-search, which is not rerun under a
+    budget it ran out of; otherwise the backtracking goes on.  So the
+    sigmas do not depend on which searches ran before.
     """
     plan = _row_plan(frozenset(src.phases), src.k)
     dst_rows = frozenset(dst.phases)
-    onto = len(dst_rows) == len(src.phases)
-    group = plan.group if onto else None
-    if group is not None and max_nodes >= group.cost:
-        search = _backtrack(plan, src.n, src.d, dst_rows, max_nodes, None)
-        sigma0 = next(search, None)
-        if sigma0 is not None:
-            yield sigma0
-            yield from group.coset(sigma0)
+    search = _backtrack(plan, src.n, src.d, dst_rows, max_nodes)
+    first = next(search, None)
+    if first is None:
         return
-    found = [] if onto and group is None else None
-    cost = yield from _backtrack(plan, src.n, src.d, dst_rows, max_nodes, found)
-    if found:
-        plan.group = _Group(found, cost, plan.branch_rows)
+    nodes, sigma0 = first
+    yield sigma0
+    if len(dst_rows) == len(src.phases):
+        group = plan.group
+        if group is None and max_nodes > plan.tried:
+            group = _self_search(plan, src.n, src.d, max_nodes)
+        if group is not None and group.cost <= max_nodes:
+            for sigma in group.coset(sigma0):
+                nodes += 1
+                if nodes > max_nodes:
+                    raise EquivalenceError("search budget exhausted")
+                yield sigma
+            return
+    for _, sigma in search:
+        yield sigma
 
 
-def _backtrack(plan, n, d, dst_rows, max_nodes, found):
+def _backtrack(plan, n, d, dst_rows, max_nodes, orbits=None):
     """The backtracking of ``_iter_support_sigmas`` on a compiled plan:
-    yields each sigma, also appending it to ``found`` unless that is None,
-    and returns the node count."""
+    yields (nodes so far, sigma) for each sigma and returns the node count.
+
+    With ``orbits`` (the growing levels of a ``_Group``) it is the
+    self-search of ``_self_search``, on the plan's own row set: at a branch
+    row the identity reaches it skips the candidates in the row's orbit,
+    and it yields each sigma other than the identity, then goes back to
+    the branch row where that sigma leaves the identity."""
     ordered = sorted(dst_rows)
     total = len(ordered)
     fwd = [[-1] * d for _ in range(n)]  # fwd[j][a]: the image of symbol a at site j
@@ -499,6 +567,7 @@ def _backtrack(plan, n, d, dst_rows, max_nodes, found):
     saved = [None] * bottom
     memo = {}
     nodes = 0
+    ident = 0  # how many leading branch rows are placed on themselves
 
     def candidates(row, j0, b):
         """(position, dst row) in the order of the full candidate list
@@ -527,10 +596,12 @@ def _backtrack(plan, n, d, dst_rows, max_nodes, found):
             nodes += passed + (passed < len(rest))  # up to the first miss
             if nodes > max_nodes:
                 raise EquivalenceError("search budget exhausted")
-            if passed == len(rest):
-                if found is not None:
-                    found.append(sigma)
-                yield sigma
+            if passed == len(rest) and (orbits is None or ident < bottom):
+                yield nodes, sigma
+                if orbits is not None:  # back to where sigma leaves the identity
+                    for m in range(bottom - 1, ident, -1):
+                        unplace(segments[m][2][-1])
+                    depth = ident + 1
             depth, enter = depth - 1, False
             continue
         (row, j0, expect, pairs), lookups, undo = segments[depth]
@@ -543,6 +614,7 @@ def _backtrack(plan, n, d, dst_rows, max_nodes, found):
         else:
             cands, at, last = saved[depth]
             unplace(undo[-1])
+            ident = min(ident, depth)
         while at < len(cands):
             pos, cand = cands[at]
             at += 1
@@ -551,6 +623,9 @@ def _backtrack(plan, n, d, dst_rows, max_nodes, found):
             if nodes > max_nodes:
                 raise EquivalenceError("search budget exhausted")
             if tuple(map(getitem, back, cand)) != expect:
+                continue
+            if orbits is not None and ident == depth and cand != row \
+                    and cand in orbits[depth]:
                 continue
             place(cand, pairs)
             placed = len(lookups)
@@ -567,6 +642,8 @@ def _backtrack(plan, n, d, dst_rows, max_nodes, found):
                 raise EquivalenceError("search budget exhausted")
             if placed == len(lookups):
                 saved[depth] = cands, at, last
+                if ident == depth and cand == row:
+                    ident += 1
                 depth, enter = depth + 1, True
                 break
             unplace(undo[placed])
@@ -598,11 +675,13 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     only those that pass are solved.  ``stats`` counts the ``solves`` and
     ``coker_rejects``, which sum to ``sigmas_tested``.
 
-    The sigmas are those of ``_iter_support_sigmas``, in its order, so
+    The sigmas are those of ``_iter_support_sigmas``, in its order: after
+    the first, the coset of the src support's automorphism group, one node
+    each, once a budget covers the group's self-search.  So
     ``stats["sigmas_tested"]`` and the budget verdicts do not depend on
-    whether the src support's automorphism group is already recorded;
-    only the time to reach each sigma does.  The incidence rows of the
-    diagonal systems are built once per src support (``_incidence``).
+    whether that group is already recorded; only the time to reach each
+    sigma does.  The incidence rows of the diagonal systems are built once
+    per src support (``_incidence``).
     """
     _check_compatible(src, dst)
     exact = src.is_exact and dst.is_exact

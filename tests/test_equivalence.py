@@ -177,8 +177,9 @@ K3_LIBRARY = st.one_of(st.just(construct_ame64()), st.just(RS73),
 @example(s=rs73_phi(Fraction(1, 16)), recorded=True, seed=7)
 def test_decide_slocc_recovers_monomial_images_of_k3_library_states(s, recorded, seed):
     # every library minimal state with k >= 3 and their decorations,
-    # searched from scratch and with the support's automorphism group
-    # recorded, which the search then replays as a coset
+    # searched from scratch, where a search past its first sigma finds the
+    # support's automorphism group, and with that group recorded, which
+    # the search then walks as a coset
     plan = _row_plan(frozenset(s.phases), s.k)
     if recorded and plan.group is None:
         list(_iter_support_sigmas(s, s, DEFAULT_MAX_NODES))
@@ -444,12 +445,15 @@ def test_large_support_self_pair_is_decided():
     assert cert.stats["sigmas_tested"] == 1
 
 
-def test_ame87_decorations_exhaust_default_budget():
+def test_ame87_decorations_are_decided_within_default_budget():
     # 1/16 and 3/16 give equal cokernel character orders, so every sigma
-    # is searched
-    cert = lm_match(ame87(Fraction(1, 16)), ame87(Fraction(3, 16)))
-    assert cert.verdict == "inconclusive"
-    assert "budget" in cert.reason
+    # is tried: the support's 14,406 automorphisms, walked as a coset once
+    # the self-search has found them, each after the first rejected by the
+    # carried-over cokernel test
+    cert = lm_match(ame87(Fraction(1, 16)), ame87(Fraction(3, 16)),
+                    max_nodes=DEFAULT_MAX_NODES)
+    assert (cert.verdict, cert.reason) == ("inequivalent", "search-exhausted")
+    assert cert.stats == {"sigmas_tested": 14406, "solves": 1, "coker_rejects": 14405}
 
 
 def test_ame87_decorations_with_unequal_character_orders_are_decided():

@@ -18,13 +18,17 @@ verdicts must match a search that solves every sigma.  It solves only the
 first sigma and the sigmas that pass the cokernel test carried over from
 the first; that test must agree with the full solve on every sigma.
 
-The search runs on a compiled plan and, once a search from a row set has
-run to its end, replays later searches from that row set as a coset of
-the recorded automorphism group.  Both must give what the recursive form
-below gives, one generator frame per plan row and every dst row a
-candidate at each branching row: the same sigmas in the same order, and
-the budget error at the same point, for every node budget, whether or not
-the row set's group is recorded.
+The search runs on a compiled plan.  After its first sigma0 on an onto
+pair it finds the src support's automorphism group G by an orbit-pruned
+self-search and walks the coset sigma0 o G, one node per sigma.  Both
+must give what the recursive form below gives, one generator frame per
+plan row and every dst row a candidate at each branching row: the same
+sigmas in the same order at an unlimited budget; at every budget a prefix
+of them at least as long; and exactly the recursive search's sigmas and
+budget error wherever the self-search cannot finish, whether or not the
+row set's group is recorded.  The group's order, the product of its orbit
+lengths, must be the number of sigmas of the recursive search from the
+support onto itself.
 """
 
 import math
@@ -37,9 +41,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ameslocc import equivalence
 from ameslocc.butson import fourier, tensor_butson
-from ameslocc.equivalence import (EquivalenceError, _diagonal_solver,
-                                  _iter_support_sigmas, _row_order, _row_plan,
-                                  butson_match, lm_match)
+from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
+                                  _diagonal_solver, _iter_support_sigmas,
+                                  _row_order, _row_plan, _self_search,
+                                  butson_match, lm_automorphism_sigmas, lm_match)
 from ameslocc.modsolve import Rows, _eliminate, solve_turn_system
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import Phase, get_tolerance, root_of_unity
@@ -526,7 +531,8 @@ def fresh_groups():
 
 
 def recorded_group(s):
-    """The group of s's support, recorded by one full search onto s."""
+    """The group of s's support, recorded by the self-search that a full
+    search onto s runs at its second sigma."""
     list(_iter_support_sigmas(s, s, 10 ** 7))
     group = _row_plan(frozenset(s.phases), s.k).group
     assert group is not None
@@ -588,25 +594,68 @@ BUDGET_PAIRS = list(budget_pairs())
 @pytest.mark.parametrize("src, dst", [p[1:] for p in BUDGET_PAIRS],
                          ids=[p[0] for p in BUDGET_PAIRS])
 def test_budgeted_search_matches_recursive_search(src, dst, recorded, fresh_groups):
-    # the whole search ends at the recursive search's node count: one node
-    # less runs out of budget
+    # the recursive search ends at node count cost: one node less runs out
+    # of budget.  Budgets on both sides of the self-search's cost: below it
+    # the search backtracks exactly as the recursive one, from it on it
+    # walks the coset, one node per sigma, and so gets at least as far
     cost = search_cost(src, dst)
-    if recorded:
-        # budgets on both sides of the recorded cost: below it the search
-        # backtracks, from it on the coset is replayed
-        assert BUDGETS[0] < recorded_group(src).cost <= BUDGETS[-1]
-    for max_nodes in BUDGETS + [cost - 1, cost]:
+    full = list(recursive_sigmas(src, dst, cost))
+    self_cost = recorded_group(src).cost
+    assert BUDGETS[0] < self_cost <= BUDGETS[-1]
+    assert budgeted(_iter_support_sigmas(src, dst, 10 ** 9)) == (full, False)
+    for max_nodes in BUDGETS + [cost - 1, cost, self_cost - 1, self_cost]:
         if not recorded:
             _row_plan.cache_clear()
-        got = budgeted(_iter_support_sigmas(src, dst, max_nodes))
-        assert got == budgeted(recursive_sigmas(src, dst, max_nodes))
-        assert got[1] == (max_nodes < cost)
+        got, out = budgeted(_iter_support_sigmas(src, dst, max_nodes))
+        want, want_out = budgeted(recursive_sigmas(src, dst, max_nodes))
+        assert want_out == (max_nodes < cost)
+        if max_nodes < self_cost or not got:  # no walk: no group, or no sigma0
+            assert (got, out) == (want, want_out)
+        else:
+            assert len(want) <= len(got) and got == full[:len(got)]
+            assert out == (len(got) < len(full))
 
 
 def test_recorded_cost_over_budget_stays_inconclusive(fresh_groups):
-    # the 50-node butson_match of test_equivalence, on a recorded support
+    # the 50-node butson_match of test_equivalence, on a recorded support:
+    # 50 nodes do not cover the self-search, so the search backtracks and
+    # runs out of budget as before
     assert recorded_group(ame64_phi(Fraction(1, 16))).cost > 50
     cert = butson_match(ame64_phi(Fraction(1, 16)), ame64_phi(Fraction(3, 16)),
                         max_nodes=50)
     assert cert.verdict == "inconclusive"
     assert "budget" in cert.reason
+
+
+GROUP_CASES = [(name, make, order) for (name, make, _), order
+               in zip(CASES, (18, 48, 100, 192))] + [
+    ("rs73", rs73, 2058),
+    ("latin-z4", lambda: latin_square(lambda a, b: (a + b) % 4, 4), 32),
+    ("latin-klein", lambda: latin_square(lambda a, b: a ^ b, 4), 96),
+    ("ame5-linear-7", lambda: ame_linear_5(7), 294)]
+
+
+@pytest.mark.parametrize("name, make, order", GROUP_CASES, ids=[c[0] for c in GROUP_CASES])
+def test_self_search_group_matches_recursive_self_search(name, make, order, fresh_groups):
+    # the group found with orbit pruning has as many elements as the
+    # unpruned recursive search finds sigmas from the support onto itself
+    s = make()
+    group = recorded_group(s)
+    sigmas = list(recursive_sigmas(s, s, 10 ** 9))
+    assert math.prod(map(len, group.levels)) == len(sigmas) == order
+    if name == "rs73":
+        return  # every one of its 2058 sigmas is solved: seconds
+    solve = _diagonal_solver(s, s, s.is_exact)[0]
+    assert lm_automorphism_sigmas(s) == sorted(x for x in sigmas if solve(x) is not None)
+
+
+@pytest.mark.parametrize("make, order", [
+    (lambda: construct_linear(7, [[1, a, a * a % 7, a ** 3 % 7] for a in range(7)]
+                              + [[0, 0, 0, 1]]), 14406),
+    (lambda: ame_linear_5(37), 49284)], ids=["ame87", "ame5-linear-37"])
+def test_self_search_group_orders_of_large_supports(make, order, fresh_groups):
+    # 7^4 codeword translations times 6 scalars, and 37^2 times 36; the
+    # recursive self-search of AME(8,7) takes about half a minute
+    s = make()
+    group = _self_search(_row_plan(frozenset(s.phases), s.k), s.n, s.d, DEFAULT_MAX_NODES)
+    assert math.prod(map(len, group.levels)) == order

@@ -12,11 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from ameslocc import phases, reductions
-from ameslocc.equivalence import decide_slocc, lm_match
+from ameslocc.equivalence import _row_plan, decide_slocc, lm_match
 from ameslocc.operators import LocalOperator, SiteOperator
-from ameslocc.phases import root_of_unity
+from ameslocc.phases import Phase, root_of_unity
 from ameslocc.states import (ame64_phi, ame_linear_5, construct_ame5_phased,
-                             with_phases)
+                             construct_linear, with_phases)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,6 +74,32 @@ def test_tracer_counts_one_solve_per_solved_sigma(monkeypatch):
         assert tracer.calls["modsolve"] == stats["solves"]
         assert tracer.counts["equivalence.search.sigmas"] == stats["sigmas_tested"] \
             == stats["solves"] + stats["coker_rejects"] > 1
+
+
+def test_tracer_counts_no_sigma_of_the_self_search(monkeypatch):
+    # a search asked for a second sigma first finds the support's group by
+    # a self-search; that must not go through the module-level
+    # _iter_support_sigmas, which the tracer rebinds, or its sigmas would be
+    # counted as tested
+    _row_plan.cache_clear()
+    rng = random.Random(7)
+    base = ame_linear_5(7)
+    src = with_phases(base, {idx: root_of_unity(360, rng.randrange(360))
+                             for idx in base.phases})
+    op = LocalOperator([SiteOperator.monomial(
+        rng.sample(range(7), 7), [root_of_unity(360, rng.randrange(360)) for _ in range(7)])
+        for _ in range(5)])
+    rs = construct_linear(7, [[1, a, a * a % 7] for a in range(7)])
+    rs_src, rs_dst = (with_phases(rs, {(0,) * 7: Phase(t)})
+                      for t in (Fraction(1, 16), Fraction(5, 16)))
+    for a, b, verdict in [(src, op.apply(src), "equivalent"),
+                          (rs_src, rs_dst, "inequivalent")]:
+        assert _row_plan(frozenset(a.phases), a.k).group is None
+        cert, tracer = traced(monkeypatch, lambda: lm_match(a, b))
+        assert cert.verdict == verdict
+        assert _row_plan(frozenset(a.phases), a.k).group is not None
+        assert tracer.counts["equivalence.search.sigmas"] == cert.stats["sigmas_tested"] > 1
+    assert cert.stats["sigmas_tested"] == 2058
 
 
 def test_tracer_sees_no_monomial_w_ratio_test_at_n_2k(monkeypatch):
