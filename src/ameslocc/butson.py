@@ -1,10 +1,11 @@
 """Butson-type complex Hadamard matrices BH(d, q).
 
 A BH(d, q) matrix has q-th-root-of-unity entries and becomes unitary after
-scaling by 1/sqrt(d).  Entries are stored unscaled as phases, and every test
-reads them as integer exponents of the primitive q-th root; orthogonality is
-an exact vanishing-sum-of-roots-of-unity check, made once per exponent
-histogram.
+scaling by 1/sqrt(d).  A ``ButsonMatrix`` is its exponent rows: entry
+(i, j) is w^e[i][j], w the primitive q-th root of unity, e[i][j] in [0, q).
+The constructor reads Phase entries once; Phases are made again only for
+``entries``, indexing and JSON.  Orthogonality is an exact
+vanishing-sum-of-roots-of-unity check, made once per exponent histogram.
 
 Matrices are classified up to monomial equivalence (row/column permutations
 and unit-diagonal scalings), decided on dephased exponent matrices (first
@@ -16,12 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import lru_cache
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .phases import Phase, exponent_sum_is_zero, root_of_unity
+from .phases import Phase, exponent_sum_is_zero, root_of_unity, turn_numerators
 
 
 class ButsonError(ValueError):
@@ -30,18 +29,37 @@ class ButsonError(ValueError):
 
 class ButsonMatrix:
     def __init__(self, entries: Sequence[Sequence[Phase]], q: int, check: bool = True):
-        self.entries = tuple(tuple(row) for row in entries)
-        self.d = len(self.entries)
-        self.q = q
-        if check and not is_butson(self.entries, q):
+        if type(q) is not int or q < 1:
+            raise ButsonError("complexity must be an integer >= 1, got %r" % (q,))
+        rows = [tuple(row) for row in entries]
+        mod, turns = turn_numerators(p for row in rows for p in row)
+        if not isinstance(mod, int) or q % mod:
+            raise ButsonError("entries are not all %d-th roots of unity" % q)
+        turns = iter([t * (q // mod) for t in turns])
+        self._exps = tuple(tuple(itertools.islice(turns, len(row))) for row in rows)
+        self.d, self.q = len(rows), q
+        if check and not (all(len(row) == self.d for row in self._exps) and all(
+                _exp_rows_orthogonal(a, b, q)
+                for a, b in itertools.combinations(self._exps, 2))):
             raise ButsonError("not a Butson matrix of complexity %d" % q)
 
+    @classmethod
+    def from_exponents(cls, rows, q: int) -> "ButsonMatrix":
+        """The matrix with entries w^rows[i][j], rows in [0, q), unchecked."""
+        m = cls.__new__(cls)
+        m._exps, m.d, m.q = tuple(map(tuple, rows)), len(rows), q
+        return m
+
+    @property
+    def entries(self) -> Tuple[Tuple[Phase, ...], ...]:
+        return tuple(tuple(root_of_unity(self.q, e) for e in row) for row in self._exps)
+
     def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+        return root_of_unity(self.q, self._exps[ij[0]][ij[1]])
 
     def exponents(self) -> Tuple[Tuple[int, ...], ...]:
-        """Entries as exponents of the primitive q-th root, or ButsonError."""
-        return _exponents(self.entries, self.q)
+        """Entries as exponents of the primitive q-th root."""
+        return self._exps
 
     def __eq__(self, other):
         return isinstance(other, ButsonMatrix) and self.entries == other.entries
@@ -66,42 +84,30 @@ def fourier(d: int) -> ButsonMatrix:
     """The Fourier matrix F_d with entries w^(jk)."""
     if d < 1:
         raise ButsonError("d must be positive")
-    rows = [[root_of_unity(d, j * k) for k in range(d)] for j in range(d)]
-    return ButsonMatrix(rows, d, check=False)
-
-
-def _exponents(entries, q: int) -> Tuple[Tuple[int, ...], ...]:
-    """Exponents e in [0, q) with entry = w^e, w the primitive q-th root of
-    unity; ButsonError if an entry is not an exact q-th root."""
-    turns = [[p.turn for p in row] for row in entries]
-    if any(not isinstance(t, Fraction) or q % t.denominator for row in turns for t in row):
-        raise ButsonError("entries are not all %d-th roots of unity" % q)
-    return tuple(tuple(t.numerator * (q // t.denominator) for t in row) for row in turns)
+    return ButsonMatrix.from_exponents([[j * k % d for k in range(d)] for j in range(d)], d)
 
 
 def is_butson(entries, q: int) -> bool:
     """Entries are q-th roots of unity and rows are pairwise orthogonal."""
-    d = len(entries)
-    if any(len(row) != d for row in entries):
-        return False
     try:
-        exps = _exponents(entries, q)
+        ButsonMatrix(entries, q)
     except ButsonError:
         return False
-    return all(_exp_rows_orthogonal(exps[i], exps[j], q)
-               for i in range(d) for j in range(i + 1, d))
+    return True
 
 
 def tensor_butson(a: ButsonMatrix, b: ButsonMatrix) -> ButsonMatrix:
+    q = math.lcm(a.q, b.q)
+    sa, sb, ea, eb = q // a.q, q // b.q, a.exponents(), b.exponents()
     d = a.d * b.d
-    rows = [[a[(i // b.d, j // b.d)] * b[(i % b.d, j % b.d)] for j in range(d)]
-            for i in range(d)]
-    return ButsonMatrix(rows, math.lcm(a.q, b.q), check=False)
+    return ButsonMatrix.from_exponents(
+        [[(ea[i // b.d][j // b.d] * sa + eb[i % b.d][j % b.d] * sb) % q for j in range(d)]
+         for i in range(d)], q)
 
 
 def dephase(m: ButsonMatrix) -> ButsonMatrix:
     """Scale rows and columns so the first row and column are all ones."""
-    return _exp_to_matrix(_anchored(m.exponents(), 0, 0, m.q), m.q)
+    return ButsonMatrix.from_exponents(_anchored(m.exponents(), 0, 0, m.q), m.q)
 
 
 def _anchored(e, r0: int, c0: int, q: int):
@@ -113,15 +119,15 @@ def _anchored(e, r0: int, c0: int, q: int):
 def monomially_equivalent(a: ButsonMatrix, b: ButsonMatrix):
     """Witness (p, q, dr, dc) with a[i][j] = dr[i]*b[p[i]][q[j]]*dc[j], or None.
 
-    Runs _monomial_witness on the integer exponents of a and b over
-    Q = lcm(a.q, b.q) (ButsonError if an entry is not a Q-th root) and turns
-    its diagonal exponents into Q-th roots of unity.
+    Runs _monomial_witness on the exponent rows of a and b lifted to
+    Q = lcm(a.q, b.q) and turns its diagonal exponents into Q-th roots of
+    unity.
     """
     if a.d != b.d:
         return None
     big_q = math.lcm(a.q, b.q)
-    found = _monomial_witness(_exponents(a.entries, big_q),
-                              _exponents(b.entries, big_q), big_q)
+    ea, eb = ([[e * (big_q // m.q) for e in row] for row in m.exponents()] for m in (a, b))
+    found = _monomial_witness(ea, eb, big_q)
     if found is None:
         return None
     p, q, dr, dc = found
@@ -239,11 +245,6 @@ def _orthogonality_graph(rows, d: int):
             for i, r in enumerate(packed)}
 
 
-def _exp_to_matrix(rows, q) -> ButsonMatrix:
-    return ButsonMatrix([[root_of_unity(q, e) for e in row] for row in rows],
-                        q, check=False)
-
-
 def _sorted_dephased(d: int) -> List[List[Tuple[int, ...]]]:
     """Exponent rows of every dephased BH(d,d) matrix whose rows are in
     lexicographic order (complete backtracking over the orthogonality graph
@@ -270,31 +271,7 @@ def all_dephased(d: int) -> List[ButsonMatrix]:
         raise ButsonError("need d >= 2")
     found = sorted([rows[0]] + list(perm) for rows in _sorted_dephased(d)
                    for perm in itertools.permutations(rows[1:]))
-    return [_exp_to_matrix(rows, d) for rows in found]
-
-
-def _haagerup_key(m: ButsonMatrix):
-    """Multiset of all quartic phase products m_ij m_kl / (m_il m_kj), invariant
-    under monomial maps, as sorted (numerator, denominator) turns: the
-    expansion of _haagerup_counts."""
-    turns = sorted((Fraction(x, m.q).as_integer_ratio(), n)
-                   for x, n in _haagerup_counts(m.exponents(), m.q))
-    return tuple(pair for pair, n in turns for _ in range(n))
-
-
-def _haagerup_counts(e, q: int):
-    """The quartic products of exponent rows e as sorted (exponent, count)
-    pairs mod q, counted as d_j - d_l over the row differences d = e_i - e_k.
-    The row pairs (i, k) and (k, i) give the same counts, so each is counted
-    once and doubled; i = k gives d^2 zeros."""
-    pairs = Counter()
-    for i, ri in enumerate(e):
-        for rk in e[:i]:
-            diff = [x - y for x, y in zip(ri, rk)]
-            pairs.update((x - y) % q for x in diff for y in diff)
-    counts = Counter({x: 2 * n for x, n in pairs.items()})
-    counts[0] += len(e) ** 3
-    return tuple(sorted(counts.items()))
+    return [ButsonMatrix.from_exponents(rows, d) for rows in found]
 
 
 _BH_CAP = 6
@@ -304,18 +281,15 @@ def enumerate_bh(d: int) -> List[ButsonMatrix]:
     """Representatives of BH(d,d) up to monomial equivalence, 2 <= d <= 6.
 
     Enumerates dephased exponent matrices with sorted rows (a cheap symmetry
-    reduction), buckets them by their _haagerup_counts, and keeps each that
-    _monomial_witness relates to no earlier one in its bucket.  Only the
-    representatives become ButsonMatrix objects, in exponent order.
+    reduction) and keeps each that _monomial_witness relates to no earlier
+    one; its sorted-row and sorted-column anchor test rejects most
+    non-matches at once.  Only the representatives become ButsonMatrix
+    objects, in exponent order.
     """
     if not 2 <= d <= _BH_CAP:
         raise ButsonError("enumeration supported for 2 <= d <= %d only" % _BH_CAP)
-    buckets = {}
     reps = []
     for rows in _sorted_dephased(d):
-        bucket = buckets.setdefault(_haagerup_counts(rows, d), [])
-        if any(_monomial_witness(rows, r, d) is not None for r in bucket):
-            continue
-        bucket.append(rows)
-        reps.append(rows)
-    return [_exp_to_matrix(rows, d) for rows in sorted(reps)]
+        if not any(_monomial_witness(rows, r, d) is not None for r in reps):
+            reps.append(rows)
+    return [ButsonMatrix.from_exponents(rows, d) for rows in sorted(reps)]

@@ -59,16 +59,23 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _load_state(path: str):
+def _load_json(path: str, what: str, parse):
+    """parse() of the JSON in path, a CliError when either step fails."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise CliError("cannot read state file %s: %s" % (path, e))
+        raise CliError("cannot read %s file %s: %s" % (what, path, e))
     try:
-        return st.SparseState.from_json(obj)
-    except (KeyError, TypeError, ValueError) as e:  # StateError, PhaseError are ValueErrors
-        raise CliError("malformed state file %s: %s" % (path, e))
+        return parse(obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        # StateError, PhaseError and ButsonError are ValueErrors; a "1/0"
+        # scale2 raises ZeroDivisionError
+        raise CliError("malformed %s file %s: %s" % (what, path, e))
+
+
+def _load_state(path: str):
+    return _load_json(path, "state", st.SparseState.from_json)
 
 
 def parse_oa_file(path: str) -> dg.OrthogonalArray:
@@ -142,11 +149,7 @@ def _cmd_check(args) -> int:
                % (len(oa.rows), oa.ncols, oa.d, oa.strength, report["index"])])
         return EXIT_OK
     if args.kind == "butson":
-        try:
-            with open(args.file) as fh:
-                m = bt.ButsonMatrix.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError) as e:
-            raise CliError("cannot read Butson file: %s" % e)
+        m = _load_json(args.file, "Butson", bt.ButsonMatrix.from_json)
         _emit({"d": m.d, "q": m.q, "valid": True}, args,
               ["BH(%d,%d): valid" % (m.d, m.q)])
         return EXIT_OK

@@ -181,7 +181,7 @@ def _check_compatible(src, dst):
         raise EquivalenceError("states have different (n, d, k)")
 
 
-def _diagonal_solver(src, dst, exact):
+def _diagonal_solver(src, dst):
     """(solve, orders, screen) for the sigmas mapping src's support onto dst's.
 
     solve(sigma): the local monomial with permutations sigma whose diagonal
@@ -189,8 +189,9 @@ def _diagonal_solver(src, dst, exact):
     None.  orders(sigma): den / gcd(den, c.t) over the cokernel rows c for
     the src turns t and for the dst turns pulled back by sigma.  screen:
     False when sigma has no solution, True when it must be solved, as the
-    first, sigma0, always is.  Unless ``exact`` (every turn rational),
-    orders is None and screen passes every sigma.
+    first, sigma0, always is.  Unless every turn is rational, so that
+    ``turn_numerators`` gives an integer den, orders is None and screen
+    passes every sigma.
 
     Each later sigma is sigma0 o g, g a support automorphism, which
     permutes the cokernel; each cokernel row sums to 0, as the all-ones
@@ -209,9 +210,7 @@ def _diagonal_solver(src, dst, exact):
     cols = cols[:k]
     mod, turns = turn_numerators(
         [src.phases[idx] for idx in idxs] + list(dst.phases.values()))
-    if not exact:  # solved in floats
-        mod, turns = 1.0, [t / mod for t in turns]
-    den = mod if exact else None
+    den = mod if isinstance(mod, int) else None  # else 1.0 and float turns
     src_turns = turns[:len(idxs)]
     dst_turns = {idx[:k]: t for idx, t in zip(dst.phases, turns[len(idxs):])}
 
@@ -227,7 +226,7 @@ def _diagonal_solver(src, dst, exact):
             SiteOperator.monomial(sigma[j], [Phase(theta[j * d + a]) for a in range(d)])
             for j in range(n)])
 
-    if not exact:
+    if den is None:
         return solve, None, lambda sigma: True
 
     @lru_cache(maxsize=2)  # c.src and K_c stay while a search reads them
@@ -293,11 +292,6 @@ def _images(sigma, cols):
     return zip(*[map(perm.__getitem__, col) for perm, col in zip(sigma, cols)])
 
 
-def _solve_diagonals(src, dst, sigma, exact):
-    """One-off form of the solve of _diagonal_solver(src, dst, exact)."""
-    return _diagonal_solver(src, dst, exact)[0](sigma)
-
-
 @lru_cache(maxsize=32)
 def _incidence(rows, n, d):
     """(idxs, cols, Rows) of a frozenset of rows: the rows sorted, their
@@ -324,25 +318,17 @@ def _cokernel(rows, n, d):
              tuple(zip(*[idxs[i] for i, _ in c]))) for c in coker], touching
 
 
-def _row_order(rows, k):
-    """(plan, rest): the rows the search places, in order, until every
-    (site, symbol) pair is mapped, and the other rows, sorted.
-
-    A plan entry is (row, cols), cols being k sites of the row mapped by the
-    rows before it, which fix its image by index unity, or None.  Next comes
-    a row with k mapped sites and the most unmapped pairs, failing that the
-    one with the most mapped sites, ties in sorted order; each row maps a
-    new pair, so the plan has at most n(d - 1) + 1 rows.  It depends only
-    on the row set and k, so it is made once per (row set, k) while it
-    stays in a small cache.
-    """
-    plan = _row_plan(frozenset(rows), k)
-    return [(row, cols) for row, cols, _, _ in plan.steps], list(plan.rest)
-
-
 @lru_cache(maxsize=32)
 def _row_plan(rows, k):
-    """The search plan (``_Plan``) of a frozenset of rows and k."""
+    """The search plan (``_Plan``) of a frozenset of rows and k: the rows
+    the search places, in order, until every (site, symbol) pair is mapped,
+    and the other rows, sorted.
+
+    Next comes a row with k mapped sites, which fix its image by index
+    unity, and the most unmapped pairs, failing that the one with the most
+    mapped sites, ties in sorted order; each row maps a new pair, so the
+    plan has at most n(d - 1) + 1 rows.
+    """
     mapped = dict.fromkeys(sorted(rows), 0)  # unplaced row -> its mapped sites
     carriers = {}  # unmapped (site, symbol) -> the rows carrying it
     for row in mapped:
@@ -686,7 +672,7 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     _check_compatible(src, dst)
     exact = src.is_exact and dst.is_exact
     stats = {"sigmas_tested": 0, "solves": 0, "coker_rejects": 0}
-    solve, orders, screen = _diagonal_solver(src, dst, exact)
+    solve, orders, screen = _diagonal_solver(src, dst)
     try:
         for sigma in _iter_support_sigmas(src, dst, max_nodes):
             stats["sigmas_tested"] += 1
@@ -721,7 +707,7 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
 def _lm_automorphisms(s: MinimalSupportState, max_nodes: int) -> List[LocalOperator]:
     """One monomial self-witness per per-site permutation tuple admitting a
     diagonal completion (free diagonal parameters zeroed), sorted by tuple."""
-    solve, _, screen = _diagonal_solver(s, s, s.is_exact)
+    solve, _, screen = _diagonal_solver(s, s)
     found = {}
     for sigma in _iter_support_sigmas(s, s, max_nodes):
         w = screen(sigma) and solve(sigma)
@@ -742,9 +728,9 @@ def _butson_layer_witnesses(src: MinimalSupportState, dst: MinimalSupportState,
     """One item per per-site tuple of BH(d,d) class representatives: the
     replayed witness (layer, then a local monomial) mapping src onto dst,
     or None when that layer admits no monomial completion."""
-    reps = enumerate_bh(src.d)
-    for combo in itertools.product(reps, repeat=src.n):
-        layer = LocalOperator([SiteOperator.butson(b) for b in combo])
+    sites = [SiteOperator.butson(b) for b in enumerate_bh(src.d)]
+    for combo in itertools.product(sites, repeat=src.n):
+        layer = LocalOperator(combo)
         mapped = layer.apply(src).as_minimal(k=src.k)
         if mapped is None:
             yield None

@@ -59,7 +59,7 @@ class SiteOperator:
 
     @staticmethod
     def butson(b: ButsonMatrix) -> "SiteOperator":
-        mat = [[Amp.from_phase(b[(i, j)]) for j in range(b.d)] for i in range(b.d)]
+        mat = [[Amp.from_counts(b.q, {e: 1}) for e in row] for row in b.exponents()]
         return SiteOperator("butson", b.d, matrix=mat, scale=b.d)
 
     @staticmethod

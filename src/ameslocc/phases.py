@@ -104,7 +104,10 @@ class Phase:
     @staticmethod
     def from_json(obj) -> "Phase":
         if "turn" in obj:
-            return Phase(Fraction(obj["turn"]["num"], obj["turn"]["den"]))
+            num, den = obj["turn"]["num"], obj["turn"]["den"]
+            if not (type(num) is int and type(den) is int and den > 0):
+                raise PhaseError("not an exact turn encoding: %r" % (obj,))
+            return Phase(Fraction(num, den))
         if "turn_real" in obj:
             return Phase(float(obj["turn_real"]))
         raise PhaseError("not a phase encoding: %r" % (obj,))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from ameslocc.butson import (enumerate_bh, fourier, monomially_equivalent,
                              tensor_butson)
 from ameslocc.designs import (extension_bound, no_molh_exists, small_regime)
-from ameslocc.equivalence import (_iter_support_sigmas, _solve_diagonals,
+from ameslocc.equivalence import (_diagonal_solver, _iter_support_sigmas,
                                   automorphisms, butson_match, family_classes,
                                   lm_automorphism_sigmas, lm_match)
 from ameslocc.operators import LocalOperator, SiteOperator
@@ -82,8 +82,9 @@ def test_criterion_03_two_qubit_fourier_layer():
     minimal = layer.apply(s).as_minimal(k=2)
     ok = minimal is not None
     if ok:
+        solve = _diagonal_solver(s, minimal)[0]
         sigmas = [sig for sig in _iter_support_sigmas(s, minimal, 10 ** 7)
-                  if _solve_diagonals(s, minimal, sig, True) is not None]
+                  if solve(sig) is not None]
         ok = _EX9_SIGMA in sigmas
         cert = butson_match(s, minimal)
         ok = ok and cert.equivalent
@@ -197,6 +198,7 @@ def test_criterion_09_composed_system_boundary():
 
 def _brute_force_sigmas(s):
     support = set(s.support)
+    solve = _diagonal_solver(s, s)[0]
     found = []
     for sigma in itertools.product(
             itertools.permutations(range(s.d)), repeat=s.n):
@@ -204,7 +206,7 @@ def _brute_force_sigmas(s):
                  for idx in support}
         if image != support:
             continue
-        if _solve_diagonals(s, s, sigma, s.is_exact) is not None:
+        if solve(sigma) is not None:
             found.append(sigma)
     return set(found)
 

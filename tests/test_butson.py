@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ameslocc import butson
 from ameslocc.butson import (ButsonError, ButsonMatrix, _exp_rows_orthogonal,
-                             _haagerup_key, _orthogonality_graph, _zero_sum_rows,
+                             _orthogonality_graph, _zero_sum_rows,
                              all_dephased, dephase, enumerate_bh, fourier,
                              is_butson, monomially_equivalent, tensor_butson)
 from ameslocc.phases import ONE, Phase, exponent_sum_is_zero, root_of_unity
@@ -163,27 +162,17 @@ def test_exp_rows_orthogonal_matches_direct_test(pair):
     assert _exp_rows_orthogonal(a, b, q) == direct_orthogonal(a, b, q)
 
 
-def test_haagerup_invariant_under_scrambles():
-    rng = random.Random(3)
-    f = fourier(5)
-    key = _haagerup_key(f)
-    for _ in range(5):
-        p = list(range(5))
-        q = list(range(5))
-        rng.shuffle(p)
-        rng.shuffle(q)
-        dr = [root_of_unity(5, rng.randrange(5)) for _ in range(5)]
-        dc = [root_of_unity(5, rng.randrange(5)) for _ in range(5)]
-        scr = ButsonMatrix(
-            [[dr[i] * f[(p[i], q[j])] * dc[j] for j in range(5)]
-             for i in range(5)], 5, check=False)
-        assert _haagerup_key(scr) == key
+def _phase_rows(m):
+    """m's entries as the turns of its Phases, row by row."""
+    return [[m[(i, j)].turn for j in range(m.d)] for i in range(m.d)]
 
 
 def test_json_roundtrip():
-    f = fourier(4)
-    g = ButsonMatrix.from_json(f.to_json())
-    assert g == f and g.q == 4
+    for m in [fourier(4), tensor_butson(fourier(2), fourier(2))] + enumerate_bh(6):
+        obj = m.to_json()
+        assert obj["rows"] == [[p.to_json() for p in row] for row in m.entries]
+        g = ButsonMatrix.from_json(obj)
+        assert g == m and g.q == m.q and _phase_rows(g) == _phase_rows(m)
 
 
 def test_exponents_accessor():
@@ -191,26 +180,58 @@ def test_exponents_accessor():
 
 
 def test_exponents_reject_inexact_roots():
+    # the constructor reads the entries once, so the raise comes there
     i, minus_i = root_of_unity(4, 1), root_of_unity(4, 3)
-    m = ButsonMatrix([[ONE, i], [ONE, minus_i]], 2, check=False)
+    rows = [[ONE, i], [ONE, minus_i]]
     with pytest.raises(ButsonError):
-        m.exponents()
-    assert not is_butson(m.entries, 2)
-    assert is_butson(m.entries, 4)
+        ButsonMatrix(rows, 2, check=False)
+    with pytest.raises(ButsonError):
+        ButsonMatrix([[ONE, Phase(0.25)], [ONE, Phase(0.75)]], 4, check=False)
+    assert not is_butson(rows, 2)
+    assert is_butson(rows, 4)
+    assert ButsonMatrix(rows, 4).exponents() == ((0, 1), (0, 3))
 
 
-def _phase_haagerup_key(m):
-    """The key straight from its definition, in Phase arithmetic."""
-    e, r = m.entries, range(m.d)
-    return tuple(sorted(
-        (t.numerator, t.denominator)
-        for t in ((e[i][j] * e[k][l] / e[i][l] / e[k][j]).turn
-                  for i in r for k in r for j in r for l in r)))
+@pytest.mark.parametrize("q", [0, -2, 2.0, "2", None])
+def test_complexity_must_be_a_positive_int(q):
+    with pytest.raises(ButsonError):
+        ButsonMatrix([[ONE]], q, check=False)
+    assert not is_butson([[ONE]], q)
 
 
-def test_haagerup_key_matches_phase_formula():
-    for m in [fourier(4), tensor_butson(fourier(2), fourier(3))] + all_dephased(4):
-        assert _haagerup_key(m) == _phase_haagerup_key(m)
+def test_fourier_entries_match_phase_powers():
+    for d in range(1, 8):
+        w = root_of_unity(d)
+        assert _phase_rows(fourier(d)) == [[(w ** (j * k)).turn for k in range(d)]
+                                           for j in range(d)]
+
+
+@pytest.mark.parametrize("da, db", [(2, 3), (2, 2), (3, 2)])
+def test_tensor_entries_match_phase_products(da, db):
+    a, b = fourier(da), fourier(db)
+    t = tensor_butson(a, b)
+    d = da * db
+    assert t.q == math.lcm(da, db)
+    assert _phase_rows(t) == [[(a[(i // db, j // db)] * b[(i % db, j % db)]).turn
+                               for j in range(d)] for i in range(d)]
+
+
+def test_dephase_entries_match_phase_quotients():
+    for m in [fourier(5), tensor_butson(fourier(2), fourier(3))] + enumerate_bh(6):
+        m = ButsonMatrix([[m[(i, j)] * root_of_unity(m.q, 2 * i + 3 * j * j)
+                           for j in range(m.d)] for i in range(m.d)], m.q)
+        e = m.entries
+        assert _phase_rows(dephase(m)) == [[(e[i][j] / e[i][0] / e[0][j] * e[0][0]).turn
+                                            for j in range(m.d)] for i in range(m.d)]
+
+
+def test_equality_ignores_q():
+    # F2 x F2 over q = 2 and the same entries read over q = 4
+    f22 = tensor_butson(fourier(2), fourier(2))
+    wide = ButsonMatrix(f22.entries, 4)
+    assert wide.exponents() == tuple(tuple(2 * e for e in row) for row in f22.exponents())
+    assert wide == f22 and hash(wide) == hash(f22)
+    assert wide != fourier(4)
 
 
 def _reference_witness(a, b):

@@ -209,9 +209,14 @@ def test_check_state_reads_dense_images_exactly(tmp_path, capsys):
     # raised a TypeError out of run_cli before
     for term in ({"q": 0, "counts": [], "den": 1}, {"q": 3, "counts": [[0, 1, 2]], "den": 1},
                  {"q": 3, "counts": [[0, 1.5]], "den": 1},
-                 {"phase": {"turn": {"num": 1.5, "den": 2}}}):
+                 {"phase": {"turn": {"num": 1.5, "den": 2}}},
+                 {"phase": {"turn": {"num": 1, "den": 0}}},
+                 {"phase": {"turn": {"num": 1, "den": -2}}}):
         bad = write(tmp_path / "bad.json", json.dumps({"n": 1, "d": 2, "terms": [{"idx": [0], **term}]}))
         assert run_cli(["check", "state", "--file", bad]) == 2
+    bad = write(tmp_path / "bad.json", json.dumps(
+        {"n": 1, "d": 2, "scale2": "1/0", "terms": [{"idx": [0], "q": 1, "counts": [[0, 1]], "den": 1}]}))
+    assert run_cli(["check", "state", "--file", bad]) == 2
 
 
 def test_construct_phi_keeps_a_rational_turn(tmp_path, capsys):
@@ -221,3 +226,31 @@ def test_construct_phi_keeps_a_rational_turn(tmp_path, capsys):
     assert terms[(0,) * 6]["phase"] == {"turn": {"num": 1, "den": 16}}
     assert run_cli(["check", "state", "--file", str(out)]) == 0
     assert "uniformity=3" in capsys.readouterr().out
+
+
+_ONE, _MINUS = {"turn": {"num": 0, "den": 1}}, {"turn": {"num": 1, "den": 2}}
+_F2_ROWS = [[_ONE, _ONE], [_ONE, _MINUS]]
+
+
+@pytest.mark.parametrize("obj", [
+    {"d": 1, "q": -2, "rows": [[_ONE]]},
+    {"d": 2, "q": 0, "rows": _F2_ROWS},
+    {"d": 2, "q": "2", "rows": _F2_ROWS},
+    {"d": 2, "q": 2, "rows": [[_ONE, {"foo": 1}], [_ONE, _MINUS]]},
+    {"d": 2, "q": 2, "rows": [[_ONE, _ONE], [_ONE, {"turn": {"num": 0.5, "den": 1}}]]},
+    {"d": 2, "q": 2, "rows": [1, 2]},
+    {"d": 2, "q": 2, "rows": 2},
+    {"d": 2, "q": 2, "rows": [[_ONE, _ONE], [_ONE, _ONE]]},
+], ids=["negative-q", "zero-q", "string-q", "not-a-phase", "float-numerator",
+        "rows-not-lists", "rows-not-a-list", "not-orthogonal"])
+def test_check_butson_rejects_malformed_files(tmp_path, capsys, obj):
+    path = write(tmp_path / "bh.json", json.dumps(obj))
+    assert run_cli(["check", "butson", "--file", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_check_butson_accepts_fourier(tmp_path, capsys):
+    path = write(tmp_path / "f3.json", json.dumps(fourier(3).to_json()))
+    assert run_cli(["check", "butson", "--file", path]) == 0
+    assert "BH(3,3): valid" in capsys.readouterr().out
+

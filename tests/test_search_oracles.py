@@ -43,7 +43,7 @@ from ameslocc import equivalence
 from ameslocc.butson import fourier, tensor_butson
 from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
                                   _diagonal_solver, _iter_support_sigmas,
-                                  _row_order, _row_plan, _self_search,
+                                  _row_plan, _self_search,
                                   butson_match, lm_automorphism_sigmas, lm_match)
 from ameslocc.modsolve import Rows, _eliminate, solve_turn_system
 from ameslocc.operators import LocalOperator, SiteOperator
@@ -209,12 +209,12 @@ PLAN_CASES = CASES + [
                          ids=[c[0] for c in PLAN_CASES])
 def test_row_order_plan_fixes_sigma(make):
     s = make()
-    plan, rest = _row_order(s.phases, s.k)
-    placed = [row for row, _ in plan]
+    plan = _row_plan(frozenset(s.phases), s.k)
+    placed, rest = [step[0] for step in plan.steps], list(plan.rest)
     assert sorted(placed + rest) == sorted(s.phases)
     assert rest == sorted(rest)
     mapped = set()
-    for pos, (row, cols) in enumerate(plan):
+    for pos, (row, cols, _, _) in enumerate(plan.steps):
         pairs = set(enumerate(row))
         assert pos == 0 or not pairs <= mapped
         if cols is not None:
@@ -222,7 +222,7 @@ def test_row_order_plan_fixes_sigma(make):
             assert all((j, row[j]) in mapped for j in cols)
         mapped |= pairs
     assert mapped == {(j, a) for j in range(s.n) for a in range(s.d)}
-    assert len(plan) <= s.n * (s.d - 1) + 1
+    assert len(plan.steps) <= s.n * (s.d - 1) + 1
 
 
 @pytest.mark.parametrize("make", [c[1] for c in CASES], ids=[c[0] for c in CASES])
@@ -281,7 +281,7 @@ def test_support_search_set_is_order_free(which, seed):
     perms = [rng.sample(range(base.d), base.d) for _ in range(base.n)]
     src = MinimalSupportState(base.n, base.d, base.k, {
         tuple(p[a] for p, a in zip(perms, idx)): w for idx, w in base.phases.items()})
-    placed = [row for row, _ in _row_order(src.phases, src.k)[0]]
+    placed = [step[0] for step in _row_plan(frozenset(src.phases), src.k).steps]
     assert placed != sorted(src.phases)[:len(placed)]
     dst = monomial_image(src, rng)
     got = list(_iter_support_sigmas(src, dst, 10 ** 7))
@@ -315,7 +315,7 @@ def test_cokernel_rows_decide_exact_feasibility(make):
 
 def reference_lm_verdict(src, dst):
     """Every sigma of the search through the diagonal solve, no shortcut."""
-    solve = _diagonal_solver(src, dst, True)[0]
+    solve = _diagonal_solver(src, dst)[0]
     for sigma in _iter_support_sigmas(src, dst, 10 ** 7):
         if solve(sigma) is not None:
             return "equivalent"
@@ -356,7 +356,7 @@ def test_character_order_survives_local_monomials(base, den, seed):
     rng = random.Random(seed)
     src = decorate(base, rng, den)
     dst = monomial_image(src, rng)
-    orders = _diagonal_solver(src, dst, True)[1]
+    orders = _diagonal_solver(src, dst)[1]
     rows, _ = diagonal_system(src, src, (tuple(range(src.d)),) * src.n)
     coker = _eliminate(Rows(rows), src.n * src.d)[3]
     turns = [p.turn for _, p in sorted(src.phases.items())]
@@ -431,7 +431,7 @@ def test_screen_matches_full_solve_for_every_sigma(base, den, dense, same, seed)
     rng = random.Random(seed)
     src = decorate_side(SCREENED[base], rng, den, dense[0])
     dst = monomial_image(src if same else decorate_side(SCREENED[base], rng, den, dense[1]), rng)
-    solve, _, screen = _diagonal_solver(src, dst, True)
+    solve, _, screen = _diagonal_solver(src, dst)
     verdicts = [(screen(sigma), solve(sigma) is not None)
                 for sigma in _iter_support_sigmas(src, dst, 10 ** 7)]
     assert verdicts[0][0]
@@ -440,12 +440,13 @@ def test_screen_matches_full_solve_for_every_sigma(base, den, dense, same, seed)
 
 
 def recursive_sigmas(src, dst, max_nodes):
-    """The support search in recursive form: the plan of ``_row_order``,
+    """The support search in recursive form: the plan of ``_row_plan``,
     one generator frame per plan row, one lookup at a row with cols and
     every dst row (identity first) at one without; each candidate and each
     checked row is one node.  Returns the node count at its end."""
     n, d = src.n, src.d
-    plan, rest = _row_order(src.phases, src.k)
+    compiled = _row_plan(frozenset(src.phases), src.k)
+    plan, rest = [step[:2] for step in compiled.steps], compiled.rest
     dst_set = set(dst.phases)
     dst_rows = sorted(dst_set)
     by_cols = {cols: {tuple(r[c] for c in cols): r for r in dst_rows}
@@ -645,7 +646,7 @@ def test_self_search_group_matches_recursive_self_search(name, make, order, fres
     assert math.prod(map(len, group.levels)) == len(sigmas) == order
     if name == "rs73":
         return  # every one of its 2058 sigmas is solved: seconds
-    solve = _diagonal_solver(s, s, s.is_exact)[0]
+    solve = _diagonal_solver(s, s)[0]
     assert lm_automorphism_sigmas(s) == sorted(x for x in sigmas if solve(x) is not None)
 
 
