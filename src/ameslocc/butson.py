@@ -127,16 +127,27 @@ def monomially_equivalent(a: ButsonMatrix, b: ButsonMatrix):
         return None
     big_q = math.lcm(a.q, b.q)
     ea, eb = ([[e * (big_q // m.q) for e in row] for row in m.exponents()] for m in (a, b))
-    found = _monomial_witness(ea, eb, big_q)
+    found = _monomial_witness(_witness_tables(ea, big_q), eb, big_q)
     if found is None:
         return None
     p, q, dr, dc = found
     return p, q, [root_of_unity(big_q, x) for x in dr], [root_of_unity(big_q, x) for x in dc]
 
 
-def _monomial_witness(ea, eb, big_q):
+def _witness_tables(ea, big_q):
+    """ea with what ``_monomial_witness`` compares each anchor with: ea at
+    (0, 0) dephased, and its sorted rows (in place and in order), sorted
+    columns and sorted column-prefix tuples."""
+    da = _anchored(ea, 0, 0, big_q)
+    rows_a = [tuple(sorted(row)) for row in da]
+    return (ea, da, rows_a, sorted(rows_a), sorted(sorted(col) for col in zip(*da)),
+            [sorted(zip(*da[:t])) for t in range(len(ea) + 1)])
+
+
+def _monomial_witness(tables, eb, big_q):
     """(p, q, dr, dc) with ea[i][j] = dr[i] + eb[p[i]][q[j]] + dc[j] mod Q,
-    the diagonals as exponents, or None; ea and eb are d x d exponent rows.
+    the diagonals as exponents, or None; ea and eb are d x d exponent rows,
+    ea given by its ``_witness_tables``.
 
     For each anchor (r0, c0) of b, in order, whose dephased form has the
     sorted row and then the sorted column contents of dephased a, rows of
@@ -148,12 +159,8 @@ def _monomial_witness(ea, eb, big_q):
     dephased form at (r0, c0) is D[r][c] - D[r][c0] with D[r] = eb[r] - eb[r0],
     so D is built once per r0 and shifted for each c0.
     """
+    ea, da, rows_a, sorted_rows_a, cols_a, prefixes_a = tables
     d = len(ea)
-    da = _anchored(ea, 0, 0, big_q)
-    rows_a = [tuple(sorted(row)) for row in da]
-    sorted_rows_a = sorted(rows_a)
-    cols_a = sorted(sorted(col) for col in zip(*da))
-    prefixes_a = [sorted(zip(*da[:t])) for t in range(d + 1)]
 
     def placements(c, rows_c, p, cols):
         """Column tuples of c under each passing completion of p, in order."""
@@ -283,13 +290,14 @@ def enumerate_bh(d: int) -> List[ButsonMatrix]:
     Enumerates dephased exponent matrices with sorted rows (a cheap symmetry
     reduction) and keeps each that _monomial_witness relates to no earlier
     one; its sorted-row and sorted-column anchor test rejects most
-    non-matches at once.  Only the representatives become ButsonMatrix
-    objects, in exponent order.
+    non-matches at once; each candidate's ``_witness_tables`` are built
+    once.  Only the representatives become ButsonMatrix objects, in order.
     """
     if not 2 <= d <= _BH_CAP:
         raise ButsonError("enumeration supported for 2 <= d <= %d only" % _BH_CAP)
     reps = []
     for rows in _sorted_dephased(d):
-        if not any(_monomial_witness(rows, r, d) is not None for r in reps):
+        tables = _witness_tables(rows, d)
+        if not any(_monomial_witness(tables, r, d) is not None for r in reps):
             reps.append(rows)
     return [ButsonMatrix.from_exponents(rows, d) for rows in sorted(reps)]

@@ -19,7 +19,7 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
-from operator import getitem, mul
+from operator import call, getitem, itemgetter, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .butson import _BH_CAP, enumerate_bh
@@ -27,7 +27,7 @@ from .designs import small_regime
 from .modsolve import Rows, _eliminate, solve_turn_system
 from .operators import LocalOperator, SiteOperator
 from .phases import Phase, get_tolerance, phase_product, turn_numerators
-from .states import (MinimalSupportState, StateError, _infer_k, _is_prime,
+from .states import (MinimalSupportState, StateError, _columns, _infer_k, _is_prime,
                      states_equal_up_to_global_phase, with_phases)
 
 DEFAULT_MAX_NODES = 2_000_000
@@ -319,6 +319,13 @@ def _cokernel(rows, n, d):
 
 
 @lru_cache(maxsize=32)
+def _valid_support(rows, n, d, k):
+    """Validate rows (a frozenset) as an (n, d, k) ``MinimalSupportState``
+    support; a StateError is not cached, so only passing supports are."""
+    MinimalSupportState(n, d, k, dict.fromkeys(rows))
+
+
+@lru_cache(maxsize=32)
 def _row_plan(rows, k):
     """The search plan (``_Plan``) of a frozenset of rows and k: the rows
     the search places, in order, until every (site, symbol) pair is mapped,
@@ -402,11 +409,12 @@ class _Group:
     taking b_i to p (b_i itself to the identity).  Every automorphism is
     one product u_1 o ... o u_L with u_i from level i, so the group order
     is the product of the orbit lengths.  ``cost`` is the node count of the
-    self-search that found it.
+    self-search that found it.  ``compiled``, built at the first ``coset``,
+    holds each u as per-site ``itemgetter``s: h o u is one call per site.
     """
 
     def __init__(self, branch_rows, n, d):
-        self.rows, self.gens, self.cost = branch_rows, [], None
+        self.rows, self.gens, self.cost, self.compiled = branch_rows, [], None, None
         self.identity = (tuple(range(d)),) * n
         self.levels = [{row: self.identity} for row in branch_rows]
 
@@ -433,18 +441,21 @@ class _Group:
         product of sigma0 and the elements chosen at the levels before i,
         sigma(b_i) = h(p) for the point p chosen at level i, and a level
         with one point adds no choice."""
-        levels = [(row, orbit) for row, orbit in zip(self.rows, self.levels)
-                  if len(orbit) > 1]
+        if self.compiled is None:
+            self.compiled = [(row, [(p, tuple(itemgetter(*perm) for perm in u))
+                                    for p, u in orbit.items()])
+                             for row, orbit in zip(self.rows, self.levels) if len(orbit) > 1]
+        levels = self.compiled
 
         def walk(h, at):
             row, orbit = levels[at]
 
-            def rank(p):
-                image = tuple(map(getitem, h, p))
+            def rank(point):
+                image = tuple(map(getitem, h, point[0]))
                 return image != row, image
 
-            for p in sorted(orbit, key=rank):
-                sigma = _compose(h, orbit[p])
+            for _, getters in sorted(orbit, key=rank):
+                sigma = tuple(map(call, getters, h))
                 if at + 1 < len(levels):
                     yield from walk(sigma, at + 1)
                 elif sigma != sigma0:
@@ -531,6 +542,8 @@ def _iter_support_sigmas(src, dst, max_nodes):
 def _backtrack(plan, n, d, dst_rows, max_nodes, orbits=None):
     """The backtracking of ``_iter_support_sigmas`` on a compiled plan:
     yields (nodes so far, sigma) for each sigma and returns the node count.
+    Each lookup table (k symbols -> dst row) is built in one pass, by
+    zipping the sorted dst rows' columns at its k sites.
 
     With ``orbits`` (the growing levels of a ``_Group``) it is the
     self-search of ``_self_search``, on the plan's own row set: at a branch
@@ -542,7 +555,8 @@ def _backtrack(plan, n, d, dst_rows, max_nodes, orbits=None):
     fwd = [[-1] * d for _ in range(n)]  # fwd[j][a]: the image of symbol a at site j
     back = [[-1] * d for _ in range(n)]  # back[j][b]: the symbol whose image is b
     # index unity: the symbols on any k sites fix the dst row
-    tables = {cols: {tuple(r[c] for c in cols): r for r in ordered}
+    dcols = _columns(ordered, n)
+    tables = {cols: dict(zip(zip(*[dcols[c] for c in cols]), ordered))
               for cols in {cols for _, cols, _, _ in plan.steps if cols}}
     # each lookup bound to its table and to the maps of its cols
     segments = [(branch, [(tables[cols], [fwd[j] for j in cols], symbols, expect, pairs)
@@ -869,8 +883,9 @@ def _read_minimal(s) -> Optional[MinimalSupportState]:
     A d^k-term equal-modulus state on an index-unity support is exactly
     k-uniform when 2k <= N (no two rows agree on N - k >= k sites); more
     than d^(N // 2) terms would give 2k > N, so such a state is not read.
-    A MinimalSupportState is validated as it stands, with no SparseState
-    built for it.
+    A MinimalSupportState is read as it stands, with no SparseState built
+    for it; ``_valid_support`` checks its support once per (support, n, d,
+    k), and a support that fails is checked again on every call.
     """
     if not isinstance(s, MinimalSupportState):
         s = s.to_sparse()
@@ -878,9 +893,11 @@ def _read_minimal(s) -> Optional[MinimalSupportState]:
     if len(s.phases) > s.d ** (s.n // 2):
         return None
     try:
-        return MinimalSupportState(s.n, s.d, _infer_k(s.d, len(s.phases)), s.phases)
+        k = _infer_k(s.d, len(s.phases))
+        _valid_support(frozenset(s.phases), s.n, s.d, k)
     except StateError:
         return None
+    return MinimalSupportState(s.n, s.d, k, s.phases, check=False)
 
 
 def _ame5_pipeline_applicable(sa, sb) -> Optional[int]:

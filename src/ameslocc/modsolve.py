@@ -68,23 +68,27 @@ def _eliminate(rows, num_vars):
             continue
         a[prow], a[sel] = a[sel], a[prow]
         ops.append((prow, sel, None))
-        # reduce all other rows against the pivot by gcd-style elimination
+        # reduce all other rows against the pivot by gcd-style elimination,
+        # over the pivot row's nonzero columns (none lies before col)
+        pivot = a[prow]
+        nz = [j for j in range(col, num_vars) if pivot[j]]
         changed = True
         while changed:
             changed = False
             for i in range(prow + 1, m):
-                if not a[i][col]:
+                row = a[i]
+                if not row[col]:
                     continue
-                p, c = a[prow][col], a[i][col]
-                if abs(c) < abs(p):
-                    a[prow], a[i] = a[i], a[prow]
+                if abs(row[col]) < abs(pivot[col]):
+                    pivot, row = row, pivot
+                    a[prow], a[i] = pivot, row
                     ops.append((prow, i, None))
-                    p, c = a[prow][col], a[i][col]
-                q = c // p
-                for j in range(num_vars):
-                    a[i][j] -= q * a[prow][j]
+                    nz = [j for j in range(col, num_vars) if pivot[j]]
+                q = row[col] // pivot[col]
+                for j in nz:
+                    row[j] -= q * pivot[j]
                 ops.append((i, prow, q))
-                if a[i][col]:
+                if row[col]:
                     changed = True
         pivots.append((prow, col))
         prow += 1

@@ -14,14 +14,15 @@ from ameslocc.butson import fourier, tensor_butson
 from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
                                   _ame5_pipeline_applicable,
                                   _butson_layer_witnesses, _i_s_choices,
-                                  _iter_support_sigmas, _row_plan, _w_table,
+                                  _iter_support_sigmas, _read_minimal, _row_plan,
+                                  _valid_support, _w_table,
                                   automorphisms, butson_match, compute_w, cond_butson,
                                   cond_monomial, decide_slocc, family_classes,
                                   lm_match, lm_automorphism_sigmas)
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc import states
 from ameslocc.phases import ONE, Amp, Phase, numerator_phase, root_of_unity, turn_numerators
-from ameslocc.states import (MinimalSupportState, SparseState, ame64_phi,
+from ameslocc.states import (MinimalSupportState, SparseState, StateError, ame64_phi,
                              ame_linear_5, construct_ame43, construct_ame44,
                              construct_ame5_phased, construct_ame64,
                              construct_ghz, construct_linear,
@@ -344,6 +345,37 @@ def test_decide_slocc_validates_minimal_inputs_without_sparse_copies(monkeypatch
         assert (cert.verdict, cert.reason, cert.details) == \
             (want.verdict, want.reason, want.details)
     assert decide_slocc(bad, construct_ame43()).details == {"src": 1, "dst": 2}
+
+
+def test_failing_support_is_validated_on_every_call(monkeypatch):
+    # only supports that pass are cached: a non-index-unity d^k-row state
+    # built unchecked is validated again, and read the same, on each call
+    rows = sorted(construct_ame43().phases)
+    rows[0], rows[1] = (0, 0, 0, 1), (0, 1, 1, 0)
+    bad = MinimalSupportState(4, 3, 2, {r: ONE for r in rows}, check=False)
+    validated = []
+    orig = MinimalSupportState.validate
+    monkeypatch.setattr(MinimalSupportState, "validate",
+                        lambda self: validated.append(frozenset(self.phases)) or orig(self))
+    first, second = (decide_slocc(bad, construct_ame43()) for _ in range(2))
+    assert (first.verdict, first.reason, first.details) == \
+        (second.verdict, second.reason, second.details) == \
+        ("inequivalent", "different-uniformity", {"src": 1, "dst": 2})
+    assert validated.count(frozenset(rows)) == 2
+
+
+def test_cached_support_is_not_reused_for_another_shape():
+    # the 16 rows of AME(4,4) pass as (n, d, k) = (4, 4, 2) and are cached;
+    # the same rows must still fail as n = 5, as d = 2 (k = 4) or as k = 1
+    s = construct_ame44()
+    rows = frozenset(s.phases)
+    _valid_support(rows, 4, 4, 2)
+    assert _read_minimal(s) is not None
+    for n, d, k in [(5, 4, 2), (4, 2, 4), (4, 4, 1)]:
+        with pytest.raises(StateError):
+            _valid_support(rows, n, d, k)
+    for n, d in [(5, 4), (4, 2), (4, 16)]:
+        assert _read_minimal(MinimalSupportState(n, d, 2, s.phases, check=False)) is None
 
 
 def test_five_party_decorations_form_many_classes():

@@ -7,7 +7,8 @@ is referenced from src/ or perfbench/ other than by its own definition
 (a helper that only tests name is dead code), only
 phases.py converts ``Amp`` term maps, and every
 reason an ``inequivalent`` certificate can carry is explained in the
-README's "Verdict semantics" section.  No linter ships
+README's "Verdict semantics" section, and every ``lru_cache`` is bounded
+unless one int is its whole key.  No linter ships
 with the test dependencies, so this walks the syntax tree with the standard
 library.  ``__init__.py`` is skipped by the unused-import check because its
 imports are the package's re-exports.
@@ -146,3 +147,34 @@ def test_inequivalence_reasons_are_documented():
     missing = ["%s (line %d)" % (r, line) for r, line in reasons
                if "`%s`" % r not in section]
     assert not missing, "undocumented inequivalence reasons: %s" % ", ".join(missing)
+
+
+# caches keyed by one int: at most one entry per parameter value a caller uses
+UNBOUNDED_CACHES = {"_cyclotomic_coeffs", "_ame5_certificate"}
+
+
+def test_lru_caches_are_bounded():
+    """Every ``lru_cache`` in src/ has a numeric ``maxsize``, so a long run
+    on many supports or matrices holds a bounded number of entries; only
+    the caches keyed by one int may grow without one."""
+    found, unbounded = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                func = call.func if call else dec
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name not in ("lru_cache", "cache"):
+                    continue
+                found.add(node.name)
+                maxsize = ([kw.value for kw in call.keywords if kw.arg == "maxsize"]
+                           + call.args[:1]) if call else []
+                if name == "cache" or not (
+                        maxsize and isinstance(maxsize[0], ast.Constant)
+                        and type(maxsize[0].value) is int):
+                    unbounded.append("%s:%s" % (path.name, node.name))
+    assert found, "no lru_cache found: the check reads nothing"
+    extra = [u for u in unbounded if u.split(":")[1] not in UNBOUNDED_CACHES]
+    assert not extra, "lru_cache without a numeric maxsize: %s" % ", ".join(extra)

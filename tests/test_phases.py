@@ -289,11 +289,16 @@ def few_terms(draw):
 @example({Fraction(1, 3): Fraction(0)})
 @example({Fraction(0): Fraction(0)})
 @example({Fraction(0): Fraction(1), Fraction(1, 2): Fraction(1)})
+@example({Fraction(47, 57): Fraction(-1), Fraction(33, 59): Fraction(5, 3)})  # q = 3363
 def test_is_zero_matches_cyclotomic_reduction(terms):
     q = math.lcm(*(t.denominator for t in terms))
+    # the reference reduces integer coefficients: scaling by their common
+    # denominator does not change whether the sum vanishes, and a long
+    # division over Fractions at a large q is slow
+    scale = math.lcm(*(c.denominator for c in terms.values()))
     coeffs = {}
     for t, c in terms.items():
-        coeffs[int(t * q)] = coeffs.get(int(t * q), 0) + c
+        coeffs[int(t * q)] = coeffs.get(int(t * q), 0) + int(c * scale)
     assert Amp(terms=terms).is_zero() == all(c == 0 for c in _reduce_mod_cyclotomic(coeffs, q))
 
 
