@@ -19,7 +19,7 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
-from operator import call, getitem, itemgetter, mul
+from operator import getitem, itemgetter, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .butson import _BH_CAP, enumerate_bh
@@ -455,7 +455,7 @@ class _Group:
                 return image != row, image
 
             for _, getters in sorted(orbit, key=rank):
-                sigma = tuple(map(call, getters, h))
+                sigma = tuple([g(x) for g, x in zip(getters, h)])
                 if at + 1 < len(levels):
                     yield from walk(sigma, at + 1)
                 elif sigma != sigma0:
