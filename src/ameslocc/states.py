@@ -10,6 +10,11 @@ States live on n qudits of local dimension d.  Two representations are used:
 All constructions from the literature of index-unity orthogonal arrays end up
 minimal support: exactly d^k terms whose projection onto any k positions is a
 bijection onto [d]^k.
+
+Linear supports are over GF(q), q = p^m any prime power: sum_i a_i x^i is
+labelled sum_i a_i p^i, its coefficients read as a base-p integer, and the
+modulus is the first monic irreducible of degree m in the order of that
+reading.  So x^2 = x + 1 at q = 4, x^3 = x + 1 at q = 8, and mod p at prime q.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .phases import (ONE, Amp, Phase, get_tolerance, numerator_phase, root_of_unity,
@@ -111,11 +116,10 @@ class MinimalSupportState:
 
 
 def _infer_k(d, count):
-    k = 0
-    while d ** k < count:
-        k += 1
-    if d ** k != count:
-        raise StateError("support size %d is not a power of d=%d" % (count, d))
+    """The k with d^k = count; StateError when there is none or d < 2."""
+    k = round(math.log(count, d)) if d >= 2 and count >= 1 else None
+    if k is None or d ** k != count:
+        raise StateError("support size %d is not a power of d=%r, or d < 2" % (count, d))
     return k
 
 
@@ -280,30 +284,63 @@ def construct_ghz(n: int, d: int) -> MinimalSupportState:
     return MinimalSupportState(n, d, 1, phases)
 
 
+def _prime_power(q):
+    """(p, m) with q = p^m for a prime p, or None."""
+    if not isinstance(q, int) or q < 2:
+        return None
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    m = round(math.log(q, p))
+    return (p, m) if p ** m == q else None
+
+
 def _is_prime(d):
-    if d < 2:
-        return False
-    return all(d % p for p in range(2, int(d ** 0.5) + 1))
+    return _prime_power(d) == (d, 1)
+
+
+@lru_cache(maxsize=8)
+def _field_tables(q):
+    """(add, mul): GF(q)'s tables on labels (see the module docstring).  A
+    reducible monic f of degree m is g * h for monic g and h of degrees i and
+    m - i, 1 <= i <= m // 2, so the modulus is the first f no such product hits."""
+    p, m = _prime_power(q)
+    vec = [[a // p ** i % p for i in range(m)] for a in range(q)]
+    label = {tuple(u): a for a, u in enumerate(vec)}
+
+    def times(u, v, c):  # u * v mod x^m + c(x), by Horner on v
+        acc = [0] * m
+        for b in reversed(v):
+            acc = [(s - acc[-1] * ci + b * a) % p for s, ci, a in zip([0] + acc[:-1], c, u)]
+        return label[tuple(acc)]
+
+    reducible = {times(vec[g + p ** i], vec[h + p ** (m - i)], [0] * m)
+                 for i in range(1, m // 2 + 1)
+                 for g in range(p ** i) for h in range(p ** (m - i))}
+    c = vec[next(c for c in range(q) if c not in reducible)]
+    add = [[label[tuple((a + b) % p for a, b in zip(u, v))] for v in vec] for u in vec]
+    return add, [[times(u, v, c) for v in vec] for u in vec]
 
 
 def construct_linear(d: int, coeffs: Sequence[Sequence[int]]) -> MinimalSupportState:
-    """State over Z_d whose site p carries sum_m coeffs[p][m] * x_m (mod d).
+    """State over GF(d) whose site p carries sum_m coeffs[p][m] * x_m.
 
-    ``coeffs`` has one row per site and one column per free index; d must be
-    prime so that the linear-algebra strength argument applies.  The index-unity
-    invariant of the result is verified, not assumed.
+    ``coeffs`` has one row per site and one label in range(d) per free index;
+    d is a prime power, labelled as the module docstring says.  Rows follow x
+    in ``itertools.product`` order, and index unity (every k rows independent
+    over GF(d)) is verified, not assumed.
     """
-    if not _is_prime(d):
-        raise StateError("construct_linear requires prime d, got %d" % d)
-    n = len(coeffs)
     k = len(coeffs[0])
-    if any(len(row) != k for row in coeffs):
-        raise StateError("ragged coefficient table")
-    phases = {}
-    for x in itertools.product(range(d), repeat=k):
-        idx = tuple(sum(c * xi for c, xi in zip(row, x)) % d for row in coeffs)
-        phases[idx] = ONE
-    return MinimalSupportState(n, d, k, phases)
+    if _prime_power(d) is None or any(len(row) != k or not all(0 <= c < d for c in row)
+                                      for row in coeffs):
+        raise StateError("construct_linear needs a prime power d and %d labels in "
+                         "range(d) per row, got d=%r" % (k, d))
+    add, mul = _field_tables(d)
+    cols = []
+    for row in coeffs:
+        col = [0]
+        for c in row:  # the form on x_0 .. x_j, in product order
+            col = [add[s][t] for s in col for t in mul[c]]
+        cols.append(col)
+    return MinimalSupportState(len(coeffs), d, k, dict.fromkeys(zip(*cols), ONE))
 
 
 def construct_ame43() -> MinimalSupportState:
@@ -313,59 +350,20 @@ def construct_ame43() -> MinimalSupportState:
 
 def ame_linear_5(d: int) -> MinimalSupportState:
     """The |i,j,i+j,2i+j,3i+j> family; an AME(5,d) state for prime d >= 5."""
+    if not _is_prime(d):  # 2i + j and 3i + j are integers mod d, not GF(d) labels
+        raise StateError("ame_linear_5 requires prime d, got %r" % (d,))
     return construct_linear(d, [[1, 0], [0, 1], [1, 1], [2, 1], [3, 1]])
 
 
-# GF(4) with elements 0,1,2,3; addition is XOR, multiplication from x^2 = x+1.
-_GF4_MUL = (
-    (0, 0, 0, 0),
-    (0, 1, 2, 3),
-    (0, 2, 3, 1),
-    (0, 3, 1, 2),
-)
-
-
-def gf4_add(a: int, b: int) -> int:
-    return a ^ b
-
-
-def gf4_mul(a: int, b: int) -> int:
-    return _GF4_MUL[a][b]
-
-
-def ame44_tables():
-    """The two MOLS(4)-forming tables behind construct_ame44."""
-    m1 = [[gf4_add(i, j) for j in range(4)] for i in range(4)]
-    m2 = [[gf4_add(i, gf4_mul(2, j)) for j in range(4)] for i in range(4)]
-    return m1, m2
-
-
 def construct_ame44() -> MinimalSupportState:
-    """AME(4,4): sum over i,j of |i, j, M1[i][j], M2[i][j]> using the GF(4)
-    multiplication tables M1[i][j] = i+j and M2[i][j] = i + 2j (field ops)."""
-    m1, m2 = ame44_tables()
-    phases = {(i, j, m1[i][j], m2[i][j]): ONE
-              for i in range(4) for j in range(4)}
-    return MinimalSupportState(4, 4, 2, phases)
+    """AME(4,4): sum over i,j in GF(4) of |i, j, i+j, i+2j>."""
+    return construct_linear(4, [[1, 0], [0, 1], [1, 1], [1, 2]])
 
 
 def construct_ame64() -> MinimalSupportState:
-    """AME(6,4) of minimal support from the [6,3,4] MDS code over GF(4).
-
-    Sites carry (x, y, z, x+y+z, x+2y+3z, x+3y+2z) in GF(4) arithmetic; the
-    strength-3 property is verified by the constructor.
-    """
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3], [1, 3, 2]]
-    phases = {}
-    for x in itertools.product(range(4), repeat=3):
-        idx = []
-        for row in rows:
-            acc = 0
-            for c, xi in zip(row, x):
-                acc = gf4_add(acc, gf4_mul(c, xi))
-            idx.append(acc)
-        phases[tuple(idx)] = ONE
-    return MinimalSupportState(6, 4, 3, phases)
+    """AME(6,4) from the [6,3,4] MDS code over GF(4): x, y, z, x+y+z, x+2y+3z, x+3y+2z."""
+    return construct_linear(4, [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                [1, 1, 1], [1, 2, 3], [1, 3, 2]])
 
 
 def construct_ame5_phased(d: int) -> SparseState:

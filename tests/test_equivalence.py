@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ameslocc.butson import fourier, tensor_butson
+from ameslocc.designs import check_oa
 from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
                                   _ame5_pipeline_applicable,
                                   _butson_layer_witnesses, _i_s_choices,
@@ -414,6 +415,20 @@ def test_d7_linear_monomial_image_is_equivalent():
     src = decorate_360(ame_linear_5(7), rng)
     dst = random_monomial(5, 7, rng, den=360).apply(src)
     cert = decide_slocc(src, dst, max_nodes=DEFAULT_MAX_NODES)
+    assert (cert.verdict, cert.reason) == ("equivalent", "lm-witness")
+    assert states_equal_up_to_global_phase(cert.witness.apply(src), dst) is not None
+
+
+def test_gf8_reed_solomon_monomial_image_is_equivalent():
+    # RS[5,2] over GF(8): site a carries x_0 + a x_1, a 2k < N support over a
+    # field that is not the integers mod a prime
+    base = construct_linear(8, [[1, a] for a in range(5)])
+    report = check_oa(list(base.phases), 8, 2)
+    assert (report["is_oa"], report["index"]) == (True, 1)
+    rng = random.Random(8)
+    src = decorate_360(base, rng)
+    dst = random_monomial(5, 8, rng, den=360).apply(src)
+    cert = decide_slocc(src, dst)
     assert (cert.verdict, cert.reason) == ("equivalent", "lm-witness")
     assert states_equal_up_to_global_phase(cert.witness.apply(src), dst) is not None
 

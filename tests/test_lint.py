@@ -11,13 +11,19 @@ README's "Verdict semantics" section, and every ``lru_cache`` is bounded
 unless one int is its whole key.  No linter ships
 with the test dependencies, so this walks the syntax tree with the standard
 library.  ``__init__.py`` is skipped by the unused-import check because its
-imports are the package's re-exports.
+imports are the package's re-exports.  Where pyenv is on PATH, the package
+is also imported and run on one decision under every other installed CPython
+3.10 or newer, which the suite itself does not run under.
 """
 
 import ast
 import os
+import platform
+import re
+import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -178,3 +184,40 @@ def test_lru_caches_are_bounded():
     assert found, "no lru_cache found: the check reads nothing"
     extra = [u for u in unbounded if u.split(":")[1] not in UNBOUNDED_CACHES]
     assert not extra, "lru_cache without a numeric maxsize: %s" % ", ".join(extra)
+
+
+# one five-party decision, with no test dependency: a fixed local monomial image
+SMOKE = textwrap.dedent("""
+    import ameslocc
+    from ameslocc.phases import root_of_unity
+    s = ameslocc.ame_linear_5(5)
+    op = ameslocc.LocalOperator([ameslocc.SiteOperator.monomial(
+        [(3 * x + p) % 5 for x in range(5)], [root_of_unity(10, p * x) for x in range(5)])
+        for p in range(5)])
+    cert = ameslocc.decide_slocc(s, op.apply(s))
+    assert cert.verdict == "equivalent", cert.verdict
+""")
+
+
+def test_package_runs_under_other_installed_pythons():
+    """``import ameslocc`` and one ``decide_slocc`` pair under each pyenv
+    CPython >= 3.10 but the running one, as pyproject's requires-python
+    promises; a name added to the standard library after 3.10 fails here."""
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        pytest.skip("pyenv is not on PATH")
+    listed = subprocess.run([pyenv, "versions", "--bare"], capture_output=True,
+                            text=True, timeout=60, check=True).stdout.split()
+    versions = [v for v in listed if re.fullmatch(r"3\.\d+\.\d+", v)
+                and int(v.split(".")[1]) >= 10 and v != platform.python_version()]
+    if not versions:
+        pytest.skip("pyenv lists no other CPython >= 3.10")
+    failed = []
+    for version in versions:
+        env = dict(os.environ, PYENV_VERSION=version, PYTHONPATH=str(PACKAGE.parent))
+        out = subprocess.run([pyenv, "exec", "python", "-c", SMOKE], capture_output=True,
+                             text=True, env=env, timeout=300)
+        if out.returncode:
+            last = (out.stderr.strip().splitlines() or ["exit %d" % out.returncode])[-1]
+            failed.append("%s: %s" % (version, last))
+    assert not failed, "failed under %s" % "; ".join(failed)

@@ -13,7 +13,7 @@ from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import ONE, Amp, Phase, PhaseError, root_of_unity
 from ameslocc.reductions import verify_rho345_lemma
 from ameslocc.states import (MinimalSupportState, SparseState, StateError,
-                             _exact_phase_split,
+                             _exact_phase_split, _field_tables, _infer_k,
                              ame64_phi, ame_linear_5, construct_ame43,
                              construct_ame44, construct_ame5_phased,
                              construct_ame64, construct_ghz, construct_linear,
@@ -533,3 +533,104 @@ def test_construct_linear_needs_mds_pairs():
     # repeating a direction kills the index-unity property
     with pytest.raises(StateError):
         construct_linear(5, [[1, 0], [0, 1], [1, 1], [2, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_infer_k_rejects_dimensions_below_two(d):
+    # d^k never grows past 1 here, so a search for k by powers would not end
+    terms = [{"idx": [i], "phase": ONE.to_json()} for i in range(2)]
+    with pytest.raises(StateError):
+        MinimalSupportState.from_json({"n": 1, "d": d, "terms": terms})
+
+
+def test_infer_k_reads_exact_powers_only():
+    for d in range(2, 10):
+        for k in range(7):
+            assert _infer_k(d, d ** k) == k
+            if k:
+                with pytest.raises(StateError):
+                    _infer_k(d, d ** k + 1)
+    with pytest.raises(StateError):
+        _infer_k(3, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_field_tables_satisfy_the_field_axioms(q):
+    add, mul = _field_tables(q)
+    elems = range(q)
+    assert all(add[0][a] == a and mul[1][a] == a and mul[0][a] == 0 for a in elems)
+    assert all(add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+               for a in elems for b in elems)
+    assert all(any(add[a][b] == 0 for b in elems) for a in elems)
+    assert all(any(mul[a][b] == 1 for b in elems) for a in elems if a)
+    for a, b, c in itertools.product(elems, repeat=3):
+        assert add[add[a][b]][c] == add[a][add[b][c]]
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+
+
+def test_field_tables_label_the_polynomial_basis():
+    # x = label p; the modulus is the first monic irreducible in label order
+    assert _field_tables(4)[1][2][2] == 3  # x^2 = x + 1
+    assert _field_tables(8)[1][2][4] == 3  # x^3 = x + 1
+    assert _field_tables(9)[1][3][3] == 2  # x^2 = -1
+    assert _field_tables(7)[1] == [[a * b % 7 for b in range(7)] for a in range(7)]
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 10, 12])
+def test_construct_linear_rejects_non_prime_powers(q):
+    with pytest.raises(StateError):
+        construct_linear(q, [[1, 0], [0, 1], [1, 1]])
+
+
+def test_construct_linear_rejects_bad_coefficient_rows():
+    with pytest.raises(StateError):
+        construct_linear(4, [[1, 0], [0, 1], [1, 4]])
+    with pytest.raises(StateError):
+        construct_linear(5, [[1, 0], [0, 1], [1, 1], [1, 2], [1]])
+
+
+# The GF(4) arithmetic and construction loops that built AME(4,4) and
+# AME(6,4) before both became construct_linear calls: elements 0..3,
+# addition XOR, multiplication from x^2 = x + 1.
+_GF4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+
+
+def _reference_ame44_rows():
+    m1 = [[i ^ j for j in range(4)] for i in range(4)]
+    m2 = [[i ^ _GF4_MUL[2][j] for j in range(4)] for i in range(4)]
+    return [(i, j, m1[i][j], m2[i][j]) for i in range(4) for j in range(4)]
+
+
+def _reference_ame64_rows():
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3], [1, 3, 2]]
+    out = []
+    for x in itertools.product(range(4), repeat=3):
+        idx = []
+        for row in rows:
+            acc = 0
+            for c, xi in zip(row, x):
+                acc ^= _GF4_MUL[c][xi]
+            idx.append(acc)
+        out.append(tuple(idx))
+    return out
+
+
+def _reference_mod_d_rows(d, coeffs):
+    return [tuple(sum(c * xi for c, xi in zip(row, x)) % d for row in coeffs)
+            for x in itertools.product(range(d), repeat=len(coeffs[0]))]
+
+
+@pytest.mark.parametrize("make,rows", [
+    (construct_ame44, _reference_ame44_rows),
+    (construct_ame64, _reference_ame64_rows),
+    (construct_ame43, lambda: _reference_mod_d_rows(3, [[1, 0], [0, 1], [1, 1], [2, 1]])),
+    (lambda: ame_linear_5(5),
+     lambda: _reference_mod_d_rows(5, [[1, 0], [0, 1], [1, 1], [2, 1], [3, 1]])),
+    (lambda: ame_linear_5(7),
+     lambda: _reference_mod_d_rows(7, [[1, 0], [0, 1], [1, 1], [2, 1], [3, 1]])),
+], ids=["ame44", "ame64", "ame43", "linear5-5", "linear5-7"])
+def test_named_constructors_keep_their_rows_and_order(make, rows):
+    s = make()
+    assert list(s.phases) == rows()
+    assert all(p == ONE for p in s.phases.values())
