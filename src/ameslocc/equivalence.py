@@ -10,7 +10,8 @@ turns have different orders.
 At N = 2k and small parameters the non-monomial part of any equivalence is a
 per-site Butson BH(d,d) layer; ``butson_match`` adds that branch.  For k > 2
 the W-statistic ratio condition of the Butson form excludes that branch, and
-an ``lm_match`` inequivalence excludes the monomial one.
+an ``lm_match`` inequivalence excludes the monomial one.  ``butson_match`` is
+the one N = 2k rule: ``decide_slocc`` and ``family_classes`` report it.
 """
 
 from __future__ import annotations
@@ -782,29 +783,32 @@ def automorphisms(s: MinimalSupportState, branch: str = "lm",
 
 def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
                  max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCertificate:
-    """Equivalence decision for AME(2k,d): LM branch plus Butson layers.
+    """The one N = 2k decision rule: LM branch, then Butson layers.
 
-    The Butson branch applies every per-site tuple of BH(d,d) class
-    representatives to src and delegates the residual monomial matching to
-    lm_match.  The verdict is inequivalent only when both allowed forms are
-    excluded: lm_match reports inequivalent (``details["lm_reason"]`` is its
-    reason: an exhausted search or unequal cokernel character orders), and
-    the k > 2 Butson-form condition cond_butson fails (the rule
-    family_classes uses).
-    Only the layer loop enumerates BH(d,d), so only it stops at _BH_CAP, and
-    its misses are reported as inconclusive.
+    lm_match runs first in every regime, and its witness or budget stop is
+    returned as it stands.  After an lm_match inequivalence the pair is
+    inconclusive (``outside-small-regime``) unless small_regime(k, d) holds,
+    since only there are Butson layers known to exhaust the non-monomial
+    equivalences.  Inside it, the verdict is inequivalent when the k > 2
+    Butson-form condition cond_butson fails too (``details["lm_reason"]``
+    names lm_match's exclusion: an exhausted search or unequal cokernel
+    character orders); otherwise every per-site tuple of BH(d,d) class
+    representatives is applied to src and the residual monomial matching
+    is delegated to lm_match.  Only that layer loop enumerates BH(d,d), so
+    only it stops at _BH_CAP, and its misses are reported as inconclusive.
     """
     _check_compatible(src, dst)
     if src.n != 2 * src.k:
         raise EquivalenceError("butson_match applies to N = 2k only")
-    exact = src.is_exact and dst.is_exact
-    if not small_regime(src.k, src.d):
-        return EquivalenceCertificate(
-            "inconclusive", reason="outside-small-regime",
-            details={"k": src.k, "d": src.d}, exact=exact)
     lm = lm_match(src, dst, max_nodes=max_nodes)
     if lm.verdict != "inequivalent":
         return lm
+    exact = lm.exact
+    if not small_regime(src.k, src.d):
+        return EquivalenceCertificate(
+            "inconclusive", reason="outside-small-regime",
+            details={"k": src.k, "d": src.d, "lm_reason": lm.reason},
+            exact=exact, stats=lm.stats)
     ok_b, where_b = cond_butson(src, dst)
     if not ok_b:
         return EquivalenceCertificate(
@@ -831,8 +835,8 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
 def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCertificate:
     """SLOCC (equivalently LU, for these critical states) dispatch.
 
-    Minimal-support pairs with 2k < N are decided completely by lm_match;
-    N = 2k pairs in the small regime go through butson_match; the specific
+    Minimal-support pairs with 2k < N are decided completely by lm_match,
+    and N = 2k pairs by butson_match, in every regime; the specific
     non-minimal five-party pair of the d^3-term phased family versus the
     minimal-support family is settled by the reduction pipeline; everything
     else is inconclusive.
@@ -848,20 +852,12 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
         return EquivalenceCertificate(
             "inequivalent", reason="different-uniformity",
             details={"src": ka, "dst": kb})
-    k = ka
     if (src.n, src.d) != (dst.n, dst.d):
         return EquivalenceCertificate("inequivalent", reason="different-shape")
     if ma is not None and mb is not None:
-        if 2 * k < ma.n:
+        if 2 * ka < ma.n:
             return lm_match(ma, mb, max_nodes=max_nodes)
-        if small_regime(k, ma.d):
-            return butson_match(ma, mb, max_nodes=max_nodes)
-        cert = lm_match(ma, mb, max_nodes=max_nodes)
-        if cert.equivalent:
-            return cert
-        return EquivalenceCertificate(
-            "inconclusive", reason="N=2k-outside-complete-regime",
-            details={"lm_verdict": cert.verdict}, exact=cert.exact)
+        return butson_match(ma, mb, max_nodes=max_nodes)
     pipeline = _ame5_pipeline_applicable(src.to_sparse(), dst.to_sparse())
     if pipeline is not None:
         from .reductions import verify_ame5_nonequivalence
@@ -932,10 +928,10 @@ def family_classes(base: MinimalSupportState, marked: Tuple[int, ...],
 
     Pairs whose marked phases agree or are complex conjugate are never
     claimed separated, and are not searched: no written argument covers the
-    conjugate pairing.  Every other pair is certified inequivalent only when
-    both allowed equivalence forms are excluded: lm_match reports
-    inequivalent, and the Butson-form condition fails.  A
-    monomial witness makes the pair equivalent.
+    conjugate pairing.  Every other pair gets decide_slocc's verdict, with
+    an inconclusive one reported as ``not-separated-<reason>``; each pair
+    records the certificate's ``reason`` and ``details`` (None for the two
+    unsearched cases).
     """
     if base.k <= 2:
         raise EquivalenceError("family analysis applies to k > 2")
@@ -943,25 +939,17 @@ def family_classes(base: MinimalSupportState, marked: Tuple[int, ...],
     members = [with_phases(base, {tuple(marked): p}) for p in phases]
     report = {"turns": list(turns), "pairs": []}
     for a, b in itertools.combinations(range(len(members)), 2):
-        pair = {"pair": (a, b), "lm_verdict": None, "lm_reason": None,
-                "butson_condition": None, "butson_violation": None}
+        pair = {"pair": (a, b), "reason": None, "details": None}
         if phases[a].close_to(phases[b]):
             verdict = "not-separated-equal-phase"
         elif phases[a].close_to(phases[b].conj()):
             verdict = "not-separated-conjugate-phase"
         else:
-            lm = lm_match(members[a], members[b])
-            ok_b, where_b = cond_butson(members[a], members[b])
-            pair.update(lm_verdict=lm.verdict, lm_reason=lm.reason,
-                        butson_condition=ok_b, butson_violation=where_b)
-            if lm.equivalent:
-                verdict = "equivalent"
-            elif lm.verdict == "inconclusive":
-                verdict = "not-separated-lm-inconclusive"
-            elif ok_b:
-                verdict = "not-separated-butson-condition-holds"
-            else:
-                verdict = "inequivalent"
+            cert = decide_slocc(members[a], members[b])
+            pair.update(reason=cert.reason, details=cert.details)
+            verdict = cert.verdict
+            if verdict == "inconclusive":
+                verdict = "not-separated-" + cert.reason
         pair["verdict"] = verdict
         report["pairs"].append(pair)
     return report

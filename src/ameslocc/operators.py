@@ -66,18 +66,10 @@ class SiteOperator:
     def general(matrix, d, scale=1) -> "SiteOperator":
         return SiteOperator("general", d, matrix=matrix, scale=scale)
 
-    def is_monomial_like(self):
-        return self.kind == "monomial"
-
-    def image(self, a: int) -> Tuple[int, Phase]:
-        """Action on |a> of a monomial: (target symbol, phase)."""
-        return self.sigma[a], self.diag[a]
-
     def column(self, a: int) -> List[Tuple[int, Amp]]:
         """Nonzero (output symbol, amplitude) pairs of column a."""
-        if self.is_monomial_like():
-            j, p = self.image(a)
-            return [(j, Amp.from_phase(p))]
+        if self.kind == "monomial":
+            return [(self.sigma[a], Amp.from_phase(self.diag[a]))]
         return [(i, self.matrix[i][a]) for i in range(self.d)
                 if not self.matrix[i][a].is_zero()]
 
@@ -101,13 +93,9 @@ class SiteOperator:
 
     def compose_after(self, other: "SiteOperator") -> "SiteOperator":
         """self . other as matrices (other applied first)."""
-        if self.is_monomial_like() and other.is_monomial_like():
-            sigma, diag = [], []
-            for a in range(self.d):
-                j, p = other.image(a)
-                j2, p2 = self.image(j)
-                sigma.append(j2)
-                diag.append(p * p2)
+        if self.kind == other.kind == "monomial":
+            sigma = [self.sigma[j] for j in other.sigma]
+            diag = [p * self.diag[j] for j, p in zip(other.sigma, other.diag)]
             return SiteOperator.monomial(sigma, diag)
         rows = [[Amp.zero() for _ in range(self.d)] for _ in range(self.d)]
         columns = [self.column(mid) for mid in range(self.d)]  # read once
@@ -139,7 +127,7 @@ class LocalOperator:
 
     @property
     def is_monomial(self):
-        return all(s.is_monomial_like() for s in self.sites)
+        return all(s.kind == "monomial" for s in self.sites)
 
     def apply(self, state):
         """Apply to a state, staying exact and minimal-support when possible."""

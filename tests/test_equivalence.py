@@ -591,13 +591,62 @@ def test_decide_slocc_ame67_past_enumeration_cap():
         "inequivalent", "lm-exhausted-butson-condition-violated")
 
 
+def _rs63_11_pair():
+    """RS[6,3] over GF(11), an AME(6,11) outside the small regime, and its
+    two decorations 1/16 and 3/16 at one support row."""
+    base = construct_linear(11, [[1, a, a * a % 11] for a in range(6)])
+    return base, [with_phases(base, {(0,) * 6: Phase(t)})
+                  for t in (Fraction(1, 16), Fraction(3, 16))]
+
+
 def test_butson_match_outside_regime():
-    # composed 9-level 2-uniform state: d = 9 is outside the small regime
+    # composed 9-level 2-uniform state: d = 9 is outside the small regime,
+    # but a monomial witness decides the pair in every regime
     from ameslocc.states import tensor_compose
     c = tensor_compose(construct_ame43(), construct_ame43())
-    cert = butson_match(c, c)
-    assert cert.verdict == "inconclusive"
-    assert cert.reason == "outside-small-regime"
+    for decide in (butson_match, decide_slocc):
+        cert = decide(c, c)
+        assert (cert.verdict, cert.reason) == ("equivalent", "lm-witness")
+    # an lm_match inequivalence there excludes only the monomial form
+    _, (src, dst) = _rs63_11_pair()
+    for decide in (butson_match, decide_slocc):
+        cert = decide(src, dst)
+        assert (cert.verdict, cert.reason) == ("inconclusive", "outside-small-regime")
+        assert cert.details["lm_reason"] == "search-exhausted"
+
+
+N2K_BASES = [construct_ame43(), construct_ame44(), construct_ame64()]
+
+
+@settings(max_examples=8, deadline=None)
+@given(which=st.sampled_from(range(len(N2K_BASES))), a=st.integers(0, 15),
+       b=st.integers(0, 15), seed=st.integers(0, 2 ** 32 - 1))
+@example(which=1, a=1, b=3, seed=0)
+@example(which=2, a=1, b=3, seed=0)
+def test_n2k_entry_points_agree(which, a, b, seed):
+    # one N = 2k rule: decide_slocc returns butson_match's certificate, and
+    # family_classes reports it for turns neither equal nor conjugate
+    base = N2K_BASES[which]
+    row = (0,) * base.n
+    src, plain = (with_phases(base, {row: Phase(Fraction(t, 16))}) for t in (a, b))
+    dst = random_monomial(base.n, base.d, random.Random(seed)).apply(plain)
+    cert = decide_slocc(src, dst)
+    other = butson_match(src, dst)
+    assert (cert.verdict, cert.reason) == (other.verdict, other.reason)
+    if base.n == 6 and a != b and (a + b) % 16:
+        pair, = family_classes(base, row, [Fraction(a, 16), Fraction(b, 16)])["pairs"]
+        label = pair["verdict"]
+        assert (label.startswith("not-separated-") if cert.verdict == "inconclusive"
+                else label == cert.verdict)
+
+
+def test_family_classes_outside_regime_is_not_separated():
+    base, _ = _rs63_11_pair()
+    report = family_classes(base, (0,) * 6, [Fraction(1, 16), Fraction(3, 16)])
+    pair, = report["pairs"]
+    assert pair["verdict"] == "not-separated-outside-small-regime"
+    assert pair["reason"] == "outside-small-regime"
+    assert pair["details"]["lm_reason"] == "search-exhausted"
 
 
 def test_decide_slocc_uniformity_split():

@@ -129,9 +129,10 @@ def test_only_phases_converts_amp_term_maps():
     assert not calls, "Amp term maps built at %s" % ", ".join(calls)
 
 
-def _inequivalent_reasons(tree):
-    """(reason, line) for each EquivalenceCertificate("inequivalent", ...)
-    call whose reason is a string literal."""
+def _certificate_reasons(tree):
+    """(verdict, reason, line) for each EquivalenceCertificate call whose
+    verdict is "inequivalent" or "inconclusive" and whose reason is a
+    string literal."""
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "EquivalenceCertificate"):
@@ -139,20 +140,26 @@ def _inequivalent_reasons(tree):
         args = {kw.arg: kw.value for kw in node.keywords}
         verdict = node.args[0] if node.args else args.get("verdict")
         reason = args.get("reason")
-        if (isinstance(verdict, ast.Constant) and verdict.value == "inequivalent"
+        if (isinstance(verdict, ast.Constant)
+                and verdict.value in ("inequivalent", "inconclusive")
                 and isinstance(reason, ast.Constant)):
-            yield reason.value, node.lineno
+            yield verdict.value, reason.value, node.lineno
 
 
 def test_inequivalence_reasons_are_documented():
+    """Every literal reason of an inequivalent or inconclusive certificate
+    is named under its verdict in README's "Verdict semantics"."""
     path = PACKAGE / "equivalence.py"
-    reasons = list(_inequivalent_reasons(ast.parse(path.read_text(), filename=str(path))))
-    assert reasons
+    reasons = list(_certificate_reasons(ast.parse(path.read_text(), filename=str(path))))
+    assert {verdict for verdict, _, _ in reasons} == {"inequivalent", "inconclusive"}
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Verdict semantics", 1)[1].split("\n## ", 1)[0]
-    missing = ["%s (line %d)" % (r, line) for r, line in reasons
-               if "`%s`" % r not in section]
-    assert not missing, "undocumented inequivalence reasons: %s" % ", ".join(missing)
+    # each verdict's bullet runs to the next top-level bullet
+    bullets = {verdict: section.split("- `%s`" % verdict, 1)[1].split("\n- ", 1)[0]
+               for verdict in ("inequivalent", "inconclusive")}
+    missing = ["%s %s (line %d)" % (verdict, r, line) for verdict, r, line in reasons
+               if "`%s`" % r not in bullets[verdict]]
+    assert not missing, "undocumented certificate reasons: %s" % ", ".join(missing)
 
 
 # caches keyed by one int: at most one entry per parameter value a caller uses
@@ -186,8 +193,10 @@ def test_lru_caches_are_bounded():
     assert not extra, "lru_cache without a numeric maxsize: %s" % ", ".join(extra)
 
 
-# one five-party decision, with no test dependency: a fixed local monomial image
+# one five-party decision, with no test dependency: a fixed local monomial
+# image; and one N = 2k decision, through butson_match's rule
 SMOKE = textwrap.dedent("""
+    from fractions import Fraction
     import ameslocc
     from ameslocc.phases import root_of_unity
     s = ameslocc.ame_linear_5(5)
@@ -196,6 +205,10 @@ SMOKE = textwrap.dedent("""
         for p in range(5)])
     cert = ameslocc.decide_slocc(s, op.apply(s))
     assert cert.verdict == "equivalent", cert.verdict
+    cert = ameslocc.decide_slocc(ameslocc.ame64_phi(Fraction(1, 16)),
+                                 ameslocc.ame64_phi(Fraction(3, 16)))
+    assert (cert.verdict, cert.reason) == (
+        "inequivalent", "lm-exhausted-butson-condition-violated"), cert
 """)
 
 

@@ -12,14 +12,14 @@ from ameslocc.states import (MinimalSupportState, ame_linear_5, construct_ame43,
 
 def test_permutation_image():
     p = SiteOperator.permutation((2, 0, 1))
-    assert p.image(0) == (2, ONE)
-    assert p.image(2) == (1, ONE)
+    assert (p.sigma[0], p.diag[0]) == (2, ONE)
+    assert (p.sigma[2], p.diag[2]) == (1, ONE)
 
 
 def test_monomial_image_order():
     # diagonal applies before the permutation: |a> -> D[a] |sigma[a]>
     m = SiteOperator.monomial((1, 0), (root_of_unity(4, 1), ONE))
-    target, phase = m.image(0)
+    target, phase = m.sigma[0], m.diag[0]
     assert target == 1 and phase.turn == Fraction(1, 4)
 
 
@@ -34,9 +34,9 @@ def test_compose_monomials_stays_monomial():
     c = a.compose_after(b)
     assert c.kind == "monomial"
     for x in range(3):
-        mid, p1 = b.image(x)
-        out, p2 = a.image(mid)
-        assert c.image(x) == (out, p1 * p2)
+        mid, p1 = b.sigma[x], b.diag[x]
+        out, p2 = a.sigma[mid], a.diag[mid]
+        assert (c.sigma[x], c.diag[x]) == (out, p1 * p2)
 
 
 def test_butson_site_profile():
@@ -96,8 +96,8 @@ def chained_image(op, state):
     for idx, w in state.phases.items():
         p = w * op.global_phase
         for a, site in zip(idx, op.sites):
-            p = p * site.image(a)[1]
-        out[tuple(site.image(a)[0] for a, site in zip(idx, op.sites))] = p
+            p = p * site.diag[a]
+        out[tuple(site.sigma[a] for a, site in zip(idx, op.sites))] = p
     return out
 
 
