@@ -187,12 +187,13 @@ def _diagonal_solver(src, dst):
 
     solve(sigma): the local monomial with permutations sigma whose diagonal
     phases theta_j(a) give w_I * prod_j theta_j(I_j) = w'_{sigma(I)}, or
-    None.  orders(sigma): den / gcd(den, c.t) over the cokernel rows c for
-    the src turns t and for the dst turns pulled back by sigma.  screen:
-    False when sigma has no solution, True when it must be solved, as the
-    first, sigma0, always is.  Unless every turn is rational, so that
-    ``turn_numerators`` gives an integer den, orders is None and screen
-    passes every sigma.
+    None; float turns are solved exactly, as the binary fractions they
+    hold, within the tolerance only at the cokernel rows.  orders(sigma):
+    den / gcd(den, c.t) over the cokernel rows c for the src turns t and
+    for the dst turns pulled back by sigma.  screen: False when sigma has
+    no solution, True when it must be solved, as the first, sigma0, always
+    is.  Unless every turn is rational, so that ``turn_numerators`` gives
+    an integer den, orders is None and screen passes every sigma.
 
     Each later sigma is sigma0 o g, g a support automorphism, which
     permutes the cokernel; each cokernel row sums to 0, as the all-ones
@@ -306,11 +307,11 @@ def _incidence(rows, n, d):
 @lru_cache(maxsize=32)
 def _cokernel(rows, n, d):
     """(by_row, touching) for incidence ``Rows`` from ``_incidence``: the
-    cokernel rows ``modsolve`` keeps from its elimination, shortest first,
-    each as (support rows, coefficients, site columns of those rows); and
-    for each support row the (cokernel row, coefficient) pairs touching it."""
+    cokernel rows of ``modsolve``'s elimination, shortest first, each as
+    (support rows, coefficients, site columns of those rows); and for each
+    support row the (cokernel row, coefficient) pairs touching it."""
     idxs = [tuple(r.index(1, j * d) - j * d for j in range(n)) for r in rows]
-    coker = sorted(_eliminate(rows, n * d)[3], key=len)
+    coker = _eliminate(rows, n * d)[2]
     touching = [[] for _ in rows]
     for at, c in enumerate(coker):
         for i, v in c:
@@ -699,7 +700,11 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
             if witness is not None:
                 # the solved system enforces witness(src) == dst outright
                 if states_equal_up_to_global_phase(witness.apply(src), dst) is None:
-                    raise AssertionError("diagonal solution failed replay")
+                    if exact:
+                        raise AssertionError("diagonal solution failed replay")
+                    return EquivalenceCertificate(  # a row misses by over the tolerance
+                        "inconclusive", reason="float-witness-failed-replay",
+                        exact=False, stats=stats)
                 return EquivalenceCertificate(
                     "equivalent", witness=witness, reason="lm-witness",
                     exact=exact, stats=stats)
@@ -710,9 +715,9 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
                         "inequivalent", reason="cokernel-character",
                         details={"orders": {"src": o_src, "dst": o_dst}},
                         exact=exact, stats=stats)
-    except EquivalenceError as e:
+    except EquivalenceError:
         return EquivalenceCertificate(
-            "inconclusive", reason=str(e), exact=exact, stats=stats)
+            "inconclusive", reason="search-budget-exhausted", exact=exact, stats=stats)
     return EquivalenceCertificate(
         "inequivalent", reason="search-exhausted",
         details={"searched": "all support-compatible local permutations"},

@@ -3,21 +3,24 @@
 The diagonal-phase step of the local-monomial match reduces to finding
 rational (or real) unknowns theta satisfying A.theta = b (mod 1) where A has
 small non-negative integer entries.  Integer row elimination brings A to a
-row-echelon form H = U.A with unimodular U; the system is consistent iff the
-transformed right-hand side is integral on every zero row, and then a
-particular solution follows by back substitution.  A search solves one A
-against many b, so each distinct A is eliminated once; pivots and swaps read
-only A, so replaying U on b does the arithmetic of eliminating [A | b].
+row-echelon form H = U.A with unimodular U, built beside H by the same row
+operations; the system is consistent iff U.b is integral on every zero row
+of H, and then a particular solution follows by back substitution.  A
+search solves one A against many b, so each distinct A is eliminated once,
+and U is kept as its rows below the pivots and its pivot rows by column.
 
 The rows of U below the pivots span the cokernel of A (c.A = 0), and (U.b)
 on the zero rows of H is exactly c.b for those rows c.  So an exact system
 is infeasible iff some cokernel row has c.b not a whole number of turns
-(Cohen, A Course in Computational Algebraic Number Theory, 1993):
-one small integer product per row decides it, and only feasible systems
-replay U for the back substitution.  That substitution runs on integer
-turns too: the solution is kept as numerators over one running
-denominator, multiplied by |p| only when a pivot p does not divide the
-accumulated numerator, and becomes Fractions once, at the end.
+(Cohen, A Course in Computational Algebraic Number Theory, 1993, 2.4):
+one small integer product per row, shortest row first, decides it.  On the
+pivot rows U.b is a sum over U's columns at the nonzero entries of b.  The
+back substitution runs on integer turns: the solution is kept as
+numerators over one running denominator, multiplied by |p| only when a
+pivot p does not divide the accumulated numerator, and becomes Fractions
+once, at the end.  Float turns take the same path as the binary fractions
+they hold, over their largest denominator; only the zero-row test allows
+the tolerance, and the turns are rounded to floats once.
 
 A support search solves one A against b = pull_sigma(dst) - src for many
 sigma, each after the first, sigma0, being sigma0 o g for a support
@@ -52,13 +55,14 @@ class Rows(tuple):
 
 @lru_cache(maxsize=32)
 def _eliminate(rows, num_vars):
-    """(ops, h, pivots, coker): h = U.rows in echelon form with (row, col)
-    pivots; U as row operations in order, (i, j, None) swapping rows i and j
-    and (i, j, q) subtracting q times row j from row i; and the rows of U
-    below the pivots as sparse ((index, coeff), ...) tuples."""
+    """(h, pivots, coker, cols): h = U.rows in echelon form with (row, col)
+    pivots; the rows of U below the pivots as sparse ((index, coeff), ...)
+    tuples, shortest first; and U's pivot rows by column, cols[i] the
+    (pivot row, coeff) pairs of U's column i.  U starts as the identity and
+    takes each row operation as A does."""
     m = len(rows)
     a = [list(r) for r in rows]
-    ops = []
+    u = [{i: 1} for i in range(m)]
     pivots = []
     prow = 0
     for col in range(num_vars):
@@ -67,7 +71,7 @@ def _eliminate(rows, num_vars):
         if sel is None:
             continue
         a[prow], a[sel] = a[sel], a[prow]
-        ops.append((prow, sel, None))
+        u[prow], u[sel] = u[sel], u[prow]
         # reduce all other rows against the pivot by gcd-style elimination,
         # over the pivot row's nonzero columns (none lies before col)
         pivot = a[prow]
@@ -82,12 +86,18 @@ def _eliminate(rows, num_vars):
                 if abs(row[col]) < abs(pivot[col]):
                     pivot, row = row, pivot
                     a[prow], a[i] = pivot, row
-                    ops.append((prow, i, None))
+                    u[prow], u[i] = u[i], u[prow]
                     nz = [j for j in range(col, num_vars) if pivot[j]]
                 q = row[col] // pivot[col]
                 for j in nz:
                     row[j] -= q * pivot[j]
-                ops.append((i, prow, q))
+                ui = u[i]
+                for t, v in u[prow].items():
+                    x = ui.get(t, 0) - q * v
+                    if x:
+                        ui[t] = x
+                    else:
+                        del ui[t]
                 if row[col]:
                     changed = True
         pivots.append((prow, col))
@@ -96,20 +106,12 @@ def _eliminate(rows, num_vars):
             break
     if any(map(any, a[prow:])):
         raise AssertionError("elimination left a nonzero row below the pivots")
-    u = [{i: 1} for i in range(m)]
-    for i, j, q in ops:
-        if q is None:
-            u[i], u[j] = u[j], u[i]
-            continue
-        ui = u[i]
-        for t, v in u[j].items():
-            x = ui.get(t, 0) - q * v
-            if x:
-                ui[t] = x
-            else:
-                del ui[t]
-    coker = tuple(tuple(sorted(r.items())) for r in u[prow:])
-    return tuple(ops), tuple(map(tuple, a)), tuple(pivots), coker
+    coker = sorted((tuple(sorted(r.items())) for r in u[prow:]), key=len)
+    cols = [[] for _ in range(m)]
+    for r, ur in enumerate(u[:prow]):
+        for t, v in ur.items():
+            cols[t].append((r, v))
+    return tuple(map(tuple, a)), tuple(pivots), tuple(coker), tuple(map(tuple, cols))
 
 
 def solve_turn_system(rows, rhs, num_vars, den=None):
@@ -118,45 +120,38 @@ def solve_turn_system(rows, rhs, num_vars, den=None):
     ``rows`` are integer coefficient sequences (pass ``Rows`` to skip the
     conversion).  With ``den`` the system is exact: ``rhs`` entries are
     integer numerators over den, and the turns come back as Fractions.
-    Without it ``rhs`` entries are float turns, solved within the tolerance.
-    Returns a list of turn values for the unknowns, with unused degrees of
-    freedom set to zero.
+    Without it ``rhs`` entries are float turns, read as the binary
+    fractions they hold; a zero row may then miss a whole turn by the
+    tolerance, and the turns come back as floats in [0, 1).  Returns a
+    list of turn values for the unknowns, with unused degrees of freedom
+    set to zero.
     """
     if not isinstance(rows, Rows):
         rows = Rows(rows)
-    ops, h, pivots, coker = _eliminate(rows, num_vars)
-    if den is None:
-        b = [float(x) for x in rhs]
-    else:  # U applied in integers over den
-        b = list(rhs)
-        # zero rows of H must carry a whole number of turns: c.b = 0 (mod den)
-        for c in coker:
-            if sum(v * b[i] for i, v in c) % den:
-                return None
-    for i, j, q in ops:
-        if q is None:
-            b[i], b[j] = b[j], b[i]
-        else:
-            b[i] = b[i] - q * b[j]
-    if den is None:  # zero rows must carry a whole turn, within tolerance
-        if any(min(x % 1.0, 1.0 - x % 1.0) > get_tolerance() for x in b[len(pivots):]):
+    h, pivots, coker, cols = _eliminate(rows, num_vars)
+    exact, b, slack = den is not None, list(rhs), 0
+    if not exact:  # every float denominator is a power of two: den is their lcm
+        ratios = [float(x).as_integer_ratio() for x in b]
+        den = max((q for _, q in ratios), default=1)
+        b = [p * (den // q) for p, q in ratios]
+        slack = get_tolerance() * den
+    # zero rows of H must carry a whole number of turns: c.b = 0 (mod den)
+    for c in coker:
+        r = sum(v * b[i] for i, v in c) % den
+        if min(r, den - r) > slack:
             return None
-        # theta[col] solves p*x = acc (mod 1); any branch works, take acc/p
-        theta = [0.0] * num_vars
-        for (row, col) in reversed(pivots):
-            acc = b[row]
-            for j in range(col + 1, num_vars):
-                if h[row][j]:
-                    acc = acc - h[row][j] * theta[j]
-            theta[col] = (acc / h[row][col]) % 1.0
-        return theta
+    ub = [0] * len(pivots)  # U.b on the pivot rows, from b's nonzeros
+    for x, col in zip(b, cols):
+        if x:
+            for r, v in col:
+                ub[r] += v * x
     # theta[j] = t[j] / den, den growing by |p| when a pivot p does not
     # divide the numerator, so every step stays in integers
     t = [0] * num_vars
     scale = 1  # den / (the denominator of b)
     for (row, col) in reversed(pivots):
         hr = h[row]
-        acc = b[row] * scale
+        acc = ub[row] * scale
         for j in range(col + 1, num_vars):
             if hr[j]:
                 acc -= hr[j] * t[j]
@@ -166,5 +161,4 @@ def solve_turn_system(rows, rhs, num_vars, den=None):
             t = [x * s for x in t]
             acc, scale, den = acc * s, scale * s, den * s
         t[col] = acc // p % den
-    return [Fraction(x, den) for x in t]
-
+    return [Fraction(x, den) if exact else x / den % 1.0 for x in t]

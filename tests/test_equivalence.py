@@ -82,11 +82,30 @@ def test_replay_rejects_a_wrong_diagonal(monkeypatch):
         lm_match(s, dst)
 
 
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_float_witness_failing_replay_is_inconclusive(seed):
+    # RS[7,3] with a 0.1-turn row against a 1/360 local monomial image of
+    # itself: the solve reads the float turns exactly and passes the
+    # cokernel test within the tolerance, yet one row of the witness misses
+    # by more than it, so no verdict is certified
+    rs = construct_linear(7, [[1, a, a * a % 7] for a in range(7)])
+    src = with_phases(rs, {(0,) * 7: Phase(0.1)})
+    rng = random.Random(seed)
+    sites = []
+    for _ in range(7):
+        sig = list(range(7))
+        rng.shuffle(sig)
+        sites.append(SiteOperator.monomial(
+            sig, [root_of_unity(360, rng.randrange(360)) for _ in range(7)]))
+    cert = decide_slocc(src, LocalOperator(sites).apply(src))
+    assert (cert.verdict, cert.reason) == ("inconclusive", "float-witness-failed-replay")
+    assert not cert.exact and cert.stats["solves"] >= 1
+
+
 def test_budget_gives_inconclusive():
     s = construct_ame44()
     cert = lm_match(s, s, max_nodes=1)
-    assert cert.verdict == "inconclusive"
-    assert "budget" in cert.reason
+    assert (cert.verdict, cert.reason) == ("inconclusive", "search-budget-exhausted")
 
 
 def test_shape_mismatch_raises():

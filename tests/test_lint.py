@@ -194,8 +194,10 @@ def test_lru_caches_are_bounded():
 
 
 # one five-party decision, with no test dependency: a fixed local monomial
-# image; and one N = 2k decision, through butson_match's rule
+# image; and two N = 2k decisions through butson_match's rule, one exact and
+# one on float turns, 192 float solves
 SMOKE = textwrap.dedent("""
+    import math
     from fractions import Fraction
     import ameslocc
     from ameslocc.phases import root_of_unity
@@ -209,6 +211,10 @@ SMOKE = textwrap.dedent("""
                                  ameslocc.ame64_phi(Fraction(3, 16)))
     assert (cert.verdict, cert.reason) == (
         "inequivalent", "lm-exhausted-butson-condition-violated"), cert
+    cert = ameslocc.decide_slocc(ameslocc.ame64_phi(0.1 / (2 * math.pi)),
+                                 ameslocc.ame64_phi(0.7 / (2 * math.pi)))
+    assert (cert.verdict, cert.reason, cert.stats["solves"]) == (
+        "inequivalent", "lm-exhausted-butson-condition-violated", 192), cert
 """)
 
 

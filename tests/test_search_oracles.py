@@ -1,12 +1,13 @@
 """The support search and the mod-1 solve against the algorithms they replaced.
 
-``solve_turn_system`` eliminates each coefficient matrix once and replays
-the recorded row operations on every right-hand side, and
+``solve_turn_system`` eliminates each coefficient matrix once, building
+the unimodular transform U beside it, and carries every right-hand side
+through U's rows, and
 ``_iter_support_sigmas`` finds the image of a source row with one lookup
 once k of its symbols are mapped, and checks every row placed after the
 permutations are fixed with one membership test.  The straightforward
 versions below eliminate [A | b] afresh for every system, back-substitute
-in Fractions, and scan every destination row for every source row.  The
+in Fractions (a float b as the binary fractions its floats hold), and scan every destination row for every source row.  The
 package must reproduce them
 exactly: the same theta (or None) for every system, and the same permutation
 tuples in the same order.  On symbol-permuted sources, where the search's row
@@ -54,10 +55,12 @@ from ameslocc.states import (MinimalSupportState, ame64_phi, ame_linear_5,
 
 
 def reference_solve(rows, rhs, num_vars, exact=True):
-    """Joint integer elimination of [A | b] on every call."""
+    """Joint integer elimination of [A | b] on every call, in Fractions; a
+    float b is read as the binary fractions its floats hold, its zero rows
+    may miss a whole turn by the tolerance, and its turns are rounded once."""
     m = len(rows)
     a = [list(map(int, r)) for r in rows]
-    b = [Fraction(x) for x in rhs] if exact else [float(x) for x in rhs]
+    b = [Fraction(x) for x in rhs]
     pivots = []
     prow = 0
     for col in range(num_vars):
@@ -92,17 +95,16 @@ def reference_solve(rows, rhs, num_vars, exact=True):
         if exact:
             if b[i].denominator != 1:
                 return None
-        elif min(b[i] % 1.0, 1.0 - b[i] % 1.0) > get_tolerance():
+        elif min(b[i] % 1, 1 - b[i] % 1) > get_tolerance():
             return None
-    theta = [Fraction(0) if exact else 0.0] * num_vars
+    theta = [Fraction(0)] * num_vars
     for (row, col) in reversed(pivots):
         acc = b[row]
         for j in range(col + 1, num_vars):
             if a[row][j]:
                 acc = acc - a[row][j] * theta[j]
-        theta[col] = (Fraction(acc) / a[row][col]) % 1 if exact \
-            else (acc / a[row][col]) % 1.0
-    return theta
+        theta[col] = (Fraction(acc) / a[row][col]) % 1
+    return theta if exact else [float(t) % 1.0 for t in theta]
 
 
 def reference_sigmas(src, dst):
@@ -295,7 +297,7 @@ def test_cokernel_rows_decide_exact_feasibility(make):
     src = make()
     rows, _ = diagonal_system(src, src, (tuple(range(src.d)),) * src.n)
     num_vars = src.n * src.d
-    ops, h, pivots, coker = _eliminate(Rows(rows), num_vars)
+    h, pivots, coker, _ = _eliminate(Rows(rows), num_vars)
     assert len(pivots) + len(coker) == len(rows)
     for c in coker:
         assert all(sum(v * rows[i][col] for i, v in c) == 0
@@ -358,7 +360,7 @@ def test_character_order_survives_local_monomials(base, den, seed):
     dst = monomial_image(src, rng)
     orders = _diagonal_solver(src, dst)[1]
     rows, _ = diagonal_system(src, src, (tuple(range(src.d)),) * src.n)
-    coker = _eliminate(Rows(rows), src.n * src.d)[3]
+    coker = _eliminate(Rows(rows), src.n * src.d)[2]
     turns = [p.turn for _, p in sorted(src.phases.items())]
     want = math.lcm(*(sum(v * turns[i] for i, v in c).denominator for c in coker))
     for sigma in _iter_support_sigmas(src, dst, 10 ** 7):
