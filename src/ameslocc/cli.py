@@ -24,7 +24,7 @@ from . import equivalence as eq
 from . import reductions as rd
 from . import states as st
 from .operators import LocalOperator, SiteOperator
-from .phases import set_tolerance
+from .phases import PhaseError, set_tolerance
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -487,7 +487,7 @@ def run_cli(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, st.StateError, dg.DesignError, bt.ButsonError,
-            eq.EquivalenceError, rd.ReductionError) as e:
+            eq.EquivalenceError, rd.ReductionError, PhaseError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
 

@@ -28,7 +28,7 @@ from .designs import small_regime
 from .modsolve import Rows, _eliminate, solve_turn_system
 from .operators import LocalOperator, SiteOperator
 from .phases import Phase, get_tolerance, phase_product, turn_numerators
-from .states import (MinimalSupportState, StateError, _columns, _infer_k, _is_prime,
+from .states import (MinimalSupportState, _columns, _is_prime,
                      states_equal_up_to_global_phase, with_phases)
 
 DEFAULT_MAX_NODES = 2_000_000
@@ -318,13 +318,6 @@ def _cokernel(rows, n, d):
             touching[i].append((at, v))
     return [(tuple(i for i, _ in c), tuple(v for _, v in c),
              tuple(zip(*[idxs[i] for i, _ in c]))) for c in coker], touching
-
-
-@lru_cache(maxsize=32)
-def _valid_support(rows, n, d, k):
-    """Validate rows (a frozenset) as an (n, d, k) ``MinimalSupportState``
-    support; a StateError is not cached, so only passing supports are."""
-    MinimalSupportState(n, d, k, dict.fromkeys(rows))
 
 
 @lru_cache(maxsize=32)
@@ -884,21 +877,12 @@ def _read_minimal(s) -> Optional[MinimalSupportState]:
     A d^k-term equal-modulus state on an index-unity support is exactly
     k-uniform when 2k <= N (no two rows agree on N - k >= k sites); more
     than d^(N // 2) terms would give 2k > N, so such a state is not read.
-    A MinimalSupportState is read as it stands, with no SparseState built
-    for it; ``_valid_support`` checks its support once per (support, n, d,
-    k), and a support that fails is checked again on every call.
+    Either state class reads itself (``as_minimal``), so a
+    MinimalSupportState gets no SparseState built for it; the support check
+    (``states._check_support``) caches passing supports only.
     """
-    if not isinstance(s, MinimalSupportState):
-        s = s.to_sparse()
-        return s.as_minimal() if len(s.terms) <= s.d ** (s.n // 2) else None
-    if len(s.phases) > s.d ** (s.n // 2):
-        return None
-    try:
-        k = _infer_k(s.d, len(s.phases))
-        _valid_support(frozenset(s.phases), s.n, s.d, k)
-    except StateError:
-        return None
-    return MinimalSupportState(s.n, s.d, k, s.phases, check=False)
+    terms = s.phases if isinstance(s, MinimalSupportState) else s.terms
+    return s.as_minimal() if len(terms) <= s.d ** (s.n // 2) else None
 
 
 def _ame5_pipeline_applicable(sa, sb) -> Optional[int]:

@@ -254,7 +254,8 @@ def exponent_sum_is_zero(coeffs, q) -> bool:
     5e-15 + n * 2.3e-16 of the true one.  A computed |z| above
     1e-9 + n * 1e-15 therefore proves the sum nonzero.  Every other sum is
     decided exactly, by reduction modulo the q-th cyclotomic polynomial,
-    whose cost grows with q.
+    whose time and memory grow linearly with q, so a q above 2^20 raises
+    PhaseError instead.
     """
     total = sum(abs(c) for c in coeffs.values())
     if not total:
@@ -263,6 +264,8 @@ def exponent_sum_is_zero(coeffs, q) -> bool:
             for e, c in coeffs.items())
     if abs(z) > 1e-9 + len(coeffs) * 1e-15:
         return False
+    if q > 2 ** 20:
+        raise PhaseError("no exact zero test for conductor %d > 2^20" % q)
     return not any(_reduce_mod_cyclotomic(coeffs, q))
 
 
@@ -407,6 +410,31 @@ class Amp:
         z = self.value
         if abs(abs(z) - 1.0) <= _tol:
             return Phase(cmath.phase(z) / (2 * math.pi))
+        return None
+
+    def polar(self):
+        """(m, Phase) with m > 0 and this amplitude m times that phase, or None.
+
+        A float amplitude gives |z| and its argument.  An exact one gives a
+        Fraction m, or None when it is no r * zeta (r rational, zeta a root
+        of unity).  A sum of roots of unity can collapse to r * zeta, and
+        then zeta is an lcm(2, q)-th root of unity, q the conductor of the
+        own form: the turn is guessed on that grid and verified exactly.
+        """
+        if not self.is_exact:
+            return abs(self.value), Phase(cmath.phase(self.value) / (2 * math.pi))
+        q, counts, den = self.form()
+        if len(counts) == 1:
+            (e, c), = counts.items()
+            return Fraction(abs(c), den), Phase(Fraction(e, q) + (c < 0) * Fraction(1, 2))
+        z = complex(self)
+        if abs(z) < 1e-12:
+            return None
+        order = math.lcm(2, q)
+        e = round(cmath.phase(z) / (2 * math.pi) * order) % order
+        m = Fraction(abs(z)).limit_denominator(10 ** 6)
+        if m and self.equals(Amp.from_counts(order, {e: m.numerator}, m.denominator)):
+            return m, Phase(Fraction(e, order))
         return None
 
     def to_json(self):

@@ -19,7 +19,6 @@ reading.  So x^2 = x + 1 at q = 4, x^3 = x + 1 at q = 8, and mod p at prime q.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from collections import Counter
@@ -60,29 +59,18 @@ class MinimalSupportState:
             self.validate()
 
     def validate(self):
-        """Check the support size, every index, and index unity.
+        """Check the support size, every index, and index unity (``_check_support``)."""
+        _check_support(frozenset(self.phases), self.n, self.d, self.k)
 
-        The checks run on per-site columns: each k-subset of sites is
-        index-unity when its columns, zipped, give d^k distinct tuples.  A
-        bad index is looked up row by row only once the columns show one,
-        so the error names the first bad index in support order, and index
-        unity names the first failing k-subset in combination order.
-        """
-        n, d, k = self.n, self.d, self.k
-        size = d ** k
-        if len(self.phases) != size:
-            raise StateError(
-                "support size %d != d^k = %d" % (len(self.phases), size))
-        cols = _columns(self.phases, n)
-        if (len(cols) != n or len(set(map(len, self.phases))) != 1
-                or any(min(col) < 0 or max(col) >= d for col in cols)):
-            for idx in self.phases:
-                _check_index(idx, n, d)
-        for sites in itertools.combinations(range(n), k):
-            # k = 0 zips no columns; its one-row support is trivially unity
-            if k and len(set(zip(*(cols[c] for c in sites)))) != size:
-                raise StateError(
-                    "support is not index-unity on columns %r" % (sites,))
+    def as_minimal(self) -> Optional["MinimalSupportState"]:
+        """This state with k read from its term count, or None when the
+        count is no power of d or the support fails ``_check_support``."""
+        try:
+            k = _infer_k(self.d, len(self.phases))
+            _check_support(frozenset(self.phases), self.n, self.d, k)
+        except StateError:
+            return None
+        return MinimalSupportState(self.n, self.d, k, self.phases, check=False)
 
     @property
     def support(self):
@@ -121,6 +109,29 @@ def _infer_k(d, count):
     if k is None or d ** k != count:
         raise StateError("support size %d is not a power of d=%r, or d < 2" % (count, d))
     return k
+
+
+@lru_cache(maxsize=32)
+def _check_support(rows, n, d, k):
+    """Check rows (a frozenset) as an (n, d, k) support: its size, every
+    index, and index unity.  Only passing supports are cached.  The checks run on per-site columns: each k-subset of sites is
+    index-unity when its columns, zipped, give d^k distinct tuples.  A bad
+    index is looked up row by row only once the columns show one, so the
+    error names the first bad index in sorted order, and index unity names
+    the first failing k-subset in combination order.
+    """
+    size = d ** k
+    if len(rows) != size:
+        raise StateError("support size %d != d^k = %d" % (len(rows), size))
+    cols = _columns(rows, n)
+    if (len(cols) != n or len(set(map(len, rows))) != 1
+            or any(min(col) < 0 or max(col) >= d for col in cols)):
+        for idx in sorted(rows):
+            _check_index(idx, n, d)
+    for sites in itertools.combinations(range(n), k):
+        # k = 0 zips no columns; its one-row support is trivially unity
+        if k and len(set(zip(*(cols[c] for c in sites)))) != size:
+            raise StateError("support is not index-unity on columns %r" % (sites,))
 
 
 class SparseState:
@@ -173,34 +184,20 @@ class SparseState:
     def as_minimal(self, k=None) -> Optional[MinimalSupportState]:
         """Reinterpret as a MinimalSupportState when all amplitudes share one
         modulus and the support has the index-unity property; None otherwise."""
-        if not self.terms:
-            return None
         try:
             k = _infer_k(self.d, len(self.terms)) if k is None else k
         except StateError:
             return None
-        phases = {}
-        ref = None
+        phases, ref = {}, None
         for idx, a in self.terms.items():
-            if a.is_exact:
-                # factor out a common rational magnitude: all |a| must agree
-                split = _exact_phase_split(a)
-                if split is None:
-                    return None
-                m, p = split
-                if ref is None:
-                    ref = m
-                elif m != ref:
-                    return None
-                phases[idx] = p
-            else:
-                z = complex(a)
-                m = abs(z)
-                if ref is None:
-                    ref = m
-                elif abs(m - ref) > get_tolerance() * max(1.0, ref):
-                    return None
-                phases[idx] = Phase(cmath.phase(z) / (2 * math.pi))
+            split = a.polar()  # all |a| must agree
+            if split is None:
+                return None
+            m, phases[idx] = split
+            if ref is None:
+                ref = m
+            elif _moduli_differ(m, ref):
+                return None
         try:
             return MinimalSupportState(self.n, self.d, k, phases)
         except StateError:
@@ -223,6 +220,8 @@ class SparseState:
                                       if "phase" in t else Amp.from_json(t))
         # unit-modulus terms with equal weights: squared norm is the count
         scale2 = Fraction(obj["scale2"]) if "scale2" in obj else len(terms)
+        if scale2 <= 0:
+            raise StateError("scale2 must be positive, got %s" % scale2)
         return SparseState(obj["n"], obj["d"], terms, scale2=scale2)
 
     def __repr__(self):
@@ -249,28 +248,10 @@ def _count_vector(counts):
     return tuple(sorted((e, c) for e, c in counts.items() if c))
 
 
-def _exact_phase_split(a: Amp):
-    """Write an exact Amp as (positive rational magnitude, Phase), or None.
-
-    Sums of roots of unity can collapse to r * root-of-unity without being a
-    single stored term, so the candidate turn is guessed numerically and then
-    verified exactly.  If r * zeta lies in Q(zeta_q), q the conductor of the
-    amplitude's own form, then zeta is an lcm(2, q)-th root of unity, so the guess is
-    rounded to that grid and the check never leaves the field of the input.
-    """
-    q, counts, den = a.form()
-    if len(counts) == 1:
-        (e, c), = counts.items()
-        return Fraction(abs(c), den), Phase(Fraction(e, q) + (c < 0) * Fraction(1, 2))
-    z = complex(a)
-    if abs(z) < 1e-12:
-        return None
-    order = math.lcm(2, q)
-    e = round(cmath.phase(z) / (2 * math.pi) * order) % order
-    m = Fraction(abs(z)).limit_denominator(10 ** 6)
-    if m and a.equals(Amp.from_counts(order, {e: m.numerator}, m.denominator)):
-        return m, Phase(Fraction(e, order))
-    return None
+def _moduli_differ(x, y):
+    """x != y when both are Fractions, else |x - y| > tolerance * max(1, y)."""
+    gap = abs(x - y)
+    return gap != 0 if isinstance(gap, Fraction) else gap > get_tolerance() * max(1.0, y)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +597,8 @@ def states_equal_up_to_global_phase(a, b) -> Optional[Phase]:
     Two exact minimal-support states are compared on their integer turns
     (``phases.turn_numerators``): equal supports, and one constant
     difference w_I - w'_I mod q, which is g.  Other inputs compare
-    amplitudes by cross ratios.
+    amplitudes by cross ratios, and g is read off the first pair's
+    ``Amp.polar`` splits (their float values when either has none).
     """
     if isinstance(a, MinimalSupportState) and isinstance(b, MinimalSupportState):
         if (a.n, a.d) != (b.n, b.d) or a.phases.keys() != b.phases.keys():
@@ -640,17 +622,11 @@ def states_equal_up_to_global_phase(a, b) -> Optional[Phase]:
     for idx in sa.terms:
         if not (sa.terms[idx] * b0).equals(a0 * sb.terms[idx]):
             return None
-    # extract the unit ratio of the normalized amplitudes a0/sqrt(s2a) etc.
-    if a0.is_exact and b0.is_exact:
-        sa_split, sb_split = _exact_phase_split(a0), _exact_phase_split(b0)
-        if sa_split is not None and sb_split is not None:
-            ma, pa = sa_split
-            mb, pb = sb_split
-            if ma * ma * Fraction(sb.scale2) != mb * mb * Fraction(sa.scale2):
-                return None
-            return pa / pb
-    g = (complex(a0) / math.sqrt(float(sa.scale2))) / \
-        (complex(b0) / math.sqrt(float(sb.scale2)))
-    if abs(abs(g) - 1.0) > get_tolerance():
+    # the normalized ratio (a0 / sqrt(s2a)) / (b0 / sqrt(s2b)) must be a phase
+    split = [x.polar() for x in (a0, b0)]
+    if None in split:  # exact, but no rational times a root of unity
+        split = [Amp.from_complex(complex(x)).polar() for x in (a0, b0)]
+    (ma, pa), (mb, pb) = split
+    if _moduli_differ(ma * ma * sb.scale2 / (mb * mb * sa.scale2), 1):
         return None
-    return Phase(cmath.phase(g) / (2 * math.pi))
+    return pa / pb

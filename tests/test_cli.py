@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,28 @@ def test_check_state_reads_dense_images_exactly(tmp_path, capsys):
     bad = write(tmp_path / "bad.json", json.dumps(
         {"n": 1, "d": 2, "scale2": "1/0", "terms": [{"idx": [0], "q": 1, "counts": [[0, 1]], "den": 1}]}))
     assert run_cli(["check", "state", "--file", bad]) == 2
+
+
+def test_check_state_refuses_nonpositive_scale2(tmp_path):
+    # "0" raised ZeroDivisionError out of run_cli; "-2" was read as a state
+    for scale2 in ("0", "-2"):
+        bad = write(tmp_path / "bad.json", json.dumps(
+            {"n": 2, "d": 2, "scale2": scale2, "terms": [
+                {"idx": [i, i], "phase": {"turn": {"num": 0, "den": 1}}} for i in (0, 1)]}))
+        assert run_cli(["check", "state", "--file", bad]) == 2
+
+
+def test_check_state_refuses_a_zero_test_at_a_huge_conductor(tmp_path):
+    # the off-diagonal of the first party's marginal is w + w^(p+1) = 0 at
+    # q = 2p, with no common factor to divide out: the exact reduction would
+    # take a list of q entries, so the zero test refuses it at once
+    p = 10 ** 9 + 7
+    terms = [([0, 0], 1), ([0, 1], p + 1), ([1, 0], 0), ([1, 1], 0)]
+    bad = write(tmp_path / "big-q.json", json.dumps({"n": 2, "d": 2, "terms": [
+        {"idx": idx, "q": 2 * p, "counts": [[e, 1]], "den": 1} for idx, e in terms]}))
+    start = time.perf_counter()
+    assert run_cli(["check", "state", "--file", bad]) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_construct_phi_keeps_a_rational_turn(tmp_path, capsys):

@@ -16,7 +16,7 @@ from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
                                   _ame5_pipeline_applicable,
                                   _butson_layer_witnesses, _i_s_choices,
                                   _iter_support_sigmas, _read_minimal, _row_plan,
-                                  _valid_support, _w_table,
+                                  _w_table,
                                   automorphisms, butson_match, compute_w, cond_butson,
                                   cond_monomial, decide_slocc, family_classes,
                                   lm_match, lm_automorphism_sigmas)
@@ -373,15 +373,20 @@ def test_failing_support_is_validated_on_every_call(monkeypatch):
     rows = sorted(construct_ame43().phases)
     rows[0], rows[1] = (0, 0, 0, 1), (0, 1, 1, 0)
     bad = MinimalSupportState(4, 3, 2, {r: ONE for r in rows}, check=False)
-    validated = []
-    orig = MinimalSupportState.validate
-    monkeypatch.setattr(MinimalSupportState, "validate",
-                        lambda self: validated.append(frozenset(self.phases)) or orig(self))
+    checked = []
+    orig = states._check_support
+    monkeypatch.setattr(states, "_check_support", lambda support, *shape:
+                        checked.append(support) or orig(support, *shape))
     first, second = (decide_slocc(bad, construct_ame43()) for _ in range(2))
     assert (first.verdict, first.reason, first.details) == \
         (second.verdict, second.reason, second.details) == \
         ("inequivalent", "different-uniformity", {"src": 1, "dst": 2})
-    assert validated.count(frozenset(rows)) == 2
+    assert checked.count(frozenset(rows)) == 2
+    for _ in range(2):  # each check of the failing support misses the cache
+        misses = orig.cache_info().misses
+        with pytest.raises(StateError):
+            orig(frozenset(rows), 4, 3, 2)
+        assert orig.cache_info().misses == misses + 1
 
 
 def test_cached_support_is_not_reused_for_another_shape():
@@ -389,11 +394,11 @@ def test_cached_support_is_not_reused_for_another_shape():
     # the same rows must still fail as n = 5, as d = 2 (k = 4) or as k = 1
     s = construct_ame44()
     rows = frozenset(s.phases)
-    _valid_support(rows, 4, 4, 2)
+    states._check_support(rows, 4, 4, 2)
     assert _read_minimal(s) is not None
     for n, d, k in [(5, 4, 2), (4, 2, 4), (4, 4, 1)]:
         with pytest.raises(StateError):
-            _valid_support(rows, n, d, k)
+            states._check_support(rows, n, d, k)
     for n, d in [(5, 4), (4, 2), (4, 16)]:
         assert _read_minimal(MinimalSupportState(n, d, 2, s.phases, check=False)) is None
 

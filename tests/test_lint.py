@@ -215,6 +215,11 @@ SMOKE = textwrap.dedent("""
                                  ameslocc.ame64_phi(0.7 / (2 * math.pi)))
     assert (cert.verdict, cert.reason, cert.stats["solves"]) == (
         "inequivalent", "lm-exhausted-butson-condition-violated", 192), cert
+    cert = ameslocc.decide_slocc(s.to_sparse(), op.apply(s).to_sparse())
+    assert cert.verdict == "equivalent", cert.verdict
+    phi = ameslocc.ame64_phi(0.1 / (2 * math.pi)).to_sparse()
+    cert = ameslocc.decide_slocc(phi, phi)
+    assert cert.verdict == "equivalent", cert.verdict
 """)
 
 

@@ -13,7 +13,7 @@ from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import ONE, Amp, Phase, PhaseError, root_of_unity
 from ameslocc.reductions import verify_rho345_lemma
 from ameslocc.states import (MinimalSupportState, SparseState, StateError,
-                             _exact_phase_split, _field_tables, _infer_k,
+                             _field_tables, _infer_k,
                              ame64_phi, ame_linear_5, construct_ame43,
                              construct_ame44, construct_ame5_phased,
                              construct_ame64, construct_ghz, construct_linear,
@@ -456,15 +456,47 @@ def test_reduced_density_of_large_dimension():
     assert not rho.is_maximally_mixed()
 
 
-def test_exact_phase_split_stays_in_input_field():
+def test_polar_stays_in_input_field():
     # w_1009 * (1 + w_3) = w_1009 * w_6 is one root of unity of order 6054;
     # a free numerical guess of the turn leaves that field entirely
     a = Amp(terms={Fraction(1, 1009): Fraction(1),
                    Fraction(1, 3) + Fraction(1, 1009): Fraction(1)})
     start = time.perf_counter()
-    got = _exact_phase_split(a)
+    got = a.polar()
     assert time.perf_counter() - start < 1.0
     assert got == (1, Phase(Fraction(1, 6) + Fraction(1, 1009)))
+
+
+MINIMAL_BASES = {"ame43": construct_ame43, "linear5-d5": lambda: ame_linear_5(5),
+                 "ame64": construct_ame64}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(MINIMAL_BASES)), data=st.data())
+def test_as_minimal_agrees_on_both_state_classes(name, data):
+    # a decorated minimal-support state reads back with its k, support and
+    # phases from either class; exact turns are kept, float ones within tolerance
+    base = MINIMAL_BASES[name]()
+    rows = sorted(base.phases)
+    picked = data.draw(st.lists(st.sampled_from(rows), max_size=6, unique=True))
+    turns = st.one_of(st.integers(0, 359).map(lambda t: Phase(Fraction(t, 360))),
+                      st.floats(0, 1, exclude_max=True).map(Phase))
+    s = with_phases(base, {r: data.draw(turns) for r in picked})
+    for m in (s.as_minimal(), s.to_sparse().as_minimal()):
+        assert (m.n, m.d, m.k) == (base.n, base.d, base.k)
+        assert m.phases.keys() == s.phases.keys()
+        for r, p in s.phases.items():
+            assert m.phases[r] == p if p.is_exact else m.phases[r].close_to(p)
+    # the last symbols of two rows swapped: the same size, not index unity
+    a, b = rows[0], next(r for r in rows if r[-1] != rows[0][-1])
+    swapped = dict(s.phases)
+    swapped[a[:-1] + b[-1:]], swapped[b[:-1] + a[-1:]] = swapped.pop(a), swapped.pop(b)
+    bad = MinimalSupportState(s.n, s.d, s.k, swapped, check=False)
+    assert bad.as_minimal() is None and bad.to_sparse().as_minimal() is None
+    # one amplitude of another modulus
+    sp = s.to_sparse()
+    sp.terms[a] = sp.terms[a].scaled(2)
+    assert sp.as_minimal() is None
 
 
 def test_global_phase_detection():
@@ -476,6 +508,12 @@ def test_global_phase_detection():
     assert got is not None and got.close_to(g.conj())
     decorated = with_phases(s, {(0, 0, 0, 0): root_of_unity(3, 1)})
     assert states_equal_up_to_global_phase(s, decorated) is None
+    # 1 + w_8 is no rational times a root of unity: its phase is read in floats
+    a = Amp(terms={Fraction(0): Fraction(1), Fraction(1, 8): Fraction(1)})
+    x = SparseState(2, 2, {(0, 0): a, (1, 1): a}, scale2=4)
+    y = SparseState(2, 2, {i: a * g for i in x.terms}, scale2=4)
+    assert a.polar() is None
+    assert states_equal_up_to_global_phase(y, x).close_to(g)
 
 
 def _minimal_pairs():
