@@ -22,7 +22,7 @@ from .equivalence import (EquivalenceCertificate, EquivalenceError, automorphism
 from .reductions import (ReductionError, ReductionFilterReport,
                          TriangularMatrixPair, build_u4_u5, reduced_lm_filter,
                          verify_ame5_nonequivalence, verify_rho345_lemma)
-from .cli import RunConfig, reproduce, run_cli
+from .cli import reproduce, run_cli
 
 __version__ = "0.1.0"
 

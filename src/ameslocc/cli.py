@@ -14,9 +14,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import butson as bt
 from . import designs as dg
@@ -24,7 +22,7 @@ from . import equivalence as eq
 from . import reductions as rd
 from . import states as st
 from .operators import LocalOperator, SiteOperator
-from .phases import PhaseError, set_tolerance
+from .phases import DEFAULT_TOL, PhaseError, set_tolerance
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -35,28 +33,15 @@ class CliError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    mode: str = "exact"
-    tolerance: float = 1e-10
-    max_nodes: int = eq.DEFAULT_MAX_NODES
-    seed: int = 7
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise CliError("tolerance must be positive")
-        if self.max_nodes <= 0:
-            raise CliError("max-nodes must be positive")
-        if self.mode not in ("exact", "float"):
-            raise CliError("mode must be 'exact' or 'float'")
-
-
-def _config_from_args(args) -> RunConfig:
-    given = {name: getattr(args, name, None)
-             for name in ("mode", "tolerance", "max_nodes", "seed")}
-    cfg = RunConfig(**{name: v for name, v in given.items() if v is not None})
-    set_tolerance(cfg.tolerance)
-    return cfg
+def _positive_int(text: str) -> int:
+    """The --max-nodes type: an int > 0, else an argparse usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+    return n
 
 
 def _load_json(path: str, what: str, parse):
@@ -89,8 +74,8 @@ def parse_oa_file(path: str) -> dg.OrthogonalArray:
     return dg.parse_oa_text(text)
 
 
-def _check_exact(state, cfg: RunConfig):
-    if cfg.mode == "exact" and not state.is_exact:
+def _check_exact(state, args):
+    if args.mode == "exact" and not state.is_exact:
         raise CliError("exact mode rejects states with non-rational turns; "
                        "rerun with --mode float")
 
@@ -123,7 +108,6 @@ _CONSTRUCTORS = {
 
 
 def _cmd_construct(args) -> int:
-    cfg = _config_from_args(args)
     if args.name not in _CONSTRUCTORS:
         raise CliError("unknown state %r; available: %s"
                        % (args.name, ", ".join(sorted(_CONSTRUCTORS))))
@@ -139,7 +123,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = _config_from_args(args)
     if args.kind == "oa":
         oa = parse_oa_file(args.file)
         report = dg.check_oa(oa.rows, oa.d, oa.strength)
@@ -155,7 +138,7 @@ def _cmd_check(args) -> int:
         return EXIT_OK
     if args.kind == "state":
         state = _load_state(args.file)
-        _check_exact(state, cfg)
+        _check_exact(state, args)
         k = st.uniformity(state)
         minimal = state.as_minimal(k=k) is not None if k else False
         payload = {"n": state.n, "d": state.d, "terms": len(state.terms),
@@ -168,7 +151,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    _config_from_args(args)
     if args.to == "state":
         oa = parse_oa_file(args.file)
         state = dg.oa_to_state(oa)
@@ -200,29 +182,27 @@ def _certificate_lines(cert: eq.EquivalenceCertificate):
 
 
 def _cmd_equiv(args) -> int:
-    cfg = _config_from_args(args)
     src, dst = _load_state(args.src), _load_state(args.dst)
-    _check_exact(src, cfg)
-    _check_exact(dst, cfg)
+    _check_exact(src, args)
+    _check_exact(dst, args)
     if args.branch == "lm":
         ma, mb = src.as_minimal(), dst.as_minimal()
         if ma is None or mb is None:
             raise CliError("--branch lm needs minimal-support inputs")
-        cert = eq.lm_match(ma, mb, max_nodes=cfg.max_nodes)
+        cert = eq.lm_match(ma, mb, max_nodes=args.max_nodes)
     else:
-        cert = eq.decide_slocc(src, dst, max_nodes=cfg.max_nodes)
+        cert = eq.decide_slocc(src, dst, max_nodes=args.max_nodes)
     _emit(cert.to_json(), args, _certificate_lines(cert))
     return EXIT_NEGATIVE if cert.verdict == "inequivalent" else EXIT_OK
 
 
 def _cmd_autos(args) -> int:
-    cfg = _config_from_args(args)
     state = _load_state(args.src)
     minimal = state.as_minimal()
     if minimal is None:
         raise CliError("automorphism search needs a minimal-support state")
     found = eq.automorphisms(minimal, branch=args.branch,
-                             max_nodes=cfg.max_nodes)
+                             max_nodes=args.max_nodes)
     payload = {"count": len(found), "branch": args.branch,
                "witnesses": [w.to_json() for w in found]}
     _emit(payload, args, ["automorphisms (%s branch): %d"
@@ -231,7 +211,6 @@ def _cmd_autos(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    cfg = _config_from_args(args)
     src, dst = _load_state(args.src), _load_state(args.dst)
     ma, mb = src.as_minimal(), dst.as_minimal()
     if ma is None or mb is None:
@@ -243,7 +222,6 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_enumerate_bh(args) -> int:
-    _config_from_args(args)
     reps = bt.enumerate_bh(args.d)
     payload = {"d": args.d, "classes": len(reps),
                "representatives": [m.to_json() for m in reps]}
@@ -259,7 +237,7 @@ def _cmd_enumerate_bh(args) -> int:
 # Recorded scenarios
 
 
-def _scenario_fourier_automorphism(cfg: RunConfig) -> dict:
+def _scenario_fourier_automorphism(args) -> dict:
     state = st.construct_ame43()
     layer = LocalOperator([SiteOperator.butson(bt.fourier(3))] * 4)
     image = layer.apply(state)
@@ -270,7 +248,7 @@ def _scenario_fourier_automorphism(cfg: RunConfig) -> dict:
             "global_phase": g.to_json() if g else None}
 
 
-def _scenario_composed_automorphism(cfg: RunConfig) -> dict:
+def _scenario_composed_automorphism(args) -> dict:
     base = st.construct_ame43()
     composed = st.tensor_compose(base, base)
     # F x Id on the composed 9-level site: entry ((3a+b),(3c+e)) is
@@ -305,8 +283,8 @@ def _random_unitary(rng, d: int):
     return cols
 
 
-def _scenario_bell(cfg: RunConfig) -> dict:
-    rng = random.Random(cfg.seed)
+def _scenario_bell(args) -> dict:
+    rng = random.Random(args.seed)
     checks = []
     for d in range(2, 6):
         bell = [1 / math.sqrt(d) if i // d == i % d else 0.0 for i in range(d * d)]
@@ -324,21 +302,19 @@ def _scenario_bell(cfg: RunConfig) -> dict:
             "cases": len(checks)}
 
 
-def _scenario_ex9(cfg: RunConfig) -> dict:
+def _scenario_ex9(args) -> dict:
     state = st.construct_ame44()
     f22 = bt.tensor_butson(bt.fourier(2), bt.fourier(2))
     layer = LocalOperator([SiteOperator.butson(f22)] * 4)
     image = layer.apply(state)
     minimal = image.as_minimal(k=2)
-    cert = eq.butson_match(state, minimal, max_nodes=cfg.max_nodes) \
+    cert = eq.butson_match(state, minimal, max_nodes=args.max_nodes) \
         if minimal is not None else None
-    perm_witness = None
-    if minimal is not None:
-        got = eq.lm_match(state, minimal, max_nodes=cfg.max_nodes)
-        if got.equivalent:
-            perm_witness = [list(s.sigma) for s in got.witness.sites]
-    return {"passed": bool(minimal is not None and cert is not None
-                           and cert.equivalent and perm_witness is not None),
+    # butson_match runs lm_match first, so a permutation witness is its
+    # lm-witness
+    perm_witness = ([list(s.sigma) for s in cert.witness.sites]
+                    if cert is not None and cert.reason == "lm-witness" else None)
+    return {"passed": perm_witness is not None,
             "claim": "the two-qubit Fourier layer on every site of the "
                      "4-party 4-level state lands on a local permutation "
                      "of the same state",
@@ -347,22 +323,22 @@ def _scenario_ex9(cfg: RunConfig) -> dict:
             "butson_match_verdict": cert.verdict if cert else None}
 
 
-def _scenario_appendix_d(cfg: RunConfig, d: int) -> dict:
-    report = rd.verify_ame5_nonequivalence(d)
+def _scenario_appendix_d(args) -> dict:
+    report = rd.verify_ame5_nonequivalence(_given(args.d, 5))
     report["passed"] = report["all_passed"]
     return report
 
 
-def _scenario_ame55(cfg: RunConfig) -> dict:
+def _scenario_ame55(args) -> dict:
     cert = eq.decide_slocc(st.construct_ame5_phased(5), st.ame_linear_5(5),
-                           max_nodes=cfg.max_nodes)
+                           max_nodes=args.max_nodes)
     return {"passed": cert.verdict == "inequivalent",
             "claim": "the phased and minimal-support five-party families "
                      "are not locally equivalent at d=5",
             "certificate": cert.to_json()}
 
 
-def _scenario_ame6_family(cfg: RunConfig) -> dict:
+def _scenario_ame6_family(args) -> dict:
     base = st.construct_ame64()
     phis = [0.1, 0.7, 1.3, 2.9]
     turns = [p / (2 * math.pi) for p in phis]
@@ -380,29 +356,31 @@ def _scenario_ame6_family(cfg: RunConfig) -> dict:
 
 
 _SCENARIOS = {
-    "fourier-automorphism": lambda cfg, a: _scenario_fourier_automorphism(cfg),
-    "composed-automorphism": lambda cfg, a: _scenario_composed_automorphism(cfg),
-    "bell-UUbar": lambda cfg, a: _scenario_bell(cfg),
-    "ex9": lambda cfg, a: _scenario_ex9(cfg),
-    "appendix-d": lambda cfg, a: _scenario_appendix_d(cfg, _given(a.d, 5)),
-    "ame55-inequivalence": lambda cfg, a: _scenario_ame55(cfg),
-    "ame6-family": lambda cfg, a: _scenario_ame6_family(cfg),
+    "fourier-automorphism": _scenario_fourier_automorphism,
+    "composed-automorphism": _scenario_composed_automorphism,
+    "bell-UUbar": _scenario_bell,
+    "ex9": _scenario_ex9,
+    "appendix-d": _scenario_appendix_d,
+    "ame55-inequivalence": _scenario_ame55,
+    "ame6-family": _scenario_ame6_family,
 }
 
 
-def reproduce(example_id: str, cfg: Optional[RunConfig] = None, args=None) -> dict:
-    """Run one recorded scenario end to end; report carries a 'passed' flag."""
+def reproduce(example_id: str, args=None) -> dict:
+    """Run one recorded scenario end to end; report carries a 'passed' flag.
+
+    ``args`` is the parsed command line; None reads the parser's defaults.
+    """
     if example_id not in _SCENARIOS:
         raise CliError("unknown scenario %r; available: %s"
                        % (example_id, ", ".join(sorted(_SCENARIOS))))
-    cfg = cfg or RunConfig()
-    ns = args if args is not None else argparse.Namespace(d=None)
-    return _SCENARIOS[example_id](cfg, ns)
+    if args is None:
+        args = _build_parser().parse_args(["reproduce", example_id])
+    return _SCENARIOS[example_id](args)
 
 
 def _cmd_reproduce(args) -> int:
-    cfg = _config_from_args(args)
-    report = reproduce(args.id, cfg, args)
+    report = reproduce(args.id, args)
     status = "pass" if report.get("passed") else "FAIL"
     _emit(report, args, ["%s: %s" % (args.id, status)])
     return EXIT_OK if report.get("passed") else EXIT_NEGATIVE
@@ -412,12 +390,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ame-slocc",
         description="construct k-uniform states and decide local equivalence")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="float-comparison tolerance (default 1e-10)")
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
+                   help="float-comparison tolerance, 0 < t < inf (default %(default)g)")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.add_argument("--max-nodes", type=int, default=None,
-                   help="search-node budget for equivalence engines")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--max-nodes", type=_positive_int, default=eq.DEFAULT_MAX_NODES,
+                   help="search-node budget for equivalence engines (default %(default)d)")
+    p.add_argument("--seed", type=int, default=7,
+                   help="random seed of the bell-UUbar scenario (default %(default)d)")
     sub = p.add_subparsers(dest="command")
 
     c = sub.add_parser("construct", help="emit a named state as JSON")
@@ -485,6 +464,7 @@ def run_cli(argv=None) -> int:
         parser.print_usage()
         return EXIT_ERROR
     try:
+        set_tolerance(args.tolerance)
         return args.func(args)
     except (CliError, st.StateError, dg.DesignError, bt.ButsonError,
             eq.EquivalenceError, rd.ReductionError, PhaseError) as e:

@@ -76,17 +76,11 @@ def check_oa(rows: Sequence[Sequence[int]], d: int, k: int) -> dict:
     return {"is_oa": True, "index": lam}
 
 
-def oa_to_state(oa: OrthogonalArray, phases=None) -> MinimalSupportState:
+def oa_to_state(oa: OrthogonalArray) -> MinimalSupportState:
     """Index-unity OA rows become the support of a minimal-support state."""
     if oa.index != 1:
         raise DesignError("state correspondence requires index unity, got %d" % oa.index)
-    assign = {tuple(r): ONE for r in oa.rows}
-    if phases:
-        for idx, p in phases.items():
-            if tuple(idx) not in assign:
-                raise DesignError("phase key %r not an OA row" % (idx,))
-            assign[tuple(idx)] = p
-    return MinimalSupportState(oa.ncols, oa.d, oa.strength, assign)
+    return MinimalSupportState(oa.ncols, oa.d, oa.strength, {r: ONE for r in oa.rows})
 
 
 def state_to_oa(s: MinimalSupportState) -> OrthogonalArray:
@@ -161,36 +155,39 @@ def extension_bound(s: int, d: int, k: int) -> bool:
 def small_regime(k: int, d: int) -> bool:
     """True when d is small enough that no admissible sub-design can occur.
 
-    A nontrivial sub-MOLH needs size s >= k + 1 and the extension bound
-    k*s^(k-1) <= (d-s)^(k-1); the regime where even s = k + 1 fails is where
-    the finite verification of N = 2k equivalences is complete.  For k = 1 the
-    threshold is d < 3.
+    A nontrivial sub-MOLH needs size s >= k + 1 and ``extension_bound(s, d, k)``;
+    the regime where even s = k + 1 fails is where the finite verification
+    of N = 2k equivalences is complete.  For k = 1 the threshold is d < 3.
     """
     if k < 1:
         raise DesignError("k must be positive")
     if k == 1:
         return d < 3
-    return (d - k - 1) ** (k - 1) < k * (k + 1) ** (k - 1) if d > k + 1 else True
+    return d <= k + 1 or not extension_bound(k + 1, d, k)
 
 
-def find_sub_molh(L: LatinHypercube, s: int, node_budget: int = 10 ** 7):
+#: Candidate blocks ``find_sub_molh`` scans before it stops.
+_SUB_MOLH_BUDGET = 10 ** 7
+
+
+def find_sub_molh(L: LatinHypercube, s: int):
     """All axis-aligned size-s blocks S1 x ... x Sk mapped by L onto a block.
 
     Returns (matches, complete) where each match is (input block, output
-    block); the scan is exhaustive unless the candidate count exceeds the
-    node budget, in which case ``complete`` is False.
+    block); the scan is exhaustive unless the candidate count exceeds
+    ``_SUB_MOLH_BUDGET``, in which case ``complete`` is False.
     """
     from math import comb
 
     if not 1 <= s <= L.d:
         raise DesignError("need 1 <= s <= d")
     candidates = comb(L.d, s) ** L.k
-    complete = candidates <= node_budget
+    complete = candidates <= _SUB_MOLH_BUDGET
     matches = []
     scanned = 0
     for blocks in itertools.product(itertools.combinations(range(L.d), s), repeat=L.k):
         scanned += 1
-        if scanned > node_budget:
+        if scanned > _SUB_MOLH_BUDGET:
             break
         images = [L(idx) for idx in itertools.product(*blocks)]
         out_axes = [sorted({im[a] for im in images}) for a in range(L.k)]

@@ -26,20 +26,20 @@ DEFAULT_TOL = 1e-10
 _tol = DEFAULT_TOL
 
 
+class PhaseError(ValueError):
+    pass
+
+
 def set_tolerance(tol):
-    """Set the global float-comparison tolerance (must be > 0)."""
+    """Set the global float-comparison tolerance; PhaseError unless 0 < tol < inf."""
     global _tol
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise PhaseError("tolerance must be positive and finite, got %r" % (tol,))
     _tol = tol
 
 
 def get_tolerance():
     return _tol
-
-
-class PhaseError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,10 @@ class Phase:
         elif isinstance(t, int):
             object.__setattr__(self, "turn", Fraction(0))
         else:
-            object.__setattr__(self, "turn", float(t) % 1.0)
+            t = float(t)
+            if not math.isfinite(t):
+                raise PhaseError("phase turn must be finite, got %r" % t)
+            object.__setattr__(self, "turn", t % 1.0)
 
     @property
     def is_exact(self):
@@ -149,7 +152,6 @@ def numerator_phase(value, q) -> Phase:
 
 
 ONE = Phase(Fraction(0))
-MINUS_ONE = Phase(Fraction(1, 2))
 
 
 def root_of_unity(q: int, p: int = 1) -> Phase:
@@ -400,18 +402,6 @@ class Amp:
             return self.form() == other.form() or (self - other).is_zero()
         return abs(complex(self) - complex(other)) <= _tol
 
-    def as_single_phase(self):
-        """Return this amplitude as a Phase if it is exactly one unit root, else None."""
-        if self.is_exact:
-            q, counts, den = self.form()
-            if len(counts) == 1 and den in counts.values():  # its one c / den is 1
-                return Phase(Fraction(next(iter(counts)), q))
-            return None
-        z = self.value
-        if abs(abs(z) - 1.0) <= _tol:
-            return Phase(cmath.phase(z) / (2 * math.pi))
-        return None
-
     def polar(self):
         """(m, Phase) with m > 0 and this amplitude m times that phase, or None.
 
@@ -448,7 +438,10 @@ class Amp:
     def from_json(obj) -> "Amp":
         """The amplitude ``to_json`` wrote; exponents are read mod q."""
         if "counts" not in obj:
-            return Amp.from_complex(complex(obj["re"], obj["im"]))
+            z = complex(obj["re"], obj["im"])
+            if not cmath.isfinite(z):
+                raise PhaseError("amplitude must be finite, got %r" % (obj,))
+            return Amp.from_complex(z)
         q, den, counts = obj["q"], obj["den"], obj["counts"]
         if not (all(type(x) is int for x in [q, den, *(x for pair in counts for x in pair)])
                 and q > 0 and den > 0):

@@ -92,12 +92,10 @@ class MinimalSupportState:
         }
 
     @staticmethod
-    def from_json(obj, k=None) -> "MinimalSupportState":
+    def from_json(obj) -> "MinimalSupportState":
         n, d = obj["n"], obj["d"]
         phases = {tuple(t["idx"]): Phase.from_json(t["phase"]) for t in obj["terms"]}
-        if k is None:
-            k = _infer_k(d, len(phases))
-        return MinimalSupportState(n, d, k, phases)
+        return MinimalSupportState(n, d, _infer_k(d, len(phases)), phases)
 
     def __repr__(self):
         return f"MinimalSupportState(n={self.n}, d={self.d}, k={self.k}, {len(self.phases)} terms)"
@@ -204,12 +202,14 @@ class SparseState:
             return None
 
     def to_json(self):
-        """Terms as their phase when one unit root, else as ``Amp.to_json``."""
+        """Terms as their phase when ``Amp.polar`` gives modulus 1, else as
+        ``Amp.to_json``."""
         out = []
         for i in sorted(self.terms):
             a = self.terms[i]
-            p = a.as_single_phase()
-            out.append({"idx": list(i), **(a.to_json() if p is None else {"phase": p.to_json()})})
+            split = a.polar()
+            unit = split is not None and not _moduli_differ(split[0], 1)
+            out.append({"idx": list(i), **({"phase": split[1].to_json()} if unit else a.to_json())})
         return {"n": self.n, "d": self.d, "scale2": str(self.scale2), "terms": out}
 
     @staticmethod

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -6,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from ameslocc.butson import fourier
-from ameslocc.cli import _SCENARIOS, CliError, RunConfig, run_cli
+from ameslocc.cli import _SCENARIOS, reproduce, run_cli
 from ameslocc.operators import LocalOperator, SiteOperator
-from ameslocc.phases import root_of_unity
+from ameslocc.phases import DEFAULT_TOL, get_tolerance, root_of_unity, set_tolerance
 from ameslocc.states import ame64_phi, construct_ame43
 
 
@@ -151,7 +152,16 @@ def test_reproduce_fourier(tmp_path):
 def test_reproduce_every_scenario(tmp_path, scenario):
     rep = tmp_path / "rep.json"
     assert run_cli(["reproduce", scenario, "--json", str(rep)]) == 0
-    assert json.loads(rep.read_text())["passed"] is True
+    written = json.loads(rep.read_text())
+    assert written["passed"] is True
+    # the library call reads the parser's defaults and gives the same report
+    assert json.loads(json.dumps(reproduce(scenario))) == written
+
+
+def test_ex9_permutation_witness_is_pinned():
+    report = reproduce("ex9")
+    assert report["butson_match_verdict"] == "equivalent"
+    assert report["witness_sigmas"] == [[0, 3, 1, 2], [0, 1, 2, 3], [0, 2, 3, 1], [0, 1, 2, 3]]
 
 
 @pytest.mark.parametrize("d", ["7", "11"])
@@ -167,19 +177,51 @@ def test_no_subcommand_usage():
     assert run_cli([]) == 2
 
 
-def test_runconfig_validation():
-    with pytest.raises(CliError):
-        RunConfig(tolerance=0.0)
-    with pytest.raises(CliError):
-        RunConfig(max_nodes=0)
-    with pytest.raises(CliError):
-        RunConfig(mode="symbolic")
+@pytest.mark.parametrize("flag, value", [("--tolerance", "0"), ("--max-nodes", "0"),
+                                         ("--mode", "symbolic")],
+                         ids=["--tolerance", "--max-nodes", "--mode"])
+def test_zero_config_values_are_rejected(flag, value):
+    # 0 is a given value, not a missing one: the parser or set_tolerance
+    # rejects it
+    assert run_cli([flag, value, "reproduce", "ex9"]) == 2
 
 
-@pytest.mark.parametrize("flag", ["--tolerance", "--max-nodes"])
-def test_zero_config_values_are_rejected(flag):
-    # 0 is a given value, not a missing one: RunConfig rejects it
-    assert run_cli([flag, "0", "reproduce", "ex9"]) == 2
+@pytest.mark.parametrize("argv", [["--tolerance", "-1"], ["--tolerance", "nan"],
+                                  ["--tolerance", "inf"], ["--max-nodes", "-5"]])
+def test_global_options_refuse_nonpositive_and_nonfinite_values(tmp_path, capsys, argv):
+    # a nan tolerance decided this self pair inconclusive and exited 0; an
+    # infinite one claimed the inputs were not k-uniform
+    a = write(tmp_path / "a.json", json.dumps(ame64_phi(0.1).to_json()))
+    assert run_cli(argv + ["--mode", "float", "equiv", "--src", a, "--dst", a]) == 2
+    assert "verdict" not in capsys.readouterr().out
+
+
+def test_tolerance_is_reset_on_every_call():
+    try:
+        assert run_cli(["--tolerance", "1e-3", "reproduce", "ex9"]) == 0
+        assert get_tolerance() == 1e-3
+        assert run_cli(["reproduce", "ex9"]) == 0
+        assert get_tolerance() == DEFAULT_TOL
+    finally:
+        set_tolerance(DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("term", [{"phase": {"turn_real": math.nan}},
+                                  {"phase": {"turn_real": math.inf}},
+                                  {"re": math.nan, "im": 0.0}],
+                         ids=["nan-turn", "inf-turn", "nan-re"])
+def test_nonfinite_state_files_are_refused(tmp_path, capsys, term):
+    # these raised a bare ValueError out of run_cli (equiv) or were read as
+    # a state of uniformity 0 (check)
+    obj = ame64_phi(0.1).to_json()
+    good = write(tmp_path / "good.json", json.dumps(obj))
+    obj["terms"] = [{"idx": t["idx"], **term} if t["idx"] == [0] * 6 else t
+                    for t in obj["terms"]]
+    bad = write(tmp_path / "bad.json", json.dumps(obj))
+    assert run_cli(["--mode", "float", "equiv", "--src", bad, "--dst", good]) == 2
+    assert run_cli(["--mode", "float", "check", "state", "--file", bad]) == 2
+    assert run_cli(["--mode", "float", "check", "state", "--file", good]) == 0
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

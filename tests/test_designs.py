@@ -101,6 +101,17 @@ def test_small_regime_thresholds():
     assert thresholds == [3, 9, 11, 13]
 
 
+def test_small_regime_reads_the_extension_bound():
+    # the closed form small_regime was written in before it called
+    # extension_bound(k + 1, d, k)
+    def closed_form(k, d):
+        if k == 1:
+            return d < 3
+        return (d - k - 1) ** (k - 1) < k * (k + 1) ** (k - 1) if d > k + 1 else True
+    assert all(small_regime(k, d) == closed_form(k, d)
+               for k in range(1, 7) for d in range(2, 41))
+
+
 def test_small_regime_k1():
     assert small_regime(1, 2)
     assert not small_regime(1, 3)

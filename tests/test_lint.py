@@ -195,7 +195,8 @@ def test_lru_caches_are_bounded():
 
 # one five-party decision, with no test dependency: a fixed local monomial
 # image; and two N = 2k decisions through butson_match's rule, one exact and
-# one on float turns, 192 float solves
+# one on float turns, 192 float solves; then one CLI scenario and two of the
+# CLI's option errors, since argparse's behaviour differs between versions
 SMOKE = textwrap.dedent("""
     import math
     from fractions import Fraction
@@ -220,6 +221,9 @@ SMOKE = textwrap.dedent("""
     phi = ameslocc.ame64_phi(0.1 / (2 * math.pi)).to_sparse()
     cert = ameslocc.decide_slocc(phi, phi)
     assert cert.verdict == "equivalent", cert.verdict
+    assert ameslocc.run_cli(["reproduce", "ex9"]) == 0
+    assert ameslocc.run_cli(["--tolerance", "nan", "reproduce", "ex9"]) == 2
+    assert ameslocc.run_cli(["--max-nodes", "0", "reproduce", "ex9"]) == 2
 """)
 
 

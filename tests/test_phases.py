@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ameslocc import phases
-from ameslocc.phases import (ONE, MINUS_ONE, Amp, Phase, _cyclotomic_coeffs,
+from ameslocc.phases import (ONE, Amp, Phase, PhaseError, _cyclotomic_coeffs,
                              _reduce_mod_cyclotomic, exponent_sum_is_zero,
                              get_tolerance, nth_roots, phase_product,
                              root_of_unity, set_tolerance)
@@ -23,8 +23,8 @@ def test_root_of_unity_basics():
 
 
 def test_minus_one():
-    assert MINUS_ONE.turn == Fraction(1, 2)
-    assert complex(MINUS_ONE) == pytest.approx(-1 + 0j)
+    assert root_of_unity(2, 1).turn == Fraction(1, 2)
+    assert complex(root_of_unity(2, 1)) == pytest.approx(-1 + 0j)
 
 
 def test_mul_div_conj():
@@ -142,12 +142,38 @@ def test_amp_from_complex_float_mode():
     assert complex(a) == pytest.approx(0.5 + 0.5j)
 
 
-def test_as_single_phase():
+def test_polar_splits_unit_roots():
     a = Amp.from_phase(root_of_unity(7, 3))
-    p = a.as_single_phase()
-    assert p is not None and p.turn == Fraction(3, 7)
-    two = a + a
-    assert two.as_single_phase() is None
+    assert a.polar() == (1, Phase(Fraction(3, 7)))
+    assert (a + a).polar() == (2, Phase(Fraction(3, 7)))
+    assert a.scaled(-1).polar() == (1, Phase(Fraction(3, 7) + Fraction(1, 2)))
+    # 1 + w_3 + w_3^2 vanishes, so this sum collapses to w_3
+    cube = Amp(terms={Fraction(0): 1, Fraction(1, 3): 2, Fraction(2, 3): 1})
+    assert cube.polar() == (1, Phase(Fraction(1, 3)))
+    assert (a + a.scaled(-1)).polar() is None
+
+
+@pytest.mark.parametrize("turn", [math.nan, math.inf, -math.inf])
+def test_nonfinite_float_turns_are_refused(turn):
+    with pytest.raises(PhaseError):
+        Phase(turn)
+    with pytest.raises(PhaseError):
+        Phase.from_json({"turn_real": turn})
+
+
+@pytest.mark.parametrize("obj", [{"re": math.nan, "im": 0.0}, {"re": 1.0, "im": math.inf},
+                                 {"re": -math.inf, "im": math.nan}])
+def test_nonfinite_float_amplitudes_are_refused(obj):
+    with pytest.raises(PhaseError):
+        Amp.from_json(obj)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_set_tolerance_refuses_nonpositive_and_nonfinite(tol):
+    old = get_tolerance()
+    with pytest.raises(PhaseError):
+        set_tolerance(tol)
+    assert get_tolerance() == old
 
 
 @given(st.integers(min_value=2, max_value=12))

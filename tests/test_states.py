@@ -169,11 +169,34 @@ def test_sparse_json_reads_every_amplitude_encoding():
     s = SparseState.from_json(obj)
     assert s.terms[(0, 0)].equals(Amp.from_phase(Phase(Fraction(1, 4))))
     assert not s.terms[(0, 1)].is_exact and complex(s.terms[(0, 1)]) == 0.5 - 0.5j
-    assert s.terms[(1, 1)].as_single_phase() == Phase(Fraction(1, 6))
+    assert s.terms[(1, 1)].polar() == (1, Phase(Fraction(1, 6)))
     for bad in ({"q": 0, "counts": [], "den": 1}, {"q": 3, "counts": [[0, 1.5]], "den": 1},
                 {"q": 3, "counts": [[0, 1]], "den": -1}):
         with pytest.raises(PhaseError):
             SparseState.from_json({"n": 1, "d": 2, "terms": [{"idx": [0], **bad}]})
+
+
+def test_sparse_json_writes_unit_moduli_as_phases():
+    w = Amp.from_phase(root_of_unity(6, 1))
+    # 1 + 2 w_3 + w_3^2 collapses to w_3, since 1 + w_3 + w_3^2 = 0
+    collapsed = Amp(terms={Fraction(0): 1, Fraction(1, 3): 2, Fraction(2, 3): 1})
+    s = SparseState(2, 2, {(0, 0): w.scaled(-1), (0, 1): collapsed, (1, 0): w.scaled(2),
+                           (1, 1): Amp.from_complex(1j)}, scale2=7)
+    obj = s.to_json()
+    terms = {tuple(t["idx"]): t for t in obj["terms"]}
+    assert terms[(0, 0)]["phase"] == {"turn": {"num": 2, "den": 3}}
+    assert terms[(0, 1)]["phase"] == {"turn": {"num": 1, "den": 3}}
+    assert "phase" not in terms[(1, 0)]
+    assert terms[(1, 1)]["phase"] == {"turn_real": 0.25}
+    back = SparseState.from_json(json.loads(json.dumps(obj)))
+    assert back.scale2 == 7 and back.terms.keys() == s.terms.keys()
+    assert all(back.terms[i].equals(a) for i, a in s.terms.items())
+
+
+def test_ame64_phi_refuses_a_nonfinite_turn():
+    for turn in (math.nan, math.inf):
+        with pytest.raises(PhaseError):
+            ame64_phi(turn)
 
 
 def test_tensor_compose_9level():
