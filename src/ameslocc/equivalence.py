@@ -856,7 +856,7 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
         if 2 * ka < ma.n:
             return lm_match(ma, mb, max_nodes=max_nodes)
         return butson_match(ma, mb, max_nodes=max_nodes)
-    pipeline = _ame5_pipeline_applicable(src.to_sparse(), dst.to_sparse())
+    pipeline = _ame5_pipeline_applicable(src, dst)
     if pipeline is not None:
         from .reductions import verify_ame5_nonequivalence
         report = verify_ame5_nonequivalence(pipeline)
@@ -881,8 +881,13 @@ def _read_minimal(s) -> Optional[MinimalSupportState]:
     MinimalSupportState gets no SparseState built for it; the support check
     (``states._check_support``) caches passing supports only.
     """
-    terms = s.phases if isinstance(s, MinimalSupportState) else s.terms
-    return s.as_minimal() if len(terms) <= s.d ** (s.n // 2) else None
+    return s.as_minimal() if len(_rows(s)) <= s.d ** (s.n // 2) else None
+
+
+def _rows(s):
+    """The support rows of either state class, read without a conversion:
+    a dict keyed by the rows."""
+    return s.phases if isinstance(s, MinimalSupportState) else s.terms
 
 
 def _ame5_pipeline_applicable(sa, sb) -> Optional[int]:
@@ -890,23 +895,24 @@ def _ame5_pipeline_applicable(sa, sb) -> Optional[int]:
 
     Returns the prime d >= 5 when one support is exactly the d^3 rows of
     ``construct_ame5_phased(d)`` and the other exactly the d^2 rows of
-    ``ame_linear_5(d)``, in either order; None otherwise.  Each support is
-    checked against its defining congruences mod d: the solutions in [d]^5
-    number d^3 (free i0, i1, i4) and d^2 (free i0, i1), so that many
-    distinct rows satisfying them are the whole support.
+    ``ame_linear_5(d)``, in either order; None otherwise.  Either state
+    class is read by its rows (``_rows``), with no ``to_sparse``.  Each
+    support is checked against its defining congruences mod d: the
+    solutions in [d]^5 number d^3 (free i0, i1, i4) and d^2 (free i0, i1),
+    so that many distinct rows satisfying them are the whole support.
     """
     d = sa.d
     if (sa.n, sb.n, sb.d) != (5, 5, d) or d < 5 or not _is_prime(d):
         return None
-    counts = {len(sa.terms), len(sb.terms)}
-    if counts != {d ** 2, d ** 3}:
+    ra, rb = _rows(sa), _rows(sb)
+    if {len(ra), len(rb)} != {d ** 2, d ** 3}:
         return None
-    big, small = (sa, sb) if len(sa.terms) == d ** 3 else (sb, sa)
+    big, small = (ra, rb) if len(ra) == d ** 3 else (rb, ra)
     if any((i0 + i1 - i2) % d or (2 * i0 + i1 + i4 - i3) % d
-           for i0, i1, i2, i3, i4 in big.terms):
+           for i0, i1, i2, i3, i4 in big):
         return None
     if any((i0 + i1 - i2) % d or (2 * i0 + i1 - i3) % d or (3 * i0 + i1 - i4) % d
-           for i0, i1, i2, i3, i4 in small.terms):
+           for i0, i1, i2, i3, i4 in small):
         return None
     return d
 

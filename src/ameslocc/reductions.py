@@ -15,7 +15,6 @@ with d^3 terms.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress, product
@@ -270,12 +269,14 @@ def verify_ame5_nonequivalence(d: int) -> dict:
     d^2, and the forced support d^2 * d^2 = d^4 contradicts the d^3-term
     support of the phased family.
 
-    The report depends on d alone, so it is built once per d and each call
-    returns a deep copy of it.
+    The report depends on d alone, so it is built once per d.  Each call
+    returns a copy of its dict and of each step's dict, whose values are
+    all immutable, so no caller can change the next call's report.
     """
     if not (_is_prime(d) and d >= 5):
         raise ReductionError("the certificate needs a prime d >= 5")
-    return copy.deepcopy(_ame5_certificate(d))
+    report = _ame5_certificate(d)
+    return {**report, "steps": [dict(step) for step in report["steps"]]}
 
 
 @lru_cache(maxsize=None)

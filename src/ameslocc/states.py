@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .phases import (ONE, Amp, Phase, get_tolerance, numerator_phase, root_of_unity,
                      turn_numerators)
@@ -148,33 +148,40 @@ class SparseState:
         return all(a.is_exact for a in self.terms.values())
 
     @cached_property
+    def _support(self):
+        """The ``_Support`` of this state's rows in term order, looked up
+        once per state."""
+        return _support_of(tuple(self.terms), self.n, self.d)
+
+    @cached_property
     def _integer_reading(self):
         """The exact terms over integers, read once per state:
-        (q, den, cols, pairs, norms, norm).
+        (q, den, pairs, norms, norm).
 
-        Term r is the r-th entry of ``terms``, and ``cols[p]`` lists the
-        symbol of every term on site p.  ``pairs[r]`` lists (e, c) with
-        the amplitude of term r equal to sum(c * w_q^e) / den: each
-        amplitude's ``Amp.form`` lifted to q and den, the lcm of their
-        conductors and of their denominators.  ``norms[r]`` is den^2 times
-        its squared modulus as a count vector (``_count_vector``), and
-        ``norm`` the one such vector when every term has it, else None.
-        Every partial trace of this state reuses the reading.  None when a
-        term has a real turn.
+        Term r is the r-th entry of ``terms``.  ``pairs[r]`` lists (e, c)
+        with the amplitude of term r equal to sum(c * w_q^e) / den: each
+        amplitude's (q, counts, den) lifted to q and den, the lcm of their
+        q and of their den.  The forms are not reduced first: a zero test
+        reduces each count vector to its own conductor (``_vanishes``).
+        ``norms[r]`` is den^2 times its squared modulus as a count vector
+        (``_count_vector``), and ``norm`` the one such vector when every
+        term has it, else None.  Every partial trace of this state reuses
+        the reading.  None when a term has a real turn.
         """
         if not self.is_exact:
             return None
-        forms = [a.form() for a in self.terms.values()]
-        q = math.lcm(*(f[0] for f in forms))
-        den = math.lcm(*(f[2] for f in forms))
-        pairs = [[(e * (q // aq), c * (den // aden)) for e, c in counts.items()]
-                 for aq, counts, aden in forms]
+        amps = self.terms.values()
+        q = math.lcm(*{a.q for a in amps})
+        den = math.lcm(*{a.den for a in amps})
+        pairs = [list(a.counts.items()) if a.q == q and a.den == den else
+                 [(e * (q // a.q), c * (den // a.den)) for e, c in a.counts.items()]
+                 for a in amps]
         # |c w^e|^2 = c^2 needs no products
         norms = [((0, p[0][1] ** 2),) if len(p) == 1
                  else _count_vector(_add_products({}, p, p, q)) for p in pairs]
         distinct = set(norms)
         norm = distinct.pop() if len(distinct) == 1 else None
-        return q, den, _columns(self.terms, self.n), pairs, norms, norm
+        return q, den, pairs, norms, norm
 
     def to_sparse(self):
         return self
@@ -447,45 +454,60 @@ class DensityMatrix:
         return t
 
 
-def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
-    """Partial trace onto the given positions, normalized to trace 1.
+class _Support:
+    """The per-site columns of one row tuple, in term order, and d, with
+    the ``_TracePlan`` of each kept site set built on them so far."""
 
-    Terms are grouped by their symbols on the traced-out positions (a zip
-    over those columns); only pairs within a group contribute, which keeps
-    the cost near (#terms)^2 / #groups.  An exact state is summed on its
-    integer reading (``SparseState._integer_reading``, made once per
-    state), so each entry is an integer count per exponent (e_i - e_j)
-    mod q, and each distinct count vector is zero-tested once, over its
-    own conductor (see ``Amp.is_zero``; a vector of one exponent
-    needs no test):
+    __slots__ = ("cols", "d", "plans")
 
-    * every term adds its squared modulus to its diagonal entry, with no
-      phase products; when all terms share one modulus, the diagonal is
-      the kept columns' row counts (a ``Counter``) times it.  A lone row,
-      alone in its group, adds nothing else, so a state whose groups are
-      all lone rows has a diagonal marginal;
-    * inside a group of two or more terms, each unordered pair is summed
-      once, in the orientation with the smaller kept tuple first, and the
-      mirrored entry is the conjugate, its exponents negated, with no
-      second zero test.
+    def __init__(self, cols, d):
+        self.cols, self.d, self.plans = cols, d, {}
 
-    A state with a real turn sums complex products over every ordered pair
-    of a group instead.
+    def plan(self, keep):
+        """The ``_TracePlan`` of a sorted keep tuple, built on first use."""
+        plan = self.plans.get(keep)
+        if plan is None:
+            plan = self.plans[keep] = _trace_plan(self.cols, self.d, keep)
+        return plan
+
+
+@lru_cache(maxsize=32)
+def _support_of(rows, n, d):
+    """The ``_Support`` of rows, a tuple in term order, and so the one cache
+    of trace plans: each state whose terms list these rows in this order
+    gets this one object.  A state hashes its rows here once
+    (``SparseState._support``), not once per plan."""
+    return _Support(_columns(rows, n), d)
+
+
+class _TracePlan(NamedTuple):
+    """The part of a partial trace onto one kept site set that depends on
+    the support alone."""
+
+    kept: list    # each row's symbols on the kept sites
+    counts: dict  # kept tuple -> the number of rows with it
+    even: bool    # counts hits all d^k kept tuples, each equally often
+    groups: list  # the rows of each traced-out tuple that two or more
+                  # rows share, in kept-tuple order
+
+
+def _trace_plan(cols, d, keep):
+    """The ``_TracePlan`` of a support's columns and a sorted keep tuple.
+
+    Rows are grouped by a zip over the traced-out columns, and only pairs
+    inside a group of two or more rows reach an off-diagonal entry.  Two
+    rows of one group differ on the kept sites, so a group in kept-tuple
+    order gives each pair (``itertools.combinations``) with its smaller
+    kept tuple first; the mirrored entry is its conjugate.  A plan holds
+    row numbers, not their pairs, so its size is linear in the rows.
     """
-    sp = s.to_sparse()
-    keep = tuple(sorted(keep))
-    if not keep or len(keep) >= sp.n:
-        raise StateError("keep must be a nonempty strict subset of positions")
-    drop = tuple(p for p in range(sp.n) if p not in set(keep))
-    reading = sp._integer_reading
-    cols = _columns(sp.terms, sp.n) if reading is None else reading[2]
     kept = list(zip(*(cols[p] for p in keep)))
-    keys = list(zip(*(cols[p] for p in drop)))
-    if reading is None:
-        entries = _float_entries(sp, kept, keys)
-    else:
-        entries = _exact_entries(sp, reading, kept, keys)
-    return DensityMatrix(sp.d, keep, entries)
+    counts = Counter(kept)
+    even = len(counts) == d ** len(keep) and len(set(counts.values())) == 1
+    keys = list(zip(*(cols[p] for p in range(len(cols)) if p not in keep)))
+    groups = [sorted(members, key=kept.__getitem__)
+              for members in _groups(keys) if len(members) > 1]
+    return _TracePlan(kept, counts, even, groups)
 
 
 def _groups(keys):
@@ -496,86 +518,182 @@ def _groups(keys):
     return groups.values()
 
 
-def _exact_entries(sp, reading, kept, keys):
+@lru_cache(maxsize=4096)
+def _vanishes(vec, q):
+    """Does the count vector vec (``_count_vector``) over w_q sum to zero?
+    ``Amp.is_zero`` decides it over the vector's own conductor; a vector
+    of one exponent needs no test."""
+    return Amp.from_counts(q, dict(vec)).is_zero()
+
+
+def _exact_diagonal(plan, reading):
+    """Each kept tuple's diagonal entry, as an unscaled count vector."""
+    norms, norm = reading[3], reading[4]
+    if norm is not None:  # the row counts times the one squared modulus
+        return {k: tuple((e, c * m) for e, c in norm) for k, m in plan.counts.items()}
+    sums = {}
+    for k, vec in zip(plan.kept, norms):
+        acc = sums.setdefault(k, {})
+        for e, c in vec:
+            acc[e] = acc.get(e, 0) + c
+    return {k: _count_vector(acc) for k, acc in sums.items()}
+
+
+def _exact_offdiagonal(plan, reading):
+    """((ki, kj), unscaled count vector) for each entry that the pairs of
+    the plan's groups reach."""
+    q, pairs, kept = reading[0], reading[2], plan.kept
+    sums = {}
+    for members in plan.groups:
+        for i, j in itertools.combinations(members, 2):
+            _add_products(sums.setdefault((kept[i], kept[j]), {}), pairs[i], pairs[j], q)
+    return ((entry, _count_vector(counts)) for entry, counts in sums.items())
+
+
+def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
+    """Partial trace onto the given positions, normalized to trace 1.
+
+    keep must hold distinct sites of range(N), a nonempty strict subset of
+    them.  What depends on the support alone (each row's kept tuple, the
+    row count per kept tuple, and the rows of each traced-out group whose
+    pairs sum into the off-diagonal entries) is a ``_TracePlan``, cached
+    per row tuple in term order, so fresh states on one support share it.  An exact state is
+    summed on its integer reading (``SparseState._integer_reading``, made
+    once per state), so each entry is an integer count vector over the
+    exponents (e_i - e_j) mod q:
+
+    * a diagonal entry sums squared moduli, with no phase products; when
+      all terms share one modulus it is the kept tuple's row count times
+      it.  So a state whose traced-out tuples never repeat has a diagonal
+      marginal;
+    * an off-diagonal entry sums the pairs of the plan's groups, and its
+      count vector is zero-tested by ``_vanishes`` (a bounded cache of
+      verdicts); the mirrored entry is the conjugate, with no second zero
+      test.
+
+    Entries with one count vector share one Amp.  A state with a real turn
+    sums complex products over the same pairs instead.
+    """
+    sp = s.to_sparse()
+    keep = tuple(sorted(keep))
+    sites = set(keep)
+    if not sites or len(sites) < len(keep) or not sites < set(range(sp.n)):
+        raise StateError("keep must be distinct sites of range(%d), a nonempty strict "
+                         "subset, got %r" % (sp.n, keep))
+    plan = sp._support.plan(keep)
+    reading = sp._integer_reading
+    if reading is None:
+        entries = _float_entries(sp, plan)
+    else:
+        entries = _exact_entries(sp, reading, plan)
+    return DensityMatrix(sp.d, keep, entries)
+
+
+def _exact_entries(sp, reading, plan):
     """The nonzero entries of an exact partial trace (see reduced_density)."""
-    q, den, _, pairs, norms, norm = reading
+    q, den = reading[0], reading[1]
     scale = 1 / (Fraction(sp.scale2) * den * den)
-    memo = {}  # count vector -> entry, or None if it vanishes
+    amps = {}  # count vector -> its entry, or None if it vanishes
 
     def entry(vec):
-        if vec not in memo:
-            amp = Amp.from_counts(q, {e: c * scale.numerator for e, c in vec}, scale.denominator)
-            memo[vec] = None if amp.is_zero() else amp
-        return memo[vec]
+        if vec not in amps:
+            amps[vec] = None if _vanishes(vec, q) else Amp.from_counts(
+                q, {e: c * scale.numerator for e, c in vec}, scale.denominator)
+        return amps[vec]
 
     # a diagonal entry sums squared moduli of nonzero terms, so it is nonzero
-    if norm is not None:
-        rows = Counter(kept)
-        by_rows = {w: entry(tuple((e, c * w) for e, c in norm))
-                   for w in set(rows.values())}
-        entries = {(k, k): by_rows[w] for k, w in rows.items()}
-    else:
-        diagonal = {}
-        for k, vec in zip(kept, norms):
-            counts = diagonal.setdefault(k, {})
-            for e, c in vec:
-                counts[e] = counts.get(e, 0) + c
-        entries = {(k, k): entry(_count_vector(counts))
-                   for k, counts in diagonal.items()}
-    if len(set(keys)) == len(keys):  # every group is a lone row
-        return entries
-    sums = {}
-    for members in _groups(keys):
-        for i, j in itertools.combinations(members, 2):
-            if kept[i] > kept[j]:
-                i, j = j, i
-            _add_products(sums.setdefault((kept[i], kept[j]), {}),
-                          pairs[i], pairs[j], q)
-    for (ki, kj), counts in sums.items():
-        vec = _count_vector(counts)
+    entries = {(k, k): entry(vec) for k, vec in _exact_diagonal(plan, reading).items()}
+    for (ki, kj), vec in _exact_offdiagonal(plan, reading):
         amp = entry(vec)
         if amp is not None:
             entries[ki, kj] = amp
             mirror = tuple(sorted(((-e) % q, c) for e, c in vec))
-            if mirror not in memo:  # the conjugate of a nonzero entry
-                memo[mirror] = amp.conj()
-            entries[kj, ki] = memo[mirror]
+            if mirror not in amps:  # the conjugate of a nonzero entry
+                amps[mirror] = amp.conj()
+            entries[kj, ki] = amps[mirror]
     return entries
 
 
-def _float_entries(sp, kept, keys):
+def _float_entries(sp, plan):
     """The entries of a partial trace with a real turn, as complex sums."""
     scalars = [complex(a) for a in sp.terms.values()]
     sums = {}
-    for members in _groups(keys):
-        for i in members:
-            for j in members:
-                key = (kept[i], kept[j])
-                sums[key] = sums.get(key, 0) + scalars[i] * scalars[j].conjugate()
-    inv_scale = 1.0 / float(sp.scale2)
+    for k, z in zip(plan.kept, scalars):
+        sums[k, k] = sums.get((k, k), 0) + z * z.conjugate()
+    kept = plan.kept
+    for members in plan.groups:
+        for i, j in itertools.combinations(members, 2):
+            key = kept[i], kept[j]
+            sums[key] = sums.get(key, 0) + scalars[i] * scalars[j].conjugate()
+    inv_scale, tol = 1.0 / float(sp.scale2), get_tolerance()
     entries = {}
-    for key, z in sums.items():
+    for (ki, kj), z in sums.items():
         z *= inv_scale
-        if abs(z) > get_tolerance():
-            entries[key] = Amp(value=z)
+        if abs(z) > tol:
+            entries[ki, kj] = Amp(value=z)
+            if ki != kj:
+                entries[kj, ki] = Amp(value=z.conjugate())
     return entries
 
 
 def is_k_uniform(s, k: int) -> bool:
-    """True iff every k-party reduction is exactly maximally mixed."""
+    """True iff every k-party reduction is exactly maximally mixed.
+
+    Each reduction reads the ``_TracePlan`` of its kept sites.  An exact
+    state builds no ``DensityMatrix``: when its terms share one modulus,
+    the diagonal value (len(terms) / d^k rows times that modulus) is
+    checked against 1/d^k once, and a plan passes its diagonal when its
+    kept tuples are even; otherwise each plan's diagonal entries are summed
+    and checked.  Each off-diagonal entry's count vector goes to
+    ``_vanishes``, and the test stops at the first that does not vanish.
+    A state with a real turn asks each ``reduced_density`` whether it
+    ``is_maximally_mixed`` within the tolerance.
+    """
     sp = s.to_sparse()
     if not 1 <= k <= sp.n // 2:
         return False
-    return all(reduced_density(sp, keep).is_maximally_mixed()
-               for keep in itertools.combinations(range(sp.n), k))
+    keeps = itertools.combinations(range(sp.n), k)
+    reading = sp._integer_reading
+    if reading is None:
+        return all(reduced_density(sp, keep).is_maximally_mixed() for keep in keeps)
+    return _exact_k_uniform(sp, reading, map(sp._support.plan, keeps), sp.d ** k)
+
+
+def _exact_k_uniform(sp, reading, plans, dim):
+    """is_k_uniform on an exact state, over the plans of its k-site sets."""
+    q, den, _, _, norm = reading
+    scale2 = Fraction(sp.scale2)
+
+    def is_mixed(vec):  # vec / (scale2 * den^2) == 1 / dim
+        counts = {e: c * dim * scale2.denominator for e, c in vec}
+        counts[0] = counts.get(0, 0) - scale2.numerator * den * den
+        return _vanishes(_count_vector(counts), q)
+
+    if norm is not None:
+        rows, rest = divmod(len(sp.terms), dim)
+        if rest or not is_mixed(tuple((e, c * rows) for e, c in norm)):
+            return False
+    for plan in plans:
+        if norm is not None:
+            if not plan.even:
+                return False
+        else:
+            diag = _exact_diagonal(plan, reading)
+            if len(diag) != dim or not all(map(is_mixed, set(diag.values()))):
+                return False
+        if not all(_vanishes(vec, q) for _, vec in _exact_offdiagonal(plan, reading)):
+            return False
+    return True
 
 
 def uniformity(s) -> int:
     """Largest k with all k-party reductions maximally mixed (0 if none).
 
-    Levels are tested from N // 2 down, and the first that holds is the
-    answer: a partial trace of a maximally mixed reduction is maximally
-    mixed, so k-uniform implies (k-1)-uniform.
+    Levels are tested from N // 2 down with ``is_k_uniform``, and the
+    first that holds is the answer: a partial trace of a maximally mixed
+    reduction is maximally mixed, so k-uniform implies (k-1)-uniform.  On
+    an exact state it builds no ``DensityMatrix``; fresh states on one
+    support reuse its cached ``_TracePlan``s and sum only their phases.
     """
     sp = s.to_sparse()
     return next((k for k in range(sp.n // 2, 0, -1) if is_k_uniform(sp, k)), 0)

@@ -224,6 +224,15 @@ SMOKE = textwrap.dedent("""
     assert ameslocc.run_cli(["reproduce", "ex9"]) == 0
     assert ameslocc.run_cli(["--tolerance", "nan", "reproduce", "ex9"]) == 2
     assert ameslocc.run_cli(["--max-nodes", "0", "reproduce", "ex9"]) == 2
+    phased = ameslocc.construct_ame5_phased(5)
+    assert ameslocc.uniformity(phased) == 2
+    terms = dict(phased.terms)
+    first = next(iter(terms))
+    terms[first] = terms[first] * root_of_unity(5, 1)
+    changed = ameslocc.SparseState(5, 5, terms, scale2=phased.scale2)
+    assert ameslocc.uniformity(changed) < 2
+    cert = ameslocc.decide_slocc(phased, s)
+    assert (cert.verdict, cert.reason) == ("inequivalent", "reduction-pipeline"), cert
 """)
 
 

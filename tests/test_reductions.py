@@ -288,6 +288,17 @@ def test_five_party_report_is_pinned(d):
     assert verify_ame5_nonequivalence(d) == certificate_report(d)
 
 
+def test_five_party_report_steps_are_copied_per_call():
+    # the report is built once per d: a caller's edits to its steps list
+    # or to one step must not reach the next call's report
+    report = verify_ame5_nonequivalence(5)
+    report["steps"].append({"step": "extra", "passed": False})
+    report["steps"][0]["passed"] = False
+    del report["steps"][1]["forced_support"]
+    report["steps"].reverse()
+    assert verify_ame5_nonequivalence(5) == certificate_report(5)
+
+
 def test_rho345_lemma_rejects_an_entry_shared_with_another_key(monkeypatch):
     # the replaced entry is an object the lemma already compared, at an
     # earlier key with a different value, so only the pair of objects at

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ameslocc import states
 from ameslocc.butson import fourier
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import ONE, Amp, Phase, PhaseError, root_of_unity
@@ -477,6 +478,118 @@ def test_reduced_density_of_large_dimension():
     assert rho.entry(rho.dim - 1, rho.dim - 1).equals(half)
     assert rho.trace().equals(Amp.one())
     assert not rho.is_maximally_mixed()
+
+
+@pytest.mark.parametrize("keep", [(0, 0), (0, 7), (-1,), (), (0, 1, 2, 3)],
+                         ids=["repeated", "out-of-range", "negative", "empty", "all"])
+def test_reduced_density_refuses_bad_keeps(keep):
+    with pytest.raises(StateError):
+        reduced_density(construct_ame43(), keep)
+
+
+def k_uniform_by_definition(s, k):
+    """Every k-party partial trace, summed by its definition, is 1/d^k on
+    the diagonal and zero off it."""
+    mixed = Amp(terms={Fraction(0): Fraction(1, s.d ** k)})
+    return all(all(a.equals(mixed if i == j else Amp.zero())
+                   for (i, j), a in partial_trace_by_definition(s, keep).items())
+               for keep in itertools.combinations(range(s.n), k))
+
+
+# the supports the oracle below draws from, each with its base amplitudes
+ORACLE_SUPPORTS = {
+    "phased-3": lambda: construct_ame5_phased(3),
+    "ame43": lambda: construct_ame43().to_sparse(),
+    "ghz-4-3": lambda: construct_ghz(4, 3).to_sparse(),
+    "parity": lambda: SparseState(
+        3, 2, {r: Amp.one() for r in [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]},
+        scale2=4),
+    # d rows, but site 0 reads 0 on both: its diagonal alone shows that the
+    # state is not 1-uniform, as N > 2k leaves no complementary 1-site trace
+    "uneven": lambda: SparseState(3, 2, {(0, 0, 0): Amp.one(), (0, 1, 1): Amp.one()},
+                                  scale2=2),
+    "unequal-moduli": UNIFORMITY_CASES["unequal-moduli"],
+}
+ORACLE_KINDS = ["base", "diagonal", "phase", "modulus", "scale2"]
+
+
+def oracle_state(base, order, turns, real, kind, marked, change):
+    """base's rows in the given order, under the local diagonal whose site p
+    multiplies symbol x by w_6^turns[p][x] (as real turns, offset by 0.01,
+    when real is true; no diagonal for kind "base"), then changed by kind
+    at the marked row: one phase times w_6^change, one amplitude doubled
+    with scale2 kept the squared norm, or scale2 doubled."""
+    terms = {}
+    for idx in order:
+        turn = Fraction(sum(turns[p][x] for p, x in enumerate(idx)), 6)
+        phase = Phase(float(turn) + 0.01) if real else Phase(turn)
+        terms[idx] = base.terms[idx] * (phase if kind != "base" else ONE)
+    scale2 = base.scale2
+    if kind == "phase":
+        terms[marked] = terms[marked] * root_of_unity(6, change)
+    elif kind == "modulus":
+        scale2 += 3 * terms[marked].polar()[0] ** 2
+        terms[marked] = terms[marked].scaled(2)
+    elif kind == "scale2":
+        scale2 *= 2
+    return SparseState(base.n, base.d, terms, scale2=scale2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_SUPPORTS)),
+       draws=st.lists(st.tuples(st.integers(0, 2 ** 16), st.booleans(), st.booleans(),
+                                st.sampled_from(ORACLE_KINDS), st.integers(0, 10 ** 3),
+                                st.integers(1, 5)), min_size=2, max_size=2))
+# the phased support as built, then with one phase changed
+@example(name="phased-3", draws=[(0, False, False, "base", 0, 1),
+                                 (1, False, False, "phase", 5, 1)])
+# real turns, then one phase changed in another term order
+@example(name="phased-3", draws=[(0, False, True, "diagonal", 0, 1),
+                                 (1, True, True, "phase", 5, 1)])
+# equal moduli, then a wrong scale2 that only the one diagonal check shows
+@example(name="ame43", draws=[(0, False, False, "base", 0, 1),
+                              (1, False, False, "scale2", 0, 1)])
+# unequal moduli: 1-uniform, then a wrong scale2 that only the diagonal shows
+@example(name="unequal-moduli", draws=[(0, False, False, "base", 0, 1),
+                                       (1, False, False, "scale2", 0, 1)])
+# equal moduli, normalized, but one plan's kept tuples are uneven
+@example(name="uneven", draws=[(0, False, False, "base", 0, 1),
+                               (1, True, False, "diagonal", 0, 1)])
+def test_uniformity_matches_the_definition_on_states_sharing_a_support(name, draws):
+    # two states in sequence on one support: the second reuses the trace
+    # plans the first built, in the same or another term order, and must
+    # read its own phases, moduli and scale2 only
+    base = ORACLE_SUPPORTS[name]()
+    rows = list(base.terms)
+    for seed, shuffle, real, kind, marked, change in draws:
+        rng = random.Random(seed)
+        order = rng.sample(rows, len(rows)) if shuffle else rows
+        turns = [[rng.randrange(6) for _ in range(base.d)] for _ in range(base.n)]
+        s = oracle_state(base, order, turns, real, kind, rows[marked % len(rows)], change)
+        levels = [k_uniform_by_definition(s, k) for k in range(1, s.n // 2 + 1)]
+        assert [is_k_uniform(s, k) for k in range(1, s.n // 2 + 1)] == levels
+        want = levels.index(False) if False in levels else len(levels)
+        assert uniformity(s) == uniformity_bottom_up(s) == want
+
+
+def test_second_state_on_a_support_reuses_its_trace_plans(monkeypatch):
+    states._support_of.cache_clear()
+    built = []
+    build = states._trace_plan
+    monkeypatch.setattr(states, "_trace_plan",
+                        lambda cols, d, keep: built.append(keep) or build(cols, d, keep))
+    phased = construct_ame5_phased(5)
+    rng = random.Random(3)
+    first, second = (oracle_state(phased, list(phased.terms),
+                                  [[rng.randrange(6) for _ in range(5)] for _ in range(5)],
+                                  False, "diagonal", None, 0) for _ in range(2))
+    assert uniformity(first) == 2
+    assert sorted(built) == list(itertools.combinations(range(5), 2))
+    # the second state gets the first one's support, and builds no plan
+    assert uniformity(second) == 2
+    assert len(built) == 10
+    assert second._support is first._support
+    assert states._support_of.cache_info()[:2] == (1, 1)
 
 
 def test_polar_stays_in_input_field():

@@ -43,13 +43,13 @@ def test_tracer_wraps_and_restores_pipeline_names(monkeypatch):
         monkeypatch, lambda: decide_slocc(construct_ame5_phased(5), ame_linear_5(5)))
     assert cert.verdict == "inequivalent"
     assert tracer.calls["reductions.pipeline"] == 1
-    # 10 two-party reductions in uniformity(), which tests k = 2 first, and
-    # one for the rho345 lemma; a repeat reuses the certificate
-    assert tracer.calls["states.reduced_density"] == 11
+    # one reduction, for the rho345 lemma: uniformity() reads trace plans
+    # and builds no density matrix; a repeat reuses the certificate
+    assert tracer.calls["states.reduced_density"] == 1
     cert, tracer = traced(
         monkeypatch, lambda: decide_slocc(construct_ame5_phased(5), ame_linear_5(5)))
     assert tracer.calls["reductions.pipeline"] == 1
-    assert tracer.calls["states.reduced_density"] == 10
+    assert tracer.calls["states.reduced_density"] == 0
     restored = (reductions.verify_ame5_nonequivalence,
                 reductions.reduced_density, phases.Amp.is_zero)
     assert all(now is orig for now, orig in zip(restored, originals))
