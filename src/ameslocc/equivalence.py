@@ -27,7 +27,7 @@ from .butson import _BH_CAP, enumerate_bh
 from .designs import small_regime
 from .modsolve import Rows, _eliminate, solve_turn_system
 from .operators import LocalOperator, SiteOperator
-from .phases import Phase, get_tolerance, phase_product, turn_numerators
+from .phases import Phase, get_tolerance, phase_product, turn_difference, turn_numerators
 from .states import (MinimalSupportState, _columns, _is_prime,
                      states_equal_up_to_global_phase, with_phases)
 
@@ -658,7 +658,10 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     Searches all per-site symbol permutations that map support onto support;
     for each, the diagonal phases are an exact linear system over turns
     mod 1.  The first witness (identity-first ordering) is replay-verified
-    before being returned.
+    before being returned: on integer turns for an exact pair
+    (``_replay_exact``), with no image state built, and through ``apply``
+    and ``states_equal_up_to_global_phase``, within the tolerance, for a
+    float pair.
 
     When the first sigma has no diagonal completion and the pair is exact,
     the cokernel characters of the src turns and of the pulled-back dst
@@ -692,9 +695,9 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
             witness = solve(sigma)
             if witness is not None:
                 # the solved system enforces witness(src) == dst outright
-                if states_equal_up_to_global_phase(witness.apply(src), dst) is None:
-                    if exact:
-                        raise AssertionError("diagonal solution failed replay")
+                if exact:
+                    _replay_exact(witness, src, dst)
+                elif states_equal_up_to_global_phase(witness.apply(src), dst) is None:
                     return EquivalenceCertificate(  # a row misses by over the tolerance
                         "inconclusive", reason="float-witness-failed-replay",
                         exact=False, stats=stats)
@@ -715,6 +718,17 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
         "inequivalent", reason="search-exhausted",
         details={"searched": "all support-compatible local permutations"},
         exact=exact, stats=stats)
+
+
+def _replay_exact(witness, src, dst):
+    """AssertionError unless each row's image under the exact witness
+    (``LocalOperator.image_turns``, read with dst) is a dst row, with one
+    turn difference mod q from it (``phases.turn_difference``)."""
+    q, image, rest = witness.image_turns(src, dst.phases.values())
+    turns = dict(zip(dst.phases, rest))
+    pairs = [(t, turns[row]) for row, t in image if row in turns]
+    if not len(pairs) == len(image) == len(turns) or turn_difference(q, pairs) is None:
+        raise AssertionError("diagonal solution failed replay")
 
 
 def _lm_automorphisms(s: MinimalSupportState, max_nodes: int) -> List[LocalOperator]:

@@ -129,24 +129,27 @@ class LocalOperator:
     def is_monomial(self):
         return all(s.kind == "monomial" for s in self.sites)
 
+    def image_turns(self, state: MinimalSupportState, extra=()):
+        """(q, image, rest) from one ``turn_numerators`` reading of the global
+        phase g, the diagonals theta, the phases w of ``state`` and those in
+        ``extra``: ``image`` pairs sigma(I) with w_I + g + sum_j theta_j(I_j),
+        not reduced mod q, for each row I; ``rest`` reads ``extra``."""
+        q, turns = turn_numerators(itertools.chain(
+            [self.global_phase], (p for site in self.sites for p in site.diag),
+            state.phases.values(), extra))
+        turns = iter(turns)
+        g = next(turns)
+        diag = [list(itertools.islice(turns, site.d)) for site in self.sites]
+        sigmas = [site.sigma for site in self.sites]
+        image = [(tuple(map(getitem, sigmas, idx)), sum(map(getitem, diag, idx), w + g))
+                 for idx, w in zip(state.phases, turns)]
+        return q, image, list(turns)
+
     def apply(self, state):
         """Apply to a state, staying exact and minimal-support when possible."""
         if isinstance(state, MinimalSupportState) and self.is_monomial:
-            # one reading of every phase involved; row I goes to sigma(I)
-            # with turn w_I + g + sum_j theta_j(I_j), summed mod q
-            q, turns = turn_numerators(itertools.chain(
-                [self.global_phase], (p for site in self.sites for p in site.diag),
-                state.phases.values()))
-            turns = iter(turns)
-            g = next(turns)
-            diag = [list(itertools.islice(turns, site.d)) for site in self.sites]
-            sigmas = [site.sigma for site in self.sites]
-            phases = {}
-            for idx, w in zip(state.phases, turns):
-                acc = w + g
-                for a, theta in zip(idx, diag):
-                    acc += theta[a]
-                phases[tuple(map(getitem, sigmas, idx))] = numerator_phase(acc, q)
+            q, image, _ = self.image_turns(state)
+            phases = {row: numerator_phase(t, q) for row, t in image}
             return MinimalSupportState(state.n, state.d, state.k, phases, check=False)
         sp = state.to_sparse()
         terms = dict(sp.terms)

@@ -1,9 +1,10 @@
 """Exact arithmetic over unit-modulus complex scalars.
 
 A phase is stored as a "turn" t with value exp(2*pi*i*t).  Rational turns
-(roots of unity) are kept as reduced fractions and all arithmetic on them is
-exact; arbitrary unimodular scalars fall back to a real turn in [0, 1) with
-tolerance-based comparison.
+(roots of unity) are kept as a reduced int pair, numerator over denominator,
+and all arithmetic on them runs in ints; ``Phase.turn`` builds the Fraction
+only when asked for.  Arbitrary unimodular scalars fall back to a real turn
+in [0, 1) with tolerance-based comparison.
 
 An exact amplitude (``Amp``) is one integer form (q, counts, den): the sum
 of c * w_q^e / den over its counts, exponent e -> nonzero int c, with w_q
@@ -15,10 +16,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable
 
 #: Global tolerance for float-mode comparisons (CLI-overridable).
 DEFAULT_TOL = 1e-10
@@ -42,67 +42,88 @@ def get_tolerance():
     return _tol
 
 
-@dataclass(frozen=True)
 class Phase:
-    """A unit-modulus complex number exp(2*pi*i*turn).
+    """A unit-modulus complex number exp(2*pi*i*turn), immutable.
 
-    ``turn`` is a Fraction (exact root of unity) or a float in [0, 1).
-    Products and quotients of rational-turn phases never degrade to float.
+    An exact phase (a root of unity) holds its turn as a reduced int pair
+    ``num`` / ``den``, 0 <= num < den; a real one holds a float turn ``num``
+    in [0, 1) and ``den`` None.  ``Phase(turn)`` takes a Fraction, an int
+    or a float; ``turn`` gives the float, or builds the Fraction.  Products
+    and quotients of exact phases stay exact.  Equal values hash equal.
     """
 
-    turn: Union[Fraction, float]
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        t = self.turn
-        if isinstance(t, Fraction):
-            if not 0 <= t.numerator < t.denominator:
-                object.__setattr__(self, "turn", t % 1)
-        elif isinstance(t, int):
-            object.__setattr__(self, "turn", Fraction(0))
+    def __init__(self, turn):
+        if isinstance(turn, Fraction):
+            num, den = turn.numerator % turn.denominator, turn.denominator
+        elif isinstance(turn, int):
+            num, den = 0, 1
         else:
-            t = float(t)
-            if not math.isfinite(t):
-                raise PhaseError("phase turn must be finite, got %r" % t)
-            object.__setattr__(self, "turn", t % 1.0)
+            num, den = float(turn), None
+            if not math.isfinite(num):
+                raise PhaseError("phase turn must be finite, got %r" % num)
+            num %= 1.0
+            if num == 1.0:  # a tiny negative turn rounds up to 1
+                num = 0.0
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("Phase is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Phase, (self.turn,)
+
+    @property
+    def turn(self):
+        return self.num if self.den is None else Fraction(self.num, self.den)
 
     @property
     def is_exact(self):
-        return isinstance(self.turn, Fraction)
+        return self.den is not None
+
+    def _real_turn(self) -> float:
+        return self.num if self.den is None else self.num / self.den
+
+    def __eq__(self, other):
+        if not isinstance(other, Phase):
+            return NotImplemented
+        if self.den is None or other.den is None:
+            return self.turn == other.turn
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash(self.turn)
 
     def __mul__(self, other: "Phase") -> "Phase":
-        if self.is_exact and other.is_exact:
-            return Phase(_turn_sum(self.turn, other.turn, 1))
-        return Phase(float(self.turn) + float(other.turn))
+        return _turn_sum(self, other, 1)
 
     def __truediv__(self, other: "Phase") -> "Phase":
-        if self.is_exact and other.is_exact:
-            return Phase(_turn_sum(self.turn, other.turn, -1))
-        return Phase(float(self.turn) - float(other.turn))
+        return _turn_sum(self, other, -1)
 
     def __pow__(self, n: int) -> "Phase":
-        if self.is_exact:
-            return Phase(self.turn * n)
-        return Phase(float(self.turn) * n)
+        return Phase(self.num * n) if self.den is None else _exact(self.num * n, self.den)
 
     def conj(self) -> "Phase":
-        if self.is_exact:
-            return Phase(-self.turn)
-        return Phase(-float(self.turn))
+        return self ** -1
 
     def __complex__(self):
-        return cmath.exp(2j * math.pi * float(self.turn))
+        return cmath.exp(2j * math.pi * self._real_turn())
 
     def close_to(self, other: "Phase") -> bool:
         """Equality, exact for rational turns, tolerance-based otherwise."""
-        if self.is_exact and other.is_exact:
-            return self.turn == other.turn
-        diff = (float(self.turn) - float(other.turn)) % 1.0
+        if self.den is not None and other.den is not None:
+            return self.num == other.num and self.den == other.den
+        diff = (self._real_turn() - other._real_turn()) % 1.0
         return min(diff, 1.0 - diff) <= _tol
 
     def to_json(self):
-        if self.is_exact:
-            return {"turn": {"num": self.turn.numerator, "den": self.turn.denominator}}
-        return {"turn_real": float(self.turn)}
+        if self.den is not None:
+            return {"turn": {"num": self.num, "den": self.den}}
+        return {"turn_real": self.num}
 
     @staticmethod
     def from_json(obj) -> "Phase":
@@ -110,22 +131,38 @@ class Phase:
             num, den = obj["turn"]["num"], obj["turn"]["den"]
             if not (type(num) is int and type(den) is int and den > 0):
                 raise PhaseError("not an exact turn encoding: %r" % (obj,))
-            return Phase(Fraction(num, den))
+            return _exact(num, den)
         if "turn_real" in obj:
             return Phase(float(obj["turn_real"]))
         raise PhaseError("not a phase encoding: %r" % (obj,))
 
     def __repr__(self):
-        if self.is_exact:
+        if self.den is not None:
             return f"Phase({self.turn})"
-        return f"Phase({float(self.turn):.12g})"
+        return f"Phase({self.num:.12g})"
 
 
-def _turn_sum(a: Fraction, b: Fraction, sign: int) -> Fraction:
-    """(a + sign * b) mod 1, with the numerators added over lcm(denominators)."""
-    p, q = a.denominator, b.denominator
-    m = math.lcm(p, q)
-    return Fraction((a.numerator * (m // p) + sign * b.numerator * (m // q)) % m, m)
+_set_num, _set_den = Phase.num.__set__, Phase.den.__set__
+
+
+def _exact(num: int, den: int) -> Phase:
+    """The exact phase of turn num / den, for any ints with den > 0."""
+    num %= den
+    g = math.gcd(num, den)
+    p = object.__new__(Phase)
+    _set_num(p, num // g)
+    _set_den(p, den // g)
+    return p
+
+
+def _turn_sum(a: Phase, b: Phase, sign: int) -> Phase:
+    """The phase of turn a + sign * b; exact ones add their numerators over
+    the lcm of the denominators."""
+    p, q = a.den, b.den
+    if p is None or q is None:
+        return Phase(a._real_turn() + sign * b._real_turn())
+    m = p if p == q else math.lcm(p, q)
+    return _exact(a.num * (m // p) + sign * b.num * (m // q), m)
 
 
 def turn_numerators(phases: Iterable[Phase]):
@@ -136,29 +173,37 @@ def turn_numerators(phases: Iterable[Phase]):
     Either way each turn is value / q, so a product of phases is a sum of
     values mod q, read back with ``numerator_phase``.
     """
-    turns = [p.turn for p in phases]
-    if not all(isinstance(t, Fraction) for t in turns):
-        return 1.0, [float(t) for t in turns]
-    q = math.lcm(*{t.denominator for t in turns})
-    return q, [t.numerator * (q // t.denominator) for t in turns]
+    phases = list(phases)
+    dens = {p.den for p in phases}
+    if None in dens:
+        return 1.0, [p._real_turn() for p in phases]
+    q = math.lcm(*dens)
+    return q, [p.num * (q // p.den) for p in phases]
 
 
 def numerator_phase(value, q) -> Phase:
     """The phase of turn value / q, for a q and value as ``turn_numerators``
     gives them (value any integer when q is)."""
     if isinstance(q, int):
-        return Phase(Fraction(value % q, q))
+        return _exact(value, q)
     return Phase(value % q)
 
 
-ONE = Phase(Fraction(0))
+def turn_difference(q, pairs):
+    """The one difference (x - y) mod q over pairs of integer numerators
+    over q, or None when they give several differences, or none."""
+    diffs = {(x - y) % q for x, y in pairs}
+    return diffs.pop() if len(diffs) == 1 else None
+
+
+ONE = _exact(0, 1)
 
 
 def root_of_unity(q: int, p: int = 1) -> Phase:
     """exp(2*pi*i*p/q) as a reduced rational turn."""
     if q < 1:
         raise PhaseError("root order must be a positive integer, got %r" % q)
-    return Phase(Fraction(p, q))
+    return _exact(p, q)
 
 
 def phase_product(factors: Iterable[Phase]) -> Phase:
@@ -173,13 +218,10 @@ def nth_roots(x: Phase, d: int) -> list:
     """All d phases y with y**d == x, in ascending-turn order."""
     if d < 1:
         raise PhaseError("root order must be a positive integer, got %r" % d)
-    if x.is_exact:
-        base = x.turn / d
-        roots = [Phase(base + Fraction(m, d)) for m in range(d)]
-    else:
-        base = float(x.turn) / d
-        roots = [Phase(base + m / d) for m in range(d)]
-    return sorted(roots, key=lambda r: r.turn)
+    if x.is_exact:  # (num + m * den) / (den * d) ascends with m
+        return [_exact(x.num + m * x.den, x.den * d) for m in range(d)]
+    base = x.num / d
+    return sorted((Phase(base + m / d) for m in range(d)), key=lambda r: r.num)
 
 
 def _mobius(n: int) -> int:
@@ -279,7 +321,8 @@ class Amp:
     of their den; ``form`` reduces to the own conductor and lowest
     denominator only when a reader needs it.  Any real-turn contribution
     switches the value to a complex double.  ``Amp(terms={turn: coeff})``
-    converts Fraction turns and coefficients once.
+    converts Fraction turns and coefficients once and adds their counts in
+    one dict.
     """
 
     __slots__ = ("q", "counts", "den", "value")
@@ -288,8 +331,14 @@ class Amp:
         self.q = self.counts = self.den = None  # the exact form, or None in float mode
         self.value = value  # complex, or None in exact mode
         if terms is not None:
-            amp = sum((Amp.from_phase(Phase(t), c) for t, c in terms.items()), Amp.zero())
-            self.q, self.counts, self.den = amp.q, amp.counts, amp.den
+            q, turns = turn_numerators(map(Phase, terms))
+            coeffs = [(t, Fraction(c)) for t, c in zip(turns, terms.values())]
+            if not isinstance(q, int):
+                self.value = sum((cmath.exp(2j * math.pi * t) * float(c) for t, c in coeffs), 0j)
+                return
+            self.q, den = q, math.lcm(*(c.denominator for _, c in coeffs))
+            self.den, self.counts = den, _add_counts(
+                (t, c.numerator * (den // c.denominator)) for t, c in coeffs)
 
     @staticmethod
     def from_counts(q: int, counts: dict, den: int = 1) -> "Amp":
@@ -308,11 +357,10 @@ class Amp:
         return Amp.from_counts(1, {0: 1})
 
     @staticmethod
-    def from_phase(p: Phase, coeff=Fraction(1)) -> "Amp":
-        if p.is_exact:
-            c = Fraction(coeff)
-            counts = {p.turn.numerator: c.numerator} if c else {}
-            return Amp.from_counts(p.turn.denominator, counts, c.denominator)
+    def from_phase(p: Phase, coeff=1) -> "Amp":
+        if p.den is not None:
+            c = coeff if isinstance(coeff, int) else Fraction(coeff)
+            return Amp.from_counts(p.den, {p.num: c.numerator} if c else {}, c.denominator)
         return Amp(value=complex(p) * float(coeff))
 
     @staticmethod
@@ -416,7 +464,7 @@ class Amp:
         q, counts, den = self.form()
         if len(counts) == 1:
             (e, c), = counts.items()
-            return Fraction(abs(c), den), Phase(Fraction(e, q) + (c < 0) * Fraction(1, 2))
+            return Fraction(abs(c), den), _exact(2 * e + (c < 0) * q, 2 * q)
         z = complex(self)
         if abs(z) < 1e-12:
             return None
@@ -424,7 +472,7 @@ class Amp:
         e = round(cmath.phase(z) / (2 * math.pi) * order) % order
         m = Fraction(abs(z)).limit_denominator(10 ** 6)
         if m and self.equals(Amp.from_counts(order, {e: m.numerator}, m.denominator)):
-            return m, Phase(Fraction(e, order))
+            return m, _exact(e, order)
         return None
 
     def to_json(self):
@@ -446,9 +494,17 @@ class Amp:
         if not (all(type(x) is int for x in [q, den, *(x for pair in counts for x in pair)])
                 and q > 0 and den > 0):
             raise PhaseError("not an exact amplitude encoding: %r" % (obj,))
-        return sum((Amp.from_counts(q, {e % q: c}, den) for e, c in counts if c), Amp.zero())
+        return Amp.from_counts(q, _add_counts((e % q, c) for e, c in counts), den)
 
     def __repr__(self):
         if self.is_exact:
             return "Amp(q=%d, counts=%r, den=%d)" % self.form()
         return f"Amp({self.value:.12g})"
+
+
+def _add_counts(pairs):
+    """The counts of (exponent, count) pairs, added in one dict, zeros dropped."""
+    out = {}
+    for e, c in pairs:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .phases import (ONE, Amp, Phase, get_tolerance, numerator_phase, root_of_unity,
-                     turn_numerators)
+                     turn_difference, turn_numerators)
 
 MultiIndex = Tuple[int, ...]
 
@@ -78,7 +78,7 @@ class MinimalSupportState:
 
     @property
     def is_exact(self):
-        return all(p.is_exact for p in self.phases.values())
+        return all(p.den is not None for p in self.phases.values())
 
     def to_sparse(self) -> "SparseState":
         terms = {i: Amp.from_phase(p) for i, p in self.phases.items()}
@@ -562,10 +562,10 @@ def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
     once per state), so each entry is an integer count vector over the
     exponents (e_i - e_j) mod q:
 
-    * a diagonal entry sums squared moduli, with no phase products; when
-      all terms share one modulus it is the kept tuple's row count times
-      it.  So a state whose traced-out tuples never repeat has a diagonal
-      marginal;
+    * a diagonal entry sums squared moduli, with no phase products, and is
+      never zero, so it gets no zero test; when all terms share one
+      modulus it is the kept tuple's row count times it.  So a state whose
+      traced-out tuples never repeat has a diagonal marginal;
     * an off-diagonal entry sums the pairs of the plan's groups, and its
       count vector is zero-tested by ``_vanishes`` (a bounded cache of
       verdicts); the mirrored entry is the conjugate, with no second zero
@@ -595,14 +595,16 @@ def _exact_entries(sp, reading, plan):
     scale = 1 / (Fraction(sp.scale2) * den * den)
     amps = {}  # count vector -> its entry, or None if it vanishes
 
-    def entry(vec):
+    def entry(vec, nonzero=False):
         if vec not in amps:
-            amps[vec] = None if _vanishes(vec, q) else Amp.from_counts(
+            amps[vec] = None if not nonzero and _vanishes(vec, q) else Amp.from_counts(
                 q, {e: c * scale.numerator for e, c in vec}, scale.denominator)
         return amps[vec]
 
-    # a diagonal entry sums squared moduli of nonzero terms, so it is nonzero
-    entries = {(k, k): entry(vec) for k, vec in _exact_diagonal(plan, reading).items()}
+    # a diagonal entry sums squared moduli of nonzero terms, so it is
+    # nonzero and needs no zero test
+    entries = {(k, k): entry(vec, nonzero=True)
+               for k, vec in _exact_diagonal(plan, reading).items()}
     for (ki, kj), vec in _exact_offdiagonal(plan, reading):
         amp = entry(vec)
         if amp is not None:
@@ -714,7 +716,8 @@ def states_equal_up_to_global_phase(a, b) -> Optional[Phase]:
 
     Two exact minimal-support states are compared on their integer turns
     (``phases.turn_numerators``): equal supports, and one constant
-    difference w_I - w'_I mod q, which is g.  Other inputs compare
+    difference w_I - w'_I mod q (``phases.turn_difference``), which is g.
+    Other inputs compare
     amplitudes by cross ratios, and g is read off the first pair's
     ``Amp.polar`` splits (their float values when either has none).
     """
@@ -723,10 +726,9 @@ def states_equal_up_to_global_phase(a, b) -> Optional[Phase]:
             return None
         idxs = list(a.phases)
         q, turns = turn_numerators([a.phases[i] for i in idxs] + [b.phases[i] for i in idxs])
-        if isinstance(q, int) and idxs:
-            m = len(idxs)
-            diffs = {(x - y) % q for x, y in zip(turns[:m], turns[m:])}
-            return numerator_phase(diffs.pop(), q) if len(diffs) == 1 else None
+        if isinstance(q, int):
+            diff = turn_difference(q, zip(turns[:len(idxs)], turns[len(idxs):]))
+            return None if diff is None else numerator_phase(diff, q)
     sa, sb = a.to_sparse(), b.to_sparse()
     if (sa.n, sa.d) != (sb.n, sb.d):
         return None

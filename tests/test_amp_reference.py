@@ -9,10 +9,17 @@ so on random exact amplitudes every operation must give the same term map
 equality and the same magnitude-and-phase split of one-term values.  Dense Butson layers applied
 site by site in the reference arithmetic must give the same images, term
 by term, and the AME(4,4) automorphisms with Butson layers are pinned.
+
+``Phase`` likewise holds an exact turn as a reduced int pair in place of
+the Fraction it held before; its arithmetic, equality, hashing and round
+trips are checked against Fraction turns mod 1.
 """
 
 import cmath
+import copy
+import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -217,3 +224,77 @@ def test_ame44_butson_automorphisms_are_pinned():
     assert [" ".join("".join(signs[a.polar()] for a in row) for row in site.matrix)
             for site in layer.sites] == AME44_BUTSON_SITES
     assert all(site.kind == "general" and site.scale == 4 for site in layer.sites)
+
+
+TURNS = st.fractions(min_value=-3, max_value=3, max_denominator=360)
+
+
+def reduced(t):
+    """The reference reading of an exact turn: t mod 1 as a Fraction."""
+    return Fraction(t) % 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(TURNS, TURNS, st.integers(-12, 12))
+@example(Fraction(1, 3), Fraction(-2, 3), -1)
+@example(Fraction(0), Fraction(5, 2), 0)
+@example(Fraction(7, 360), Fraction(-7, 360), -12)
+def test_integer_phase_matches_fraction_reference(t1, t2, n):
+    a, b = Phase(t1), Phase(t2)
+    for got, want in [(a, t1), (b, t2), (a * b, t1 + t2), (a / b, t1 - t2),
+                      (a ** n, t1 * n), (b ** -n, -t2 * n), (a.conj(), -t1)]:
+        want = reduced(want)
+        assert got.is_exact and got.turn == want
+        assert (got.num, got.den) == (want.numerator, want.denominator)
+        assert got == Phase(want) and hash(got) == hash(Phase(want)) == hash(want)
+        assert repr(got) == "Phase(%s)" % want
+    assert (a == b) == (reduced(t1) == reduced(t2))
+    assert (a != b) == (reduced(t1) != reduced(t2))
+    assert a.close_to(b) == (a == b)
+
+
+@given(st.integers(0, 2 ** 30), st.integers(0, 30))
+@example(1, 1)
+def test_exact_and_real_phases_of_one_dyadic_turn_are_equal(m, k):
+    # m / 2^k is a float exactly, so the exact and the real phase are one
+    # value: equal both ways, with equal hashes
+    t = Fraction(m, 2 ** k)
+    exact, real = Phase(t), Phase(float(t))
+    assert exact.is_exact and not real.is_exact
+    assert exact == real and real == exact and hash(exact) == hash(real)
+    assert len({exact, real}) == 1
+
+
+def test_exact_and_real_phases_of_other_turns_differ():
+    assert Phase(Fraction(1, 2)) == Phase(0.5)
+    assert hash(Phase(Fraction(1, 2))) == hash(Phase(0.5))
+    assert Phase(Fraction(1, 3)) != Phase(1 / 3)
+    assert Phase(Fraction(1, 3)).close_to(Phase(1 / 3))
+    assert Phase(Fraction(1, 4)) != Fraction(1, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TURNS | st.floats(min_value=-3, max_value=3) | st.integers(-3, 3))
+@example(-3e-109)  # t % 1.0 rounds to 1.0, which is turn 0
+def test_phase_round_trips(t):
+    p = Phase(t)
+    copies = [Phase.from_json(json.loads(json.dumps(p.to_json()))),
+              copy.copy(p), copy.deepcopy(p), copy.deepcopy([p, p])[1]]
+    copies += [pickle.loads(pickle.dumps(p, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for q in copies:
+        assert type(q) is Phase and q == p and hash(q) == hash(p)
+        assert q.is_exact == p.is_exact and q.turn == p.turn and repr(q) == repr(p)
+
+
+@pytest.mark.parametrize("p", [Phase(Fraction(1, 3)), Phase(0.25), Phase(2)],
+                         ids=["exact", "real", "int"])
+def test_phase_attributes_cannot_be_assigned(p):
+    before = p.to_json()
+    for name, value in [("num", 2), ("den", 5), ("turn", Fraction(1, 2)), ("other", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    for name in ("num", "den"):
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p.to_json() == before

@@ -62,12 +62,15 @@ def test_monomial_image_recovered():
         assert states_equal_up_to_global_phase(replay, op.apply(s)) is not None
 
 
-def test_replay_rejects_a_wrong_diagonal(monkeypatch):
-    # the replay reads the witness's own phases: one diagonal entry off by
-    # 1/360 turns a solvable AME(4,4) pair into a failed replay
+@pytest.mark.parametrize("make", [construct_ame44, lambda: ame_linear_5(5)],
+                         ids=["ame44", "ame-linear-5-5"])
+def test_replay_rejects_a_wrong_diagonal(monkeypatch, make):
+    # the replay reads the witness's own phases on integer turns: one
+    # diagonal entry off by 1/360 turns a solvable pair into a failed
+    # replay, at N = 2k (AME(4,4)) and at 2k < N (the five-party family)
     from ameslocc import equivalence
-    s = construct_ame44()
-    dst = random_monomial(4, 4, random.Random(8), den=360).apply(s)
+    s = make()
+    dst = random_monomial(s.n, s.d, random.Random(8), den=360).apply(s)
     solve = equivalence.solve_turn_system
 
     def shifted(*args, **kwargs):

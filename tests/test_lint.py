@@ -196,12 +196,23 @@ def test_lru_caches_are_bounded():
 # one five-party decision, with no test dependency: a fixed local monomial
 # image; and two N = 2k decisions through butson_match's rule, one exact and
 # one on float turns, 192 float solves; then one CLI scenario and two of the
-# CLI's option errors, since argparse's behaviour differs between versions
+# CLI's option errors, since argparse's behaviour differs between versions;
+# and pickle, deepcopy and the exact-against-real hash of a Phase, whose
+# __slots__ pickle differently between versions
 SMOKE = textwrap.dedent("""
+    import copy
     import math
+    import pickle
     from fractions import Fraction
     import ameslocc
-    from ameslocc.phases import root_of_unity
+    from ameslocc.phases import Phase, root_of_unity
+    for p in (Phase(Fraction(3, 7)), Phase(0.25)):
+        for q in [copy.deepcopy(p)] + [pickle.loads(pickle.dumps(p, protocol))
+                                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+            assert type(q) is Phase and q == p and hash(q) == hash(p), (p, q)
+            assert repr(q) == repr(p) and q.is_exact == p.is_exact, (p, q)
+    half, real_half = Phase(Fraction(1, 2)), Phase(0.5)
+    assert half == real_half and hash(half) == hash(real_half)
     s = ameslocc.ame_linear_5(5)
     op = ameslocc.LocalOperator([ameslocc.SiteOperator.monomial(
         [(3 * x + p) % 5 for x in range(5)], [root_of_unity(10, p * x) for x in range(5)])

@@ -168,6 +168,25 @@ def test_nonfinite_float_amplitudes_are_refused(obj):
         Amp.from_json(obj)
 
 
+def test_amp_from_json_adds_repeated_exponents_mod_q():
+    # exponents 1 and 5 are one exponent mod 4 and their counts cancel;
+    # 0 and 8 add up; -1 and 2 are one exponent mod 3 and cancel to zero
+    amp = Amp.from_json({"q": 4, "counts": [[1, 3], [5, -3], [0, 1], [8, 1]], "den": 2})
+    assert amp.counts == {0: 2} and amp.equals(Amp.one())
+    assert amp.to_json() == {"q": 1, "counts": [[0, 1]], "den": 1}
+    zero = Amp.from_json({"q": 3, "counts": [[2, 1], [-1, -1]], "den": 1})
+    assert zero.counts == {} and zero.is_zero()
+
+
+def test_amp_terms_add_into_one_form():
+    a = Amp(terms={Fraction(1, 4): Fraction(1, 2), Fraction(5, 4): Fraction(1, 3),
+                   Fraction(1, 2): 0, Fraction(3, 4): Fraction(-1, 6)})
+    assert (a.q, a.counts, a.den) == (4, {1: 5, 3: -1}, 6)
+    # a real turn makes the value a complex double
+    b = Amp(terms={0.25: 2, Fraction(1, 2): Fraction(1, 2)})
+    assert not b.is_exact and complex(b) == pytest.approx(2j - 0.5)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_set_tolerance_refuses_nonpositive_and_nonfinite(tol):
     old = get_tolerance()

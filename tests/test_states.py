@@ -447,11 +447,13 @@ def test_phased_state_shares_its_root_amplitudes(d):
 
 def test_partial_trace_zero_tests_run_over_each_entry_conductor(monkeypatch):
     # the state's turns 1/53, 1/57, 1/58, 1/59 give it conductor ~10^7, but
-    # its entries only need 53 * 58: single-exponent entries are nonzero at
-    # once, and the rest are tested over their own conductor
+    # its entries only need 53 * 58: diagonal entries (sums of squared
+    # moduli) and single-exponent entries are nonzero at once, and the one
+    # off-diagonal entry of two exponents, w_53 + w_58 at (0, 1), is tested
+    # over its own conductor
     import ameslocc.phases as phases
     w = lambda p: Amp.from_phase(Phase(Fraction(1, p)))
-    s = SparseState(2, 2, {(0, 0): w(53) + w(58), (0, 1): w(57), (1, 1): w(59)},
+    s = SparseState(2, 3, {(0, 0): w(53) + w(58), (1, 0): w(1), (0, 1): w(57), (2, 1): w(59)},
                     scale2=4)
     seen = []
     real = phases.exponent_sum_is_zero
