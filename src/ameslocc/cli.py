@@ -210,17 +210,6 @@ def _cmd_autos(args) -> int:
     return EXIT_OK
 
 
-def _cmd_filter(args) -> int:
-    src, dst = _load_state(args.src), _load_state(args.dst)
-    ma, mb = src.as_minimal(), dst.as_minimal()
-    if ma is None or mb is None:
-        raise CliError("the reduction filter needs minimal-support inputs")
-    report = rd.reduced_lm_filter(ma, mb, subset_size=args.subset_size)
-    _emit(report.to_json(), args,
-          ["filter: %s (%d subsets)" % (report.verdict, report.subsets_checked)])
-    return EXIT_OK if report.passed else EXIT_NEGATIVE
-
-
 def _cmd_enumerate_bh(args) -> int:
     reps = bt.enumerate_bh(args.d)
     payload = {"d": args.d, "classes": len(reps),
@@ -432,13 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--branch", choices=("lm", "lm+butson"), default="lm")
     a.add_argument("--json", default=None)
     a.set_defaults(func=_cmd_autos)
-
-    f = sub.add_parser("filter", help="reduced-density LM filter (2k < N)")
-    f.add_argument("--src", required=True)
-    f.add_argument("--dst", required=True)
-    f.add_argument("--subset-size", type=int, default=None)
-    f.add_argument("--json", default=None)
-    f.set_defaults(func=_cmd_filter)
 
     b = sub.add_parser("enumerate-bh",
                        help="Butson BH(d,d) classes up to monomial maps")

@@ -178,8 +178,14 @@ def cond_butson(src: MinimalSupportState, dst: MinimalSupportState):
 # LM matching
 
 def _check_compatible(src, dst):
+    """EquivalenceError unless src and dst share (n, d, k) with k >= 1.
+
+    The support search maps symbols along index-unity rows; the one row of
+    a k = 0 (product) support leaves symbols unmapped."""
     if (src.n, src.d, src.k) != (dst.n, dst.d, dst.k):
         raise EquivalenceError("states have different (n, d, k)")
+    if src.k < 1:
+        raise EquivalenceError("the support search needs k >= 1, got k = %d" % src.k)
 
 
 def _diagonal_solver(src, dst):
@@ -322,9 +328,9 @@ def _cokernel(rows, n, d):
 
 @lru_cache(maxsize=32)
 def _row_plan(rows, k):
-    """The search plan (``_Plan``) of a frozenset of rows and k: the rows
-    the search places, in order, until every (site, symbol) pair is mapped,
-    and the other rows, sorted.
+    """The search plan (``_Plan``) of an index-unity support, a frozenset
+    of rows, and its k >= 1: the rows the search places, in order, until
+    every (site, symbol) pair is mapped, and the other rows, sorted.
 
     Next comes a row with k mapped sites, which fix its image by index
     unity, and the most unmapped pairs, failing that the one with the most
@@ -344,7 +350,7 @@ def _row_plan(rows, k):
         del mapped[row]
         old = tuple(j for j, a in enumerate(row) if (j, a) not in carriers)
         new = tuple(j for j, a in enumerate(row) if (j, a) in carriers)
-        steps.append((row, old[:k] if k and len(old) >= k else None, old, new))
+        steps.append((row, old[:k] if len(old) >= k else None, old, new))
         for site in enumerate(row):
             for other in carriers.pop(site, ()):
                 if other in mapped:
@@ -353,7 +359,8 @@ def _row_plan(rows, k):
 
 
 class _Plan:
-    """The support search of one (row set, k), compiled by ``_row_plan``.
+    """The support search of one index-unity row set and its k >= 1,
+    compiled by ``_row_plan``.
 
     ``steps`` holds one (row, cols, old, new) per plan row, in order: old
     are the sites whose (site, symbol) pair earlier rows map, new the sites
@@ -497,8 +504,8 @@ def _iter_support_sigmas(src, dst, max_nodes):
     rows already map, and counts every candidate it skips as a node; each
     following stretch of lookup rows runs in a plain loop, one node each.
     Once the permutations are fixed, one membership test checks each other
-    row, one node each.  Row sets labelled k = 0, such as the projected
-    supports of reductions, get no lookups: each plan row branches.
+    row, one node each.  src is an index-unity support with k >= 1
+    (``_check_compatible``), so k mapped sites fix a row's image.
 
     Every sigma is sigma0 o g, for the first sigma0 and g in the src
     support's automorphism group G.  Asked for a second sigma on an onto
@@ -734,6 +741,7 @@ def _replay_exact(witness, src, dst):
 def _lm_automorphisms(s: MinimalSupportState, max_nodes: int) -> List[LocalOperator]:
     """One monomial self-witness per per-site permutation tuple admitting a
     diagonal completion (free diagonal parameters zeroed), sorted by tuple."""
+    _check_compatible(s, s)
     solve, _, screen = _diagonal_solver(s, s)
     found = {}
     for sigma in _iter_support_sigmas(s, s, max_nodes):

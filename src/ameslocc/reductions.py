@@ -1,16 +1,12 @@
 """Reduced-density-matrix arguments for SLOCC non-equivalence.
 
-Two engines live here.  ``reduced_lm_filter`` screens pairs of minimal-support
-states (with 2k < N) by deciding monomial equivalence of every (k+1)-party
-reduction; for minimal support those reductions are diagonal with distinct
-support rows, so the decision is a finite per-site permutation match.
-
-The second engine mechanizes the support-counting proof that the phased
+This module mechanizes the support-counting proof that the phased
 five-party family (d^3 terms) is never locally equivalent to the linear
 minimal-support family (d^2 terms): a pair of structured unitaries built from
 triangular numbers diagonalizes the 3-party reduction of the phased state
 locally, and any would-be equivalence then forces a support of d^4 on a state
-with d^3 terms.
+with d^3 terms.  ``decide_slocc`` reaches it for that pair alone; pairs of
+minimal-support states are decided by ``equivalence.lm_match``.
 """
 
 from __future__ import annotations
@@ -21,96 +17,12 @@ from itertools import combinations, compress, product
 from typing import Dict, List, Optional, Tuple
 
 from .butson import _exp_rows_orthogonal
-from .equivalence import DEFAULT_MAX_NODES, _iter_support_sigmas
-from .phases import ONE, Amp, Phase, root_of_unity
-from .states import (MinimalSupportState, _is_prime, ame_linear_5,
-                     construct_ame5_phased, reduced_density)
+from .phases import Amp, Phase, root_of_unity
+from .states import _is_prime, ame_linear_5, construct_ame5_phased, reduced_density
 
 
 class ReductionError(ValueError):
     pass
-
-
-@dataclass
-class ReductionFilterReport:
-    verdict: str                      # "passed" or "failed"
-    subsets_checked: int
-    failed_subset: Optional[Tuple[int, ...]] = None
-    reason: Optional[str] = None
-    exact: bool = True
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "passed"
-
-    def to_json(self):
-        obj = {"verdict": self.verdict, "subsets_checked": self.subsets_checked,
-               "exact": self.exact}
-        if self.failed_subset is not None:
-            obj["failed_subset"] = list(self.failed_subset)
-        if self.reason is not None:
-            obj["reason"] = self.reason
-        return obj
-
-
-def _projected_support(s: MinimalSupportState, subset) -> List[Tuple[int, ...]]:
-    """Projections of the support rows onto the given positions.
-
-    For a minimal-support state and a subset of size > k the projections are
-    pairwise distinct: two support rows agree on at most k-1 positions, since
-    agreeing on k positions would collide in some index-unity column set.
-    """
-    rows = [tuple(idx[p] for p in subset) for idx in s.support]
-    if len(set(rows)) != len(rows):
-        raise ReductionError("projected support rows are not distinct")
-    return sorted(rows)
-
-
-def _supports_permutation_match(rows_a, rows_b, d: int, m: int) -> bool:
-    """Does some tuple of per-site symbol permutations map rows_a onto rows_b?
-
-    Both row sets go, as phase-free states on m sites, to the support search
-    of the full-state match; their label k = 0 tells it not to assume index
-    unity.  Every symbol must occur at every site of rows_a, as it does in a
-    projected support.  An exhausted node budget raises EquivalenceError
-    rather than reading as "no match".
-    """
-    if len(rows_a) != len(rows_b):
-        return False
-    src, dst = (MinimalSupportState(m, d, 0, {row: ONE for row in rows}, check=False)
-                for rows in (rows_a, rows_b))
-    return next(_iter_support_sigmas(src, dst, DEFAULT_MAX_NODES), None) is not None
-
-
-def reduced_lm_filter(a: MinimalSupportState, b: MinimalSupportState,
-                      subset_size: Optional[int] = None) -> ReductionFilterReport:
-    """Necessary condition from (k+1)-party reductions, for 2k < N only.
-
-    Every subset-S reduction of a minimal-support state is diagonal (distinct
-    projected rows kill all off-diagonal terms), with uniform weights, so the
-    reductions of a and b are monomially equivalent iff per-site symbol
-    permutations match their projected supports.  A failure on any subset is
-    a complete-search miss and rules out local equivalence of the states.
-    """
-    if (a.n, a.d, a.k) != (b.n, b.d, b.k):
-        raise ReductionError("states must share (n, d, k)")
-    if 2 * a.k >= a.n:
-        raise ReductionError(
-            "the reduction filter needs 2k < N; at 2k = N local equivalences "
-            "of the reductions need not come from monomial factors")
-    size = subset_size if subset_size is not None else a.k + 1
-    if not a.k < size < a.n:
-        raise ReductionError("subset size must satisfy k < size < N")
-    checked = 0
-    for subset in combinations(range(a.n), size):
-        checked += 1
-        rows_a = _projected_support(a, subset)
-        rows_b = _projected_support(b, subset)
-        if not _supports_permutation_match(rows_a, rows_b, a.d, size):
-            return ReductionFilterReport(
-                "failed", checked, failed_subset=subset,
-                reason="no per-site permutation matches the projected supports")
-    return ReductionFilterReport("passed", checked)
 
 
 # ---------------------------------------------------------------------------

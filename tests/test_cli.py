@@ -9,8 +9,8 @@ import pytest
 from ameslocc.butson import fourier
 from ameslocc.cli import _SCENARIOS, reproduce, run_cli
 from ameslocc.operators import LocalOperator, SiteOperator
-from ameslocc.phases import DEFAULT_TOL, get_tolerance, root_of_unity, set_tolerance
-from ameslocc.states import ame64_phi, construct_ame43
+from ameslocc.phases import DEFAULT_TOL, Amp, get_tolerance, root_of_unity, set_tolerance
+from ameslocc.states import SparseState, ame64_phi, ame_linear_5, construct_ame43
 
 
 def write(path, text):
@@ -120,13 +120,14 @@ def test_autos_counts(tmp_path):
     assert json.loads(rep.read_text())["count"] == 18
 
 
-def test_filter_subcommand(tmp_path):
-    a = tmp_path / "a.json"
-    run_cli(["construct", "ame5-linear", "-o", str(a)])
-    rep = tmp_path / "filter.json"
-    assert run_cli(["filter", "--src", str(a), "--dst", str(a),
-                    "--json", str(rep)]) == 0
-    assert json.loads(rep.read_text())["verdict"] == "passed"
+def test_lm_branch_and_autos_refuse_a_one_term_state(tmp_path, capsys):
+    # the one term reads as a k = 0 minimal state, which the support search
+    # refuses as an input error
+    one = SparseState(3, 2, {(0, 1, 0): Amp.one()}, scale2=1)
+    a = write(tmp_path / "a.json", json.dumps(one.to_json()))
+    assert run_cli(["equiv", "--branch", "lm", "--src", a, "--dst", a]) == 2
+    assert run_cli(["autos", "--src", a]) == 2
+    assert capsys.readouterr().err.count("k >= 1") == 2
 
 
 def test_enumerate_bh(tmp_path):
@@ -173,8 +174,11 @@ def test_reproduce_appendix_d(tmp_path, d):
     assert report["passed"] and report["d"] == int(d)
 
 
-def test_no_subcommand_usage():
+def test_no_subcommand_usage(tmp_path):
     assert run_cli([]) == 2
+    # the removed reduced-density filter is an unknown command
+    a = write(tmp_path / "a.json", json.dumps(ame_linear_5(5).to_json()))
+    assert run_cli(["filter", "--src", a, "--dst", a]) == 2
 
 
 @pytest.mark.parametrize("flag, value", [("--tolerance", "0"), ("--max-nodes", "0"),

@@ -116,6 +116,19 @@ def test_shape_mismatch_raises():
         lm_match(construct_ame43(), construct_ame44())
 
 
+@pytest.mark.parametrize("call", [lambda s: lm_match(s, s), lambda s: butson_match(s, s),
+                                  automorphisms, lm_automorphism_sigmas],
+                         ids=["lm_match", "butson_match", "automorphisms",
+                              "lm_automorphism_sigmas"])
+def test_search_entry_points_refuse_k0_states(call):
+    # a one-term (product) state reads as a k = 0 minimal state, whose one
+    # row maps one symbol per site and leaves the permutations incomplete
+    s = SparseState(3, 2, {(0, 1, 0): Amp.one()}, scale2=1).as_minimal()
+    assert s.k == 0
+    with pytest.raises(EquivalenceError, match="k >= 1"):
+        call(s)
+
+
 def test_w_statistic_values():
     base = construct_ame64()
     alpha = root_of_unity(8, 1)

@@ -201,8 +201,11 @@ def test_lru_caches_are_bounded():
 # __slots__ pickle differently between versions
 SMOKE = textwrap.dedent("""
     import copy
+    import json
     import math
+    import os
     import pickle
+    import tempfile
     from fractions import Fraction
     import ameslocc
     from ameslocc.phases import Phase, root_of_unity
@@ -244,6 +247,12 @@ SMOKE = textwrap.dedent("""
     assert ameslocc.uniformity(changed) < 2
     cert = ameslocc.decide_slocc(phased, s)
     assert (cert.verdict, cert.reason) == ("inequivalent", "reduction-pipeline"), cert
+    one = ameslocc.SparseState(3, 2, {(0, 1, 0): ameslocc.Amp.one()}, scale2=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "one.json")
+        with open(path, "w") as fh:
+            json.dump(one.to_json(), fh)
+        assert ameslocc.run_cli(["equiv", "--branch", "lm", "--src", path, "--dst", path]) == 2
 """)
 
 

@@ -1,121 +1,11 @@
-import itertools
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from ameslocc import reductions
-from ameslocc.equivalence import EquivalenceError
-from ameslocc.operators import LocalOperator, SiteOperator
-from ameslocc.phases import ONE, Amp, root_of_unity
-from ameslocc.reductions import (ReductionError, _conjugated_rho_prime,
-                                 _supports_permutation_match, build_u4_u5,
-                                 reduced_lm_filter, verify_ame5_nonequivalence,
-                                 verify_rho345_lemma)
-from ameslocc.states import ame_linear_5, construct_ame43, construct_ame44
-
-
-def random_lm(n, d, rng):
-    sites = []
-    for _ in range(n):
-        sigma = list(range(d))
-        rng.shuffle(sigma)
-        diag = [root_of_unity(d, rng.randrange(d)) for _ in range(d)]
-        sites.append(SiteOperator.monomial(sigma, diag))
-    return LocalOperator(sites)
-
-
-def test_filter_passes_on_self():
-    s = ame_linear_5(5)
-    report = reduced_lm_filter(s, s)
-    assert report.passed and report.exact
-    assert report.subsets_checked == 10  # C(5, 3) three-party marginals
-
-
-def test_filter_passes_under_lm_image():
-    rng = random.Random(2)
-    s = ame_linear_5(5)
-    for _ in range(3):
-        img = random_lm(5, 5, rng).apply(s)
-        assert reduced_lm_filter(s, img).passed
-
-
-def test_filter_rejects_different_supports():
-    # two AME(5,5) states built from different sets of linear forms
-    from ameslocc.states import construct_linear
-    a = ame_linear_5(5)
-    b = construct_linear(5, [[1, 0], [0, 1], [1, 1], [1, 2], [1, 4]])
-    report = reduced_lm_filter(a, b)
-    obj = report.to_json()
-    assert obj["verdict"] == report.verdict
-    if not report.passed:
-        assert report.failed_subset is not None
-
-
-def test_filter_subset_size_validation():
-    s = ame_linear_5(5)
-    with pytest.raises(ReductionError):
-        reduced_lm_filter(s, s, subset_size=2)  # must exceed the uniformity
-    with pytest.raises(ReductionError):
-        reduced_lm_filter(s, s, subset_size=5)
-
-
-def test_filter_needs_strict_split():
-    # with N = 2k the complementary marginals are not forced diagonal
-    s = construct_ame43()
-    with pytest.raises(ReductionError):
-        reduced_lm_filter(s, s)
-
-
-def test_supports_permutation_match_direct():
-    rows = [(0, 0), (1, 1), (2, 2)]
-    shifted = [(1, 0), (2, 1), (0, 2)]
-    assert _supports_permutation_match(rows, shifted, 3, 2)
-    # no per-site relabeling maps a diagonal onto a non-injective set
-    assert not _supports_permutation_match(rows, [(0, 0), (1, 1), (2, 0)], 3, 2)
-
-
-def test_filter_budget_exhaustion_is_not_a_verdict(monkeypatch):
-    # an unfinished search must raise, never report a failed filter
-    monkeypatch.setattr(reductions, "DEFAULT_MAX_NODES", 1)
-    s = ame_linear_5(5)
-    with pytest.raises(EquivalenceError):
-        reduced_lm_filter(s, s)
-
-
-PERMS3 = list(itertools.permutations(range(3)))
-
-
-@st.composite
-def covering_rows(draw, m, size):
-    """size distinct rows over [3]^m in which every symbol occurs at every site."""
-    cover = [draw(st.sampled_from(PERMS3)) for _ in range(m)]
-    rows = [tuple(p[i] for p in cover) for i in range(3)]
-    rest = [r for r in itertools.product(range(3), repeat=m) if r not in rows]
-    return rows + draw(st.permutations(rest))[:size - 3]
-
-
-@st.composite
-def row_set_pairs(draw):
-    m = draw(st.integers(min_value=1, max_value=3))
-    size = draw(st.integers(min_value=3, max_value=3 ** m))
-    rows_a = draw(covering_rows(m, size))
-    if draw(st.booleans()):
-        perms = [draw(st.sampled_from(PERMS3)) for _ in range(m)]
-        rows_b = [tuple(p[x] for p, x in zip(perms, row)) for row in rows_a]
-    else:
-        rows_b = draw(covering_rows(m, size))
-    return m, sorted(rows_a), sorted(rows_b)
-
-
-@given(row_set_pairs())
-def test_supports_permutation_match_agrees_with_brute_force(case):
-    m, rows_a, rows_b = case
-    target = set(rows_b)
-    brute = any({tuple(p[x] for p, x in zip(perms, row)) for row in rows_a} == target
-                for perms in itertools.product(PERMS3, repeat=m))
-    assert _supports_permutation_match(rows_a, rows_b, 3, m) == brute
+from ameslocc.phases import Amp
+from ameslocc.reductions import (ReductionError, _conjugated_rho_prime, build_u4_u5,
+                                 verify_ame5_nonequivalence, verify_rho345_lemma)
 
 
 def test_triangular_exponents_d3():
