@@ -5,7 +5,8 @@ scaling by 1/sqrt(d).  A ``ButsonMatrix`` is its exponent rows: entry
 (i, j) is w^e[i][j], w the primitive q-th root of unity, e[i][j] in [0, q).
 The constructor reads Phase entries once; Phases are made again only for
 ``entries``, indexing and JSON.  Orthogonality is an exact
-vanishing-sum-of-roots-of-unity check, made once per exponent histogram.
+vanishing-sum-of-roots-of-unity check, made once per count vector
+(``phases.vanishes``).
 
 Matrices are classified up to monomial equivalence (row/column permutations
 and unit-diagonal scalings), decided on dephased exponent matrices (first
@@ -17,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from collections import Counter
 from typing import List, Sequence, Tuple
 
-from .phases import Phase, exponent_sum_is_zero, root_of_unity, turn_numerators
+from .phases import Phase, count_vector, root_of_unity, turn_numerators, vanishes
 
 
 class ButsonError(ValueError):
@@ -198,38 +199,22 @@ def _monomial_witness(tables, eb, big_q):
     return None
 
 
-@lru_cache(maxsize=4096)
-def _vanishes(counts: Tuple[int, ...], q: int) -> bool:
-    """The sum of counts[e] copies of w^e vanishes, w the primitive q-th root
-    of unity: the exact test, run once per histogram.  Whether roots of unity
-    sum to zero depends only on how often each one occurs."""
-    return exponent_sum_is_zero({e: c for e, c in enumerate(counts) if c}, q)
-
-
-def _histogram(exps, q: int) -> Tuple[int, ...]:
-    """How often each residue 0..q-1 occurs among exps (each in [0, q))."""
-    counts = [0] * q
-    for e in exps:
-        counts[e] += 1
-    return tuple(counts)
-
-
 def _exp_rows_orthogonal(row_a, row_b, q) -> bool:
     """Exponent rows a, b (mod q) are orthogonal: sum_j w^(a_j - b_j) vanishes
     exactly, w the primitive q-th root of unity."""
-    return _vanishes(_histogram(((x - y) % q for x, y in zip(row_a, row_b)), q), q)
+    return vanishes(count_vector(Counter((x - y) % q for x, y in zip(row_a, row_b))), q)
 
 
 def _zero_sum_rows(d: int):
     """All exponent tuples (0, e1, ..., e_{d-1}) whose d-th-root sum vanishes,
     i.e. that are orthogonal to the all-zeros row, in lexicographic order.
 
-    Each multiset of tails is one histogram; it is tested once, and only a
-    vanishing one is expanded to its distinct orderings.
+    Each multiset of tails is one count vector; it is tested once, and only
+    a vanishing one is expanded to its distinct orderings.
     """
     rows = []
     for tail in itertools.combinations_with_replacement(range(d), d - 1):
-        if _vanishes(_histogram((0,) + tail, d), d):
+        if vanishes(count_vector(Counter((0,) + tail)), d):
             rows.extend((0,) + t for t in set(itertools.permutations(tail)))
     return sorted(rows)
 

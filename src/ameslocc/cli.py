@@ -44,6 +44,14 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _rational_turn(text: str) -> Fraction:
+    """The --phi type: a Fraction, else an argparse usage error, 1/0 too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("must be a rational turn, got %r" % text) from None
+
+
 def _load_json(path: str, what: str, parse):
     """parse() of the JSON in path, a CliError when either step fails."""
     try:
@@ -392,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("name")
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--d", type=int, default=None)
-    c.add_argument("--phi", type=Fraction, default=Fraction(0),
+    c.add_argument("--phi", type=_rational_turn, default=Fraction(0),
                    help="decorating phase turn for ame64-phi, e.g. 1/16 or 0.0625")
     c.add_argument("-o", "--output", default=None)
     c.set_defaults(func=_cmd_construct)

@@ -19,15 +19,16 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import getitem, itemgetter, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .butson import _BH_CAP, enumerate_bh
 from .designs import small_regime
-from .modsolve import Rows, _eliminate, solve_turn_system
+from .modsolve import _eliminate, solve_turn_system
 from .operators import LocalOperator, SiteOperator
-from .phases import Phase, get_tolerance, phase_product, turn_difference, turn_numerators
+from .phases import (Phase, get_tolerance, numerator_phase, phase_product, turn_difference,
+                     turn_numerators)
 from .states import (MinimalSupportState, _columns, _is_prime,
                      states_equal_up_to_global_phase, with_phases)
 
@@ -193,8 +194,10 @@ def _diagonal_solver(src, dst):
 
     solve(sigma): the local monomial with permutations sigma whose diagonal
     phases theta_j(a) give w_I * prod_j theta_j(I_j) = w'_{sigma(I)}, or
-    None; float turns are solved exactly, as the binary fractions they
-    hold, within the tolerance only at the cokernel rows.  orders(sigma):
+    None; each entry is ``numerator_phase`` of the (q, values) turns
+    ``solve_turn_system`` gives.  Float turns are solved exactly, as the
+    binary fractions they hold, within the tolerance only at the cokernel
+    rows.  orders(sigma):
     den / gcd(den, c.t) over the cokernel rows c for the src turns t and
     for the dst turns pulled back by sigma.  screen: False when sigma has
     no solution, True when it must be solved, as the first, sigma0, always
@@ -209,13 +212,14 @@ def _diagonal_solver(src, dst):
     for all c: a test of g(Z), the rows sigma0 maps onto sigma(Z), alone,
     memoised by them.  When Z is longer than the shortest cokernel row,
     each row is tested directly, c.pull_sigma(dst) = c.src, shortest first,
-    gathering dst over its support only.  The tables are cached per support
-    (``_incidence``, ``_cokernel``); c.pull_sigma0(dst) is taken at the
-    second sigma.  By index unity a row is fixed by its first k symbols, so
-    only the first k sites of sigma are read."""
+    gathering dst over its support only.  The incidence rows, their
+    elimination and the cokernel tables are one cache entry per support
+    (``_incidence``); c.pull_sigma0(dst) is taken at the second sigma.  By
+    index unity a row is fixed by its first k symbols, so only the first k
+    sites of sigma are read."""
     n, d, k = src.n, src.d, src.k
-    idxs, cols, rows = _incidence(frozenset(src.phases), n, d)
-    cols = cols[:k]
+    inc = _incidence(frozenset(src.phases), n, d)
+    idxs, cols = inc.idxs, inc.cols[:k]
     mod, turns = turn_numerators(
         [src.phases[idx] for idx in idxs] + list(dst.phases.values()))
     den = mod if isinstance(mod, int) else None  # else 1.0 and float turns
@@ -227,12 +231,12 @@ def _diagonal_solver(src, dst):
 
     def solve(sigma):
         rhs = [(t - w) % mod for t, w in zip(pulled_back(sigma), src_turns)]
-        theta = solve_turn_system(rows, rhs, n * d, den)
+        theta = solve_turn_system(inc.system, rhs, n * d, mod)
         if theta is None:
             return None
-        return LocalOperator([
-            SiteOperator.monomial(sigma[j], [Phase(theta[j * d + a]) for a in range(d)])
-            for j in range(n)])
+        diagonal = [numerator_phase(v, theta[0]) for v in theta[1]]
+        return LocalOperator([SiteOperator.monomial(sigma[j], diagonal[j * d:j * d + d])
+                              for j in range(n)])
 
     if den is None:
         return solve, None, lambda sigma: True
@@ -243,14 +247,14 @@ def _diagonal_solver(src, dst):
         cokernel row c, shortest first."""
         values = src_turns if sigma is None else pulled_back(sigma)
         return [sum(map(mul, coeffs, map(values.__getitem__, at))) % den
-                for at, coeffs, _ in _cokernel(rows, n, d)[0]]
+                for at, coeffs, _ in inc.cokernel[0]]
 
     def orders(sigma):
         return tuple(den // math.gcd(den, *dots(s)) for s in (None, sigma))
 
     def transported(sigma0):
         """The test of each sigma after sigma0."""
-        by_row, touching = _cokernel(rows, n, d)
+        by_row, touching = inc.cokernel
         m = Counter(src_turns).most_common(1)[0][0]
         z = [i for i, t in enumerate(src_turns) if t != m]
         if by_row and len(z) > len(by_row[0][0]):
@@ -302,28 +306,39 @@ def _images(sigma, cols):
 
 @lru_cache(maxsize=32)
 def _incidence(rows, n, d):
-    """(idxs, cols, Rows) of a frozenset of rows: the rows sorted, their
-    columns, and their (site, symbol) incidence rows, which ``modsolve``
-    eliminates."""
-    idxs = tuple(sorted(rows))
-    return idxs, tuple(zip(*idxs)), Rows(
-        [int(idx[c // d] == c % d) for c in range(n * d)] for idx in idxs)
+    """The ``_Incidence`` of a frozenset of support rows, one per support."""
+    return _Incidence(rows, n, d)
 
 
-@lru_cache(maxsize=32)
-def _cokernel(rows, n, d):
-    """(by_row, touching) for incidence ``Rows`` from ``_incidence``: the
-    cokernel rows of ``modsolve``'s elimination, shortest first, each as
-    (support rows, coefficients, site columns of those rows); and for each
-    support row the (cokernel row, coefficient) pairs touching it."""
-    idxs = [tuple(r.index(1, j * d) - j * d for j in range(n)) for r in rows]
-    coker = _eliminate(rows, n * d)[2]
-    touching = [[] for _ in rows]
-    for at, c in enumerate(coker):
-        for i, v in c:
-            touching[i].append((at, v))
-    return [(tuple(i for i, _ in c), tuple(v for _, v in c),
-             tuple(zip(*[idxs[i] for i, _ in c]))) for c in coker], touching
+class _Incidence:
+    """The diagonal systems of one support over n sites and d symbols:
+    ``idxs``, the rows sorted; ``cols``, their site columns; ``rows``, their
+    (site, symbol) incidence rows; and, built at first use, ``system``,
+    their ``modsolve`` elimination, and the ``cokernel`` tables."""
+
+    def __init__(self, rows, n, d):
+        self.idxs = tuple(sorted(rows))
+        self.cols = tuple(zip(*self.idxs))
+        self.rows = tuple(tuple(int(idx[c // d] == c % d) for c in range(n * d))
+                          for idx in self.idxs)
+
+    @cached_property
+    def system(self):
+        return _eliminate(self.rows, len(self.rows[0]))
+
+    @cached_property
+    def cokernel(self):
+        """(by_row, touching): the cokernel rows of ``system``, shortest
+        first, each as (support rows, coefficients, site columns of those
+        rows); and for each support row the (cokernel row, coefficient)
+        pairs touching it."""
+        coker = self.system[2]
+        touching = [[] for _ in self.idxs]
+        for at, c in enumerate(coker):
+            for i, v in c:
+                touching[i].append((at, v))
+        return [(tuple(i for i, _ in c), tuple(v for _, v in c),
+                 tuple(zip(*[self.idxs[i] for i, _ in c]))) for c in coker], touching
 
 
 @lru_cache(maxsize=32)
@@ -685,8 +700,8 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     each, once a budget covers the group's self-search.  So
     ``stats["sigmas_tested"]`` and the budget verdicts do not depend on
     whether that group is already recorded; only the time to reach each
-    sigma does.  The incidence rows of the diagonal systems are built once
-    per src support (``_incidence``).
+    sigma does.  The diagonal systems' incidence rows, elimination and
+    cokernel tables are built once per src support (``_incidence``).
     """
     _check_compatible(src, dst)
     exact = src.is_exact and dst.is_exact

@@ -6,21 +6,24 @@ small non-negative integer entries.  Integer row elimination brings A to a
 row-echelon form H = U.A with unimodular U, built beside H by the same row
 operations; the system is consistent iff U.b is integral on every zero row
 of H, and then a particular solution follows by back substitution.  A
-search solves one A against many b, so each distinct A is eliminated once,
-and U is kept as its rows below the pivots and its pivot rows by column.
+search solves one A against many b, so its caller keeps ``_eliminate``'s
+output (``equivalence`` holds it beside the support's incidence rows); U
+is kept as its rows below the pivots and its pivot rows by column.
 
 The rows of U below the pivots span the cokernel of A (c.A = 0), and (U.b)
 on the zero rows of H is exactly c.b for those rows c.  So an exact system
 is infeasible iff some cokernel row has c.b not a whole number of turns
 (Cohen, A Course in Computational Algebraic Number Theory, 1993, 2.4):
 one small integer product per row, shortest row first, decides it.  On the
-pivot rows U.b is a sum over U's columns at the nonzero entries of b.  The
-back substitution runs on integer turns: the solution is kept as
-numerators over one running denominator, multiplied by |p| only when a
-pivot p does not divide the accumulated numerator, and becomes Fractions
-once, at the end.  Float turns take the same path as the binary fractions
-they hold, over their largest denominator; only the zero-row test allows
-the tolerance, and the turns are rounded to floats once.
+pivot rows U.b is a sum over U's columns at the nonzero entries of b.
+Turns go in and out as (q, values), the form of ``phases.turn_numerators``:
+integer numerators over an int q, or float turns with q = 1.0.  The back
+substitution runs on integer turns: the solution is kept as numerators
+over one running denominator, multiplied by |p| only when a pivot p does
+not divide the accumulated numerator, and returned over it.  Float turns
+take the same path as the binary fractions they hold, over their largest
+denominator; only the zero-row test allows the tolerance, and the turns
+are rounded to floats once.
 
 A support search solves one A against b = pull_sigma(dst) - src for many
 sigma, each after the first, sigma0, being sigma0 o g for a support
@@ -34,32 +37,15 @@ memoised by g(Z), and solves only the sigmas that pass.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
 from .phases import get_tolerance
 
 
-class Rows(tuple):
-    """Integer coefficient rows as a tuple of int tuples that hashes once,
-    so a matrix solved against many right-hand sides costs one hash."""
-
-    def __new__(cls, rows):
-        self = super().__new__(cls, (tuple(map(int, r)) for r in rows))
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self):
-        return self._hash
-
-
-@lru_cache(maxsize=32)
 def _eliminate(rows, num_vars):
-    """(h, pivots, coker, cols): h = U.rows in echelon form with (row, col)
-    pivots; the rows of U below the pivots as sparse ((index, coeff), ...)
-    tuples, shortest first; and U's pivot rows by column, cols[i] the
-    (pivot row, coeff) pairs of U's column i.  U starts as the identity and
-    takes each row operation as A does."""
+    """(h, pivots, coker, cols) of integer coefficient rows: h = U.rows in
+    echelon form with (row, col) pivots; the rows of U below the pivots as
+    sparse ((index, coeff), ...) tuples, shortest first; and U's pivot rows
+    by column, cols[i] the (pivot row, coeff) pairs of U's column i.  U
+    starts as the identity and takes each row operation as A does."""
     m = len(rows)
     a = [list(r) for r in rows]
     u = [{i: 1} for i in range(m)]
@@ -114,26 +100,24 @@ def _eliminate(rows, num_vars):
     return tuple(map(tuple, a)), tuple(pivots), tuple(coker), tuple(map(tuple, cols))
 
 
-def solve_turn_system(rows, rhs, num_vars, den=None):
+def solve_turn_system(system, rhs, num_vars, q):
     """Find theta with sum_j rows[i][j]*theta[j] = rhs[i] (mod 1), or None.
 
-    ``rows`` are integer coefficient sequences (pass ``Rows`` to skip the
-    conversion).  With ``den`` the system is exact: ``rhs`` entries are
-    integer numerators over den, and the turns come back as Fractions.
-    Without it ``rhs`` entries are float turns, read as the binary
-    fractions they hold; a zero row may then miss a whole turn by the
-    tolerance, and the turns come back as floats in [0, 1).  Returns a
-    list of turn values for the unknowns, with unused degrees of freedom
-    set to zero.
+    ``system`` is ``_eliminate(rows, num_vars)``.  ``rhs`` and the result
+    are turns in the (q, values) form of ``phases.turn_numerators``.  With
+    an int q the system is exact: ``rhs`` entries are integer numerators
+    over q, and the result is (q', values), values integer numerators in
+    [0, q') over a multiple q' of q.  With q = 1.0 ``rhs`` entries are
+    float turns, read as the binary fractions they hold; a zero row may
+    then miss a whole turn by the tolerance, and the result is (1.0, float
+    turns in [0, 1)).  Unused degrees of freedom are set to zero.
     """
-    if not isinstance(rows, Rows):
-        rows = Rows(rows)
-    h, pivots, coker, cols = _eliminate(rows, num_vars)
-    exact, b, slack = den is not None, list(rhs), 0
+    h, pivots, coker, cols = system
+    exact, b, slack, den = isinstance(q, int), list(rhs), 0, q
     if not exact:  # every float denominator is a power of two: den is their lcm
         ratios = [float(x).as_integer_ratio() for x in b]
-        den = max((q for _, q in ratios), default=1)
-        b = [p * (den // q) for p, q in ratios]
+        den = max((p for _, p in ratios), default=1)
+        b = [x * (den // p) for x, p in ratios]
         slack = get_tolerance() * den
     # zero rows of H must carry a whole number of turns: c.b = 0 (mod den)
     for c in coker:
@@ -161,4 +145,4 @@ def solve_turn_system(rows, rhs, num_vars, den=None):
             t = [x * s for x in t]
             acc, scale, den = acc * s, scale * s, den * s
         t[col] = acc // p % den
-    return [Fraction(x, den) if exact else x / den % 1.0 for x in t]
+    return (den, t) if exact else (1.0, [x / den % 1.0 for x in t])

@@ -313,6 +313,23 @@ def exponent_sum_is_zero(coeffs, q) -> bool:
     return not any(_reduce_mod_cyclotomic(coeffs, q))
 
 
+def count_vector(counts):
+    """counts, a map of exponent -> integer count, as a sorted tuple of its
+    (exponent, nonzero count) pairs: the key ``vanishes`` reads."""
+    return tuple(sorted((e, c) for e, c in counts.items() if c))
+
+
+@lru_cache(maxsize=4096)
+def vanishes(vec, q) -> bool:
+    """Does the count vector vec (``count_vector``) over w_q sum to zero?
+    The one memoised zero test: ``exponent_sum_is_zero`` over the vector's
+    own conductor, once per vector; one exponent needs no test."""
+    if len(vec) <= 1:
+        return not vec
+    g = math.gcd(q, *(e for e, _ in vec))
+    return exponent_sum_is_zero({e // g: c for e, c in vec}, q // g)
+
+
 class Amp:
     """A complex amplitude, exact (rational combination of roots of unity) or float.
 

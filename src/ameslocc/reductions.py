@@ -17,7 +17,7 @@ from itertools import combinations, compress, product
 from typing import Dict, List, Optional, Tuple
 
 from .butson import _exp_rows_orthogonal
-from .phases import Amp, Phase, root_of_unity
+from .phases import Amp, Phase, count_vector, root_of_unity, vanishes
 from .states import _is_prime, ame_linear_5, construct_ame5_phased, reduced_density
 
 
@@ -116,7 +116,7 @@ def _conjugated_rho_prime(d: int, w, v):
     ensemble vector shifts a base int (a 1 at slot -e_y mod d of every
     column) by e_x slots into each row.  Folding the two halves of a column
     gives its count vector (no count exceeds d < 256), sliced from the
-    block's bytes; each distinct vector is zero-tested once.
+    block's bytes; ``phases.vanishes`` tests each distinct vector once.
     """
     if d > 255:
         raise ReductionError("one byte per exponent slot needs d < 256")
@@ -140,9 +140,10 @@ def _conjugated_rho_prime(d: int, w, v):
             width * dd, "little") for r in rows])
         vecs = [block[i:i + d] for i in range(0, len(block), width)]
         for vec in set(vecs).difference(entries):
+            counts = count_vector(dict(enumerate(vec)))
             # 1/d^2 ensemble weight, 1/d per unitary factor
-            amp = Amp.from_counts(d, {e: c for e, c in enumerate(vec) if c}, d ** 4)
-            entries[vec] = None if amp.is_zero() else amp
+            entries[vec] = None if vanishes(counts, d) else Amp.from_counts(
+                d, dict(counts), d ** 4)
         amps = list(map(entries.__getitem__, vecs))
         sites = [(s, m, kk) for m in range(d) for kk in range(d)]
         out.update(zip(compress(product(sites, sites), amps),
@@ -153,8 +154,8 @@ def _conjugated_rho_prime(d: int, w, v):
 def verify_rho345_lemma(d: int) -> bool:
     """Conjugating the diagonal reduction of the linear family by
     Id x U4 x U5 reproduces the reduction of the phased family exactly."""
-    if d % 2 == 0:
-        raise ReductionError("the lemma is stated for odd d only")
+    if d % 2 == 0 or d > 255:  # one byte per count, checked before the d^3 terms
+        raise ReductionError("the lemma is checked for odd d < 256 only")
     return _rho345_lemma_holds(d, construct_ame5_phased(d))
 
 
@@ -171,7 +172,7 @@ def _rho345_lemma_holds(d: int, phased) -> bool:
 
 def verify_ame5_nonequivalence(d: int) -> dict:
     """Structured certificate that the phased and linear five-party families
-    are not locally equivalent for prime d >= 5.
+    are not locally equivalent for prime d >= 5, checked for d < 256.
 
     Steps: (1) the three-party reductions are monomially related through the
     triangular-number unitaries, so any local equivalence of the full states
@@ -185,8 +186,8 @@ def verify_ame5_nonequivalence(d: int) -> dict:
     returns a copy of its dict and of each step's dict, whose values are
     all immutable, so no caller can change the next call's report.
     """
-    if not (_is_prime(d) and d >= 5):
-        raise ReductionError("the certificate needs a prime d >= 5")
+    if not (_is_prime(d) and 5 <= d < 256):  # the lemma's d < 256, checked first
+        raise ReductionError("the certificate needs a prime 5 <= d < 256")
     report = _ame5_certificate(d)
     return {**report, "steps": [dict(step) for step in report["steps"]]}
 

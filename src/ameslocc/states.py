@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .phases import (ONE, Amp, Phase, get_tolerance, numerator_phase, root_of_unity,
-                     turn_difference, turn_numerators)
+from .phases import (ONE, Amp, Phase, count_vector, get_tolerance, numerator_phase,
+                     root_of_unity, turn_difference, turn_numerators, vanishes)
 
 MultiIndex = Tuple[int, ...]
 
@@ -162,9 +162,9 @@ class SparseState:
         with the amplitude of term r equal to sum(c * w_q^e) / den: each
         amplitude's (q, counts, den) lifted to q and den, the lcm of their
         q and of their den.  The forms are not reduced first: a zero test
-        reduces each count vector to its own conductor (``_vanishes``).
+        reduces each count vector to its own conductor (``phases.vanishes``).
         ``norms[r]`` is den^2 times its squared modulus as a count vector
-        (``_count_vector``), and ``norm`` the one such vector when every
+        (``count_vector``), and ``norm`` the one such vector when every
         term has it, else None.  Every partial trace of this state reuses
         the reading.  None when a term has a real turn.
         """
@@ -178,7 +178,7 @@ class SparseState:
                  for a in amps]
         # |c w^e|^2 = c^2 needs no products
         norms = [((0, p[0][1] ** 2),) if len(p) == 1
-                 else _count_vector(_add_products({}, p, p, q)) for p in pairs]
+                 else count_vector(_add_products({}, p, p, q)) for p in pairs]
         distinct = set(norms)
         norm = distinct.pop() if len(distinct) == 1 else None
         return q, den, pairs, norms, norm
@@ -250,11 +250,6 @@ def _add_products(counts, pi, pj, q):
     return counts
 
 
-def _count_vector(counts):
-    """counts as a sorted tuple of its (exponent, nonzero count) pairs."""
-    return tuple(sorted((e, c) for e, c in counts.items() if c))
-
-
 def _moduli_differ(x, y):
     """x != y when both are Fractions, else |x - y| > tolerance * max(1, y)."""
     gap = abs(x - y)
@@ -316,6 +311,8 @@ def construct_linear(d: int, coeffs: Sequence[Sequence[int]]) -> MinimalSupportS
     in ``itertools.product`` order, and index unity (every k rows independent
     over GF(d)) is verified, not assumed.
     """
+    if not coeffs:
+        raise StateError("construct_linear needs one coefficient row per site, got none")
     k = len(coeffs[0])
     if _prime_power(d) is None or any(len(row) != k or not all(0 <= c < d for c in row)
                                       for row in coeffs):
@@ -518,14 +515,6 @@ def _groups(keys):
     return groups.values()
 
 
-@lru_cache(maxsize=4096)
-def _vanishes(vec, q):
-    """Does the count vector vec (``_count_vector``) over w_q sum to zero?
-    ``Amp.is_zero`` decides it over the vector's own conductor; a vector
-    of one exponent needs no test."""
-    return Amp.from_counts(q, dict(vec)).is_zero()
-
-
 def _exact_diagonal(plan, reading):
     """Each kept tuple's diagonal entry, as an unscaled count vector."""
     norms, norm = reading[3], reading[4]
@@ -536,7 +525,7 @@ def _exact_diagonal(plan, reading):
         acc = sums.setdefault(k, {})
         for e, c in vec:
             acc[e] = acc.get(e, 0) + c
-    return {k: _count_vector(acc) for k, acc in sums.items()}
+    return {k: count_vector(acc) for k, acc in sums.items()}
 
 
 def _exact_offdiagonal(plan, reading):
@@ -547,7 +536,7 @@ def _exact_offdiagonal(plan, reading):
     for members in plan.groups:
         for i, j in itertools.combinations(members, 2):
             _add_products(sums.setdefault((kept[i], kept[j]), {}), pairs[i], pairs[j], q)
-    return ((entry, _count_vector(counts)) for entry, counts in sums.items())
+    return ((entry, count_vector(counts)) for entry, counts in sums.items())
 
 
 def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
@@ -567,7 +556,7 @@ def reduced_density(s, keep: Iterable[int]) -> DensityMatrix:
       modulus it is the kept tuple's row count times it.  So a state whose
       traced-out tuples never repeat has a diagonal marginal;
     * an off-diagonal entry sums the pairs of the plan's groups, and its
-      count vector is zero-tested by ``_vanishes`` (a bounded cache of
+      count vector is zero-tested by ``phases.vanishes`` (a bounded cache of
       verdicts); the mirrored entry is the conjugate, with no second zero
       test.
 
@@ -597,7 +586,7 @@ def _exact_entries(sp, reading, plan):
 
     def entry(vec, nonzero=False):
         if vec not in amps:
-            amps[vec] = None if not nonzero and _vanishes(vec, q) else Amp.from_counts(
+            amps[vec] = None if not nonzero and vanishes(vec, q) else Amp.from_counts(
                 q, {e: c * scale.numerator for e, c in vec}, scale.denominator)
         return amps[vec]
 
@@ -647,7 +636,7 @@ def is_k_uniform(s, k: int) -> bool:
     checked against 1/d^k once, and a plan passes its diagonal when its
     kept tuples are even; otherwise each plan's diagonal entries are summed
     and checked.  Each off-diagonal entry's count vector goes to
-    ``_vanishes``, and the test stops at the first that does not vanish.
+    ``phases.vanishes``, and the test stops at the first that does not vanish.
     A state with a real turn asks each ``reduced_density`` whether it
     ``is_maximally_mixed`` within the tolerance.
     """
@@ -669,7 +658,7 @@ def _exact_k_uniform(sp, reading, plans, dim):
     def is_mixed(vec):  # vec / (scale2 * den^2) == 1 / dim
         counts = {e: c * dim * scale2.denominator for e, c in vec}
         counts[0] = counts.get(0, 0) - scale2.numerator * den * den
-        return _vanishes(_count_vector(counts), q)
+        return vanishes(count_vector(counts), q)
 
     if norm is not None:
         rows, rest = divmod(len(sp.terms), dim)
@@ -683,7 +672,7 @@ def _exact_k_uniform(sp, reading, plans, dim):
             diag = _exact_diagonal(plan, reading)
             if len(diag) != dim or not all(map(is_mixed, set(diag.values()))):
                 return False
-        if not all(_vanishes(vec, q) for _, vec in _exact_offdiagonal(plan, reading)):
+        if not all(vanishes(vec, q) for _, vec in _exact_offdiagonal(plan, reading)):
             return False
     return True
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ameslocc import reductions
 from ameslocc.butson import fourier
 from ameslocc.cli import _SCENARIOS, reproduce, run_cli
 from ameslocc.operators import LocalOperator, SiteOperator
@@ -285,6 +286,28 @@ def test_check_state_refuses_a_zero_test_at_a_huge_conductor(tmp_path):
         {"idx": idx, "q": 2 * p, "counts": [[e, 1]], "den": 1} for idx, e in terms]}))
     start = time.perf_counter()
     assert run_cli(["check", "state", "--file", bad]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("phi", ["1/0", "1/16x"])
+def test_construct_phi_refuses_a_malformed_turn(tmp_path, capsys, phi):
+    # Fraction("1/0") raises ZeroDivisionError, which argparse would not
+    # turn into a usage error by itself
+    out = tmp_path / "phi.json"
+    assert run_cli(["construct", "ame64-phi", "--phi", phi, "-o", str(out)]) == 2
+    assert "argument --phi" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_appendix_d_refuses_large_d_at_once(monkeypatch):
+    # d = 257 overflows the byte-packed counts; the check comes before the
+    # d^3-term phased state, which alone would take gigabytes
+    def build(d):
+        raise AssertionError("built the phased state at d = %d" % d)
+
+    monkeypatch.setattr(reductions, "construct_ame5_phased", build)
+    start = time.perf_counter()
+    assert run_cli(["reproduce", "appendix-d", "--d", "257"]) == 2
     assert time.perf_counter() - start < 1.0
 
 

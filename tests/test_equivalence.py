@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -75,9 +76,13 @@ def test_replay_rejects_a_wrong_diagonal(monkeypatch, make):
 
     def shifted(*args, **kwargs):
         theta = solve(*args, **kwargs)
-        if theta is not None:
-            theta[5] = (theta[5] + Fraction(1, 360)) % 1
-        return theta
+        if theta is None:
+            return None
+        q, values = theta
+        m = math.lcm(q, 360)  # values over m, entry 5 one 1/360 turn on
+        values = [v * (m // q) for v in values]
+        values[5] = (values[5] + m // 360) % m
+        return m, values
 
     assert lm_match(s, dst).equivalent
     monkeypatch.setattr(equivalence, "solve_turn_system", shifted)

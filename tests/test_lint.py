@@ -5,7 +5,9 @@ package does not depend on, ``import ameslocc`` loads neither numpy nor
 sympy, every module-level private function or class
 is referenced from src/ or perfbench/ other than by its own definition
 (a helper that only tests name is dead code), only
-phases.py converts ``Amp`` term maps, and every
+phases.py converts ``Amp`` term maps, calls ``exponent_sum_is_zero`` or
+memoises a zero test, modsolve.py imports nothing from ``fractions`` or
+``functools``, and every
 reason an ``inequivalent`` certificate can carry is explained in the
 README's "Verdict semantics" section, and every ``lru_cache`` is bounded
 unless one int is its whole key.  No linter ships
@@ -129,6 +131,50 @@ def test_only_phases_converts_amp_term_maps():
     assert not calls, "Amp term maps built at %s" % ", ".join(calls)
 
 
+ZERO_TESTS = {"exponent_sum_is_zero", "is_zero", "vanishes"}
+CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def _callee(node):
+    """The bare or attribute name node names; for a call, the one it calls."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_only_phases_decides_and_memoises_zero_tests():
+    """``phases.vanishes`` is the one memoised zero test, on one count-vector
+    encoding: no module but phases.py calls ``exponent_sum_is_zero``, and
+    no cached function outside it runs a zero test."""
+    found = []
+    for path in MODULES:
+        if path.name == "phases.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and _callee(node) == "exponent_sum_is_zero":
+                found.append("%s:%d calls exponent_sum_is_zero" % (path.name, node.lineno))
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and CACHES.intersection(map(_callee, node.decorator_list))
+                  and any(isinstance(sub, ast.Call) and _callee(sub) in ZERO_TESTS
+                          for sub in ast.walk(node))):
+                found.append("%s:%d memoises a zero test" % (path.name, node.lineno))
+    assert not found, "; ".join(found)
+
+
+def test_modsolve_imports_neither_fractions_nor_functools():
+    """The mod-1 solve runs on integer turns and keeps no cache of its own:
+    turns go in and out as (q, values), and the caller holds each
+    elimination."""
+    path = PACKAGE / "modsolve.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    assert not modules & {"fractions", "functools"}, sorted(modules)
+
+
 def _certificate_reasons(tree):
     """(verdict, reason, line) for each EquivalenceCertificate call whose
     verdict is "inequivalent" or "inconclusive" and whose reason is a
@@ -177,8 +223,7 @@ def test_lru_caches_are_bounded():
                 continue
             for dec in node.decorator_list:
                 call = dec if isinstance(dec, ast.Call) else None
-                func = call.func if call else dec
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                name = _callee(dec)
                 if name not in ("lru_cache", "cache"):
                     continue
                 found.add(node.name)

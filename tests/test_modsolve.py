@@ -24,7 +24,7 @@ from ameslocc.states import ame_linear_5, construct_ame64
 def test_elimination_output_is_pinned(make, digest):
     s = make()
     num_vars = s.n * s.d
-    rows = _incidence(frozenset(s.phases), s.n, s.d)[2]
+    rows = _incidence(frozenset(s.phases), s.n, s.d).rows
     h, pivots, coker, cols = _eliminate(rows, num_vars)
     assert hashlib.sha256(repr((h, pivots, coker)).encode()).hexdigest()[:16] == digest
     u = [[0] * len(rows) for _ in pivots]

@@ -8,7 +8,7 @@ from ameslocc import phases
 from ameslocc.phases import (ONE, Amp, Phase, PhaseError, _cyclotomic_coeffs,
                              _reduce_mod_cyclotomic, exponent_sum_is_zero,
                              get_tolerance, nth_roots, phase_product,
-                             root_of_unity, set_tolerance)
+                             root_of_unity, set_tolerance, vanishes)
 
 
 def rational_turns():
@@ -319,6 +319,18 @@ def test_from_counts_matches_amp_sum(case):
     got = Amp.from_counts(q, dict(vec), 3)
     assert got.is_zero() == want.is_zero()
     assert got.equals(want.scaled(Fraction(1, 3)))
+
+
+@given(count_vectors(), st.integers(2, 6))
+@example((((0, 1), (1, 1), (2, 1)), 3), 4)  # 1 + w_3 + w_3^2 written over w_12
+@example((((0, 2), (3, 1)), 6), 5)
+def test_vanishes_agrees_over_a_multiple_of_the_conductor(case, m):
+    # vec over w_q is the lifted vector over w_(qm), q m a proper multiple
+    # of its own conductor; vanishes decides it over that conductor
+    vec, q = case
+    lifted = tuple((e * m, c) for e, c in vec)
+    want = exponent_sum_is_zero(dict(lifted), q * m)
+    assert vanishes(lifted, q * m) == want == exponent_sum_is_zero(dict(vec), q)
 
 @st.composite
 def few_terms(draw):

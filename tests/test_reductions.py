@@ -210,3 +210,15 @@ def test_rho345_lemma_rejects_an_entry_shared_with_another_key(monkeypatch):
 def test_packed_histograms_need_byte_counts():
     with pytest.raises(ReductionError):
         _conjugated_rho_prime(257, (), ())
+
+
+@pytest.mark.parametrize("verify", [verify_rho345_lemma, verify_ame5_nonequivalence])
+def test_large_d_is_refused_before_the_phased_state_is_built(monkeypatch, verify):
+    # the phased state has d^3 terms, about 1.7e7 at d = 257: the byte
+    # count limit is checked first
+    def build(d):
+        raise AssertionError("built the phased state at d = %d" % d)
+
+    monkeypatch.setattr(reductions, "construct_ame5_phased", build)
+    with pytest.raises(ReductionError, match="d < 256"):
+        verify(257)

@@ -1,8 +1,8 @@
 """The support search and the mod-1 solve against the algorithms they replaced.
 
-``solve_turn_system`` eliminates each coefficient matrix once, building
-the unimodular transform U beside it, and carries every right-hand side
-through U's rows, and
+``_eliminate`` reduces each coefficient matrix once, building the
+unimodular transform U beside it, ``solve_turn_system`` carries every
+right-hand side through U's rows, and
 ``_iter_support_sigmas`` finds the image of a source row with one lookup
 once k of its symbols are mapped, and checks every row placed after the
 permutations are fixed with one membership test.  The straightforward
@@ -46,7 +46,7 @@ from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
                                   _diagonal_solver, _iter_support_sigmas,
                                   _row_plan, _self_search,
                                   butson_match, lm_automorphism_sigmas, lm_match)
-from ameslocc.modsolve import Rows, _eliminate, solve_turn_system
+from ameslocc.modsolve import _eliminate, solve_turn_system
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import Phase, get_tolerance, root_of_unity
 from ameslocc.states import (MinimalSupportState, ame64_phi, ame_linear_5,
@@ -161,13 +161,17 @@ def monomial_image(s, rng):
 
 
 def solve_turns(rows, values, num_vars, exact=True):
-    """``solve_turn_system`` on Fraction turns, passed as integer numerators
-    over their common denominator, as the engine passes them (exact); or on
-    float turns."""
+    """``solve_turn_system`` on the elimination of rows, in the (q, values)
+    form the engine passes: Fraction turns as integer numerators over their
+    common denominator (exact), or float turns with q = 1.0.  The turns come
+    back as Fractions or floats, or None."""
+    system = _eliminate(rows, num_vars)
     if not exact:
-        return solve_turn_system(rows, values, num_vars)
+        got = solve_turn_system(system, values, num_vars, 1.0)
+        return got and got[1]
     den = math.lcm(*(Fraction(x).denominator for x in values))
-    return solve_turn_system(rows, [int(x * den) for x in values], num_vars, den)
+    got = solve_turn_system(system, [int(x * den) for x in values], num_vars, den)
+    return got and [Fraction(x, got[0]) for x in got[1]]
 
 
 def diagonal_system(src, dst, sigma):
@@ -297,7 +301,7 @@ def test_cokernel_rows_decide_exact_feasibility(make):
     src = make()
     rows, _ = diagonal_system(src, src, (tuple(range(src.d)),) * src.n)
     num_vars = src.n * src.d
-    h, pivots, coker, _ = _eliminate(Rows(rows), num_vars)
+    h, pivots, coker, _ = _eliminate(rows, num_vars)
     assert len(pivots) + len(coker) == len(rows)
     for c in coker:
         assert all(sum(v * rows[i][col] for i, v in c) == 0
@@ -360,7 +364,7 @@ def test_character_order_survives_local_monomials(base, den, seed):
     dst = monomial_image(src, rng)
     orders = _diagonal_solver(src, dst)[1]
     rows, _ = diagonal_system(src, src, (tuple(range(src.d)),) * src.n)
-    coker = _eliminate(Rows(rows), src.n * src.d)[2]
+    coker = _eliminate(rows, src.n * src.d)[2]
     turns = [p.turn for _, p in sorted(src.phases.items())]
     want = math.lcm(*(sum(v * turns[i] for i, v in c).denominator for c in coker))
     for sigma in _iter_support_sigmas(src, dst, 10 ** 7):
@@ -386,17 +390,18 @@ def test_reed_solomon_search_solves_only_the_first_sigma(monkeypatch):
     # one decorated row, so each later sigma is decided by the image of
     # that row under sigma0^-1 o sigma alone: one memoised test per row
     reads = []
-    cokernel = equivalence._cokernel
 
     class Touching(list):
         def __getitem__(self, i):
             reads.append(i)
             return list.__getitem__(self, i)
 
-    monkeypatch.setattr(equivalence, "_cokernel", lambda *args: (
-        cokernel(*args)[0], Touching(cokernel(*args)[1])))
     src, dst = (with_phases(rs73(), {(0,) * 7: Phase(t)})
                 for t in (Fraction(1, 16), Fraction(5, 16)))
+    # the support's one cache entry holds the cokernel table the search reads
+    inc = equivalence._incidence(frozenset(src.phases), src.n, src.d)
+    by_row, touching = inc.cokernel
+    monkeypatch.setattr(inc, "cokernel", (by_row, Touching(touching)))
     cert = lm_match(src, dst)
     assert (cert.verdict, cert.reason) == ("inequivalent", "search-exhausted")
     assert cert.stats == {"sigmas_tested": 2058, "solves": 1, "coker_rejects": 2057}

@@ -759,6 +759,12 @@ def test_construct_linear_rejects_non_prime_powers(q):
         construct_linear(q, [[1, 0], [0, 1], [1, 1]])
 
 
+def test_construct_linear_rejects_empty_coefficients():
+    # no site rows: there is no first row to read the free-index count from
+    with pytest.raises(StateError):
+        construct_linear(5, [])
+
+
 def test_construct_linear_rejects_bad_coefficient_rows():
     with pytest.raises(StateError):
         construct_linear(4, [[1, 0], [0, 1], [1, 4]])
