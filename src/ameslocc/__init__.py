@@ -19,7 +19,7 @@ from .operators import LocalOperator, OperatorError, SiteOperator
 from .equivalence import (EquivalenceCertificate, EquivalenceError, automorphisms,
                           butson_match, compute_w, cond_butson, cond_monomial,
                           decide_slocc, family_classes, lm_match)
-from .reductions import (ReductionError, TriangularMatrixPair, build_u4_u5,
+from .reductions import (ReductionError, TriangularMatrixPair, build_u4_u5, lu_witness,
                          verify_ame5_nonequivalence, verify_rho345_lemma)
 from .cli import reproduce, run_cli
 

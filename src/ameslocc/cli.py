@@ -329,9 +329,10 @@ def _scenario_appendix_d(args) -> dict:
 def _scenario_ame55(args) -> dict:
     cert = eq.decide_slocc(st.construct_ame5_phased(5), st.ame_linear_5(5),
                            max_nodes=args.max_nodes)
-    return {"passed": cert.verdict == "inequivalent",
-            "claim": "the phased and minimal-support five-party families "
-                     "are not locally equivalent at d=5",
+    return {"passed": (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant"),
+            "claim": "the phased five-party state's LU invariant I_pi differs from "
+                     "5^-4, its value on every minimal-support AME(5,5) state, so "
+                     "it is SLOCC-inequivalent to every minimal-support AME(5,5) state",
             "certificate": cert.to_json()}
 
 

@@ -29,7 +29,8 @@ from .modsolve import _eliminate, solve_turn_system
 from .operators import LocalOperator, SiteOperator
 from .phases import (Phase, get_tolerance, numerator_phase, phase_product, turn_difference,
                      turn_numerators)
-from .states import (MinimalSupportState, _columns, _is_prime,
+from .reductions import lu_witness
+from .states import (MinimalSupportState, _columns,
                      states_equal_up_to_global_phase, with_phases)
 
 DEFAULT_MAX_NODES = 2_000_000
@@ -871,10 +872,11 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     """SLOCC (equivalently LU, for these critical states) dispatch.
 
     Minimal-support pairs with 2k < N are decided completely by lm_match,
-    and N = 2k pairs by butson_match, in every regime; the specific
-    non-minimal five-party pair of the d^3-term phased family versus the
-    minimal-support family is settled by the reduction pipeline; everything
-    else is inconclusive.
+    and N = 2k pairs by butson_match, in every regime.  When only one side
+    reads as a minimal-support AME(5,d) state, ``reductions.lu_witness``
+    compares the LU invariant I_pi of the two inputs, and a difference is
+    ``inequivalent / lu-invariant``; ``details["minimal_side"]`` names the
+    minimal side.  Everything else is inconclusive.
     """
     # looked up per call: perfbench/spans.py traces by rebinding states.uniformity
     from .states import uniformity
@@ -893,16 +895,15 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
         if 2 * ka < ma.n:
             return lm_match(ma, mb, max_nodes=max_nodes)
         return butson_match(ma, mb, max_nodes=max_nodes)
-    pipeline = _ame5_pipeline_applicable(src, dst)
-    if pipeline is not None:
-        from .reductions import verify_ame5_nonequivalence
-        report = verify_ame5_nonequivalence(pipeline)
-        if report["all_passed"]:
+    if ma is not None or mb is not None:
+        side, found = ("src", lu_witness(ma, dst)) if ma is not None else (
+            "dst", lu_witness(mb, src))
+        if found is not None:
+            details, tried, exact = found
             return EquivalenceCertificate(
-                "inequivalent", reason="reduction-pipeline",
-                details=report)
-        return EquivalenceCertificate(
-            "inconclusive", reason="reduction-pipeline-step-failed", details=report)
+                "inequivalent", reason="lu-invariant",
+                details={"minimal_side": side, **details}, exact=exact,
+                stats={"tuples_tried": tried})
     return EquivalenceCertificate(
         "inconclusive", reason="no-complete-procedure-for-this-pair")
 
@@ -925,33 +926,6 @@ def _rows(s):
     """The support rows of either state class, read without a conversion:
     a dict keyed by the rows."""
     return s.phases if isinstance(s, MinimalSupportState) else s.terms
-
-
-def _ame5_pipeline_applicable(sa, sb) -> Optional[int]:
-    """Detect the five-party phased-family versus minimal-support pair.
-
-    Returns the prime d >= 5 when one support is exactly the d^3 rows of
-    ``construct_ame5_phased(d)`` and the other exactly the d^2 rows of
-    ``ame_linear_5(d)``, in either order; None otherwise.  Either state
-    class is read by its rows (``_rows``), with no ``to_sparse``.  Each
-    support is checked against its defining congruences mod d: the
-    solutions in [d]^5 number d^3 (free i0, i1, i4) and d^2 (free i0, i1),
-    so that many distinct rows satisfying them are the whole support.
-    """
-    d = sa.d
-    if (sa.n, sb.n, sb.d) != (5, 5, d) or d < 5 or not _is_prime(d):
-        return None
-    ra, rb = _rows(sa), _rows(sb)
-    if {len(ra), len(rb)} != {d ** 2, d ** 3}:
-        return None
-    big, small = (ra, rb) if len(ra) == d ** 3 else (rb, ra)
-    if any((i0 + i1 - i2) % d or (2 * i0 + i1 + i4 - i3) % d
-           for i0, i1, i2, i3, i4 in big):
-        return None
-    if any((i0 + i1 - i2) % d or (2 * i0 + i1 - i3) % d or (3 * i0 + i1 - i4) % d
-           for i0, i1, i2, i3, i4 in small):
-        return None
-    return d
 
 
 def family_classes(base: MinimalSupportState, marked: Tuple[int, ...],

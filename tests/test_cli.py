@@ -300,15 +300,26 @@ def test_construct_phi_refuses_a_malformed_turn(tmp_path, capsys, phi):
 
 
 def test_appendix_d_refuses_large_d_at_once(monkeypatch):
-    # d = 257 overflows the byte-packed counts; the check comes before the
-    # d^3-term phased state, which alone would take gigabytes
+    # d = 41 did not finish within 120 s and d = 257 overflows the
+    # byte-packed counts; the cap comes before the d^3-term phased state
     def build(d):
         raise AssertionError("built the phased state at d = %d" % d)
 
     monkeypatch.setattr(reductions, "construct_ame5_phased", build)
-    start = time.perf_counter()
-    assert run_cli(["reproduce", "appendix-d", "--d", "257"]) == 2
-    assert time.perf_counter() - start < 1.0
+    for d in ("41", "257"):
+        start = time.perf_counter()
+        assert run_cli(["reproduce", "appendix-d", "--d", d]) == 2
+        assert time.perf_counter() - start < 1.0
+
+
+def test_ame55_scenario_reports_the_invariant_certificate(tmp_path):
+    rep = tmp_path / "rep.json"
+    assert run_cli(["reproduce", "ame55-inequivalence", "--json", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    assert report["passed"] and "every minimal-support AME(5,5) state" in report["claim"]
+    cert = report["certificate"]
+    assert (cert["verdict"], cert["reason"]) == ("inequivalent", "lu-invariant")
+    assert cert["details"]["witness_turn"][1] == 5
 
 
 def test_construct_phi_keeps_a_rational_turn(tmp_path, capsys):

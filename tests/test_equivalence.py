@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import json
 import math
 import os
 import random
@@ -14,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 from ameslocc.butson import fourier, tensor_butson
 from ameslocc.designs import check_oa
 from ameslocc.equivalence import (DEFAULT_MAX_NODES, EquivalenceError,
-                                  _ame5_pipeline_applicable,
                                   _butson_layer_witnesses, _i_s_choices,
                                   _iter_support_sigmas, _read_minimal, _row_plan,
                                   _w_table,
@@ -702,25 +703,31 @@ def test_decide_slocc_uniformity_split():
 
 def test_decide_slocc_five_party_pipeline():
     cert = decide_slocc(construct_ame5_phased(5), ame_linear_5(5))
-    assert cert.verdict == "inequivalent"
-    assert cert.reason == "reduction-pipeline"
-    assert cert.details["all_passed"]
+    assert (cert.verdict, cert.reason, cert.exact) == ("inequivalent", "lu-invariant", True)
+    assert cert.details["minimal_side"] == "dst"
+    assert cert.details["valid_tuples"] == cert.details["bound"] == 5 ** 5
+    assert cert.stats["tuples_tried"] >= 1
 
 
-def pipeline_applicable_by_construction(sa, sb):
-    """The pipeline's input test by its definition: compare the two term sets
-    with those of freshly built reference states."""
-    d = sa.d
-    if sa.n != 5 or d < 5 or not states._is_prime(d):
-        return None
-    if {len(sa.terms), len(sb.terms)} != {d ** 2, d ** 3}:
-        return None
-    big, small = (sa, sb) if len(sa.terms) == d ** 3 else (sb, sa)
-    if set(big.terms) != set(construct_ame5_phased(d).terms):
-        return None
-    if set(small.terms) != set(ame_linear_5(d).phases):
-        return None
-    return d
+def relabel(s, perm):
+    """s with party p carrying the symbol party perm[p] carried."""
+    sp = s.to_sparse()
+    return SparseState(sp.n, sp.d, {tuple(row[q] for q in perm): a
+                                    for row, a in sp.terms.items()}, scale2=sp.scale2)
+
+
+def local_diagonal(s, rng, den):
+    """s under a random local diagonal unitary of den-th roots of unity."""
+    return LocalOperator([SiteOperator.monomial(
+        list(range(s.d)), [root_of_unity(den, rng.randrange(den)) for _ in range(s.d)])
+        for _ in range(s.n)]).apply(s)
+
+
+def affine_symbols(s, rng):
+    """s under the per-party symbol map x -> a x + b mod d, a != 0."""
+    maps = [(rng.randrange(1, s.d), rng.randrange(s.d)) for _ in range(s.n)]
+    return LocalOperator([SiteOperator.permutation([(a * x + b) % s.d for x in range(s.d)])
+                          for a, b in maps]).apply(s)
 
 
 def _with_row_moved(s, site):
@@ -735,38 +742,156 @@ def _with_row_moved(s, site):
 
 
 @pytest.mark.parametrize("d", [5, 7, 11, 13])
-def test_pipeline_recognition_matches_term_sets(d):
+def test_lu_screen_recognition_matches_definition(d):
+    # the screen certifies the phased family against any minimal-support
+    # AME(5,d) state, in either order, and nothing else among these pairs:
+    # a d^2-term pair goes to lm_match, and the phased state against itself
+    # has |V| = bound and E = 0 on every tuple
     phased = construct_ame5_phased(d)
-    linear = ame_linear_5(d).to_sparse()
-    other = construct_linear(d, [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3]]).to_sparse()
-    cases = [(phased, linear), (phased, other), (phased, phased), (linear, linear),
-             (_with_row_moved(phased, 3), linear), (phased, _with_row_moved(linear, 4))]
-    for a, b in cases:
-        for pair in ((a, b), (b, a)):
-            assert _ame5_pipeline_applicable(*pair) == \
-                pipeline_applicable_by_construction(*pair)
-    assert _ame5_pipeline_applicable(phased, linear) == \
-        _ame5_pipeline_applicable(linear, phased) == d
+    linear = ame_linear_5(d)
+    other = construct_linear(d, [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3]])
+    for minimal in (linear, other):
+        for a, b in ((phased, minimal), (minimal, phased)):
+            cert = decide_slocc(a, b)
+            assert (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant")
+            assert cert.details["minimal_side"] == ("dst" if a is phased else "src")
+    assert decide_slocc(linear, other).reason != "lu-invariant"
+    assert decide_slocc(phased, phased).reason == "no-complete-procedure-for-this-pair"
 
 
 @pytest.mark.parametrize("site", range(5))
-def test_pipeline_recognition_rejects_one_changed_row(site):
-    phased, linear = construct_ame5_phased(5), ame_linear_5(5).to_sparse()
-    for a, b in [(_with_row_moved(phased, site), linear),
-                 (phased, _with_row_moved(linear, site))]:
-        assert _ame5_pipeline_applicable(a, b) is None
-        assert _ame5_pipeline_applicable(b, a) is None
+def test_lu_screen_rejects_one_changed_row(site):
+    # one moved row leaves no coset of a linear code, so the screen does
+    # not apply, whichever side the minimal state is on
+    from ameslocc.reductions import lu_witness
+    moved = _with_row_moved(construct_ame5_phased(5), site)
+    assert lu_witness(ame_linear_5(5), moved) is None
+    assert lu_witness(ame_linear_5(5), construct_ame5_phased(5)) is not None
+
+
+def test_lu_screen_leaves_an_equivalent_fourier_image_undecided():
+    # the Fourier transform at party 4 maps ame_linear_5 onto d^3 terms on a
+    # linear code: an equivalent pair, which the screen must not separate
+    s = ame_linear_5(5)
+    image = LocalOperator([SiteOperator.identity(5)] * 4
+                          + [SiteOperator.butson(fourier(5))]).apply(s)
+    assert len(image.to_sparse().terms) == 5 ** 3
+    cert = decide_slocc(s, image)
+    assert (cert.verdict, cert.reason) == ("inconclusive", "no-complete-procedure-for-this-pair")
+
+
+def two_uniform_phasings(d):
+    """The states sum w^((a i + b j) k) |i, j, i+j, 2i+j+k, k> that are
+    2-uniform, keyed by (a, b)."""
+    out = {}
+    for a, b in itertools.product(range(d), repeat=2):
+        terms = {(i, j, (i + j) % d, (2 * i + j + k) % d, k):
+                 Amp.from_phase(root_of_unity(d, (a * i + b * j) * k))
+                 for i, j, k in itertools.product(range(d), repeat=3)}
+        s = SparseState(5, d, terms, scale2=d ** 3)
+        if states.uniformity(s) == 2:
+            out[a, b] = s
+    return out
+
+
+def test_every_two_uniform_phasing_is_separated():
+    phasings = two_uniform_phasings(5)
+    assert len(phasings) == 20 and (3, 1) in phasings
+    for s in phasings.values():
+        cert = decide_slocc(s, ame_linear_5(5))
+        assert (cert.verdict, cert.reason, cert.exact) == ("inequivalent", "lu-invariant", True)
+
+
+def test_symbol_shift_on_the_minimal_side_keeps_the_verdict():
+    shift = LocalOperator([SiteOperator.permutation([(x + 1) % 5 for x in range(5)])]
+                          + [SiteOperator.identity(5)] * 4)
+    cert = decide_slocc(shift.apply(ame_linear_5(5)), construct_ame5_phased(5))
+    assert (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant")
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), swap=st.booleans(),
+       perm=st.permutations(range(5)), moves=st.lists(st.sampled_from(
+           ["diagonal-minimal", "diagonal-other", "monomial-minimal", "affine-other"]),
+           max_size=4))
+@example(seed=0, swap=False, perm=[0, 1, 2, 3, 4], moves=[])
+def test_lu_verdict_survives_local_maps_and_relabelling(seed, swap, perm, moves):
+    rng = random.Random(seed)
+    other, minimal = construct_ame5_phased(5), ame_linear_5(5)
+    for move in moves:
+        if move == "diagonal-minimal":
+            minimal = local_diagonal(minimal, rng, 360)
+        elif move == "diagonal-other":
+            other = local_diagonal(other, rng, 360)
+        elif move == "monomial-minimal":
+            minimal = random_monomial(5, 5, rng, den=360).apply(minimal)
+        else:
+            other = affine_symbols(other, rng)
+    other, minimal = relabel(other, perm), relabel(minimal, perm)
+    pair = (minimal, other) if swap else (other, minimal)
+    cert = decide_slocc(*pair)
+    assert (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant")
+    assert cert.details["minimal_side"] == ("src" if swap else "dst")
+
+
+def replay_lu_certificate(obj, src, dst):
+    """Check an lu-invariant certificate's witness from its JSON and the
+    inputs alone: the witness rows and their pattern copies are support
+    rows of the non-minimal side, and the turn they give is the recorded
+    one.  Returns that turn."""
+    other = (dst if obj["details"]["minimal_side"] == "src" else src).to_sparse()
+    copies = [list(itertools.permutations(range(3)))[i] for i in obj["details"]["pattern"]]
+    rows = [tuple(r) for r in obj["details"]["witness"]]
+    copied = [tuple(rows[c[j]][p] for p, c in enumerate(copies)) for j in range(3)]
+    assert all(row in other.terms for row in rows + copied)
+    turn = sum(other.terms[r].polar()[1].turn for r in rows) - sum(
+        other.terms[r].polar()[1].turn for r in copied)
+    num, den = obj["details"]["witness_turn"]
+    assert (turn - Fraction(num, den)) % 1 == 0
+    return turn
+
+
+def test_lu_certificate_replays_from_json():
+    rng = random.Random(3)
+    src = local_diagonal(relabel(construct_ame5_phased(5), [3, 0, 4, 1, 2]), rng, 360)
+    dst = random_monomial(5, 5, rng, den=360).apply(ame_linear_5(5))
+    obj = json.loads(json.dumps(decide_slocc(src, dst).to_json()))
+    assert (obj["verdict"], obj["reason"]) == ("inequivalent", "lu-invariant")
+    assert set(obj["details"]) == {"pattern", "minimal_side", "valid_tuples", "bound",
+                                   "witness", "witness_turn"}
+    assert obj["stats"] == {"tuples_tried": obj["stats"]["tuples_tried"]}
+    assert replay_lu_certificate(obj, src, dst) % 1 != 0
+
+
+def test_lu_witness_reads_a_real_turn():
+    # a float local diagonal leaves the witness turn a float, read within
+    # the tolerance; the verdict stands, marked inexact
+    rng = random.Random(4)
+    diag = LocalOperator([SiteOperator.monomial(
+        list(range(5)), [Phase(rng.random()) for _ in range(5)]) for _ in range(5)])
+    src = diag.apply(construct_ame5_phased(5))
+    assert not src.is_exact
+    cert = decide_slocc(src, ame_linear_5(5))
+    assert (cert.verdict, cert.reason, cert.exact) == ("inequivalent", "lu-invariant", False)
+    num, den = cert.details["witness_turn"]
+    assert isinstance(num, float) and den == 1 and 0 < num < 1
+    obj = json.loads(json.dumps(cert.to_json()))
+    rows = [tuple(r) for r in obj["details"]["witness"]]
+    copies = [list(itertools.permutations(range(3)))[i] for i in obj["details"]["pattern"]]
+    copied = [tuple(rows[c[j]][p] for p, c in enumerate(copies)) for j in range(3)]
+    turn = sum(cmath.phase(complex(src.terms[r])) for r in rows) - sum(
+        cmath.phase(complex(src.terms[r])) for r in copied)
+    assert abs((turn / (2 * math.pi) - num + 0.5) % 1 - 0.5) < 1e-9
 
 
 def test_pipeline_certificate_is_a_fresh_copy_per_decision():
     first = decide_slocc(construct_ame5_phased(5), ame_linear_5(5))
     second = decide_slocc(construct_ame5_phased(5), ame_linear_5(5))
     assert first.details == second.details
-    first.details["steps"][0]["passed"] = False
-    first.details["all_passed"] = False
+    first.details["witness"][0][0] += 1
+    first.details["pattern"].reverse()
     third = decide_slocc(construct_ame5_phased(5), ame_linear_5(5))
-    assert second.details["all_passed"] and second.details["steps"][0]["passed"]
-    assert third.details == second.details
+    assert third.details == second.details != first.details
 
 
 def test_decide_slocc_complete_for_odd_split():

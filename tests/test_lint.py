@@ -291,7 +291,13 @@ SMOKE = textwrap.dedent("""
     changed = ameslocc.SparseState(5, 5, terms, scale2=phased.scale2)
     assert ameslocc.uniformity(changed) < 2
     cert = ameslocc.decide_slocc(phased, s)
-    assert (cert.verdict, cert.reason) == ("inequivalent", "reduction-pipeline"), cert
+    assert (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant"), cert
+    perm = (3, 0, 4, 1, 2)
+    moved = [ameslocc.SparseState(5, 5, {tuple(row[p] for p in perm): a
+                                         for row, a in x.to_sparse().terms.items()}, scale2=n)
+             for x, n in ((phased, 125), (s, 25))]
+    cert = ameslocc.decide_slocc(moved[1], moved[0])
+    assert (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant"), cert
     one = ameslocc.SparseState(3, 2, {(0, 1, 0): ameslocc.Amp.one()}, scale2=1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "one.json")

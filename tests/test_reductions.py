@@ -1,11 +1,17 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from ameslocc import reductions
-from ameslocc.phases import Amp
-from ameslocc.reductions import (ReductionError, _conjugated_rho_prime, build_u4_u5,
-                                 verify_ame5_nonequivalence, verify_rho345_lemma)
+from ameslocc.operators import LocalOperator, SiteOperator
+from ameslocc.phases import Amp, root_of_unity
+from ameslocc.reductions import (ReductionError, _conjugated_rho_prime, _valid_tuples,
+                                 build_u4_u5, lu_witness, verify_ame5_nonequivalence,
+                                 verify_rho345_lemma)
+from ameslocc.states import (SparseState, ame_linear_5, construct_ame5_phased,
+                             construct_linear)
 
 
 def test_triangular_exponents_d3():
@@ -214,11 +220,117 @@ def test_packed_histograms_need_byte_counts():
 
 @pytest.mark.parametrize("verify", [verify_rho345_lemma, verify_ame5_nonequivalence])
 def test_large_d_is_refused_before_the_phased_state_is_built(monkeypatch, verify):
-    # the phased state has d^3 terms, about 1.7e7 at d = 257: the byte
-    # count limit is checked first
+    # the cost grows as about d^7 (d = 29 took about 20 s), and the phased
+    # state has d^3 terms, about 1.7e7 at d = 257: the cap is checked first
     def build(d):
         raise AssertionError("built the phased state at d = %d" % d)
 
     monkeypatch.setattr(reductions, "construct_ame5_phased", build)
-    with pytest.raises(ReductionError, match="d < 256"):
-        verify(257)
+    for d in (25, 29, 41, 257):
+        with pytest.raises(ReductionError, match="d <= 23"):
+            verify(d)
+
+
+# ---------------------------------------------------------------------------
+# The LU-invariant screen, against enumeration
+
+# pi_p for I_pi's pattern (0, 2, 5, 1, 3): s_j copies r_{pi_p(j)} at party p
+COPIES = [list(itertools.permutations(range(3)))[i] for i in (0, 2, 5, 1, 3)]
+
+
+def enumerate_valid_tuples(rows):
+    """Every (r0, r1, r2) of support rows whose pattern copies are support
+    rows, by enumeration.  The copy s0 reads r2 at party 2 alone, so r2's
+    symbol there is the one completing s0's other four to a row."""
+    assert [c[0] for c in COPIES] == [0, 1, 2, 0, 1]
+    rows = set(rows)
+    completes = {}
+    for row in rows:
+        completes.setdefault(row[:2] + row[3:], set()).add(row[2])
+    by_symbol = {}
+    for row in rows:
+        by_symbol.setdefault(row[2], []).append(row)
+    out = []
+    for r0, r1 in itertools.product(rows, repeat=2):
+        for c in completes.get((r0[0], r1[1], r0[3], r1[4]), ()):
+            for r2 in by_symbol[c]:
+                r = (r0, r1, r2)
+                if all(tuple(r[copy[j]][p] for p, copy in enumerate(COPIES)) in rows
+                       for j in range(3)):
+                    out.append(r)
+    return out
+
+
+def relabel(s, perm):
+    sp = s.to_sparse()
+    return SparseState(5, sp.d, {tuple(row[q] for q in perm): a for row, a in sp.terms.items()},
+                       scale2=sp.scale2)
+
+
+def _lm_image(s, seed):
+    rng = random.Random(seed)
+    sites = []
+    for _ in range(s.n):
+        sigma = list(range(s.d))
+        rng.shuffle(sigma)
+        sites.append(SiteOperator.monomial(sigma, [root_of_unity(360, rng.randrange(360))
+                                                   for _ in range(s.d)]))
+    return LocalOperator(sites).apply(s)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ame_linear_5(5), lambda: ame_linear_5(7),
+    lambda: construct_linear(5, [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3]]),
+    lambda: _lm_image(construct_linear(5, [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3]]), 11)],
+    ids=["linear-5", "linear-7", "second-support-5", "lm-image-5"])
+def test_minimal_supports_have_only_diagonal_tuples(make):
+    s = make()
+    assert s.k == 2
+    tuples = enumerate_valid_tuples(s.phases)
+    assert len(tuples) == s.d ** 2
+    assert all(r0 == r1 == r2 for r0, r1, r2 in tuples)
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2, 3, 4), (3, 0, 4, 1, 2), (4, 2, 1, 0, 3)])
+def test_screen_counts_the_enumerated_tuples(perm):
+    s = relabel(construct_ame5_phased(5), perm)
+    enumerated = set(enumerate_valid_tuples(s.terms))
+    assert 5 ** _valid_tuples(s._support).dim == len(enumerated) == 5 ** 5
+    details, _, exact = lu_witness(ame_linear_5(5), s)
+    assert details["valid_tuples"] == details["bound"] == 5 ** 5 and exact
+    assert tuple(map(tuple, details["witness"])) in enumerated
+
+
+def test_screen_needs_prime_d_and_five_parties():
+    assert _valid_tuples(construct_ame5_phased(4)._support) is None
+    six = SparseState(6, 5, {row + (0,): a for row, a in construct_ame5_phased(5).terms.items()},
+                      scale2=125)
+    assert _valid_tuples(six._support) is None
+    assert lu_witness(ame_linear_5(5), SparseState(5, 5, {}, scale2=1)) is None
+
+
+def test_screen_reads_no_multi_root_amplitude():
+    # (1 + i - 1 + i) / 2 = i has the modulus of every other term, but its
+    # counts name four roots of unity, so the screen reads no turn for it
+    s = construct_ame5_phased(5)
+    terms = dict(s.terms)
+    terms[next(iter(terms))] = Amp.from_counts(4, {0: 1, 1: 1, 2: 1, 3: -1}, 2)
+    assert lu_witness(ame_linear_5(5), SparseState(5, 5, terms, scale2=125)) is None
+
+
+def test_screen_searches_the_rest_of_v():
+    # zero turns everywhere give E = 0 on all of V: no witness.  One
+    # nonzero turn on a row that no basis vector or pairwise sum reads is
+    # found only in the rest of V
+    phased = construct_ame5_phased(5)
+    flat = {row: Amp.one() for row in phased.terms}
+    assert lu_witness(ame_linear_5(5), SparseState(5, 5, flat, scale2=125)) is None
+    tuples = _valid_tuples(phased._support)
+    read = {r for terms in tuples.first for r in terms}
+    marked = next(row for r, row in enumerate(tuples.rows) if r not in read)
+    flat[marked] = Amp.from_phase(root_of_unity(5, 1))
+    details, tried, _ = lu_witness(ame_linear_5(5), SparseState(5, 5, flat, scale2=125))
+    assert tried > len(tuples.first) and details["witness_turn"][1] == 5
+    rows = [tuple(r) for r in details["witness"]]
+    copies = [tuple(rows[c[j]][p] for p, c in enumerate(COPIES)) for j in range(3)]
+    assert marked in rows + copies

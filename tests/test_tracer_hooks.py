@@ -2,9 +2,9 @@
 
 ``perfbench/spans.py`` wraps module-level names of the package for its
 traced run.  The tier-1 suite never runs the benchmark, so this installs the
-tracer around five-party decisions and checks that the pipeline span is
-recorded and that ``uninstall`` restores the original objects, and that
-the counts it reads agree with the engine's own.
+tracer around the five-party pipeline and decisions, and checks that the
+pipeline span is recorded and that ``uninstall`` restores the original
+objects, and that the counts it reads agree with the engine's own.
 """
 
 import random
@@ -39,17 +39,20 @@ def test_tracer_wraps_and_restores_pipeline_names(monkeypatch):
                  reductions.reduced_density, phases.Amp.is_zero)
     # the d-only certificate is built once per d; start without it
     reductions._ame5_certificate.cache_clear()
-    cert, tracer = traced(
-        monkeypatch, lambda: decide_slocc(construct_ame5_phased(5), ame_linear_5(5)))
-    assert cert.verdict == "inequivalent"
+    report, tracer = traced(monkeypatch, lambda: reductions.verify_ame5_nonequivalence(5))
+    assert report["all_passed"]
     assert tracer.calls["reductions.pipeline"] == 1
-    # one reduction, for the rho345 lemma: uniformity() reads trace plans
-    # and builds no density matrix; a repeat reuses the certificate
+    # one reduction, for the rho345 lemma; a repeat reuses the certificate
     assert tracer.calls["states.reduced_density"] == 1
-    cert, tracer = traced(
-        monkeypatch, lambda: decide_slocc(construct_ame5_phased(5), ame_linear_5(5)))
+    report, tracer = traced(monkeypatch, lambda: reductions.verify_ame5_nonequivalence(5))
     assert tracer.calls["reductions.pipeline"] == 1
     assert tracer.calls["states.reduced_density"] == 0
+    # decide_slocc settles the five-party pair by the LU invariant: it
+    # reaches neither the pipeline nor a density matrix
+    cert, tracer = traced(
+        monkeypatch, lambda: decide_slocc(construct_ame5_phased(5), ame_linear_5(5)))
+    assert (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant")
+    assert tracer.calls["reductions.pipeline"] == tracer.calls["states.reduced_density"] == 0
     restored = (reductions.verify_ame5_nonequivalence,
                 reductions.reduced_density, phases.Amp.is_zero)
     assert all(now is orig for now, orig in zip(restored, originals))
