@@ -30,7 +30,7 @@ from .operators import LocalOperator, SiteOperator
 from .phases import (Phase, get_tolerance, numerator_phase, phase_product, turn_difference,
                      turn_numerators)
 from .reductions import lu_witness
-from .states import (MinimalSupportState, _columns,
+from .states import (MinimalSupportState, StateError, _check_rows, _columns,
                      states_equal_up_to_global_phase, with_phases)
 
 DEFAULT_MAX_NODES = 2_000_000
@@ -576,6 +576,10 @@ def _backtrack(plan, n, d, dst_rows, max_nodes, orbits=None):
     dcols = _columns(ordered, n)
     tables = {cols: dict(zip(zip(*[dcols[c] for c in cols]), ordered))
               for cols in {cols for _, cols, _, _ in plan.steps if cols}}
+    # the src rows carry every k-symbol tuple at cols, so every sigma's
+    # images do: a dst row set missing one (not index-unity) has no sigma
+    if any(len(table) < d ** len(cols) for cols, table in tables.items()):
+        return 0
     # each lookup bound to its table and to the maps of its cols
     segments = [(branch, [(tables[cols], [fwd[j] for j in cols], symbols, expect, pairs)
                           for cols, symbols, expect, pairs in lookups], undo)
@@ -702,7 +706,9 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     ``stats["sigmas_tested"]`` and the budget verdicts do not depend on
     whether that group is already recorded; only the time to reach each
     sigma does.  The diagonal systems' incidence rows, elimination and
-    cokernel tables are built once per src support (``_incidence``).
+    cokernel tables are built once per src support (``_incidence``).  dst
+    needs rows in range only: any sigma proves its index unity, and a row
+    set without it yields no sigma, which ``decide_slocc`` then checks.
     """
     _check_compatible(src, dst)
     exact = src.is_exact and dst.is_exact
@@ -836,7 +842,11 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
     _check_compatible(src, dst)
     if src.n != 2 * src.k:
         raise EquivalenceError("butson_match applies to N = 2k only")
-    lm = lm_match(src, dst, max_nodes=max_nodes)
+    return _butson_after(src, dst, lm_match(src, dst, max_nodes=max_nodes), max_nodes)
+
+
+def _butson_after(src, dst, lm, max_nodes):
+    """butson_match's rule after its lm_match certificate lm."""
     if lm.verdict != "inequivalent":
         return lm
     exact = lm.exact
@@ -877,10 +887,24 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     compares the LU invariant I_pi of the two inputs, and a difference is
     ``inequivalent / lu-invariant``; ``details["minimal_side"]`` names the
     minimal side.  Everything else is inconclusive.
+
+    src is validated by ``_read_minimal``, once per support.  A
+    MinimalSupportState dst of src's shape is read with its rows checked
+    only (``_unproved``): a sigma mapping src's support onto dst's rows
+    carries src's index unity onto dst, site by site.  Only a search that
+    yields no sigma leaves dst to ``_read_minimal``, and a dst failing it is
+    dispatched as not minimal; the search runs once either way.
     """
     # looked up per call: perfbench/spans.py traces by rebinding states.uniformity
     from .states import uniformity
-    ma, mb = _read_minimal(src), _read_minimal(dst)
+    ma, mb = _read_minimal(src), None
+    unproved = _unproved(dst, ma)
+    if unproved is None:
+        mb = _read_minimal(dst)
+    else:
+        lm = lm_match(ma, unproved, max_nodes=max_nodes)
+        if lm.stats["sigmas_tested"] or _read_minimal(dst) is not None:
+            return lm if 2 * ma.k < ma.n else _butson_after(ma, unproved, lm, max_nodes)
     ka = uniformity(src) if ma is None else ma.k
     kb = uniformity(dst) if mb is None else mb.k
     if ka == 0 or kb == 0:
@@ -916,16 +940,26 @@ def _read_minimal(s) -> Optional[MinimalSupportState]:
     k-uniform when 2k <= N (no two rows agree on N - k >= k sites); more
     than d^(N // 2) terms would give 2k > N, so such a state is not read.
     Either state class reads itself (``as_minimal``), so a
-    MinimalSupportState gets no SparseState built for it; the support check
-    (``states._check_support``) caches passing supports only.
+    MinimalSupportState with that k is returned as it is, with no copy; the
+    support check (``states._check_support``) caches passing supports only.
     """
-    return s.as_minimal() if len(_rows(s)) <= s.d ** (s.n // 2) else None
+    rows = s.phases if isinstance(s, MinimalSupportState) else s.terms
+    return s.as_minimal() if len(rows) <= s.d ** (s.n // 2) else None
 
 
-def _rows(s):
-    """The support rows of either state class, read without a conversion:
-    a dict keyed by the rows."""
-    return s.phases if isinstance(s, MinimalSupportState) else s.terms
+def _unproved(dst, ma) -> Optional[MinimalSupportState]:
+    """dst read with ma's k >= 1, index unity unchecked, when it is a
+    MinimalSupportState of ma's (n, d) and term count whose rows pass
+    ``states._check_rows`` (a search indexes by their symbols); else None."""
+    if (ma is None or ma.k < 1 or not isinstance(dst, MinimalSupportState)
+            or (dst.n, dst.d, len(dst.phases)) != (ma.n, ma.d, len(ma.phases))):
+        return None
+    try:
+        _check_rows(dst.phases, dst.n, dst.d)
+    except StateError:
+        return None
+    return dst if dst.k == ma.k else MinimalSupportState(
+        dst.n, dst.d, ma.k, dst.phases, check=False)
 
 
 def family_classes(base: MinimalSupportState, marked: Tuple[int, ...],

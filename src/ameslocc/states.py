@@ -63,14 +63,16 @@ class MinimalSupportState:
         _check_support(frozenset(self.phases), self.n, self.d, self.k)
 
     def as_minimal(self) -> Optional["MinimalSupportState"]:
-        """This state with k read from its term count, or None when the
-        count is no power of d or the support fails ``_check_support``."""
+        """This state with k read from its term count (itself when its k is
+        that one), or None when the count is no power of d or the support
+        fails ``_check_support``."""
         try:
             k = _infer_k(self.d, len(self.phases))
             _check_support(frozenset(self.phases), self.n, self.d, k)
         except StateError:
             return None
-        return MinimalSupportState(self.n, self.d, k, self.phases, check=False)
+        return self if k == self.k else MinimalSupportState(
+            self.n, self.d, k, self.phases, check=False)
 
     @property
     def support(self):
@@ -112,24 +114,32 @@ def _infer_k(d, count):
 @lru_cache(maxsize=32)
 def _check_support(rows, n, d, k):
     """Check rows (a frozenset) as an (n, d, k) support: its size, every
-    index, and index unity.  Only passing supports are cached.  The checks run on per-site columns: each k-subset of sites is
-    index-unity when its columns, zipped, give d^k distinct tuples.  A bad
-    index is looked up row by row only once the columns show one, so the
-    error names the first bad index in sorted order, and index unity names
-    the first failing k-subset in combination order.
+    index (``_check_rows``), and index unity.  Only passing supports are
+    cached.  Each k-subset of sites is index-unity when its columns, zipped,
+    give d^k distinct tuples; a failure names the first failing k-subset in
+    combination order.
     """
     size = d ** k
     if len(rows) != size:
         raise StateError("support size %d != d^k = %d" % (len(rows), size))
-    cols = _columns(rows, n)
-    if (len(cols) != n or len(set(map(len, rows))) != 1
-            or any(min(col) < 0 or max(col) >= d for col in cols)):
-        for idx in sorted(rows):
-            _check_index(idx, n, d)
+    cols = _check_rows(rows, n, d)
     for sites in itertools.combinations(range(n), k):
         # k = 0 zips no columns; its one-row support is trivially unity
         if k and len(set(zip(*(cols[c] for c in sites)))) != size:
             raise StateError("support is not index-unity on columns %r" % (sites,))
+
+
+def _check_rows(rows, n, d):
+    """The per-site columns of rows (a nonempty iterable of tuples), after
+    checking that every row has n symbols in [0, d).  A bad index is looked
+    up row by row only once the columns show one, so the error names the
+    first bad index in sorted order."""
+    cols = _columns(rows, n)
+    if (len(cols) != n or len(set(map(len, rows))) != 1
+            or not set().union(*cols).issubset(range(d))):
+        for idx in sorted(rows):
+            _check_index(idx, n, d)
+    return cols
 
 
 class SparseState:

@@ -376,11 +376,8 @@ def test_decide_slocc_validates_minimal_inputs_without_sparse_copies(monkeypatch
     assert decide_slocc(construct_ame43(), construct_ame43()).equivalent
     assert calls == []
     monkeypatch.undo()
-    # AME(4,3) with the last symbols of two rows swapped, built unchecked:
     # 1-uniform, and not index-unity, so it must not be read as k = 2
-    rows = sorted(construct_ame43().phases)
-    rows[0], rows[1] = (0, 0, 0, 1), (0, 1, 1, 0)
-    bad = MinimalSupportState(4, 3, 2, {r: ONE for r in rows}, check=False)
+    bad = swapped_ame43()
     for a, b in [(bad, construct_ame43()), (construct_ame43(), bad), (bad, bad)]:
         cert = decide_slocc(a, b)
         want = decide_slocc(a.to_sparse(), b.to_sparse())
@@ -389,12 +386,137 @@ def test_decide_slocc_validates_minimal_inputs_without_sparse_copies(monkeypatch
     assert decide_slocc(bad, construct_ame43()).details == {"src": 1, "dst": 2}
 
 
+def swapped_ame43():
+    """AME(4,3) with the last symbols of two rows swapped, built unchecked:
+    d^k rows, not index-unity."""
+    rows = sorted(construct_ame43().phases)
+    rows[0], rows[1] = (0, 0, 0, 1), (0, 1, 1, 0)
+    return MinimalSupportState(4, 3, 2, {r: ONE for r in rows}, check=False)
+
+
+def swapped_last_symbols(s):
+    """s, built unchecked, with the last symbols of its first row and of the
+    next row that differs from it there swapped."""
+    rows = sorted(s.phases)
+    a, b = rows[0], next(r for r in rows if r[-1] != rows[0][-1])
+    phases = dict(s.phases)
+    phases[a[:-1] + b[-1:]], phases[b[:-1] + a[-1:]] = phases.pop(a), phases.pop(b)
+    return MinimalSupportState(s.n, s.d, s.k, phases, check=False)
+
+
+def reed_solomon_7(points, k):
+    """The RS code of dimension k over GF(7) on the points, in their order:
+    an index-unity support."""
+    return construct_linear(7, [[x ** i % 7 for i in range(k)] for x in points])
+
+
+def unreachable_pair(n):
+    """Two index-unity supports over GF(7) that no local symbol permutation
+    maps onto each other: RS[5,2] (2k < N) or RS[6,3] (N = 2k) on 0, 1, ...
+    and on the same points with the last one replaced."""
+    points = list(range(n))
+    return reed_solomon_7(points, n // 2), reed_solomon_7(points[:-1] + [n], n // 2)
+
+
+def monomial_image(s, seed):
+    return s, random_monomial(s.n, s.d, random.Random(seed)).apply(s)
+
+
+# (src, dst) builders and the reason decide_slocc gives
+DST_READ_PAIRS = {
+    "linear5-d5-image": (lambda: monomial_image(ame_linear_5(5), 1), "lm-witness"),
+    "linear5-d7-image": (lambda: monomial_image(ame_linear_5(7), 2), "lm-witness"),
+    "ame43-image": (lambda: monomial_image(construct_ame43(), 3), "lm-witness"),
+    "ame44-image": (lambda: monomial_image(construct_ame44(), 4), "lm-witness"),
+    "ame64-image": (lambda: monomial_image(ame64_phi(Fraction(1, 16)), 5), "lm-witness"),
+    "linear5-d5-decorated": (lambda: (ame_linear_5(5), random_monomial(5, 5, random.Random(6))
+                                      .apply(decorate_360(ame_linear_5(5), random.Random(6)))),
+                             "cokernel-character"),
+    "ame43-not-index-unity": (lambda: (construct_ame43(), swapped_ame43()),
+                              "different-uniformity"),
+    "linear5-d5-not-index-unity": (lambda: (ame_linear_5(5), swapped_last_symbols(ame_linear_5(5))),
+                                   "different-uniformity"),
+    "rs52-unreachable": (lambda: unreachable_pair(5), "search-exhausted"),
+    "rs63-unreachable": (lambda: unreachable_pair(6), "butson-enumeration-cap"),
+}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["forward", "swapped"])
+@pytest.mark.parametrize("name", sorted(DST_READ_PAIRS))
+def test_unproved_dst_read_matches_validated_inputs(name, swap):
+    # a MinimalSupportState dst is read with only its rows checked and proved
+    # by the search; SparseState inputs are validated up front, so they are
+    # the oracle for every verdict, reason and details
+    build, reason = DST_READ_PAIRS[name]
+    src, dst = build()
+    if swap:
+        src, dst = dst, src
+    cert = decide_slocc(src, dst)
+    want = decide_slocc(src.to_sparse(), dst.to_sparse())
+    assert cert.reason == reason
+    assert (cert.verdict, cert.reason, cert.details) == \
+        (want.verdict, want.reason, want.details)
+
+
+def test_dst_support_is_checked_only_when_no_sigma_reaches_it(monkeypatch):
+    # a sigma from src's validated support proves dst's index unity, in the
+    # lm_match branch (2k < N) and in the butson_match branch (N = 2k); an
+    # index-unity dst no sigma reaches is checked once, after the search
+    pairs = [monomial_image(ame_linear_5(5), 7), monomial_image(construct_ame44(), 8),
+             unreachable_pair(5), unreachable_pair(6)]
+    checked = []
+    orig = states._check_support
+    monkeypatch.setattr(states, "_check_support", lambda support, *shape:
+                        checked.append(support) or orig(support, *shape))
+    for (src, dst), dst_checks in zip(pairs, [0, 0, 1, 1]):
+        checked.clear()
+        cert = decide_slocc(src, dst)
+        assert cert.equivalent == (dst_checks == 0)
+        assert checked == [frozenset(src.phases)] + [frozenset(dst.phases)] * dst_checks
+
+
+@pytest.mark.parametrize("make", [construct_ame43, lambda: ame_linear_5(5), construct_ame44],
+                         ids=["ame43", "linear5-d5", "ame44"])
+def test_image_with_one_symbol_changed_is_not_uniform(make):
+    # the changed row leaves dst without some k-symbol tuple at some k
+    # sites, so a search lookup table misses it: no sigma, and dst fails
+    # its check, as the validated SparseState inputs do
+    src, dst = monomial_image(make(), 9)
+    phases = dict(dst.phases)
+    row = min(phases)
+    phases[((row[0] + 1) % dst.d,) + row[1:]] = phases.pop(row)
+    bad = MinimalSupportState(dst.n, dst.d, dst.k, phases, check=False)
+    for a, b in [(src, bad), (bad, src), (src.to_sparse(), bad.to_sparse())]:
+        with pytest.raises(EquivalenceError, match="k-uniform"):
+            decide_slocc(a, b)
+
+
+@pytest.mark.parametrize("make", [construct_ame43, lambda: ame_linear_5(5)],
+                         ids=["ame43", "linear5-d5"])
+def test_unchecked_rows_out_of_range_raise_on_either_side(make):
+    # the rows of an unchecked dst are checked before the search indexes
+    # its symbol maps by them, so a bad row raises as it does for src
+    s = make()
+    first = min(s.phases)
+    bad_rows = [first[:-1] + (s.d,), first[:-1] + (-1,), first[:-1]]
+    bads = [MinimalSupportState(s.n, s.d, s.k, {**{r: p for r, p in s.phases.items()
+                                                   if r != first}, row: ONE}, check=False)
+            for row in bad_rows]
+    # a whole site shifted by -1 or +1: a per-site shift would map s onto it
+    bads += [MinimalSupportState(s.n, s.d, s.k, {r[:-1] + (r[-1] + step,): p
+                                                  for r, p in s.phases.items()}, check=False)
+             for step in (-1, 1)]
+    for bad in bads:
+        for a, b in [(bad, s), (s, bad)]:
+            with pytest.raises(StateError, match="bad multi-index"):
+                decide_slocc(a, b)
+
+
 def test_failing_support_is_validated_on_every_call(monkeypatch):
     # only supports that pass are cached: a non-index-unity d^k-row state
     # built unchecked is validated again, and read the same, on each call
-    rows = sorted(construct_ame43().phases)
-    rows[0], rows[1] = (0, 0, 0, 1), (0, 1, 1, 0)
-    bad = MinimalSupportState(4, 3, 2, {r: ONE for r in rows}, check=False)
+    bad = swapped_ame43()
+    rows = list(bad.phases)
     checked = []
     orig = states._check_support
     monkeypatch.setattr(states, "_check_support", lambda support, *shape:

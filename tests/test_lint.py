@@ -240,7 +240,8 @@ def test_lru_caches_are_bounded():
 
 # one five-party decision, with no test dependency: a fixed local monomial
 # image; and two N = 2k decisions through butson_match's rule, one exact and
-# one on float turns, 192 float solves; then one CLI scenario and two of the
+# one on float turns, 192 float solves; an AME(4,3) monomial image, and an
+# unchecked AME(4,3) dst that is not index-unity, which no sigma reaches; then one CLI scenario and two of the
 # CLI's option errors, since argparse's behaviour differs between versions;
 # and pickle, deepcopy and the exact-against-real hash of a Phase, whose
 # __slots__ pickle differently between versions
@@ -277,6 +278,17 @@ SMOKE = textwrap.dedent("""
         "inequivalent", "lm-exhausted-butson-condition-violated", 192), cert
     cert = ameslocc.decide_slocc(s.to_sparse(), op.apply(s).to_sparse())
     assert cert.verdict == "equivalent", cert.verdict
+    ame43 = ameslocc.construct_ame43()
+    op43 = ameslocc.LocalOperator([ameslocc.SiteOperator.monomial(
+        [(x + p) % 3 for x in range(3)], [root_of_unity(6, p * x) for x in range(3)])
+        for p in range(4)])
+    cert = ameslocc.decide_slocc(ame43, op43.apply(ame43))
+    assert cert.verdict == "equivalent", cert.verdict
+    rows = sorted(ame43.phases)
+    rows[0], rows[1] = (0, 0, 0, 1), (0, 1, 1, 0)
+    swapped = ameslocc.MinimalSupportState(4, 3, 2, {r: Phase(0) for r in rows}, check=False)
+    cert = ameslocc.decide_slocc(ame43, swapped)
+    assert (cert.verdict, cert.reason) == ("inequivalent", "different-uniformity"), cert
     phi = ameslocc.ame64_phi(0.1 / (2 * math.pi)).to_sparse()
     cert = ameslocc.decide_slocc(phi, phi)
     assert cert.verdict == "equivalent", cert.verdict

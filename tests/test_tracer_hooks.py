@@ -105,6 +105,17 @@ def test_tracer_counts_no_sigma_of_the_self_search(monkeypatch):
     assert cert.stats["sigmas_tested"] == 2058
 
 
+def test_tracer_counts_one_search_when_no_sigma_reaches_dst(monkeypatch):
+    # dst is proved by the search's first sigma; when none comes, dst's
+    # support is checked after the search, which does not run again
+    src, dst = (construct_linear(7, [[1, x] for x in points])
+                for points in ((0, 1, 2, 3, 4), (0, 1, 2, 3, 5)))
+    cert, tracer = traced(monkeypatch, lambda: decide_slocc(src, dst))
+    assert (cert.verdict, cert.reason) == ("inequivalent", "search-exhausted")
+    assert tracer.counts["equivalence.search.sigmas"] == cert.stats["sigmas_tested"] == 0
+    assert tracer.calls["equivalence.search"] == tracer.calls["equivalence.lm_match"] == 1
+
+
 def test_tracer_sees_no_monomial_w_ratio_test_at_n_2k(monkeypatch):
     rng = random.Random(1)
     sites = []
