@@ -29,7 +29,7 @@ from .modsolve import _eliminate, solve_turn_system
 from .operators import LocalOperator, SiteOperator
 from .phases import (Phase, get_tolerance, numerator_phase, phase_product, turn_difference,
                      turn_numerators)
-from .reductions import lu_witness
+from .reductions import _lu_head, _lu_reading, _lu_rest
 from .states import (MinimalSupportState, StateError, _check_rows, _columns,
                      states_equal_up_to_global_phase, with_phases)
 
@@ -838,6 +838,8 @@ def butson_match(src: MinimalSupportState, dst: MinimalSupportState,
     representatives is applied to src and the residual monomial matching
     is delegated to lm_match.  Only that layer loop enumerates BH(d,d), so
     only it stops at _BH_CAP, and its misses are reported as inconclusive.
+    Every certificate after an lm_match inequivalence carries lm_match's
+    ``stats``, with ``butson_tuples`` added where the layer loop ran.
     """
     _check_compatible(src, dst)
     if src.n != 2 * src.k:
@@ -864,18 +866,19 @@ def _butson_after(src, dst, lm, max_nodes):
     if src.d > _BH_CAP:
         return EquivalenceCertificate(
             "inconclusive", reason="butson-enumeration-cap",
-            details={"cap": _BH_CAP}, exact=exact)
+            details={"cap": _BH_CAP}, exact=exact, stats=lm.stats)
 
     tried = 0
     for tried, witness in enumerate(_butson_layer_witnesses(src, dst, max_nodes), 1):
         if witness is not None:
             return EquivalenceCertificate(
                 "equivalent", witness=witness, reason="butson-witness",
-                exact=exact, stats={"butson_tuples": tried})
+                exact=exact, stats={**lm.stats, "butson_tuples": tried})
 
     return EquivalenceCertificate(
         "inconclusive", reason="searched-branches-found-no-witness",
-        details={"butson_tuples": tried}, exact=exact)
+        details={"butson_tuples": tried}, exact=exact,
+        stats={**lm.stats, "butson_tuples": tried})
 
 
 def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCertificate:
@@ -888,6 +891,15 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     ``inequivalent / lu-invariant``; ``details["minimal_side"]`` names the
     minimal side.  Everything else is inconclusive.
 
+    The invariant settles a pair of critical states, and a state is
+    critical when its one-party marginals are maximally mixed (Kempf and
+    Ness 1979).  So the screen's head, which searches nothing, runs before
+    any uniformity is read: when it certifies, the other side needs only
+    ``is_k_uniform(other, 1)``, and a side failing it raises
+    EquivalenceError.  Otherwise both sides' uniformity decides
+    ``different-uniformity`` and ``different-shape`` first, and the rest of
+    the screen's search runs after them.
+
     src is validated by ``_read_minimal``, once per support.  A
     MinimalSupportState dst of src's shape is read with its rows checked
     only (``_unproved``): a sigma mapping src's support onto dst's rows
@@ -895,8 +907,9 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     yields no sigma leaves dst to ``_read_minimal``, and a dst failing it is
     dispatched as not minimal; the search runs once either way.
     """
-    # looked up per call: perfbench/spans.py traces by rebinding states.uniformity
-    from .states import uniformity
+    # looked up per call: perfbench/spans.py traces by rebinding states.uniformity,
+    # and tests count the levels asked of states.is_k_uniform the same way
+    from .states import is_k_uniform, uniformity
     ma, mb = _read_minimal(src), None
     unproved = _unproved(dst, ma)
     if unproved is None:
@@ -905,6 +918,15 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
         lm = lm_match(ma, unproved, max_nodes=max_nodes)
         if lm.stats["sigmas_tested"] or _read_minimal(dst) is not None:
             return lm if 2 * ma.k < ma.n else _butson_after(ma, unproved, lm, max_nodes)
+    reading = None
+    if (ma is None) != (mb is None):
+        side, minimal, other = ("src", ma, dst) if ma is not None else ("dst", mb, src)
+        reading = _lu_reading(minimal, other)
+        found = None if reading is None else _lu_head(reading)
+        if found is not None:
+            if not is_k_uniform(other, 1):
+                raise EquivalenceError("inputs must be k-uniform critical states")
+            return _lu_certificate(side, found)
     ka = uniformity(src) if ma is None else ma.k
     kb = uniformity(dst) if mb is None else mb.k
     if ka == 0 or kb == 0:
@@ -919,17 +941,20 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
         if 2 * ka < ma.n:
             return lm_match(ma, mb, max_nodes=max_nodes)
         return butson_match(ma, mb, max_nodes=max_nodes)
-    if ma is not None or mb is not None:
-        side, found = ("src", lu_witness(ma, dst)) if ma is not None else (
-            "dst", lu_witness(mb, src))
-        if found is not None:
-            details, tried, exact = found
-            return EquivalenceCertificate(
-                "inequivalent", reason="lu-invariant",
-                details={"minimal_side": side, **details}, exact=exact,
-                stats={"tuples_tried": tried})
+    found = None if reading is None else _lu_rest(reading)
+    if found is not None:
+        return _lu_certificate(side, found)
     return EquivalenceCertificate(
         "inconclusive", reason="no-complete-procedure-for-this-pair")
+
+
+def _lu_certificate(side, found):
+    """The ``lu-invariant`` certificate of an lu_witness answer, with
+    ``side`` the minimal one."""
+    details, tried, exact = found
+    return EquivalenceCertificate(
+        "inequivalent", reason="lu-invariant", details={"minimal_side": side, **details},
+        exact=exact, stats={"tuples_tried": tried})
 
 
 def _read_minimal(s) -> Optional[MinimalSupportState]:

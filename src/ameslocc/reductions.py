@@ -1,6 +1,7 @@
 """Five-party arguments for SLOCC non-equivalence.
 
-``lu_witness`` is the one ``decide_slocc`` runs.  It reads both inputs: a
+``lu_witness`` is the screen ``decide_slocc`` runs, in its two steps
+(``_lu_head``, then ``_lu_rest``).  It reads both inputs: a
 minimal-support AME(5,d) state and a state of equal-modulus root-of-unity
 terms on a coset of a linear code over prime GF(d).  The degree-(3, 3)
 invariant I_pi of ``LU_PATTERN`` is d^-4 on every minimal-support AME(5,d)
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, compress, islice, permutations, product, repeat
+from itertools import combinations, compress, islice, permutations, product, repeat
 from operator import add, mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -417,14 +418,38 @@ def lu_witness(minimal, other):
       |V| = m^3 / d^4 with one tuple of E != 0 gives Re I_pi < d^-4.
       Either way I_pi differs from the minimal side's.
 
-    The search tries V's basis vectors, their pairwise sums and then the
-    rest of V, at most _TUPLE_CAP tuples.  A state with a real turn reads
-    its turns in floats, and a tuple is a witness only when its E is
+    The screen runs in two steps, which ``decide_slocc`` also takes apart.
+    The head (``_lu_head``) searches nothing: the count |V| < m^3 / d^4,
+    then V's basis vectors and their pairwise sums.  The rest
+    (``_lu_rest``) tries the other elements of V, at most _TUPLE_CAP
+    tuples in all, counting on from the head's.  A state with a real turn
+    reads its turns in floats, and a tuple is a witness only when its E is
     farther than the tolerance from an integer; then exact is False.
     ``details`` holds the pattern, |V| (``valid_tuples``), m^3 / d^4
     (``bound``), and the witness rows r1, r2, r3 with E as [numerator,
     denominator] (both None when |V| is below the bound).
     """
+    reading = _lu_reading(minimal, other)
+    if reading is None:
+        return None
+    return _lu_head(reading) or _lu_rest(reading)
+
+
+class _Reading(NamedTuple):
+    """What the LU screen reads of a pair before it tries a tuple."""
+
+    details: dict   # lu_witness's details, witness still None
+    tuples: _Tuples  # V of the non-minimal side
+    witness_turn: object  # the E of a tuple of term numbers as [num, den],
+                          # or None when E is an integer
+    exact: bool
+
+
+def _lu_reading(minimal, other) -> Optional[_Reading]:
+    """The ``_Reading`` of a pair, or None when lu_witness cannot screen
+    it: a minimal side that is not AME(5,d), another side of a different
+    shape, on no coset of a linear code, with |V| above m^3 / d^4, or with
+    terms of more than one modulus or no root-of-unity phase."""
     sp = other.to_sparse()
     if (minimal.n, minimal.k, sp.n, sp.d) != (5, 2, 5, minimal.d):
         return None
@@ -437,18 +462,43 @@ def lu_witness(minimal, other):
         return None
     q, turn = found
     real = isinstance(q, float)
-    exact = not real and minimal.is_exact
+    tol = get_tolerance()
+
+    def witness_turn(t):
+        a, b, c, x, y, z = t
+        e = (turn(a) + turn(b) + turn(c) - turn(x) - turn(y) - turn(z)) % q
+        if real:
+            return [e, 1] if abs(e - round(e)) > tol else None
+        g = math.gcd(e, q)
+        return [e // g, q // g] if e else None
+
     details = {"pattern": list(LU_PATTERN), "valid_tuples": sp.d ** tuples.dim,
                "bound": sp.d ** power, "witness": None, "witness_turn": None}
-    if tuples.dim < power:
-        return details, 0, exact
-    tol = get_tolerance()
-    candidates = islice(chain(tuples.first, tuples.rest()), _TUPLE_CAP)
-    for tried, (a, b, c, x, y, z) in enumerate(candidates, 1):
-        e = (turn(a) + turn(b) + turn(c) - turn(x) - turn(y) - turn(z)) % q
-        if abs(e - round(e)) > tol if real else e:
-            details["witness"] = [list(tuples.rows[r]) for r in (a, b, c)]
-            g = math.gcd(e, q) if not real else 1
-            details["witness_turn"] = [e, 1] if real else [e // g, q // g]
-            return details, tried, exact
+    return _Reading(details, tuples, witness_turn, not real and minimal.is_exact)
+
+
+def _lu_head(reading: _Reading):
+    """lu_witness's answer from no search, or None: |V| below the bound,
+    or a witness among V's basis vectors and their pairwise sums."""
+    if reading.details["valid_tuples"] < reading.details["bound"]:
+        return reading.details, 0, reading.exact
+    return _lu_search(reading, reading.tuples.first, 0)
+
+
+def _lu_rest(reading: _Reading):
+    """lu_witness's answer from the rest of V, after a head that found
+    nothing, or None."""
+    first = len(reading.tuples.first)
+    return _lu_search(reading, islice(reading.tuples.rest(), _TUPLE_CAP - first), first)
+
+
+def _lu_search(reading, candidates, tried):
+    """(details, tuples_tried, exact) for the first witness among
+    candidates, the tuples after the ``tried`` already tried; or None."""
+    for tried, t in enumerate(candidates, tried + 1):
+        e = reading.witness_turn(t)
+        if e is not None:
+            reading.details["witness"] = [list(reading.tuples.rows[r]) for r in t[:3]]
+            reading.details["witness_turn"] = e
+            return reading.details, tried, reading.exact
     return None

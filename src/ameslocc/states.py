@@ -130,7 +130,7 @@ def _check_support(rows, n, d, k):
 
 
 def _check_rows(rows, n, d):
-    """The per-site columns of rows (a nonempty iterable of tuples), after
+    """The per-site columns of rows (an iterable of tuples), after
     checking that every row has n symbols in [0, d).  A bad index is looked
     up row by row only once the columns show one, so the error names the
     first bad index in sorted order."""
@@ -150,8 +150,7 @@ class SparseState:
         self.d = d
         self.terms = {tuple(i): a for i, a in terms.items() if not a.is_zero()}
         self.scale2 = scale2  # squared norm the raw amplitudes are meant to have
-        for idx in self.terms:
-            _check_index(idx, self.n, self.d)
+        _check_rows(self.terms, self.n, self.d)
 
     @property
     def is_exact(self):

@@ -458,6 +458,25 @@ def test_unproved_dst_read_matches_validated_inputs(name, swap):
         (want.verdict, want.reason, want.details)
 
 
+def test_butson_certificates_carry_the_lm_stats():
+    # each N = 2k certificate after lm_match's inequivalence reports the
+    # search that ran first, with the layer loop's tuple count where it ran
+    ame44 = construct_ame44()
+    row = min(ame44.phases)
+    decorated = [with_phases(ame44, {row: Phase(Fraction(t, 16))}) for t in (1, 3)]
+    for (src, dst), reason in [(unreachable_pair(6), "butson-enumeration-cap"),
+                               (decorated, "searched-branches-found-no-witness")]:
+        cert = decide_slocc(src, dst)
+        assert cert.reason == reason
+        lm = lm_match(src, dst)
+        assert lm.verdict == "inequivalent"
+        layers = {} if reason == "butson-enumeration-cap" else {
+            "butson_tuples": cert.stats["butson_tuples"]}
+        assert cert.stats == {**lm.stats, **layers}
+        assert "sigmas_tested" in cert.stats
+    assert cert.details == {"butson_tuples": cert.stats["butson_tuples"]}
+
+
 def test_dst_support_is_checked_only_when_no_sigma_reaches_it(monkeypatch):
     # a sigma from src's validated support proves dst's index unity, in the
     # lm_match branch (2k < N) and in the butson_match branch (N = 2k); an
@@ -902,15 +921,19 @@ def test_lu_screen_leaves_an_equivalent_fourier_image_undecided():
     assert (cert.verdict, cert.reason) == ("inconclusive", "no-complete-procedure-for-this-pair")
 
 
+def phasing(d, a, b):
+    """The state sum w^((a i + b j) k) |i, j, i+j, 2i+j+k, k>."""
+    terms = {(i, j, (i + j) % d, (2 * i + j + k) % d, k):
+             Amp.from_phase(root_of_unity(d, (a * i + b * j) * k))
+             for i, j, k in itertools.product(range(d), repeat=3)}
+    return SparseState(5, d, terms, scale2=d ** 3)
+
+
 def two_uniform_phasings(d):
-    """The states sum w^((a i + b j) k) |i, j, i+j, 2i+j+k, k> that are
-    2-uniform, keyed by (a, b)."""
+    """The phasings that are 2-uniform, keyed by (a, b)."""
     out = {}
     for a, b in itertools.product(range(d), repeat=2):
-        terms = {(i, j, (i + j) % d, (2 * i + j + k) % d, k):
-                 Amp.from_phase(root_of_unity(d, (a * i + b * j) * k))
-                 for i, j, k in itertools.product(range(d), repeat=3)}
-        s = SparseState(5, d, terms, scale2=d ** 3)
+        s = phasing(d, a, b)
         if states.uniformity(s) == 2:
             out[a, b] = s
     return out
@@ -922,6 +945,75 @@ def test_every_two_uniform_phasing_is_separated():
     for s in phasings.values():
         cert = decide_slocc(s, ame_linear_5(5))
         assert (cert.verdict, cert.reason, cert.exact) == ("inequivalent", "lu-invariant", True)
+
+
+def test_phasings_that_are_not_2_uniform_keep_their_uniformity_verdict():
+    # the screen's head certifies none of them, so both sides' uniformity
+    # is read, and it differs before the rest of V is searched
+    rest = [(0, 0), (1, 3), (2, 1), (3, 4), (4, 2)]
+    assert sorted(set(itertools.product(range(5), repeat=2)) - set(two_uniform_phasings(5))) \
+        == sorted(rest)
+    linear = ame_linear_5(5)
+    for a, b in rest:
+        s = phasing(5, a, b)
+        for src, dst, details in [(s, linear, {"src": 1, "dst": 2}),
+                                  (linear, s, {"src": 2, "dst": 1})]:
+            cert = decide_slocc(src, dst)
+            assert (cert.verdict, cert.reason, cert.details) == (
+                "inequivalent", "different-uniformity", details)
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_ladder_pair_reads_only_one_party_marginals(d, monkeypatch):
+    # the screen's head certifies a local diagonal image of the phased state
+    # from its support and phases, and the invariant then needs the state
+    # critical, which its one-party marginals show: no 2-party marginal
+    # and no uniformity is read, and the certificate is lu_witness's
+    from ameslocc.reductions import lu_witness
+    rng = random.Random(d)
+    asked, measured = [], []
+    is_k_uniform, uniformity = states.is_k_uniform, states.uniformity
+    monkeypatch.setattr(states, "is_k_uniform",
+                        lambda s, k: asked.append(k) or is_k_uniform(s, k))
+    monkeypatch.setattr(states, "uniformity", lambda s: measured.append(s) or uniformity(s))
+    for _ in range(3):
+        phased = local_diagonal(construct_ame5_phased(d), rng, d)
+        linear = local_diagonal(ame_linear_5(d), rng, d)
+        for src, dst, side in [(phased, linear, "dst"), (linear, phased, "src")]:
+            asked.clear()
+            cert = decide_slocc(src, dst)
+            assert asked == [1]
+            details, tried, exact = lu_witness(linear, phased)
+            assert (cert.verdict, cert.reason, cert.exact) == ("inequivalent", "lu-invariant", exact)
+            assert cert.details == {"minimal_side": side, **details}
+            assert cert.stats == {"tuples_tried": tried}
+    assert measured == []
+
+
+@pytest.mark.parametrize("build", ["wrong-norm", "weight-1-word"])
+def test_coset_state_that_is_not_1_uniform_raises(build):
+    # A coset state whose terms share one modulus fails 1-uniformity only
+    # through a zero coordinate or a weight-1 word of its code.  Either one
+    # leaves V too large, or E = 0 on all of it, so the screen's head
+    # certifies no such state (a random search over such codes at d = 5
+    # found none).  The head does certify the phased family when its scale2
+    # misstates the squared norm of its terms.
+    from ameslocc.reductions import lu_witness
+    if build == "wrong-norm":
+        other = SparseState(5, 5, construct_ame5_phased(5).terms, scale2=2 * 5 ** 3)
+        assert lu_witness(ame_linear_5(5), other) is not None
+    else:
+        rng = random.Random(11)
+        gens = [(1, 0, 0, 0, 0), (0, 1, 0, 1, 1), (0, 0, 1, 1, 2)]
+        rows = {tuple(sum(c * g[p] for c, g in zip(x, gens)) % 5 for p in range(5))
+                for x in itertools.product(range(5), repeat=3)}
+        other = SparseState(5, 5, {r: Amp.from_phase(root_of_unity(5, rng.randrange(5)))
+                                   for r in sorted(rows)}, scale2=125)
+        assert lu_witness(ame_linear_5(5), other) is None
+    assert not states.is_k_uniform(other, 1)
+    for pair in [(other, ame_linear_5(5)), (ame_linear_5(5), other)]:
+        with pytest.raises(EquivalenceError, match="k-uniform"):
+            decide_slocc(*pair)
 
 
 def test_symbol_shift_on_the_minimal_side_keeps_the_verdict():

@@ -310,6 +310,14 @@ SMOKE = textwrap.dedent("""
              for x, n in ((phased, 125), (s, 25))]
     cert = ameslocc.decide_slocc(moved[1], moved[0])
     assert (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant"), cert
+    phased7, linear7 = ameslocc.construct_ame5_phased(7), ameslocc.ame_linear_5(7)
+    for pair in ((phased7, linear7), (linear7, phased7)):
+        cert = ameslocc.decide_slocc(*pair)
+        assert (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant"), cert
+    flat = ameslocc.SparseState(5, 5, dict.fromkeys(phased.terms, ameslocc.Amp.one()),
+                                scale2=125)
+    cert = ameslocc.decide_slocc(flat, s)
+    assert (cert.verdict, cert.reason) == ("inequivalent", "different-uniformity"), cert
     one = ameslocc.SparseState(3, 2, {(0, 1, 0): ameslocc.Amp.one()}, scale2=1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "one.json")

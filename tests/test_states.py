@@ -37,6 +37,15 @@ def test_ghz_rejects_bad_params():
         construct_ghz(3, 1)
 
 
+def test_sparse_state_checks_every_row():
+    terms = dict(construct_ame43().to_sparse().terms)
+    row = min(terms)
+    for bad in [row[:-1] + (3,), row[:-1] + (-1,), row[:-1], row + (0,)]:
+        with pytest.raises(StateError, match="bad multi-index"):
+            SparseState(4, 3, {**terms, bad: Amp.one()}, scale2=10)
+    assert SparseState(4, 3, {}, scale2=1).terms == {}
+
+
 def test_ame43_is_2_uniform_minimal():
     s = construct_ame43()
     assert len(s.phases) == 9

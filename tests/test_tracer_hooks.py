@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ameslocc import phases, reductions
+from ameslocc.butson import fourier
 from ameslocc.equivalence import _row_plan, decide_slocc, lm_match
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import Phase, root_of_unity
@@ -148,8 +149,17 @@ def test_exact_minimal_equivalent_decision_builds_no_sparse_state(monkeypatch):
 
 def test_tracer_sees_the_uniformity_call_of_a_decision(monkeypatch):
     # decide_slocc looks uniformity up in states at each call; a module-level
-    # import in equivalence would bypass the rebound name and hide the span
+    # import in equivalence would bypass the rebound name and hide the span.
+    # The LU screen leaves this equivalent Fourier image undecided, so the
+    # image's uniformity is read
+    s = ame_linear_5(5)
+    image = LocalOperator([SiteOperator.identity(5)] * 4
+                          + [SiteOperator.butson(fourier(5))]).apply(s)
+    cert, tracer = traced(monkeypatch, lambda: decide_slocc(s, image))
+    assert (cert.verdict, cert.reason) == ("inconclusive", "no-complete-procedure-for-this-pair")
+    assert tracer.calls["states.uniformity"] == 1
+    # the screen's head certifies the phased state before any uniformity
     cert, tracer = traced(
         monkeypatch, lambda: decide_slocc(construct_ame5_phased(5), ame_linear_5(5)))
-    assert cert.verdict == "inequivalent"
-    assert tracer.calls["states.uniformity"] == 1
+    assert (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant")
+    assert tracer.calls["states.uniformity"] == 0
