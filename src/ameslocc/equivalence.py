@@ -200,24 +200,25 @@ def _diagonal_solver(src, dst):
     binary fractions they hold, within the tolerance only at the cokernel
     rows.  orders(sigma):
     den / gcd(den, c.t) over the cokernel rows c for the src turns t and
-    for the dst turns pulled back by sigma.  screen: False when sigma has
-    no solution, True when it must be solved, as the first, sigma0, always
-    is.  Unless every turn is rational, so that ``turn_numerators`` gives
-    an integer den, orders is None and screen passes every sigma.
+    for the dst turns pulled back by sigma.  screen: a ``_Screen``.  Unless
+    every turn is rational, so that ``turn_numerators`` gives an integer
+    den, orders is None and screen passes every sigma.
 
     Each later sigma is sigma0 o g, g a support automorphism, which
     permutes the cokernel; each cokernel row sums to 0, as the all-ones
     vector is a column sum of the incidence rows.  So with m the most common
     src turn and Z the rows whose turn is not m, sigma is solvable iff
     sum over i in Z of c[g(i)] * (src_i - m) = c.pull_sigma0(dst) (mod den)
-    for all c: a test of g(Z), the rows sigma0 maps onto sigma(Z), alone,
-    memoised by them.  When Z is longer than the shortest cokernel row,
-    each row is tested directly, c.pull_sigma(dst) = c.src, shortest first,
-    gathering dst over its support only.  The incidence rows, their
-    elimination and the cokernel tables are one cache entry per support
-    (``_incidence``); c.pull_sigma0(dst) is taken at the second sigma.  By
-    index unity a row is fixed by its first k symbols, so only the first k
-    sites of sigma are read."""
+    for all c: a test of the point g(Z), the rows sigma0 maps onto
+    sigma(Z), alone.  It reads the rows c with c.pull_sigma0(dst) nonzero
+    first, shortest first, then the rows touching g(Z), and stops at the
+    first that fails.  When Z is longer than the shortest cokernel row,
+    each row is tested directly, c.pull_sigma(dst) = c.src, shortest
+    first, gathering dst over its support only, and there are no points.
+    The incidence rows, their elimination and the cokernel tables are one
+    cache entry per support (``_incidence``); c.pull_sigma0(dst) is taken
+    at the second sigma.  By index unity a row is fixed by its first k
+    symbols, so only the first k sites of sigma are read."""
     n, d, k = src.n, src.d, src.k
     inc = _incidence(frozenset(src.phases), n, d)
     idxs, cols = inc.idxs, inc.cols[:k]
@@ -233,28 +234,39 @@ def _diagonal_solver(src, dst):
     def solve(sigma):
         rhs = [(t - w) % mod for t, w in zip(pulled_back(sigma), src_turns)]
         theta = solve_turn_system(inc.system, rhs, n * d, mod)
-        if theta is None:
-            return None
-        diagonal = [numerator_phase(v, theta[0]) for v in theta[1]]
-        return LocalOperator([SiteOperator.monomial(sigma[j], diagonal[j * d:j * d + d])
-                              for j in range(n)])
+        return None if theta is None else _monomial(sigma, theta)
 
     if den is None:
-        return solve, None, lambda sigma: True
+        return solve, None, _Screen(None)
 
     @lru_cache(maxsize=2)  # c.src and K_c stay while a search reads them
     def dots(sigma):
         """c.src (sigma None) or c.pull_sigma(dst) mod den, for each
-        cokernel row c, shortest first."""
+        cokernel row c, shortest first.  On a support with more than 8
+        cokernel entries per row, when at most a quarter of the values
+        differ from their most common one m, it is gathered over those rows
+        only, as c.(values - m)."""
         values = src_turns if sigma is None else pulled_back(sigma)
+        by_row, touching = inc.cokernel
+        if inc.entries > 8 * len(idxs):
+            m = Counter(values).most_common(1)[0][0]
+            off = [i for i, t in enumerate(values) if t != m]
+            if 4 * len(off) <= len(values):
+                acc = [0] * len(by_row)
+                for i in off:
+                    step = values[i] - m
+                    for r, v in touching[i].items():
+                        acc[r] += v * step
+                return [a % den for a in acc]
         return [sum(map(mul, coeffs, map(values.__getitem__, at))) % den
-                for at, coeffs, _ in inc.cokernel[0]]
+                for at, coeffs, _ in by_row]
 
     def orders(sigma):
         return tuple(den // math.gcd(den, *dots(s)) for s in (None, sigma))
 
     def transported(sigma0):
-        """The test of each sigma after sigma0."""
+        """(Z, test of sigma, test of a point) for the sigmas after sigma0;
+        Z and the point test are None when each sigma is tested directly."""
         by_row, touching = inc.cokernel
         m = Counter(src_turns).most_common(1)[0][0]
         z = [i for i, t in enumerate(src_turns) if t != m]
@@ -265,39 +277,81 @@ def _diagonal_solver(src, dst):
             def direct(sigma):
                 return not any((sum(map(mul, coeffs, pulled_back(sigma, rcols))) - w) % den
                                for coeffs, rcols, w in want)
-            return direct
+            return None, direct, None
         k0 = dots(sigma0)
-        nonzero = {r for r, v in enumerate(k0) if v}
-        back = {image: i for i, image in enumerate(_images(sigma0, cols))}
-        zcols = tuple(zip(*[idxs[i][:k] for i in z]))
+        nonzero = [(r, v) for r, v in enumerate(k0) if v]
         steps = [(src_turns[i] - m) % den for i in z]
-        memo = {}
 
-        def by_images(sigma):
-            key = tuple(map(back.__getitem__, _images(sigma, zcols)))
-            ok = memo.get(key)
-            if ok is None:
-                acc = {}
-                for i, step in zip(key, steps):
-                    for r, v in touching[i]:
-                        acc[r] = acc.get(r, 0) + v * step
-                ok = memo[key] = nonzero <= acc.keys() and not any(
-                    (a - k0[r]) % den for r, a in acc.items())
-            return ok
-        return by_images
-
-    sigma0 = test = None
-
-    def screen(sigma):
-        nonlocal sigma0, test
-        if sigma0 is None:
-            sigma0 = sigma
+        def test(point):
+            """Whether sigma0 o g passes, for the point g(Z)."""
+            seen = [touching[i] for i in point]
+            for r, v in nonzero:
+                if (sum(c.get(r, 0) * step for c, step in zip(seen, steps)) - v) % den:
+                    return False
+            for c in seen:
+                for r in c:
+                    if not k0[r] and sum(t.get(r, 0) * step
+                                         for t, step in zip(seen, steps)) % den:
+                        return False
             return True
-        if test is None:
-            test = transported(sigma0)
-        return test(sigma)
 
-    return solve, orders, screen
+        inverse = tuple(tuple(sorted(range(d), key=perm.__getitem__)) for perm in sigma0)
+
+        def by_point(sigma):
+            g = _compose(inverse, sigma)
+            return test(tuple([inc.index[tuple(map(getitem, g, idxs[i]))] for i in z]))
+        return tuple(z), by_point, test
+
+    return solve, orders, _Screen(transported)
+
+
+def _monomial(sigma, theta):
+    """The local monomial with permutations sigma and the diagonal turns
+    theta, (q, values) with n * d values, site by site."""
+    d = len(sigma[0])
+    diagonal = [numerator_phase(v, theta[0]) for v in theta[1]]
+    return LocalOperator([SiteOperator.monomial(perm, diagonal[j * d:j * d + d])
+                          for j, perm in enumerate(sigma)])
+
+
+class _Screen:
+    """``_diagonal_solver``'s screen of one pair's sigmas, in the search's
+    order.  Called on a sigma it is False when sigma has no solution and
+    True when it must be solved, as the first, sigma0, always is.
+
+    ``transported(sigma0)`` (None: every sigma passes) gives, at the second
+    sigma, the tests of the later ones: (Z, test of sigma, test of a point),
+    Z the sorted positions (in the sorted support) of the src rows whose
+    turn is not the most common one and a point g(Z) for a support
+    automorphism g; Z and the point test are None when each sigma is
+    tested directly.  Given as ``_iter_support_sigmas``'s ``fixed``, the
+    screen lets the search walk the orbit of Z instead of the group:
+    ``points()`` is (Z, test of a point) or None, and ``walk`` records the
+    group's order and the orbit's length.  That search yields None for a
+    point that fails, which the screen rejects, and sigma0 o g for one that
+    passes, which it passes untested.
+    """
+
+    def __init__(self, transported):
+        self.transported, self.tests, self.sigma0, self.walk = transported, None, None, {}
+
+    def __call__(self, sigma):
+        if sigma is None:
+            return False
+        if self.sigma0 is None:
+            self.sigma0 = sigma
+            return True
+        return bool(self.walk) or self._tests()[1](sigma)
+
+    def points(self):
+        z, _, test = self._tests()
+        return None if z is None else (z, test)
+
+    def _tests(self):
+        if self.tests is None:
+            self.tests = ((None, lambda sigma: True, None) if self.transported is None
+                          else self.transported(self.sigma0))
+        return self.tests
 
 
 def _images(sigma, cols):
@@ -313,12 +367,14 @@ def _incidence(rows, n, d):
 
 class _Incidence:
     """The diagonal systems of one support over n sites and d symbols:
-    ``idxs``, the rows sorted; ``cols``, their site columns; ``rows``, their
-    (site, symbol) incidence rows; and, built at first use, ``system``,
-    their ``modsolve`` elimination, and the ``cokernel`` tables."""
+    ``idxs``, the rows sorted; ``index``, each row's position there;
+    ``cols``, their site columns; ``rows``, their (site, symbol) incidence
+    rows; and, built at first use, ``system``, their ``modsolve``
+    elimination, the ``cokernel`` tables and their number of ``entries``."""
 
     def __init__(self, rows, n, d):
         self.idxs = tuple(sorted(rows))
+        self.index = {row: i for i, row in enumerate(self.idxs)}
         self.cols = tuple(zip(*self.idxs))
         self.rows = tuple(tuple(int(idx[c // d] == c % d) for c in range(n * d))
                           for idx in self.idxs)
@@ -328,16 +384,20 @@ class _Incidence:
         return _eliminate(self.rows, len(self.rows[0]))
 
     @cached_property
+    def entries(self):
+        return sum(map(len, self.system[2]))
+
+    @cached_property
     def cokernel(self):
         """(by_row, touching): the cokernel rows of ``system``, shortest
         first, each as (support rows, coefficients, site columns of those
-        rows); and for each support row the (cokernel row, coefficient)
-        pairs touching it."""
+        rows); and for each support row a dict from each cokernel row
+        touching it to its coefficient there."""
         coker = self.system[2]
-        touching = [[] for _ in self.idxs]
+        touching = [{} for _ in self.idxs]
         for at, c in enumerate(coker):
             for i, v in c:
-                touching[i].append((at, v))
+                touching[i][at] = v
         return [(tuple(i for i, _ in c), tuple(v for _, v in c),
                  tuple(zip(*[self.idxs[i] for i, _ in c]))) for c in coker], touching
 
@@ -429,12 +489,62 @@ class _Group:
     is the product of the orbit lengths.  ``cost`` is the node count of the
     self-search that found it.  ``compiled``, built at the first ``coset``,
     holds each u as per-site ``itemgetter``s: h o u is one call per site.
+    ``support`` is the row set sorted; ``moves``, built at the first
+    ``orbit``, holds each generator as the permutation of the positions
+    there, and ``orbits`` the last 32 orbits' Schreier trees.
     """
 
-    def __init__(self, branch_rows, n, d):
+    def __init__(self, branch_rows, n, d, rows):
         self.rows, self.gens, self.cost, self.compiled = branch_rows, [], None, None
         self.identity = (tuple(range(d)),) * n
         self.levels = [{row: self.identity} for row in branch_rows]
+        self.support, self.moves, self.orbits = tuple(sorted(rows)), None, {}
+
+    @property
+    def order(self):
+        return math.prod(map(len, self.levels))
+
+    def orbit(self, points, limit):
+        """(tree, cost): the orbit of ``points``, an ordered tuple of
+        positions in ``support``, as a Schreier tree (Seress, Permutation
+        Group Algorithms, 2003), and the number of images its breadth-first
+        search over the generators takes.
+
+        tree maps each point, points itself first and the rest in
+        breadth-first order, to the point it is reached from and that
+        generator's index (points itself to None).  EquivalenceError when
+        the cost is over limit; the tree is then not kept."""
+        if self.moves is None:
+            index = {row: i for i, row in enumerate(self.support)}
+            self.moves = [tuple([index[tuple(map(getitem, s, row))] for row in self.support])
+                          for s in self.gens]
+        found = self.orbits.get(points)
+        if found is None:
+            tree, queue, cost = {points: None}, [points], 0
+            for p in queue:  # grows while it is read: a breadth-first search
+                for at, move in enumerate(self.moves):
+                    image = tuple(map(move.__getitem__, p))
+                    if image not in tree:
+                        tree[image] = p, at
+                        queue.append(image)
+                cost += len(self.moves)
+                if cost > limit:
+                    raise EquivalenceError("search budget exhausted")
+            if len(self.orbits) == 32:
+                del self.orbits[next(iter(self.orbits))]
+            found = self.orbits[points] = tree, cost
+        if found[1] > limit:
+            raise EquivalenceError("search budget exhausted")
+        return found
+
+    def element(self, tree, point):
+        """The automorphism taking the tree's first point to point, the
+        product of the generators on its path."""
+        u = self.identity
+        while tree[point] is not None:
+            point, at = tree[point]
+            u = _compose(u, self.gens[at])
+        return u
 
     def add(self, g):
         """Take the automorphism g as a generator and regrow the orbit of
@@ -496,8 +606,8 @@ def _self_search(plan, n, d, max_nodes):
     generator.  So each level ends with the orbit of its row under the
     stabiliser of the rows before it.
     """
-    group = _Group(plan.branch_rows, n, d)
     rows = frozenset(row for row, _, _, _ in plan.steps).union(plan.rest)
+    group = _Group(plan.branch_rows, n, d, rows)
     search = _backtrack(plan, n, d, rows, max_nodes, group.levels)
     try:
         while True:
@@ -509,7 +619,7 @@ def _self_search(plan, n, d, max_nodes):
     return plan.group
 
 
-def _iter_support_sigmas(src, dst, max_nodes):
+def _iter_support_sigmas(src, dst, max_nodes, fixed=None):
     """Complete backtracking over local symbol permutations mapping the
     support of src onto the support of dst.
 
@@ -533,6 +643,14 @@ def _iter_support_sigmas(src, dst, max_nodes):
     a budget that covers its self-search, which is not rerun under a
     budget it ran out of; otherwise the backtracking goes on.  So the
     sigmas do not depend on which searches ran before.
+
+    ``fixed``, which only ``lm_match`` passes, is its ``_Screen``.  When
+    the screen gives points (an exact pair whose src turns differ from
+    their most common one on few rows Z), the walk follows G's orbit of Z
+    instead of G (``_Group.orbit``): one node per image of the orbit's
+    search, then for each point other than Z one node and one item,
+    sigma0 o g for the g the tree gives when the point passes its test,
+    else None.  Only a passing point's g is composed.
     """
     plan = _row_plan(frozenset(src.phases), src.k)
     dst_rows = frozenset(dst.phases)
@@ -547,6 +665,18 @@ def _iter_support_sigmas(src, dst, max_nodes):
         if group is None and max_nodes > plan.tried:
             group = _self_search(plan, src.n, src.d, max_nodes)
         if group is not None and group.cost <= max_nodes:
+            points = None if fixed is None else fixed.points()
+            if points is not None:
+                z, test = points
+                tree, cost = group.orbit(z, max_nodes - nodes)
+                nodes += cost
+                fixed.walk = {"group_order": group.order, "orbit": len(tree)}
+                for point in itertools.islice(tree, 1, None):
+                    nodes += 1
+                    if nodes > max_nodes:
+                        raise EquivalenceError("search budget exhausted")
+                    yield _compose(sigma0, group.element(tree, point)) if test(point) else None
+                return
             for sigma in group.coset(sigma0):
                 nodes += 1
                 if nodes > max_nodes:
@@ -694,28 +824,38 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     the cokernel characters of the src turns and of the pulled-back dst
     turns are compared: every other sigma is that one composed with a
     support automorphism, which permutes the cokernel, so unequal orders
-    exclude every sigma at once (``cokernel-character``).  Otherwise every
-    sigma is tried (``search-exhausted``), each after the first by the
-    cokernel test carried over from it (``_diagonal_solver``'s screen);
-    only those that pass are solved.  ``stats`` counts the ``solves`` and
+    exclude every sigma at once (``cokernel-character``).  Otherwise the
+    later sigmas are tried (``search-exhausted``), each by the cokernel
+    test carried over from the first (``_diagonal_solver``'s screen); only
+    those that pass are solved.  ``stats`` counts the ``solves`` and
     ``coker_rejects``, which sum to ``sigmas_tested``.
 
-    The sigmas are those of ``_iter_support_sigmas``, in its order: after
-    the first, the coset of the src support's automorphism group, one node
-    each, once a budget covers the group's self-search.  So
-    ``stats["sigmas_tested"]`` and the budget verdicts do not depend on
-    whether that group is already recorded; only the time to reach each
-    sigma does.  The diagonal systems' incidence rows, elimination and
-    cokernel tables are built once per src support (``_incidence``).  dst
-    needs rows in range only: any sigma proves its index unity, and a row
-    set without it yields no sigma, which ``decide_slocc`` then checks.
+    The sigmas are those of ``_iter_support_sigmas``, in its order, with
+    the screen as its ``fixed``: after the first, once a budget covers the
+    group's self-search, the coset of the src support's automorphism group
+    G, one node each; or, for an exact pair whose src turns differ from
+    their most common one on rows Z no more than the shortest cokernel
+    row, one sigma0 o g per point g(Z) of Z's G-orbit, since the test reads
+    g(Z) alone.  That walk yields None for a point that fails its test, a
+    reject, and ``stats`` records ``group_order`` and the ``orbit`` length
+    when it ran; an equivalent pair's witness is then that of the first
+    point that passes.
+    So ``stats["sigmas_tested"]`` and the budget verdicts do not depend on
+    whether that group or orbit is already recorded; only the time to
+    reach each sigma does.  The diagonal systems' incidence rows,
+    elimination and cokernel tables are built once per src support
+    (``_incidence``).  dst needs rows in range only: any sigma proves its
+    index unity, and a row set without it yields no sigma, which
+    ``decide_slocc`` then checks.
     """
     _check_compatible(src, dst)
     exact = src.is_exact and dst.is_exact
     stats = {"sigmas_tested": 0, "solves": 0, "coker_rejects": 0}
     solve, orders, screen = _diagonal_solver(src, dst)
+    verdict, reason, witness = "inequivalent", "search-exhausted", None
+    details = {"searched": "all support-compatible local permutations"}
     try:
-        for sigma in _iter_support_sigmas(src, dst, max_nodes):
+        for sigma in _iter_support_sigmas(src, dst, max_nodes, screen):
             stats["sigmas_tested"] += 1
             if not screen(sigma):
                 stats["coker_rejects"] += 1
@@ -724,29 +864,23 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
             witness = solve(sigma)
             if witness is not None:
                 # the solved system enforces witness(src) == dst outright
+                verdict, reason, details = "equivalent", "lm-witness", None
                 if exact:
                     _replay_exact(witness, src, dst)
                 elif states_equal_up_to_global_phase(witness.apply(src), dst) is None:
-                    return EquivalenceCertificate(  # a row misses by over the tolerance
-                        "inconclusive", reason="float-witness-failed-replay",
-                        exact=False, stats=stats)
-                return EquivalenceCertificate(
-                    "equivalent", witness=witness, reason="lm-witness",
-                    exact=exact, stats=stats)
+                    # a row misses by over the tolerance
+                    verdict, reason, witness = "inconclusive", "float-witness-failed-replay", None
+                break
             if orders is not None and stats["sigmas_tested"] == 1:
                 o_src, o_dst = orders(sigma)
                 if o_src != o_dst:
-                    return EquivalenceCertificate(
-                        "inequivalent", reason="cokernel-character",
-                        details={"orders": {"src": o_src, "dst": o_dst}},
-                        exact=exact, stats=stats)
+                    reason = "cokernel-character"
+                    details = {"orders": {"src": o_src, "dst": o_dst}}
+                    break
     except EquivalenceError:
-        return EquivalenceCertificate(
-            "inconclusive", reason="search-budget-exhausted", exact=exact, stats=stats)
-    return EquivalenceCertificate(
-        "inequivalent", reason="search-exhausted",
-        details={"searched": "all support-compatible local permutations"},
-        exact=exact, stats=stats)
+        verdict, reason, details = "inconclusive", "search-budget-exhausted", None
+    return EquivalenceCertificate(verdict, witness=witness, reason=reason, details=details,
+                                  exact=exact, stats={**stats, **screen.walk})
 
 
 def _replay_exact(witness, src, dst):
@@ -762,11 +896,20 @@ def _replay_exact(witness, src, dst):
 
 def _lm_automorphisms(s: MinimalSupportState, max_nodes: int) -> List[LocalOperator]:
     """One monomial self-witness per per-site permutation tuple admitting a
-    diagonal completion (free diagonal parameters zeroed), sorted by tuple."""
+    diagonal completion (free diagonal parameters zeroed), sorted by tuple.
+
+    When every turn of s is one value, each sigma's right-hand side is zero,
+    so every sigma is solved by the zero diagonals, the solution the solve
+    would give, and none is solved."""
     _check_compatible(s, s)
+    sigmas = _iter_support_sigmas(s, s, max_nodes)
+    q, turns = turn_numerators(s.phases.values())
+    if len(set(turns)) == 1:
+        zero = (q, [0] * (s.n * s.d))
+        return [_monomial(sigma, zero) for sigma in sorted(sigmas)]
     solve, _, screen = _diagonal_solver(s, s)
     found = {}
-    for sigma in _iter_support_sigmas(s, s, max_nodes):
+    for sigma in sigmas:
         w = screen(sigma) and solve(sigma)
         if w:
             found[sigma] = w

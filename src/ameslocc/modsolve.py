@@ -32,7 +32,7 @@ automorphism g, which permutes the cokernel.  Every cokernel row sums to 0
 by its most common turn only the rows Z still carrying a turn enter: c.b = 0
 iff sum over i in Z of c[g(i)] * (src_i - m) = c.pull_sigma0(dst).
 ``equivalence`` tests each later sigma so, on the rows ``_eliminate`` keeps,
-memoised by g(Z), and solves only the sigmas that pass.
+once per point g(Z) of the orbit of Z, and solves only the sigmas that pass.
 """
 
 from __future__ import annotations

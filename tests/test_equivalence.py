@@ -681,13 +681,14 @@ def test_large_support_self_pair_is_decided():
 
 def test_ame87_decorations_are_decided_within_default_budget():
     # 1/16 and 3/16 give equal cokernel character orders, so every sigma
-    # is tried: the support's 14,406 automorphisms, walked as a coset once
-    # the self-search has found them, each after the first rejected by the
-    # carried-over cokernel test
+    # is tried: one per point of the decorated row's orbit under the
+    # support's 14,406 automorphisms, which is every one of its 2401 rows,
+    # each after the first rejected by the carried-over cokernel test
     cert = lm_match(ame87(Fraction(1, 16)), ame87(Fraction(3, 16)),
                     max_nodes=DEFAULT_MAX_NODES)
     assert (cert.verdict, cert.reason) == ("inequivalent", "search-exhausted")
-    assert cert.stats == {"sigmas_tested": 14406, "solves": 1, "coker_rejects": 14405}
+    assert cert.stats == {"sigmas_tested": 2401, "solves": 1, "coker_rejects": 2400,
+                          "group_order": 14406, "orbit": 2401}
 
 
 def test_ame87_decorations_with_unequal_character_orders_are_decided():

@@ -272,6 +272,8 @@ SMOKE = textwrap.dedent("""
                                  ameslocc.ame64_phi(Fraction(3, 16)))
     assert (cert.verdict, cert.reason) == (
         "inequivalent", "lm-exhausted-butson-condition-violated"), cert
+    walk = {key: cert.stats[key] for key in ("sigmas_tested", "group_order", "orbit")}
+    assert walk == {"sigmas_tested": 64, "group_order": 192, "orbit": 64}, cert.stats
     cert = ameslocc.decide_slocc(ameslocc.ame64_phi(0.1 / (2 * math.pi)),
                                  ameslocc.ame64_phi(0.7 / (2 * math.pi)))
     assert (cert.verdict, cert.reason, cert.stats["solves"]) == (

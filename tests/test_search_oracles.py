@@ -29,11 +29,14 @@ of them at least as long; and exactly the recursive search's sigmas and
 budget error wherever the self-search cannot finish, whether or not the
 row set's group is recorded.  The group's order, the product of its orbit
 lengths, must be the number of sigmas of the recursive search from the
-support onto itself.
+support onto itself.  ``lm_match`` walks the orbit of its decorated rows Z
+instead of G on an exact pair with few of them: one sigma per point g(Z),
+as many as the coset walk gives distinct points, each |Stab(Z)| times.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import getitem
 
@@ -51,7 +54,8 @@ from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import Phase, get_tolerance, root_of_unity
 from ameslocc.states import (MinimalSupportState, ame64_phi, ame_linear_5,
                              construct_ame43, construct_ame44, construct_ame64,
-                             construct_linear, with_phases)
+                             construct_linear, states_equal_up_to_global_phase,
+                             with_phases)
 
 
 def reference_solve(rows, rhs, num_vars, exact=True):
@@ -373,7 +377,7 @@ def test_character_order_survives_local_monomials(base, den, seed):
 
 @pytest.mark.parametrize("turn, reason, sigmas", [
     (Fraction(1, 8), "cokernel-character", 1),
-    (Fraction(15, 16), "search-exhausted", 2058)])
+    (Fraction(15, 16), "search-exhausted", 343)])
 def test_reed_solomon_decorations_by_character_order(turn, reason, sigmas):
     rs = construct_linear(7, [[1, a, a * a % 7] for a in range(7)])
     src, dst = (with_phases(rs, {(0,) * 7: Phase(t)}) for t in (Fraction(1, 16), turn))
@@ -388,24 +392,42 @@ def rs73():
 
 def test_reed_solomon_search_solves_only_the_first_sigma(monkeypatch):
     # one decorated row, so each later sigma is decided by the image of
-    # that row under sigma0^-1 o sigma alone: one memoised test per row
-    reads = []
+    # that row under sigma0^-1 o sigma alone: the search walks that row's
+    # orbit, all 343 rows, tests each point once and composes a sigma only
+    # for a point that passes
+    tested, composed = [], []
+    points, element = equivalence._Screen.points, equivalence._Group.element
 
-    class Touching(list):
-        def __getitem__(self, i):
-            reads.append(i)
-            return list.__getitem__(self, i)
+    def counted_points(screen):
+        got = points(screen)
+        if got is None:
+            return None
+        z, test = got
+        return z, lambda point: tested.append((point, test(point))) or tested[-1][1]
 
-    src, dst = (with_phases(rs73(), {(0,) * 7: Phase(t)})
+    def counted_element(group, tree, point):
+        composed.append(point)
+        return element(group, tree, point)
+
+    monkeypatch.setattr(equivalence._Screen, "points", counted_points)
+    monkeypatch.setattr(equivalence._Group, "element", counted_element)
+    base = rs73()
+    src, dst = (with_phases(base, {(0,) * 7: Phase(t)})
                 for t in (Fraction(1, 16), Fraction(5, 16)))
-    # the support's one cache entry holds the cokernel table the search reads
-    inc = equivalence._incidence(frozenset(src.phases), src.n, src.d)
-    by_row, touching = inc.cokernel
-    monkeypatch.setattr(inc, "cokernel", (by_row, Touching(touching)))
     cert = lm_match(src, dst)
     assert (cert.verdict, cert.reason) == ("inequivalent", "search-exhausted")
-    assert cert.stats == {"sigmas_tested": 2058, "solves": 1, "coker_rejects": 2057}
-    assert 0 < len(reads) == len(set(reads)) <= 343
+    assert cert.stats == {"sigmas_tested": 343, "solves": 1, "coker_rejects": 342,
+                          "group_order": 2058, "orbit": 343}
+    assert len({point for point, _ in tested}) == len(tested) == 342
+    assert not any(passed for _, passed in tested) and composed == []
+    # the same decoration on another row: sigma0, the identity, fails, and
+    # the first point that passes gives the witness
+    tested.clear()
+    moved = with_phases(base, {sorted(base.phases)[100]: Phase(Fraction(1, 16))})
+    cert = lm_match(src, moved)
+    assert (cert.verdict, cert.reason) == ("equivalent", "lm-witness")
+    assert cert.stats["sigmas_tested"] == len(tested) + 1 == cert.stats["coker_rejects"] + 2
+    assert composed == [tested[-1][0]] and tested[-1][1]
 
 
 def f2f2_ame44():
@@ -444,6 +466,55 @@ def test_screen_matches_full_solve_for_every_sigma(base, den, dense, same, seed)
     assert verdicts[0][0]
     assert all(passed == solved for passed, solved in verdicts[1:])
     assert any(solved for _, solved in verdicts) or not same
+
+
+def decorated_rows(src):
+    """Z: src's rows whose turn is not the most common one, sorted."""
+    rows = sorted(src.phases)
+    turns = [src.phases[row].turn for row in rows]
+    m = Counter(turns).most_common(1)[0][0]
+    return tuple(row for row, t in zip(rows, turns) if t != m)
+
+
+ORBIT_BASES = DECORATED + [rs73()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.sampled_from(ORBIT_BASES), den=st.sampled_from([4, 5, 16, 20, 360]),
+       same=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(base=ORBIT_BASES[0], den=20, same=False, seed=3)  # one row, exhausted
+@example(base=ORBIT_BASES[0], den=5, same=False, seed=9)  # two rows, exhausted
+@example(base=ORBIT_BASES[2], den=4, same=True, seed=1)  # one row, a later point
+def test_orbit_walk_matches_full_coset_walk(base, den, same, seed):
+    # after sigma0 the search walks the orbit of Z, one sigma per point
+    # g(Z) other than Z; the full coset walk sigma0 o G gives every point
+    # |Stab(Z)| times
+    rng = random.Random(seed)
+    src = decorate(base, rng, den)
+    dst = monomial_image(src if same else decorate(base, rng, den), rng)
+    cert = lm_match(src, dst, max_nodes=10 ** 7)
+    assert cert.verdict == reference_lm_verdict(src, dst)
+    if cert.equivalent:
+        assert states_equal_up_to_global_phase(cert.witness.apply(src), dst) is not None
+    sigmas = list(_iter_support_sigmas(src, dst, 10 ** 7))
+    inverse = [sorted(range(src.d), key=perm.__getitem__) for perm in sigmas[0]]
+    z = decorated_rows(src)
+    images = Counter(tuple(tuple(inv[perm[a]] for inv, perm, a in zip(inverse, sigma, row))
+                           for row in z) for sigma in sigmas)
+    stats, decided_first = cert.stats, cert.reason == "cokernel-character" or (
+        cert.equivalent and cert.stats["solves"] == 1 and cert.stats["sigmas_tested"] == 1)
+    if "orbit" not in stats:  # sigma0 decided, or each sigma is tested directly
+        rows = diagonal_system(src, src, (tuple(range(src.d)),) * src.n)[0]
+        shortest = min(map(len, _eliminate(rows, src.n * src.d)[2]), default=0)
+        assert decided_first or len(z) > shortest
+        assert stats["sigmas_tested"] == (1 if decided_first else len(sigmas))
+        return
+    assert stats["group_order"] == len(sigmas) == stats["orbit"] * images[z]
+    assert stats["orbit"] == len(images) and len(set(images.values())) == 1
+    if cert.equivalent:
+        assert 1 < stats["sigmas_tested"] <= len(images)
+    else:
+        assert stats["sigmas_tested"] == 1 + len(images.keys() - {z})
 
 
 def recursive_sigmas(src, dst, max_nodes):
@@ -635,6 +706,22 @@ def test_recorded_cost_over_budget_stays_inconclusive(fresh_groups):
     assert "budget" in cert.reason
 
 
+def test_orbit_walk_budget_verdicts_do_not_depend_on_recorded_orbits(fresh_groups):
+    # the orbit's search costs its images as nodes whether or not its tree
+    # is kept, so each budget gives one certificate, fresh or recorded
+    src, dst = ame64_phi(Fraction(1, 16)), ame64_phi(Fraction(3, 16))
+    self_cost = recorded_group(src).cost
+    outcomes = set()
+    for budget in BUDGETS + [self_cost - 1, self_cost]:
+        _row_plan.cache_clear()
+        fresh = lm_match(src, dst, max_nodes=budget)
+        recorded = lm_match(src, dst, max_nodes=budget)
+        assert (fresh.reason, fresh.stats) == (recorded.reason, recorded.stats)
+        outcomes.add((fresh.reason, "orbit" in fresh.stats, budget >= self_cost))
+    assert outcomes == {("search-budget-exhausted", False, False),
+                        ("search-exhausted", True, True)}
+
+
 GROUP_CASES = [(name, make, order) for (name, make, _), order
                in zip(CASES, (18, 48, 100, 192))] + [
     ("rs73", rs73, 2058),
@@ -655,6 +742,21 @@ def test_self_search_group_matches_recursive_self_search(name, make, order, fres
         return  # every one of its 2058 sigmas is solved: seconds
     solve = _diagonal_solver(s, s)[0]
     assert lm_automorphism_sigmas(s) == sorted(x for x in sigmas if solve(x) is not None)
+
+
+@pytest.mark.parametrize("make, count", [
+    (construct_ame43, 18), (construct_ame44, 48), (construct_ame64, 192),
+    (lambda: ame_linear_5(5), 100), (rs73, 2058)],
+    ids=["ame43", "ame44", "ame64", "ame5-linear-5", "rs73"])
+def test_phase_free_automorphisms_match_their_solves(make, count):
+    # every turn is one value, so every sigma's right-hand side is zero:
+    # the witnesses built without a solve are the ones the solve gives
+    s = make()
+    assert len(set(s.phases.values())) == 1
+    solve = _diagonal_solver(s, s)[0]
+    want = [solve(sigma).to_json() for sigma in sorted(_iter_support_sigmas(s, s, 10 ** 7))]
+    got = [w.to_json() for w in equivalence._lm_automorphisms(s, DEFAULT_MAX_NODES)]
+    assert got == want and len(got) == count
 
 
 @pytest.mark.parametrize("make, order", [

@@ -103,7 +103,22 @@ def test_tracer_counts_no_sigma_of_the_self_search(monkeypatch):
         assert cert.verdict == verdict
         assert _row_plan(frozenset(a.phases), a.k).group is not None
         assert tracer.counts["equivalence.search.sigmas"] == cert.stats["sigmas_tested"] > 1
-    assert cert.stats["sigmas_tested"] == 2058
+    assert cert.stats["sigmas_tested"] == 343
+
+
+def test_tracer_counts_each_orbit_point_once(monkeypatch):
+    # the walk over the decorated row's orbit yields one item per point,
+    # a sigma or None, through the name the tracer rebinds
+    rs = construct_linear(7, [[1, a, a * a % 7] for a in range(7)])
+    pairs = [(ame64_phi(Fraction(1, 16)), ame64_phi(Fraction(3, 16)), 64),
+             tuple(with_phases(rs, {(0,) * 7: Phase(t)})
+                   for t in (Fraction(1, 16), Fraction(5, 16))) + (343,)]
+    for a, b, points in pairs:
+        cert, tracer = traced(monkeypatch, lambda: lm_match(a, b))
+        assert (cert.verdict, cert.reason) == ("inequivalent", "search-exhausted")
+        assert tracer.counts["equivalence.search.sigmas"] == cert.stats["sigmas_tested"] \
+            == cert.stats["orbit"] == points
+        assert tracer.calls["modsolve"] == cert.stats["solves"] == 1
 
 
 def test_tracer_counts_one_search_when_no_sigma_reaches_dst(monkeypatch):
