@@ -242,24 +242,10 @@ def _diagonal_solver(src, dst):
     @lru_cache(maxsize=2)  # c.src and K_c stay while a search reads them
     def dots(sigma):
         """c.src (sigma None) or c.pull_sigma(dst) mod den, for each
-        cokernel row c, shortest first.  On a support with more than 8
-        cokernel entries per row, when at most a quarter of the values
-        differ from their most common one m, it is gathered over those rows
-        only, as c.(values - m)."""
+        cokernel row c, shortest first."""
         values = src_turns if sigma is None else pulled_back(sigma)
-        by_row, touching = inc.cokernel
-        if inc.entries > 8 * len(idxs):
-            m = Counter(values).most_common(1)[0][0]
-            off = [i for i, t in enumerate(values) if t != m]
-            if 4 * len(off) <= len(values):
-                acc = [0] * len(by_row)
-                for i in off:
-                    step = values[i] - m
-                    for r, v in touching[i].items():
-                        acc[r] += v * step
-                return [a % den for a in acc]
         return [sum(map(mul, coeffs, map(values.__getitem__, at))) % den
-                for at, coeffs, _ in by_row]
+                for at, coeffs, _ in inc.cokernel[0]]
 
     def orders(sigma):
         return tuple(den // math.gcd(den, *dots(s)) for s in (None, sigma))
@@ -326,10 +312,10 @@ class _Screen:
     automorphism g; Z and the point test are None when each sigma is
     tested directly.  Given as ``_iter_support_sigmas``'s ``fixed``, the
     screen lets the search walk the orbit of Z instead of the group:
-    ``points()`` is (Z, test of a point) or None, and ``walk`` records the
-    group's order and the orbit's length.  That search yields None for a
-    point that fails, which the screen rejects, and sigma0 o g for one that
-    passes, which it passes untested.
+    ``points()`` is (Z, test of a point) or None.  That search yields None
+    for a point that fails, which the screen rejects, and sigma0 o g for
+    one that passes, which the screen tests again as any sigma; it records
+    the group's order and the orbit's length in ``walk``, for the stats.
     """
 
     def __init__(self, transported):
@@ -341,7 +327,7 @@ class _Screen:
         if self.sigma0 is None:
             self.sigma0 = sigma
             return True
-        return bool(self.walk) or self._tests()[1](sigma)
+        return self._tests()[1](sigma)
 
     def points(self):
         z, _, test = self._tests()
@@ -370,7 +356,7 @@ class _Incidence:
     ``idxs``, the rows sorted; ``index``, each row's position there;
     ``cols``, their site columns; ``rows``, their (site, symbol) incidence
     rows; and, built at first use, ``system``, their ``modsolve``
-    elimination, the ``cokernel`` tables and their number of ``entries``."""
+    elimination, and the ``cokernel`` tables."""
 
     def __init__(self, rows, n, d):
         self.idxs = tuple(sorted(rows))
@@ -382,10 +368,6 @@ class _Incidence:
     @cached_property
     def system(self):
         return _eliminate(self.rows, len(self.rows[0]))
-
-    @cached_property
-    def entries(self):
-        return sum(map(len, self.system[2]))
 
     @cached_property
     def cokernel(self):
@@ -489,53 +471,44 @@ class _Group:
     is the product of the orbit lengths.  ``cost`` is the node count of the
     self-search that found it.  ``compiled``, built at the first ``coset``,
     holds each u as per-site ``itemgetter``s: h o u is one call per site.
-    ``support`` is the row set sorted; ``moves``, built at the first
-    ``orbit``, holds each generator as the permutation of the positions
-    there, and ``orbits`` the last 32 orbits' Schreier trees.
+    ``moves``, built at the first ``orbit``, holds each generator as the
+    permutation of the row positions in the support's ``_Incidence``.
     """
 
-    def __init__(self, branch_rows, n, d, rows):
+    def __init__(self, branch_rows, n, d):
         self.rows, self.gens, self.cost, self.compiled = branch_rows, [], None, None
         self.identity = (tuple(range(d)),) * n
         self.levels = [{row: self.identity} for row in branch_rows]
-        self.support, self.moves, self.orbits = tuple(sorted(rows)), None, {}
+        self.moves = None
 
     @property
     def order(self):
         return math.prod(map(len, self.levels))
 
-    def orbit(self, points, limit):
-        """(tree, cost): the orbit of ``points``, an ordered tuple of
-        positions in ``support``, as a Schreier tree (Seress, Permutation
-        Group Algorithms, 2003), and the number of images its breadth-first
-        search over the generators takes.
+    def orbit(self, inc, points, limit):
+        """(tree, cost): the orbit of ``points``, an ordered tuple of row
+        positions in ``inc``, the support's ``_Incidence``, as a Schreier
+        tree (Seress, Permutation Group Algorithms, 2003), and the number
+        of images its breadth-first search over the generators takes.
 
         tree maps each point, points itself first and the rest in
         breadth-first order, to the point it is reached from and that
         generator's index (points itself to None).  EquivalenceError when
-        the cost is over limit; the tree is then not kept."""
+        the cost is over limit."""
         if self.moves is None:
-            index = {row: i for i, row in enumerate(self.support)}
-            self.moves = [tuple([index[tuple(map(getitem, s, row))] for row in self.support])
+            self.moves = [tuple([inc.index[tuple(map(getitem, s, row))] for row in inc.idxs])
                           for s in self.gens]
-        found = self.orbits.get(points)
-        if found is None:
-            tree, queue, cost = {points: None}, [points], 0
-            for p in queue:  # grows while it is read: a breadth-first search
-                for at, move in enumerate(self.moves):
-                    image = tuple(map(move.__getitem__, p))
-                    if image not in tree:
-                        tree[image] = p, at
-                        queue.append(image)
-                cost += len(self.moves)
-                if cost > limit:
-                    raise EquivalenceError("search budget exhausted")
-            if len(self.orbits) == 32:
-                del self.orbits[next(iter(self.orbits))]
-            found = self.orbits[points] = tree, cost
-        if found[1] > limit:
-            raise EquivalenceError("search budget exhausted")
-        return found
+        tree, queue, cost = {points: None}, [points], 0
+        for p in queue:  # grows while it is read: a breadth-first search
+            for at, move in enumerate(self.moves):
+                image = tuple(map(move.__getitem__, p))
+                if image not in tree:
+                    tree[image] = p, at
+                    queue.append(image)
+            cost += len(self.moves)
+            if cost > limit:
+                raise EquivalenceError("search budget exhausted")
+        return tree, cost
 
     def element(self, tree, point):
         """The automorphism taking the tree's first point to point, the
@@ -606,8 +579,8 @@ def _self_search(plan, n, d, max_nodes):
     generator.  So each level ends with the orbit of its row under the
     stabiliser of the rows before it.
     """
+    group = _Group(plan.branch_rows, n, d)
     rows = frozenset(row for row, _, _, _ in plan.steps).union(plan.rest)
-    group = _Group(plan.branch_rows, n, d, rows)
     search = _backtrack(plan, n, d, rows, max_nodes, group.levels)
     try:
         while True:
@@ -668,7 +641,8 @@ def _iter_support_sigmas(src, dst, max_nodes, fixed=None):
             points = None if fixed is None else fixed.points()
             if points is not None:
                 z, test = points
-                tree, cost = group.orbit(z, max_nodes - nodes)
+                inc = _incidence(frozenset(src.phases), src.n, src.d)
+                tree, cost = group.orbit(inc, z, max_nodes - nodes)
                 nodes += cost
                 fixed.walk = {"group_order": group.order, "orbit": len(tree)}
                 for point in itertools.islice(tree, 1, None):
@@ -841,7 +815,7 @@ def lm_match(src: MinimalSupportState, dst: MinimalSupportState,
     when it ran; an equivalent pair's witness is then that of the first
     point that passes.
     So ``stats["sigmas_tested"]`` and the budget verdicts do not depend on
-    whether that group or orbit is already recorded; only the time to
+    whether that group is already recorded; only the time to
     reach each sigma does.  The diagonal systems' incidence rows,
     elimination and cokernel tables are built once per src support
     (``_incidence``).  dst needs rows in range only: any sigma proves its

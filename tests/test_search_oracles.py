@@ -706,9 +706,10 @@ def test_recorded_cost_over_budget_stays_inconclusive(fresh_groups):
     assert "budget" in cert.reason
 
 
-def test_orbit_walk_budget_verdicts_do_not_depend_on_recorded_orbits(fresh_groups):
-    # the orbit's search costs its images as nodes whether or not its tree
-    # is kept, so each budget gives one certificate, fresh or recorded
+def test_orbit_walk_budget_verdicts_do_not_depend_on_recorded_groups(fresh_groups):
+    # the group's self-search and the orbit's search cost their nodes
+    # whether or not the group is recorded, so each budget gives one
+    # certificate, fresh or recorded
     src, dst = ame64_phi(Fraction(1, 16)), ame64_phi(Fraction(3, 16))
     self_cost = recorded_group(src).cost
     outcomes = set()
