@@ -1012,8 +1012,9 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     critical when its one-party marginals are maximally mixed (Kempf and
     Ness 1979).  So the screen's head, which searches nothing, runs before
     any uniformity is read: when it certifies, the other side needs only
-    ``is_k_uniform(other, 1)``, and a side failing it raises
-    EquivalenceError.  Otherwise both sides' uniformity decides
+    to be critical, which the screen reads from its code and its modulus
+    with no partial trace (``_Reading.critical``), and a side that is not
+    raises EquivalenceError.  Otherwise both sides' uniformity decides
     ``different-uniformity`` and ``different-shape`` first, and the rest of
     the screen's search runs after them.
 
@@ -1024,9 +1025,8 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
     yields no sigma leaves dst to ``_read_minimal``, and a dst failing it is
     dispatched as not minimal; the search runs once either way.
     """
-    # looked up per call: perfbench/spans.py traces by rebinding states.uniformity,
-    # and tests count the levels asked of states.is_k_uniform the same way
-    from .states import is_k_uniform, uniformity
+    # looked up per call: perfbench/spans.py traces by rebinding states.uniformity
+    from .states import uniformity
     ma, mb = _read_minimal(src), None
     unproved = _unproved(dst, ma)
     if unproved is None:
@@ -1041,7 +1041,7 @@ def decide_slocc(src, dst, max_nodes: int = DEFAULT_MAX_NODES) -> EquivalenceCer
         reading = _lu_reading(minimal, other)
         found = None if reading is None else _lu_head(reading)
         if found is not None:
-            if not is_k_uniform(other, 1):
+            if not reading.critical:
                 raise EquivalenceError("inputs must be k-uniform critical states")
             return _lu_certificate(side, found)
     ka = uniformity(src) if ma is None else ma.k

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, islice, permutations, product, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .butson import _exp_rows_orthogonal
@@ -308,6 +309,8 @@ class _Tuples(NamedTuple):
     first: list  # the term numbers (r1, r2, r3, s1, s2, s3) of each basis
                  # vector of V, then of each pairwise sum
     rest: object  # a function giving those of every other element of V
+    zero_coordinate: bool  # some party reads 0 on every word of C
+    weight_one: bool  # C has a word of weight 1
 
 
 @lru_cache(maxsize=32)
@@ -322,7 +325,12 @@ def _valid_tuples(support) -> Optional[_Tuples]:
     in GF(d)^3k, r_i = r0 + G x_i for a generator matrix G of C, and s_j
     copies r_{pi_p(j)} at party p; s_j lies in r0 + C when H (s_j - r0) = 0
     for a parity check H of C.  Those 3 (5 - k) equations are linear in x,
-    so V is their kernel.
+    so V is their kernel.  The codewords G x_i of each basis vector of V
+    are summed once; a pairwise sum then adds two of them, and any other
+    element of V combines them.
+
+    C has a zero coordinate at a party where every generator reads 0, and
+    a weight-1 word at a party where every parity check reads 0.
     """
     cols, d = support.cols, support.d
     if len(cols) != len(_COPIES) or not cols[0] or not _is_prime(d):
@@ -347,47 +355,69 @@ def _valid_tuples(support) -> Optional[_Tuples]:
                for g in gens]
               for j in range(3) for h in checks]
     basis = _nullspace(system, 3 * rank, d)
-    index = {row: r for r, row in enumerate(rows)}
+    index = dict(zip(rows, range(m)))
+    # the codewords G x_1, G x_2, G x_3 of each basis vector x of V, end to end
+    words = [[sum(map(mul, v[i * rank:(i + 1) * rank], col)) for i in range(3)
+              for col in zip(*gens)] for v in basis]
+    bases = base * 3  # r0 once for each r_i
+    copies = [itemgetter(*(n * copy[j] + p for p, copy in enumerate(_COPIES)))
+              for j in range(3)]
 
-    def terms(v):
-        """The term numbers of the tuple x = v, a vector of GF(d)^3k."""
-        r = [[(b + sum(c * g[p] for c, g in zip(v[i * rank:(i + 1) * rank], gens))) % d
-              for p, b in enumerate(base)] for i in range(3)]
-        s = [[r[copy[j]][p] for p, copy in enumerate(_COPIES)] for j in range(3)]
-        return tuple(index[tuple(row)] for row in r + s)
-
-    def combine(coeffs):
-        return [sum(c * v[x] for c, v in zip(coeffs, basis)) % d for x in range(3 * rank)]
-
-    units = [tuple(int(i == j) for j in range(len(basis))) for i in range(len(basis))]
-    pairs = [tuple(a + b for a, b in zip(u, w)) for u, w in combinations(units, 2)]
+    def terms(word):
+        """The term numbers of the tuple whose rows r_i are r0 plus the
+        i-th codeword of ``word``."""
+        r = [(a + b) % d for a, b in zip(bases, word)]
+        rows3 = [tuple(r[i * n:(i + 1) * n]) for i in range(3)]
+        return tuple(map(index.__getitem__, rows3 + [copy(r) for copy in copies]))
 
     def rest():
-        tried = set(units + pairs)
-        for coeffs in product(range(d), repeat=len(basis)):
-            if any(coeffs) and coeffs not in tried:
-                yield terms(combine(coeffs))
+        cols3 = list(zip(*words))
+        for coeffs in product(range(d), repeat=len(words)):
+            # skip 0, the basis vectors and their pairwise sums
+            if sum(coeffs) > 2 or max(coeffs, default=0) > 1:
+                yield terms([sum(map(mul, coeffs, col)) for col in cols3])
 
-    return _Tuples(rank, len(basis), rows, [terms(combine(c)) for c in units + pairs], rest)
+    first = list(map(terms, words)) + [terms(list(map(add, u, w)))
+                                       for u, w in combinations(words, 2)]
+    return _Tuples(rank, len(basis), rows, first, rest,
+                   not gens or not all(map(any, zip(*gens))),
+                   not checks or not all(map(any, zip(*checks))))
 
 
 def _term_turns(sp):
-    """(q, turn) for a state whose terms are one modulus times a root of
-    unity each: turn(r) is the r-th term's turn over q, an integer
+    """(q, turn, m2) for a state whose terms are one modulus times a root
+    of unity each: turn(r) is the r-th term's turn over q, an integer
     numerator over an int q, or a float with q = 1.0 when the state has a
-    real turn.  None for any other state."""
-    reading = sp._integer_reading
-    if reading is not None:
-        q, _, pairs, _, norm = reading
-        if norm is None or max(map(len, pairs)) != 1:
+    real turn, and m2 is the squared modulus.  None for any other state.
+
+    An exact term must be one (exponent, count) pair, c w^e / den: its
+    modulus is |c| / den, and its turn is lifted to the lcm of the terms'
+    q only when it is asked for.  A state with a real turn is read through
+    ``Amp.polar``.
+    """
+    amps = list(sp.terms.values())
+    forms = [a.counts for a in amps]
+    if None not in forms:
+        if set(map(len, forms)) != {1}:
             return None
-        # c w^e with c < 0 is |c| w^(e + q/2)
-        return 2 * q, lambda r: 2 * pairs[r][0][0] + (pairs[r][0][1] < 0) * q
-    splits = [a.polar() for a in sp.terms.values()]
+        moduli = {Fraction(c, den) for c, den in
+                  {(abs(c), a.den) for a in amps for c in a.counts.values()}}
+        if len(moduli) != 1:
+            return None
+        q = math.lcm(*{a.q for a in amps})
+
+        def turn(r):  # c w^e with c < 0 is |c| w^(e + q/2)
+            a = amps[r]
+            (e, c), = a.counts.items()
+            return 2 * e * (q // a.q) + (c < 0) * q
+
+        m, = moduli
+        return 2 * q, turn, m * m
+    splits = [a.polar() for a in amps]
     if None in splits or any(_moduli_differ(m, splits[0][0]) for m, _ in splits):
         return None
     turns = [p._real_turn() for _, p in splits]
-    return 1.0, turns.__getitem__
+    return 1.0, turns.__getitem__, splits[0][0] ** 2
 
 
 def lu_witness(minimal, other):
@@ -412,9 +442,10 @@ def lu_witness(minimal, other):
     * The other side.  ``minimal`` must be a MinimalSupportState with
       k = 2 and N = 5.  ``other`` must have m terms, each one modulus times
       a root of unity w^phi(r), on a coset of a linear code over prime
-      GF(d) (``_valid_tuples``).  Each term of I_pi then has modulus m^-3
-      and turn E = sum phi(r_i) - sum phi(s_j), and the diagonal terms
-      are m^-3.  So |V| < m^3 / d^4 valid tuples give |I_pi| < d^-4, and
+      GF(d) (``_valid_tuples``) with no weight-1 word (``_lu_reading``).
+      Each term of I_pi then has modulus m^-3 and turn
+      E = sum phi(r_i) - sum phi(s_j), and the diagonal terms are m^-3.
+      So |V| < m^3 / d^4 valid tuples give |I_pi| < d^-4, and
       |V| = m^3 / d^4 with one tuple of E != 0 gives Re I_pi < d^-4.
       Either way I_pi differs from the minimal side's.
 
@@ -428,6 +459,11 @@ def lu_witness(minimal, other):
     ``details`` holds the pattern, |V| (``valid_tuples``), m^3 / d^4
     (``bound``), and the witness rows r1, r2, r3 with E as [numerator,
     denominator] (both None when |V| is below the bound).
+
+    The certificate is about LU orbits.  It speaks of SLOCC orbits only
+    when ``other`` is critical, as ``decide_slocc`` checks: the screen reads
+    that from C and the modulus (``_Reading.critical``), with no partial
+    trace.
     """
     reading = _lu_reading(minimal, other)
     if reading is None:
@@ -443,26 +479,46 @@ class _Reading(NamedTuple):
     witness_turn: object  # the E of a tuple of term numbers as [num, den],
                           # or None when E is an integer
     exact: bool
+    critical: bool  # the non-minimal side's one-party marginals are all 1/d
 
 
 def _lu_reading(minimal, other) -> Optional[_Reading]:
     """The ``_Reading`` of a pair, or None when lu_witness cannot screen
     it: a minimal side that is not AME(5,d), another side of a different
-    shape, on no coset of a linear code, with |V| above m^3 / d^4, or with
-    terms of more than one modulus or no root-of-unity phase."""
+    shape, on no coset of a linear code, with a code that has a weight-1
+    word, with |V| above m^3 / d^4, or with terms of more than one modulus
+    or no root-of-unity phase.
+
+    A weight-1 word e_p of C puts in V the d^(k+2) tuples
+    (c + a1 e_p, c + a2 e_p, c + a3 e_p), c in C, whose copies s_j are
+    their rows in another order, so E = 0 on each.  At k = 2 they exceed
+    the bound, and at k = 3 they fill it, so no tuple of V is a witness;
+    other k give |V| above the bound anyway.
+
+    ``critical`` is then read from C and the terms' squared modulus m2,
+    with no partial trace.  Two distinct rows of r0 + C that agree off one
+    party differ by a weight-1 word, so every one-party marginal is
+    diagonal.  Each diagonal entry counts the rows with one symbol at that
+    party: m / d of them unless the party is a zero coordinate of C.  That
+    count times m2 / scale2 is 1/d exactly when m2 * m = scale2, a test
+    made within the tolerance of the diagonal entry on a real turn.
+    """
     sp = other.to_sparse()
     if (minimal.n, minimal.k, sp.n, sp.d) != (5, 2, 5, minimal.d):
         return None
     tuples = _valid_tuples(sp._support)
-    if tuples is None:
+    if tuples is None or tuples.weight_one:
         return None
     power = 3 * tuples.rank - 4  # m^3 / d^4 = d^power
     found = _term_turns(sp) if tuples.dim <= power else None
     if found is None:
         return None
-    q, turn = found
+    q, turn, m2 = found
     real = isinstance(q, float)
     tol = get_tolerance()
+    norm = m2 * len(sp.terms)
+    critical = not tuples.zero_coordinate and (
+        abs(norm / sp.scale2 - 1) <= sp.d * tol if real else norm == sp.scale2)
 
     def witness_turn(t):
         a, b, c, x, y, z = t
@@ -474,7 +530,7 @@ def _lu_reading(minimal, other) -> Optional[_Reading]:
 
     details = {"pattern": list(LU_PATTERN), "valid_tuples": sp.d ** tuples.dim,
                "bound": sp.d ** power, "witness": None, "witness_turn": None}
-    return _Reading(details, tuples, witness_turn, not real and minimal.is_exact)
+    return _Reading(details, tuples, witness_turn, not real and minimal.is_exact, critical)
 
 
 def _lu_head(reading: _Reading):

@@ -968,8 +968,9 @@ def test_phasings_that_are_not_2_uniform_keep_their_uniformity_verdict():
 def test_ladder_pair_reads_only_one_party_marginals(d, monkeypatch):
     # the screen's head certifies a local diagonal image of the phased state
     # from its support and phases, and the invariant then needs the state
-    # critical, which its one-party marginals show: no 2-party marginal
-    # and no uniformity is read, and the certificate is lu_witness's
+    # critical, which the screen reads from its code and modulus: no
+    # partial trace, no uniformity and no integer reading of the phased
+    # side, and the certificate is lu_witness's
     from ameslocc.reductions import lu_witness
     rng = random.Random(d)
     asked, measured = [], []
@@ -981,9 +982,9 @@ def test_ladder_pair_reads_only_one_party_marginals(d, monkeypatch):
         phased = local_diagonal(construct_ame5_phased(d), rng, d)
         linear = local_diagonal(ame_linear_5(d), rng, d)
         for src, dst, side in [(phased, linear, "dst"), (linear, phased, "src")]:
-            asked.clear()
             cert = decide_slocc(src, dst)
-            assert asked == [1]
+            assert asked == []
+            assert "_integer_reading" not in phased.__dict__
             details, tried, exact = lu_witness(linear, phased)
             assert (cert.verdict, cert.reason, cert.exact) == ("inequivalent", "lu-invariant", exact)
             assert cert.details == {"minimal_side": side, **details}
@@ -993,16 +994,19 @@ def test_ladder_pair_reads_only_one_party_marginals(d, monkeypatch):
 
 @pytest.mark.parametrize("build", ["wrong-norm", "weight-1-word"])
 def test_coset_state_that_is_not_1_uniform_raises(build):
-    # A coset state whose terms share one modulus fails 1-uniformity only
-    # through a zero coordinate or a weight-1 word of its code.  Either one
-    # leaves V too large, or E = 0 on all of it, so the screen's head
-    # certifies no such state (a random search over such codes at d = 5
-    # found none).  The head does certify the phased family when its scale2
-    # misstates the squared norm of its terms.
-    from ameslocc.reductions import lu_witness
+    # A coset state whose terms share one modulus is 1-uniform exactly when
+    # its code has no zero coordinate and no weight-1 word and its scale2 is
+    # the squared norm of its terms.  The screen refuses a code with a
+    # weight-1 word, since E = 0 on every tuple of V then, so that case
+    # raises through uniformity; the screen's reading of the code makes the
+    # proof, not a search.  The head does certify the phased family when
+    # its scale2 misstates the squared norm of its terms, and the reading
+    # shows it is not critical.
+    from ameslocc.reductions import _lu_reading, lu_witness
     if build == "wrong-norm":
         other = SparseState(5, 5, construct_ame5_phased(5).terms, scale2=2 * 5 ** 3)
         assert lu_witness(ame_linear_5(5), other) is not None
+        assert not _lu_reading(ame_linear_5(5), other).critical
     else:
         rng = random.Random(11)
         gens = [(1, 0, 0, 0, 0), (0, 1, 0, 1, 1), (0, 0, 1, 1, 2)]

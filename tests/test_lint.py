@@ -320,6 +320,18 @@ SMOKE = textwrap.dedent("""
                                 scale2=125)
     cert = ameslocc.decide_slocc(flat, s)
     assert (cert.verdict, cert.reason) == ("inequivalent", "different-uniformity"), cert
+    wrong = ameslocc.SparseState(5, 5, phased.terms, scale2=250)
+    for pair in ((wrong, s), (s, wrong)):
+        try:
+            ameslocc.decide_slocc(*pair)
+        except ameslocc.EquivalenceError:
+            pass
+        else:
+            raise AssertionError("a coset state of the wrong norm was certified")
+    fresh = ameslocc.construct_ame5_phased(5)
+    cert = ameslocc.decide_slocc(fresh, s)
+    assert (cert.verdict, cert.reason) == ("inequivalent", "lu-invariant"), cert
+    assert "_integer_reading" not in vars(fresh), "a certified pair read the integer form"
     one = ameslocc.SparseState(3, 2, {(0, 1, 0): ameslocc.Amp.one()}, scale2=1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "one.json")

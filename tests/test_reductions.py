@@ -1,15 +1,17 @@
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ameslocc import reductions
+from ameslocc import reductions, states
 from ameslocc.operators import LocalOperator, SiteOperator
-from ameslocc.phases import Amp, root_of_unity
-from ameslocc.reductions import (ReductionError, _conjugated_rho_prime, _valid_tuples,
-                                 build_u4_u5, lu_witness, verify_ame5_nonequivalence,
-                                 verify_rho345_lemma)
+from ameslocc.phases import Amp, Phase, root_of_unity
+from ameslocc.reductions import (ReductionError, _conjugated_rho_prime, _echelon, _lu_reading,
+                                 _nullspace, _valid_tuples, build_u4_u5, lu_witness,
+                                 verify_ame5_nonequivalence, verify_rho345_lemma)
 from ameslocc.states import (SparseState, ame_linear_5, construct_ame5_phased,
                              construct_linear)
 
@@ -295,7 +297,13 @@ def test_minimal_supports_have_only_diagonal_tuples(make):
 def test_screen_counts_the_enumerated_tuples(perm):
     s = relabel(construct_ame5_phased(5), perm)
     enumerated = set(enumerate_valid_tuples(s.terms))
-    assert 5 ** _valid_tuples(s._support).dim == len(enumerated) == 5 ** 5
+    tuples = _valid_tuples(s._support)
+    assert 5 ** tuples.dim == len(enumerated) == 5 ** 5
+    # the head's tuples and the rest list every tuple of V but r0's once
+    listed = [tuple(tuples.rows[r] for r in t[:3])
+              for t in itertools.chain(tuples.first, tuples.rest())]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == enumerated - {(tuples.rows[0],) * 3}
     details, _, exact = lu_witness(ame_linear_5(5), s)
     assert details["valid_tuples"] == details["bound"] == 5 ** 5 and exact
     assert tuple(map(tuple, details["witness"])) in enumerated
@@ -334,3 +342,112 @@ def test_screen_searches_the_rest_of_v():
     rows = [tuple(r) for r in details["witness"]]
     copies = [tuple(rows[c[j]][p] for p, c in enumerate(COPIES)) for j in range(3)]
     assert marked in rows + copies
+
+
+@pytest.mark.parametrize("d", [5, 7, 13])
+def test_first_tuples_match_a_coordinate_by_coordinate_recomputation(d):
+    # V's basis from its defining equations, each tuple's rows summed party
+    # by party from the generators, and each row found by a list search
+    for perm in [(0, 1, 2, 3, 4), (3, 0, 4, 1, 2)]:
+        s = relabel(construct_ame5_phased(d), perm)
+        tuples = _valid_tuples(s._support)
+        rows = list(s.terms)
+        base = rows[0]
+        gens = [g for _, g in _echelon([[a - b for a, b in zip(row, base)] for row in rows], d)]
+        checks = _nullspace(gens, 5, d)
+        system = [[sum(h[p] * g[p] for p in range(5) if COPIES[p][j] == i)
+                   for i in range(3) for g in gens] for j in range(3) for h in checks]
+        basis = _nullspace(system, 9, d)
+        vectors = basis + [[a + b for a, b in zip(u, w)]
+                           for u, w in itertools.combinations(basis, 2)]
+        expected = []
+        for v in vectors:
+            r = [tuple((base[p] + sum(v[3 * i + c] * gens[c][p] for c in range(3))) % d
+                       for p in range(5)) for i in range(3)]
+            s_rows = [tuple(r[COPIES[p][j]][p] for p in range(5)) for j in range(3)]
+            expected.append(tuple(rows.index(row) for row in r + s_rows))
+        assert (tuples.rank, tuples.dim) == (3, 5)
+        assert tuples.first == expected
+
+
+def test_term_turns_are_the_polar_turns():
+    # each term's turn, read from its one (exponent, count) pair and lifted
+    # to the lcm of the terms' q, is its polar turn: a negative count adds
+    # half a turn
+    rng = random.Random(3)
+    terms = {row: Amp.from_phase(root_of_unity(rng.choice([1, 2, 5, 10]), rng.randrange(10)),
+                                 rng.choice([Fraction(2, 3), Fraction(-2, 3)]))
+             for row in construct_ame5_phased(5).terms}
+    assert len({a.q for a in terms.values()}) == 4
+    q, turn, m2 = reductions._term_turns(SparseState(5, 5, terms, scale2=1))
+    assert (q, m2) == (20, Fraction(4, 9))
+    for r, a in enumerate(terms.values()):
+        phase = a.polar()[1]
+        assert Fraction(turn(r), q) % 1 == Fraction(phase.num, phase.den) % 1
+
+
+def coset_state(p, gens, shift, phases, coeff, real, scale):
+    """Equal-modulus terms coeff * w^phase on the coset shift + C of the
+    code C that gens span over GF(p); real puts a real turn on one term."""
+    rank = len(gens)
+    rows = sorted({tuple((shift[q] + sum(c * g[q] for c, g in zip(x, gens))) % p
+                         for q in range(5))
+                   for x in itertools.product(range(p), repeat=rank)})
+    rng = random.Random(phases)
+    terms = {row: Amp.from_phase(root_of_unity(p, rng.randrange(p)), coeff * rng.choice([1, -1]))
+             for row in rows}
+    if real:
+        terms[rows[-1]] = Amp.from_phase(Phase(0.1234), abs(coeff))
+    return SparseState(5, p, terms, scale2=scale * coeff * coeff * len(rows))
+
+
+@st.composite
+def coset_states(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    rank = draw(st.integers(2, 3))
+    gens = [draw(st.lists(st.integers(0, p - 1), min_size=5, max_size=5))
+            for _ in range(rank)]
+    zero = draw(st.none() | st.integers(0, 4))  # a zero coordinate
+    if zero is not None:
+        for g in gens:
+            g[zero] = 0
+    unit = draw(st.none() | st.integers(0, 4))  # a weight-1 word
+    if unit is not None:
+        gens[0] = [int(q == unit) for q in range(5)]
+    shift = draw(st.lists(st.integers(0, p - 1), min_size=5, max_size=5))
+    return (p, gens, shift, draw(st.integers(0, 2 ** 16)),
+            draw(st.sampled_from([1, 2, Fraction(1, 3)])), draw(st.booleans()),
+            draw(st.sampled_from([1, 2])))
+
+
+# _lu_reading reads only the shape and exactness of the minimal side, and
+# no minimal-support AME(5,3) state exists
+def shape(p):
+    return types.SimpleNamespace(n=5, k=2, d=p, is_exact=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coset_states())
+@example((5, [[1, 0, 1, 2, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]], [0] * 5, 0, 1, False, 1))
+@example((5, [[1, 0, 1, 2, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]], [0] * 5, 0, 1, False, 2))
+@example((7, [[1, 0, 1, 2, 0], [0, 1, 1, 1, 0], [0, 0, 0, 1, 1]], [1] * 5, 3, 2, True, 1))
+@example((5, [[2, 3, 1, 0, 0], [2, 1, 2, 0, 3]], [0, 1, 2, 0, 1], 5, 1, False, 1))
+@example((3, [[2, 0, 0, 2, 1], [0, 2, 0, 0, 0], [1, 0, 1, 0, 1]], [0] * 5, 11, 1, False, 1))
+def test_critical_reading_is_one_party_uniformity(case):
+    # wherever the screen reads a coset state, its criticality, read from
+    # the code and the modulus, is 1-uniformity read from partial traces;
+    # a code with a weight-1 word is never read, since each tuple of V
+    # then copies its rows in another order (E = 0)
+    p, gens, *_ = case
+    if len(_echelon(gens, p)) != len(gens):
+        return
+    s = coset_state(*case)
+    reading = _lu_reading(shape(p), s)
+    tuples = _valid_tuples(s._support)
+    if tuples.weight_one:
+        assert reading is None
+        if tuples.dim <= 3 * tuples.rank - 4:
+            assert all(sorted(t[:3]) == sorted(t[3:])
+                       for t in itertools.chain(tuples.first, tuples.rest()))
+    elif reading is not None:
+        assert reading.critical == states.is_k_uniform(s, 1)
