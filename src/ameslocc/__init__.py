@@ -21,8 +21,18 @@ from .equivalence import (EquivalenceCertificate, EquivalenceError, automorphism
                           decide_slocc, family_classes, lm_match)
 from .reductions import (ReductionError, TriangularMatrixPair, build_u4_u5, lu_witness,
                          verify_ame5_nonequivalence, verify_rho345_lemma)
-from .cli import reproduce, run_cli
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the CLI (argparse, json) loads on first use, not with the library
+_CLI_NAMES = ("cli", "reproduce", "run_cli")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_CLI_NAMES))
+
+
+def __getattr__(name):
+    if name not in _CLI_NAMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+    cli = import_module(".cli", __name__)  # binds ameslocc.cli as it loads
+    return cli if name == "cli" else getattr(cli, name)

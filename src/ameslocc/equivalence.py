@@ -198,7 +198,8 @@ def _diagonal_solver(src, dst):
     None; each entry is ``numerator_phase`` of the (q, values) turns
     ``solve_turn_system`` gives.  Float turns are solved exactly, as the
     binary fractions they hold, within the tolerance only at the cokernel
-    rows.  orders(sigma):
+    rows, and at k >= 2 then take one least-squares step
+    (``_least_squares_turns``).  orders(sigma):
     den / gcd(den, c.t) over the cokernel rows c for the src turns t and
     for the dst turns pulled back by sigma.  screen: a ``_Screen``.  Unless
     every turn is rational, so that ``turn_numerators`` gives an integer
@@ -234,7 +235,11 @@ def _diagonal_solver(src, dst):
     def solve(sigma):
         rhs = [(t - w) % mod for t, w in zip(pulled_back(sigma), src_turns)]
         theta = solve_turn_system(inc.system, rhs, n * d, mod)
-        return None if theta is None else _monomial(sigma, theta)
+        if theta is None:
+            return None
+        if den is None and k >= 2:
+            theta = _least_squares_turns(idxs, d, k, rhs, theta)
+        return _monomial(sigma, theta)
 
     if den is None:
         return solve, None, _Screen(None)
@@ -289,6 +294,32 @@ def _diagonal_solver(src, dst):
         return tuple(z), by_point, test
 
     return solve, orders, _Screen(transported)
+
+
+def _least_squares_turns(idxs, d, k, rhs, theta):
+    """Float turns theta + delta, delta = (A^T A)^+ A^T r for the residue
+    r = rhs - A.theta reduced into (-1/2, 1/2], A the incidence rows of
+    the index-unity support idxs of strength k >= 2.
+
+    The exact back substitution meets the pivot rows exactly and leaves
+    the rounding noise of the float turns on the other rows; delta spreads
+    it over all rows in least squares.  A^T A = d^(k-1) I + d^(k-2) (J -
+    I_n (x) J_d): vectors whose every site block sums to 0 have eigenvalue
+    d^(k-1), the block-constant vectors with zero total are the gauge
+    (eigenvalue 0, dropped), and the all-ones vector has n d^(k-1)."""
+    values = theta[1]
+    g = [0.0] * len(values)
+    for idx, b in zip(idxs, rhs):
+        cells = [j * d + a for j, a in enumerate(idx)]
+        x = b - sum(map(values.__getitem__, cells))
+        x -= math.ceil(x - 0.5)
+        for c in cells:
+            g[c] += x
+    n, scale = len(idxs[0]), d ** (k - 1)
+    means = [sum(g[j * d:j * d + d]) / d for j in range(n)]
+    ones = sum(means) / (n * n * scale)
+    return 1.0, [(v + (x - means[c // d]) / scale + ones) % 1.0
+                 for c, (v, x) in enumerate(zip(values, g))]
 
 
 def _monomial(sigma, theta):

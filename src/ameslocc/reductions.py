@@ -22,7 +22,6 @@ Pairs of minimal-support states are decided by ``equivalence.lm_match``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, islice, permutations, product, repeat
@@ -47,16 +46,30 @@ def _triangular(k: int) -> int:
     return (k + 1) * k // 2
 
 
-@dataclass
 class TriangularMatrixPair:
     """Exponent matrices W, V (mod d) and their phase matrices U4, U5.
 
     U4 = (w^{W[i][j]}) / sqrt(d) and U5 = (w^{V[i][j]}) / sqrt(d) with w the
-    primitive d-th root of unity; both are unitary for every odd d.
+    primitive d-th root of unity; both are unitary for every odd d.  Equal
+    when d, w and v are, unhashable and picklable, as a plain record.
     """
-    d: int
-    w: Tuple[Tuple[int, ...], ...]
-    v: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("d", "w", "v")
+    __hash__ = None
+
+    def __init__(self, d: int, w: Tuple[Tuple[int, ...], ...],
+                 v: Tuple[Tuple[int, ...], ...]):
+        self.d, self.w, self.v = d, w, v
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.w, self.v) == (other.d, other.w, other.v)
+
+    def __repr__(self):
+        return "TriangularMatrixPair(d=%r, w=%r, v=%r)" % (self.d, self.w, self.v)
+
+    def __reduce__(self):  # __slots__ alone do not pickle at protocols 0 and 1
+        return TriangularMatrixPair, (self.d, self.w, self.v)
 
     def u4(self) -> List[List[Phase]]:
         return [[root_of_unity(self.d, e) for e in row] for row in self.w]

@@ -2,7 +2,9 @@
 
 Every module-level import is used, no module imports sympy, which the
 package does not depend on, ``import ameslocc`` loads neither numpy nor
-sympy, every module-level private function or class
+sympy, and loads the eight library modules but not the CLI (argparse,
+json) nor dataclasses or inspect, binding the CLI names on first use and
+keeping ``__all__`` as pinned, every module-level private function or class
 is referenced from src/ or perfbench/ other than by its own definition
 (a helper that only tests name is dead code), only
 phases.py converts ``Amp`` term maps, calls ``exponent_sum_is_zero`` or
@@ -19,6 +21,7 @@ is also imported and run on one decision under every other installed CPython
 """
 
 import ast
+import json
 import os
 import platform
 import re
@@ -80,6 +83,58 @@ def test_import_loads_neither_numpy_nor_sympy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+LIBRARY = ("butson", "designs", "equivalence", "modsolve", "operators", "phases",
+           "reductions", "states")
+# sorted(ameslocc.__all__) as pinned when the CLI names became lazy
+ALL = [
+    "Amp", "ButsonError", "ButsonMatrix", "DesignError", "EquivalenceCertificate",
+    "EquivalenceError", "LatinHypercube", "LocalOperator", "MinimalSupportState",
+    "OperatorError", "OrthogonalArray", "Phase", "ReductionError", "SiteOperator",
+    "SparseState", "StateError", "TriangularMatrixPair", "ame64_phi", "ame_linear_5",
+    "automorphisms", "build_u4_u5", "butson", "butson_match", "check_molh", "check_oa",
+    "cli", "compute_w", "cond_butson", "cond_monomial", "construct_ame43",
+    "construct_ame44", "construct_ame5_phased", "construct_ame64", "construct_ghz",
+    "construct_linear", "decide_slocc", "dephase", "designs", "enumerate_bh",
+    "equivalence", "extension_bound", "family_classes", "find_sub_molh", "fourier",
+    "get_tolerance", "is_butson", "is_k_uniform", "is_minimal_support", "lm_match",
+    "lu_witness", "modsolve", "molh_existence_bound", "molh_to_state", "mols3",
+    "monomially_equivalent", "no_molh_exists", "nth_roots", "oa_to_state", "operators",
+    "parse_oa_text", "phases", "reduced_density", "reductions", "reproduce",
+    "root_of_unity", "run_cli", "set_tolerance", "small_regime", "state_to_molh",
+    "state_to_oa", "states", "states_equal_up_to_global_phase", "support_count",
+    "tensor_butson", "tensor_compose", "tensor_molh", "uniformity",
+    "verify_ame5_nonequivalence", "verify_rho345_lemma", "with_phases"]
+
+
+def test_import_loads_only_the_library():
+    # the CLI stack (argparse, json) and dataclasses' inspect/ast chain are
+    # not library code: import loads the eight library modules, and the CLI
+    # on first use of one of its names
+    code = textwrap.dedent("""
+        import json, sys
+        before = set(sys.modules)
+        import ameslocc
+        loaded = sorted(set(sys.modules) - before)
+        names = sorted(ameslocc.__all__)
+        run_cli = ameslocc.run_cli
+        lazy = "ameslocc.cli" in sys.modules
+        star = {}
+        exec("from ameslocc import *", star)
+        print(json.dumps([loaded, names, lazy, run_cli is star["run_cli"],
+                          star["reproduce"] is sys.modules["ameslocc.cli"].reproduce,
+                          star["cli"] is sys.modules["ameslocc.cli"]]))
+    """)
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+    loaded, names, lazy, *bound = json.loads(out.stdout)
+    unwanted = {"argparse", "json", "dataclasses", "inspect", "ameslocc.cli"}
+    assert not unwanted & set(loaded), sorted(unwanted & set(loaded))
+    assert {"ameslocc." + m for m in LIBRARY} <= set(loaded), loaded
+    assert names == ALL
+    assert lazy and all(bound), (lazy, bound)
 
 
 def _names_in(node):
@@ -242,7 +297,8 @@ def test_lru_caches_are_bounded():
 # image; and two N = 2k decisions through butson_match's rule, one exact and
 # one on float turns, 192 float solves; an AME(4,3) monomial image, and an
 # unchecked AME(4,3) dst that is not index-unity, which no sigma reaches; then one CLI scenario and two of the
-# CLI's option errors, since argparse's behaviour differs between versions;
+# CLI's option errors, since argparse's behaviour differs between versions,
+# after checking that the import left the CLI to load on that first use;
 # and pickle, deepcopy and the exact-against-real hash of a Phase, whose
 # __slots__ pickle differently between versions
 SMOKE = textwrap.dedent("""
@@ -253,7 +309,9 @@ SMOKE = textwrap.dedent("""
     import pickle
     import tempfile
     from fractions import Fraction
+    import sys
     import ameslocc
+    assert "ameslocc.cli" not in sys.modules, "import ameslocc loaded the CLI"
     from ameslocc.phases import Phase, root_of_unity
     for p in (Phase(Fraction(3, 7)), Phase(0.25)):
         for q in [copy.deepcopy(p)] + [pickle.loads(pickle.dumps(p, protocol))

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import types
 from fractions import Fraction
@@ -9,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from ameslocc import reductions, states
 from ameslocc.operators import LocalOperator, SiteOperator
 from ameslocc.phases import Amp, Phase, root_of_unity
-from ameslocc.reductions import (ReductionError, _conjugated_rho_prime, _echelon, _lu_reading,
-                                 _nullspace, _valid_tuples, build_u4_u5, lu_witness,
-                                 verify_ame5_nonequivalence, verify_rho345_lemma)
+from ameslocc.reductions import (ReductionError, TriangularMatrixPair, _conjugated_rho_prime,
+                                 _echelon, _lu_reading, _nullspace, _valid_tuples,
+                                 build_u4_u5, lu_witness, verify_ame5_nonequivalence,
+                                 verify_rho345_lemma)
 from ameslocc.states import (SparseState, ame_linear_5, construct_ame5_phased,
                              construct_linear)
 
@@ -47,6 +49,26 @@ def test_closed_form_matches_recursion():
     for d in range(3, 23, 2):
         pair = build_u4_u5(d)
         assert len(pair.w) == d and len(pair.v) == d
+
+
+def test_triangular_pair_is_a_plain_record():
+    pair = build_u4_u5(5)
+    assert pair == build_u4_u5(5) and not pair != build_u4_u5(5)
+    v = [list(row) for row in pair.v]
+    v[2][3] = (v[2][3] + 1) % 5
+    changed = TriangularMatrixPair(5, pair.w, tuple(map(tuple, v)))
+    assert pair != changed and not pair == changed
+    assert pair != (pair.d, pair.w, pair.v)
+    assert repr(pair) == "TriangularMatrixPair(d=5, w=%r, v=%r)" % (pair.w, pair.v)
+    with pytest.raises(TypeError):
+        hash(pair)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(pair, protocol)) == pair
+    small = build_u4_u5(3)
+    w = root_of_unity(3, 1)
+    one, w2 = w ** 0, w * w
+    assert small.u4() == [[one, one, w2], [w2, one, one], [one, w2, one]]
+    assert small.u5() == [[one, one, w], [one, w, one], [w, one, one]]
 
 
 def test_rho345_lemma_small_dimension():
